@@ -28,7 +28,10 @@ from importlib import resources
 import numpy as np
 
 from .expressions import EvalDomainError
-from .greens import ResonanceError, closed_form_constant, numeric_periodic_green
+# closed_form_constant and numeric_periodic_green are not called here;
+# bench/spans.py rebinds them under these names
+from .greens import (ResonanceError, closed_form_constant, kernel_for,
+                     numeric_periodic_green)
 from .hypotheses import Certificate, ProblemSpec, alpha_exponent, certify
 from .ivp import IntegrationBlowUp
 from .problemfile import LoadedProblem, ProblemFileError, load_problem, \
@@ -194,19 +197,12 @@ def _cmd_check(args) -> int:
 # greens
 
 
-def _build_kernel(spec: ProblemSpec, n: int):
-    alpha = alpha_exponent(spec.rho1)
-    l = spec.q.scaled(1.0 / alpha)
-    l_const = l.constant_value()
-    if spec.p.is_zero() and l_const is not None and l_const > 0.0:
-        return closed_form_constant(math.sqrt(l_const), spec.omega, n=n)
-    return numeric_periodic_green(spec.p, l, spec.omega, n=n)
-
-
 def _cmd_greens(args) -> int:
     problem = _resolve(args.file)
+    spec = problem.spec
+    l = spec.q.scaled(1.0 / alpha_exponent(spec.rho1))
     try:
-        gf = _build_kernel(problem.spec, args.n)
+        gf = kernel_for(spec.p, l, spec.omega, n=args.n)
     except ResonanceError as err:
         sys.stderr.write(f"resonance: {err}\n")
         return 1

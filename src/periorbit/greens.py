@@ -14,7 +14,17 @@ M = Phi(omega) and B = (I - M)^-1,
     G(t,s) = [Phi(t) (B - I) Phi(s)^-1]_{12},  s >  t,
 
 which satisfies the homogeneous equation off the diagonal, is omega-periodic
-in t, and has a unit upward jump of dG/dt across the diagonal.
+in t, and has a unit upward jump of dG/dt across the diagonal.  kernel_for
+picks between the two.
+
+On each branch the kernel has rank 2: G(t,s) = U(t).V(s) and
+dG/dt(t,s) = U'(t).V(s), with U = Phi(t)[0,:], U' = Phi(t)[1,:] and
+V = B Phi(s)^-1[:,1] (B - I on the upper branch); the closed form splits
+the same way by the cosine addition theorem.  The integral operator
+u(t_i) = int_0^omega G(t_i, s) f(s) ds on a grid t_0 < ... < t_n is then
+U(t_i) dotted with the lower-branch integrals of V f over the cells left
+of t_i plus the upper-branch ones right of it: a prefix and a suffix sum,
+O(n) time and memory instead of an (n+1)^2 kernel matrix.
 
 Constants attached to a kernel: the extreme values g_max and g_min, the
 largest slope gt_max = max |dG/dt| (diagonal counted one-sided on both
@@ -37,6 +47,7 @@ __all__ = [
     "GreensFunction",
     "closed_form_constant",
     "numeric_periodic_green",
+    "kernel_for",
     "CriterionVerdict",
     "check_A1",
     "check_A2",
@@ -60,7 +71,9 @@ class GreensFunction:
 
     G and Gt hold G(t_i, s_j) and dG/dt(t_i, s_j) on the (n+1)^2 grid; the
     diagonal carries the s <= t branch.  source is "closed-form" or
-    "numeric".
+    "numeric".  _factors(t, s) returns the rank-2 factors (U(t), U'(t),
+    V_lower(s), V_upper(s)), each of shape (len, 2), with
+    G = U.V_branch and dG/dt = U'.V_branch on each branch.
     """
 
     omega: float
@@ -78,6 +91,7 @@ class GreensFunction:
     p_fn: object = field(repr=False)
     l_fn: object = field(repr=False)
     _branch_eval: object = field(repr=False)
+    _factors: object = field(repr=False)
 
     def kernel(self, t, s, branch: str = "auto"):
         """Evaluate (G, Gt) on the outer product of abscissa arrays.
@@ -92,34 +106,38 @@ class GreensFunction:
     def solve_linear(self, h, return_derivative: bool = False):
         """Periodic response u(t_i) = int_0^omega G(t_i, s) h(s) ds.
 
-        The s-integral is split at s = t so each piece is smooth, then
-        covered by fixed Gauss panels; node placement depends only on the
-        kernel and t, making the map exactly linear in h.
+        Every grid cell carries a 10-point Gauss rule, so no cell straddles
+        the diagonal; node placement depends only on the grid, making the
+        map exactly linear in h.
         """
         x10, w10 = _gauss_nodes(10)
-        u = np.empty(self.n + 1)
-        up = np.empty(self.n + 1) if return_derivative else None
-        for i, ti in enumerate(self.t):
-            acc = 0.0
-            accp = 0.0
-            for (a, b, branch) in ((0.0, ti, "lower"), (ti, self.omega, "upper")):
-                if b - a <= 1e-15 * self.omega:
-                    continue
-                panels = max(1, int(math.ceil(12.0 * (b - a) / self.omega)))
-                edges = np.linspace(a, b, panels + 1)
-                mids = 0.5 * (edges[:-1] + edges[1:])
-                halves = 0.5 * (edges[1:] - edges[:-1])
-                nodes = (mids[:, None] + halves[:, None] * x10[None, :]).ravel()
-                weights = (halves[:, None] * w10[None, :]).ravel()
-                Grow, Gtrow = self._branch_eval(np.array([ti]), nodes, branch)
-                hv = np.asarray(h(nodes), dtype=float)
-                acc += float(np.dot(weights, Grow[0] * hv))
-                if return_derivative:
-                    accp += float(np.dot(weights, Gtrow[0] * hv))
-            u[i] = acc
-            if return_derivative:
-                up[i] = accp
+        half = 0.5 * np.diff(self.t)[:, None]
+        nodes = 0.5 * (self.t[:-1] + self.t[1:])[:, None] + half * x10
+        hv = np.asarray(h(nodes.ravel()), dtype=float).reshape(nodes.shape)
+        u, up = self._integrate(self.t, nodes, half * w10, hv)
         return (u, up) if return_derivative else u
+
+    def _integrate(self, t, nodes, weights, values):
+        """(int_0^omega G(t_i, s) f(s) ds, the same with dG/dt) at every
+        point t_i of an increasing grid t_0 = 0 < ... < t_n = omega.
+
+        Cell k = [t_k, t_{k+1}] carries a quadrature rule: nodes, weights
+        and the values of f at the nodes, each of shape (n, m).  Cells left
+        of t_i take the lower branch and cells right of it the upper one,
+        so the derivative's diagonal jump never falls inside a cell.  The
+        rank-2 factors turn the sum over cells into a prefix sum of the
+        lower-branch cell integrals of V f and a suffix sum of the
+        upper-branch ones: O(n m) time and memory.
+        """
+        U, dU, V_lo, V_up = self._factors(t, nodes.ravel())
+        wf = (weights * values).reshape(-1, 1)
+        shape = nodes.shape + (2,)
+        lower = (V_lo * wf).reshape(shape).sum(axis=1)
+        upper = (V_up * wf).reshape(shape).sum(axis=1)
+        acc = np.zeros((len(t), 2))
+        np.cumsum(lower, axis=0, out=acc[1:])
+        acc[:-1] += np.cumsum(upper[::-1], axis=0)[::-1]
+        return np.einsum("ij,ij->i", U, acc), np.einsum("ij,ij->i", dU, acc)
 
     def constants(self) -> dict:
         return {
@@ -250,7 +268,7 @@ def _grid_constants(be, tgrid, G, Gt, gt_analytic=None):
     return g_min, g_max, gt_max
 
 
-def _assemble(omega, n, be, source, p_fn, l_fn, positive=None,
+def _assemble(omega, n, be, factors, source, p_fn, l_fn, positive=None,
               gt_analytic=None) -> GreensFunction:
     tgrid = np.linspace(0.0, omega, n + 1)
     G, Gt = be(tgrid, tgrid, "auto")
@@ -263,7 +281,7 @@ def _assemble(omega, n, be, source, p_fn, l_fn, positive=None,
                           g_max=g_max, g_min=g_min, gt_max=gt_max,
                           sigma=sigma, delta=delta, positive=positive,
                           source=source, p_fn=p_fn, l_fn=l_fn,
-                          _branch_eval=be)
+                          _branch_eval=be, _factors=factors)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +312,17 @@ def closed_form_constant(xi: float, omega: float, n: int = DEFAULT_GRID
                                 tau + 0.5 * omega)
         return np.cos(arg) / den, -xi * np.sin(arg) / den
 
+    # cos(xi (t - s -+ omega/2)) expanded by the addition theorem; be keeps
+    # the direct cosines, which the kernel constants are computed from
+    def factors(tarr, sarr):
+        ct, st = np.cos(xi * tarr), np.sin(xi * tarr)
+        lo = xi * (sarr + 0.5 * omega)
+        up = xi * (sarr - 0.5 * omega)
+        return (np.column_stack((ct, st)) / den,
+                xi * np.column_stack((-st, ct)) / den,
+                np.column_stack((np.cos(lo), np.sin(lo))),
+                np.column_stack((np.cos(up), np.sin(up))))
+
     # |dG/dt| = |sin(u)| / (2 |sin(xi omega/2)|) with u running exactly over
     # [-xi omega/2, xi omega/2] on each closed branch: the maximisation is
     # one-dimensional and analytic.
@@ -302,7 +331,7 @@ def closed_form_constant(xi: float, omega: float, n: int = DEFAULT_GRID
 
     p_fn = lambda t: np.zeros_like(np.asarray(t, dtype=float))
     l_fn = lambda t: np.full_like(np.asarray(t, dtype=float), xi * xi)
-    return _assemble(omega, n, be, "closed-form", p_fn, l_fn,
+    return _assemble(omega, n, be, factors, "closed-form", p_fn, l_fn,
                      positive=bool(xi < math.pi / omega),
                      gt_analytic=gt_analytic)
 
@@ -356,7 +385,7 @@ def numeric_periodic_green(p, l, omega: float, n: int = DEFAULT_GRID,
     def phi(tarr):
         return dense(tarr).reshape(-1, 2, 2)
 
-    def be(tarr, sarr, branch):
+    def factors(tarr, sarr):
         Pt = phi(tarr)
         Ps = phi(sarr)
         det = Ps[:, 0, 0] * Ps[:, 1, 1] - Ps[:, 0, 1] * Ps[:, 1, 0]
@@ -364,10 +393,10 @@ def numeric_periodic_green(p, l, omega: float, n: int = DEFAULT_GRID,
         col = np.empty((len(sarr), 2))
         col[:, 0] = -Ps[:, 0, 1] / det
         col[:, 1] = Ps[:, 0, 0] / det
-        v_low = col @ B_low.T
-        v_up = col @ B_up.T
-        rows1 = Pt[:, 0, :]
-        rows2 = Pt[:, 1, :]
+        return Pt[:, 0, :], Pt[:, 1, :], col @ B_low.T, col @ B_up.T
+
+    def be(tarr, sarr, branch):
+        rows1, rows2, v_low, v_up = factors(tarr, sarr)
         if branch == "lower":
             return rows1 @ v_low.T, rows2 @ v_low.T
         if branch == "upper":
@@ -377,7 +406,20 @@ def numeric_periodic_green(p, l, omega: float, n: int = DEFAULT_GRID,
         Gt = np.where(mask, rows2 @ v_low.T, rows2 @ v_up.T)
         return G, Gt
 
-    return _assemble(omega, n, be, "numeric", p_fn, l_fn)
+    return _assemble(omega, n, be, factors, "numeric", p_fn, l_fn)
+
+
+def kernel_for(p: PeriodicCoeff, l: PeriodicCoeff, omega: float,
+               n: int = DEFAULT_GRID) -> GreensFunction:
+    """The kernel of u'' + p u' + l u: the closed form when p vanishes and
+    l is a constant xi^2 with xi < pi/omega, where it is positive, and the
+    numeric construction otherwise."""
+    l_const = l.constant_value()
+    if p.is_zero() and l_const is not None and l_const > 0.0:
+        xi = math.sqrt(l_const)
+        if xi < math.pi / omega:
+            return closed_form_constant(xi, omega, n=n)
+    return numeric_periodic_green(p, l, omega, n=n)
 
 
 # ---------------------------------------------------------------------------

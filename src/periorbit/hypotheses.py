@@ -33,9 +33,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expressions import PeriodicCoeff
+# closed_form_constant and numeric_periodic_green are not called here;
+# bench/spans.py rebinds them under these names
 from .greens import (CriterionVerdict, GreensFunction, ResonanceError,
                      check_A1, check_A2, check_chu, closed_form_constant,
-                     numeric_periodic_green)
+                     kernel_for, numeric_periodic_green)
 
 __all__ = [
     "ValidationError",
@@ -474,19 +476,16 @@ def certify(spec: ProblemSpec, a1: PeriodicCoeff | None = None,
                        spec.b.extrema().min_value + spec.c.extrema().min_value)
 
     checks: list[CriterionVerdict] = []
-    l_const = l.constant_value()
-    closed = spec.p.is_zero() and l_const is not None and l_const > 0.0
-    xi = math.sqrt(l_const) if closed else None
-
     try:
-        if closed and xi < math.pi / spec.omega:
-            gf = closed_form_constant(xi, spec.omega, n=n)
+        gf = kernel_for(spec.p, l, spec.omega, n=n)
+        if gf.source == "closed-form":
+            # the kernel's l is xi*xi, and sqrt recovers xi exactly
+            xi = math.sqrt(float(gf.l_fn(0.0)))
             source = "closed-form"
             checks.append(CriterionVerdict(
                 criterion="CLOSED_FORM", holds=True, applicable=True,
                 quantities={"xi": xi, "pi_over_omega": math.pi / spec.omega}))
         else:
-            gf = numeric_periodic_green(spec.p, l, spec.omega, n=n)
             source = None
             if a1 is not None:
                 v = check_A1(spec.p, l, a1)

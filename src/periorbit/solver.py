@@ -334,9 +334,12 @@ def apply_T(gf: GreensFunction, tspec: TransformedSpec,
         (T y)(t) = int_0^omega G(t, s) [ (c/a) y^(1-a-a rho2)
                      + (e/a) y^(1-a) + (1-a) y'^2 / y + b/a ](s) ds
 
-    together with its derivative through dG/dt.  Quadrature is the
-    trapezoid rule on the sample grid, split at the diagonal so the
-    derivative kernel's unit jump never straddles a panel.
+    together with its derivative through dG/dt, on the sample grid of y.
+    Quadrature is the trapezoid rule on each sample cell, the cells left of
+    t_i taking the kernel's lower branch and those right of it the upper
+    one.  Both branches have rank 2, G(t,s) = U(t).V(s), so the rule runs
+    as one prefix and one suffix sum over the cells: O(n) time and memory,
+    no kernel matrix.
     """
     if not np.all(y.x > 0.0):
         raise PositivityError("operator input must be strictly positive")
@@ -345,35 +348,13 @@ def apply_T(gf: GreensFunction, tspec: TransformedSpec,
     if n < 2 or abs(t[0]) > 1e-12 * gf.omega \
             or abs(t[-1] - gf.omega) > 1e-9 * gf.omega:
         raise ValueError("operator input must sample [0, omega] uniformly")
-    sgrid = t
-    F = (tspec.c_over_alpha(sgrid) * y.x ** tspec.exponent_c
-         + tspec.e_over_alpha(sgrid) * y.x ** tspec.exponent_e
+    F = (tspec.c_over_alpha(t) * y.x ** tspec.exponent_c
+         + tspec.e_over_alpha(t) * y.x ** tspec.exponent_e
          + tspec.gradient_factor * y.v * y.v / y.x
-         + tspec.b_over_alpha(sgrid))
-    h = y.step
-    Ty = np.empty(t.size)
-    Typ = np.empty(t.size)
-    cols = np.arange(t.size)
-    chunk = max(1, int(4e6 // t.size))
-    for lo in range(0, t.size, chunk):
-        hi = min(t.size, lo + chunk)
-        rows = t[lo:hi]
-        G_lo, Gt_lo = gf.kernel(rows, sgrid, branch="lower")
-        G_up, Gt_up = gf.kernel(rows, sgrid, branch="upper")
-        idx = np.arange(lo, hi)[:, None]
-        # lower-piece trapezoid over s in [0, t_i]: half weights at s = 0
-        # and s = t_i, empty when i = 0
-        W_lo = np.where(cols[None, :] < idx, h, 0.0)
-        W_lo[:, 0] = 0.5 * h
-        W_lo[cols[None, :] == idx] = 0.5 * h
-        W_lo[idx[:, 0] == 0, :] = 0.0
-        # upper-piece trapezoid over s in [t_i, omega]
-        W_up = np.where(cols[None, :] > idx, h, 0.0)
-        W_up[:, -1] = 0.5 * h
-        W_up[cols[None, :] == idx] = 0.5 * h
-        W_up[idx[:, 0] == n, :] = 0.0
-        Ty[lo:hi] = (W_lo * G_lo + W_up * G_up) @ F
-        Typ[lo:hi] = (W_lo * Gt_lo + W_up * Gt_up) @ F
+         + tspec.b_over_alpha(t))
+    ends = lambda a: np.column_stack((a[:-1], a[1:]))
+    Ty, Typ = gf._integrate(t, ends(t), np.full((n, 2), 0.5 * y.step),
+                            ends(F))
     return SampledPath(t, Ty, Typ)
 
 

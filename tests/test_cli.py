@@ -33,6 +33,19 @@ rho1 = 3/2
 rho2 = 13/10
 """
 
+# l = q (1 + rho1) = 4 is constant, but xi = 2 exceeds pi/omega = 3/2, so
+# the closed form is not positive and the numeric construction applies
+ABOVE_HALF_PERIOD = """\
+omega = 2*pi/3
+p = 0
+q = 8/5
+b = 1+2*cos(3*t)
+c = 1
+e = 1
+rho1 = 3/2
+rho2 = 13/10
+"""
+
 MERGED_NONNEG = """\
 omega = 2*pi/3
 p = 0
@@ -133,6 +146,15 @@ def test_greens_grid_and_csv(tmp_path, capsys):
     # all kernel values on the grid are positive for this instance
     g_col = [float(l.split(",")[2]) for l in data[1:]]
     assert min(g_col) > 0.0
+
+
+def test_greens_and_check_choose_the_same_kernel(tmp_path, capsys):
+    f = tmp_path / "above.problem"
+    f.write_text(ABOVE_HALF_PERIOD)
+    assert cli.main(["greens", str(f), "--n", "20"]) == 0
+    assert "source = numeric" in capsys.readouterr().out
+    cli.main(["check", str(f)])
+    assert "kernel: numeric" in capsys.readouterr().out
 
 
 def test_greens_resonant_exit_1(tmp_path, capsys):

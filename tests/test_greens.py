@@ -108,6 +108,20 @@ def test_defining_properties(which, gf_closed, gf_numeric):
     assert float(np.max(diagonal_jump_error(gf, s_vals))) <= 1e-4
 
 
+@pytest.mark.parametrize("which", ["closed", "numeric", "varying"])
+def test_factors_reproduce_both_branches(gf_closed, gf_numeric, gf_varying,
+                                         which):
+    gf = {"closed": gf_closed, "numeric": gf_numeric,
+          "varying": gf_varying}[which]
+    t = np.linspace(0.0, OMEGA, 37)
+    s = np.linspace(0.0, OMEGA, 23)
+    U, dU, V_lo, V_up = gf._factors(t, s)
+    for branch, V in (("lower", V_lo), ("upper", V_up)):
+        G, Gt = gf.kernel(t, s, branch=branch)
+        assert np.max(np.abs(U @ V.T - G)) <= 1e-13 * np.max(np.abs(G))
+        assert np.max(np.abs(dU @ V.T - Gt)) <= 1e-13 * np.max(np.abs(Gt))
+
+
 def test_solve_linear_constant_forcing(gf_closed):
     """For constant l the periodic response to h = 1 is exactly 1/l."""
     u = gf_closed.solve_linear(lambda s: np.ones_like(s))

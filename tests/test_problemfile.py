@@ -106,6 +106,12 @@ def test_bad_expression_carries_line():
     assert "b:" in str(exc.value)
 
 
+@pytest.mark.parametrize("name", ["log", "sqrt", "abs"])
+def test_unsupported_functions_rejected(name):
+    with pytest.raises(ProblemFileError, match="unknown name"):
+        parse_problem_text(_replace_line("b", f"b = 2+{name}(2+cos(3*t))"))
+
+
 def test_scalar_must_not_depend_on_time():
     with pytest.raises(ProblemFileError, match="rho1 must be a constant"):
         parse_problem_text(_replace_line("rho1", "rho1 = 3/2+t"))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from periorbit import (
     find_periodic,
     guard_floor,
     integrate,
+    numeric_periodic_green,
     poincare,
     rhs,
     to_y_equation,
@@ -210,6 +212,80 @@ def test_apply_T_gradient_term_against_kernel_solve():
     scale = float(np.max(np.abs(u))) + 1.0
     assert np.max(np.abs(Ty.x - u)) <= 1e-5 * scale
     assert np.max(np.abs(Ty.v - up)) <= 1e-5 * scale
+
+
+def _dense_apply_T(gf, tspec, y):
+    """Reference operator: the trapezoid weight matrices split at the
+    diagonal, applied to full kernel rows (O(n^2) time and memory)."""
+    t = y.t
+    n = t.size - 1
+    F = (tspec.c_over_alpha(t) * y.x ** tspec.exponent_c
+         + tspec.e_over_alpha(t) * y.x ** tspec.exponent_e
+         + tspec.gradient_factor * y.v * y.v / y.x
+         + tspec.b_over_alpha(t))
+    h = y.step
+    Ty = np.empty(t.size)
+    Typ = np.empty(t.size)
+    cols = np.arange(t.size)
+    chunk = max(1, int(5e5 // t.size))
+    for lo in range(0, t.size, chunk):
+        hi = min(t.size, lo + chunk)
+        G_lo, Gt_lo = gf.kernel(t[lo:hi], t, branch="lower")
+        G_up, Gt_up = gf.kernel(t[lo:hi], t, branch="upper")
+        idx = np.arange(lo, hi)[:, None]
+        W_lo = np.where(cols[None, :] < idx, h, 0.0)
+        W_lo[:, 0] = 0.5 * h
+        W_lo[cols[None, :] == idx] = 0.5 * h
+        W_lo[idx[:, 0] == 0, :] = 0.0
+        W_up = np.where(cols[None, :] > idx, h, 0.0)
+        W_up[:, -1] = 0.5 * h
+        W_up[cols[None, :] == idx] = 0.5 * h
+        W_up[idx[:, 0] == n, :] = 0.0
+        Ty[lo:hi] = (W_lo * G_lo + W_up * G_up) @ F
+        Typ[lo:hi] = (W_lo * Gt_lo + W_up * Gt_up) @ F
+    return Ty, Typ
+
+
+@pytest.fixture(scope="module")
+def operator_kernels():
+    return {
+        "closed": closed_form_constant(0.25, OMEGA),
+        "numeric": numeric_periodic_green(pc("1/5+1/10*sin(3*t)"),
+                                          pc("4/5+3/10*cos(3*t)"), OMEGA),
+    }
+
+
+@pytest.mark.parametrize("which", ["closed", "numeric"])
+@pytest.mark.parametrize("n", [2, 3, 64, 2048])
+def test_apply_T_matches_dense_weight_matrices(operator_kernels, spec41,
+                                               which, n):
+    gf = operator_kernels[which]
+    t = np.linspace(0.0, OMEGA, n + 1)
+    y = SampledPath(t=t, x=6.0 + np.sin(3.0 * t + 0.7) + 0.5 * np.cos(6.0 * t),
+                    v=3.0 * np.cos(3.0 * t + 0.7) - 3.0 * np.sin(6.0 * t))
+    tspec = to_y_equation(spec41)
+    Ty = apply_T(gf, tspec, y)
+    ref_x, ref_v = _dense_apply_T(gf, tspec, y)
+    # relative to the C^1 norm of the image: on three samples the closed
+    # form's derivative vanishes exactly, leaving only rounding in ref_v
+    norm = np.max(np.abs(ref_x)) + np.max(np.abs(ref_v))
+    assert np.max(np.abs(Ty.x - ref_x)) <= 1e-12 * norm
+    assert np.max(np.abs(Ty.v - ref_v)) <= 1e-12 * norm
+
+
+def test_apply_T_memory_is_linear(operator_kernels, spec41):
+    """A dense 2049 x 2049 kernel row block alone would take 32 MB."""
+    t = np.linspace(0.0, OMEGA, 2049)
+    y = SampledPath(t=t, x=6.0 + np.sin(3.0 * t), v=3.0 * np.cos(3.0 * t))
+    tspec = to_y_equation(spec41)
+    for gf in operator_kernels.values():
+        tracemalloc.start()
+        try:
+            apply_T(gf, tspec, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20
 
 
 def test_apply_T_validation():
