@@ -40,6 +40,7 @@ __all__ = [
     "Cos",
     "Exp",
     "evaluate",
+    "compiled",
     "derivative",
     "contains_time",
     "parse_expression",
@@ -96,6 +97,11 @@ class Expr:
 
     def __call__(self, t):
         return evaluate(self, t)
+
+    def __getstate__(self):
+        # compiled functions (see `compiled`) are rebuilt on demand
+        return {k: v for k, v in self.__dict__.items()
+                if k not in ("_scalar_fn", "_array_fn")}
 
 
 @dataclass(frozen=True)
@@ -214,53 +220,123 @@ def _pow(base: Expr, exponent: Fraction) -> Expr:
 
 # ---------------------------------------------------------------------------
 # evaluation
+#
+# Each tree is compiled once into a Python function whose body is the tree
+# as one fully parenthesised expression.  It performs the same operations
+# in the same order as a recursive walk, so its values are bit-identical to
+# one, and it frees each intermediate array as soon as it is consumed.  The
+# scalar build calls math.sin/cos/exp, the array build the numpy ufuncs.  A
+# subtree nested deeper than _MAX_NESTING is first assigned to a local:
+# Python's parser accepts at most 200 nested parentheses.
+
+_MAX_NESTING = 100
 
 
 def evaluate(expr: Expr, t):
     """Evaluate expr at a scalar t or elementwise at a numpy array."""
-    vectorised = isinstance(t, np.ndarray)
-    result = _ev(expr, t, vectorised)
-    if vectorised and np.ndim(result) == 0:
-        return np.full(t.shape, float(result))
-    return result
+    if isinstance(t, np.ndarray):
+        result = compiled(expr, array=True)(t)
+        if np.ndim(result) == 0:
+            return np.full(t.shape, float(result))
+        return result
+    return compiled(expr)(t)
 
 
-def _ev(e: Expr, t, vec: bool):
-    kind = type(e)
-    if kind is Const:
-        return e.value
-    if kind is TimeVar:
-        return t
-    if kind is Neg:
-        return -_ev(e.arg, t, vec)
-    if kind is Add:
-        return _ev(e.left, t, vec) + _ev(e.right, t, vec)
-    if kind is Mul:
-        return _ev(e.left, t, vec) * _ev(e.right, t, vec)
-    if kind is Pow:
-        base = _ev(e.base, t, vec)
-        q = e.exponent
-        if q.denominator != 1:
-            bad = np.any(np.asarray(base) <= 0.0) if vec else base <= 0.0
-            if bad:
-                raise EvalDomainError(
-                    f"fractional power {q} of a non-positive base")
-            return base ** float(q)
-        if q < 0:
-            bad = np.any(np.asarray(base) == 0.0) if vec else base == 0.0
-            if bad:
-                raise EvalDomainError(f"zero base raised to power {q}")
-        return base ** float(q)
-    if kind is Sin:
-        v = _ev(e.arg, t, vec)
-        return np.sin(v) if vec else math.sin(v)
-    if kind is Cos:
-        v = _ev(e.arg, t, vec)
-        return np.cos(v) if vec else math.cos(v)
-    if kind is Exp:
-        v = _ev(e.arg, t, vec)
-        return np.exp(v) if vec else math.exp(v)
-    raise TypeError(f"unknown node {e!r}")
+def compiled(expr: Expr, array: bool = False):
+    """The function t -> value of expr, built on first use and cached on
+    the tree's root node: for a float t, or (array=True) elementwise for a
+    numpy array t, where a subtree free of t still yields a scalar."""
+    slot = "_array_fn" if array else "_scalar_fn"
+    fn = getattr(expr, slot, None)
+    if fn is None:
+        fn = _compile(expr, array)
+        object.__setattr__(expr, slot, fn)
+    return fn
+
+
+def _rational_powers(test):
+    """base ** x for a rational exponent q (x = float(q)) behind its domain
+    rule: a fractional power needs a positive base, a negative integer one
+    a nonzero base.  test folds the comparison into one truth value."""
+
+    def fractional(base, x, q):
+        if test(base <= 0.0):
+            raise EvalDomainError(
+                f"fractional power {q} of a non-positive base")
+        return base ** x
+
+    def negative(base, x, q):
+        if test(base == 0.0):
+            raise EvalDomainError(f"zero base raised to power {q}")
+        return base ** x
+
+    return {"_fpow": fractional, "_npow": negative}
+
+
+_SCALAR_NAMES = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp,
+                 **_rational_powers(bool)}
+_ARRAY_NAMES = {"_sin": np.sin, "_cos": np.cos, "_exp": np.exp,
+                **_rational_powers(np.any)}
+_UFUNC = {Sin: "_sin", Cos: "_cos", Exp: "_exp"}
+
+
+def _compile(expr: Expr, array: bool):
+    names = dict(_ARRAY_NAMES if array else _SCALAR_NAMES)
+    spills: list[str] = []
+
+    def spill(code: str, at: int | None = None) -> str:
+        name = f"v{len(spills)}"
+        line = f"    {name} = {code}\n"
+        spills.insert(len(spills) if at is None else at, line)
+        return name
+
+    def emit(e: Expr) -> tuple[str, int]:
+        """Source of e and its parenthesis nesting depth."""
+        kind = type(e)
+        if kind is TimeVar:
+            return "t", 0
+        if kind is Const:
+            if math.isfinite(e.value):
+                return f"({e.value!r})", 1
+            name = f"_k{len(names)}"
+            names[name] = e.value
+            return name, 0
+        if kind in (Add, Mul):
+            a, da = emit(e.left)
+            mark = len(spills)
+            b, db = emit(e.right)
+            if len(spills) > mark and da > 0:
+                # part of the right operand runs first: keep left-to-right
+                a, da = spill(a, at=mark), 0
+            code = f"({a} {'+' if kind is Add else '*'} {b})"
+            depth = max(da, db)
+        elif kind is Pow:
+            a, depth = emit(e.base)
+            q = e.exponent
+            if q.denominator != 1:
+                code = f"_fpow({a}, {float(q)!r}, {str(q)!r})"
+            elif q < 0:
+                code = f"_npow({a}, {float(q)!r}, {str(q)!r})"
+            else:
+                code = f"({a} ** {float(q)!r})"
+        else:
+            a, depth = emit(e.arg)
+            if kind is Neg:
+                code = f"(-{a})"
+            elif kind in _UFUNC:
+                code = f"{_UFUNC[kind]}({a})"
+            else:
+                raise TypeError(f"unknown node {e!r}")
+        if depth + 1 < _MAX_NESTING:
+            return code, depth + 1
+        return spill(code), 0
+
+    body, _ = emit(expr)
+    source = "def _f(t):\n" + "".join(spills) + f"    return {body}\n"
+    exec(compile(source, "<periorbit expression>", "exec"), names)
+    # taken out of its own globals, so that no reference cycle keeps a
+    # dead function alive until the next full collection
+    return names.pop("_f")
 
 
 def contains_time(e: Expr) -> bool:
@@ -536,12 +612,20 @@ class PeriodicCoeff:
         return PeriodicCoeff(_add(self.expr, other.expr), self.omega)
 
     def extrema(self) -> Extrema:
-        """Global extrema over one period.
+        """Global extrema over one period, computed on the first call and
+        kept on the (immutable) coefficient.
 
         Dense sampling locates candidate cells; golden-section refinement
         around the best seeds polishes each candidate, so values are correct
         to ~1e-8 even when the true extremum falls between samples.
         """
+        found = self.__dict__.get("_extrema")
+        if found is None:
+            found = self._locate_extrema()
+            object.__setattr__(self, "_extrema", found)
+        return found
+
+    def _locate_extrema(self) -> Extrema:
         ts = np.linspace(0.0, self.omega, _EXTREMA_SAMPLES + 1)
         vals = self(ts)
         step = self.omega / _EXTREMA_SAMPLES

@@ -356,13 +356,11 @@ def numeric_periodic_green(p, l, omega: float, n: int = DEFAULT_GRID,
     l_fn = l if callable(l) else (lambda t: np.full_like(t, float(l)))
 
     def rhs(t, y):
-        Y = y.reshape(2, 2)
+        # y is the fundamental matrix, row-major: (u, w, u', w')
+        u, w, du, dw = y
         pv = float(p_fn(t))
         lv = float(l_fn(t))
-        out = np.empty((2, 2))
-        out[0] = Y[1]
-        out[1] = -lv * Y[0] - pv * Y[1]
-        return out.ravel()
+        return du, dw, -lv * u - pv * du, -lv * w - pv * dw
 
     res = solve_ivp_dp(rhs, 0.0, np.eye(2).ravel(), omega,
                        rtol=rtol, atol=atol, dense=True,

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .expressions import compiled
 from .greens import GreensFunction
 from .hypotheses import ProblemSpec, alpha_exponent
 from .ivp import IntegrationBlowUp, solve_ivp_dp
@@ -57,9 +58,16 @@ class SingularityError(RuntimeError):
 
 
 class NoConvergenceError(RuntimeError):
-    def __init__(self, message: str, best_residual: float):
+    """Every start failed; carries the smallest return-map defect reached
+    and the work spent: shots integrated and Newton steps taken, summed
+    over all starts."""
+
+    def __init__(self, message: str, best_residual: float, shots: int = 0,
+                 newton_steps: int = 0):
         super().__init__(message)
         self.best_residual = best_residual
+        self.shots = shots
+        self.newton_steps = newton_steps
 
 
 @dataclass(frozen=True)
@@ -119,6 +127,21 @@ def guard_floor(spec: ProblemSpec) -> float:
     return 1e-6 * _amplitude_scale(spec)
 
 
+def _vector_field(spec: ProblemSpec):
+    """f(t, (x, v)) -> (x', v') of the first-order system on floats, built
+    on the coefficients' compiled scalar functions."""
+    p, q, b, c, e = (compiled(k.expr) for k in
+                     (spec.p, spec.q, spec.b, spec.c, spec.e))
+    m1, m2 = -spec.rho1, -spec.rho2
+
+    def f(t, y):
+        x, v = y
+        return v, (-p(t) * v - q(t) * x + b(t) * x ** m1
+                   + c(t) * x ** m2 + e(t))
+
+    return f
+
+
 def rhs(spec: ProblemSpec, t: float, x: float, v: float,
         eps_min: float | None = None) -> tuple[float, float]:
     """(x', v') of the first-order system; refuses states at or below the
@@ -129,40 +152,35 @@ def rhs(spec: ProblemSpec, t: float, x: float, v: float,
         raise SingularityError(
             f"x = {x:.6g} at t = {t:.6g} is at or below the floor "
             f"{eps_min:.6g}")
-    dv = (-spec.p(t) * v - spec.q(t) * x
-          + spec.b(t) * x ** (-spec.rho1)
-          + spec.c(t) * x ** (-spec.rho2)
-          + spec.e(t))
-    return v, dv
+    return _vector_field(spec)(t, (x, v))
 
 
 class _Flow:
-    """Caches coefficient callables and the guard for repeated shots."""
+    """The vector field, guard and tolerance rule for repeated shots of one
+    problem; counts the shots made."""
 
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
         self.eps_min = guard_floor(spec)
         self.scale = _amplitude_scale(spec)
-        p, q, b, c, e = spec.p, spec.q, spec.b, spec.c, spec.e
-        rho1, rho2 = spec.rho1, spec.rho2
-
-        def f(t, y):
-            x, v = y
-            dv = (-p(t) * v - q(t) * x + b(t) * x ** -rho1
-                  + c(t) * x ** -rho2 + e(t))
-            return np.array([v, dv])
+        self.f = _vector_field(spec)
+        self.shots = 0
+        eps_min = self.eps_min
 
         def guard(y):
-            return not (y[0] > self.eps_min)
+            return not (y[0] > eps_min)
 
-        self.f = f
         self.guard = guard
 
     def shoot(self, x0: float, v0: float, t0: float, t1: float,
-              rtol: float, atol: float, dense: bool = False):
-        return solve_ivp_dp(self.f, t0, np.array([x0, v0]), t1,
-                            rtol=rtol, atol=atol, guard=self.guard,
-                            dense=dense)
+              rtol: float, dense: bool = False):
+        """Integrate from (x0, v0) at t0 to t1.  The absolute tolerance is
+        two orders below rtol, floored at _SHOOT_ATOL_FLOOR, in units of
+        1 + the amplitude scale."""
+        self.shots += 1
+        atol = max(_SHOOT_ATOL_FLOOR, rtol * 1e-2) * (1.0 + self.scale)
+        return solve_ivp_dp(self.f, t0, (x0, v0), t1, rtol=rtol, atol=atol,
+                            guard=self.guard, dense=dense)
 
 
 def integrate(spec: ProblemSpec, x0: float, v0: float, t0: float = 0.0,
@@ -177,8 +195,7 @@ def integrate(spec: ProblemSpec, x0: float, v0: float, t0: float = 0.0,
     flow = _Flow(spec)
     if t1 == t0:
         return SampledPath(np.array([t0]), np.array([x0]), np.array([v0]))
-    atol = max(_SHOOT_ATOL_FLOOR, tol * 1e-2) * (1.0 + flow.scale)
-    res = flow.shoot(x0, v0, t0, t1, rtol=tol, atol=atol, dense=True)
+    res = flow.shoot(x0, v0, t0, t1, rtol=tol, dense=True)
     tgrid = np.linspace(t0, t1, samples)
     vals = res.dense(tgrid)
     return SampledPath(tgrid, vals[:, 0], vals[:, 1])
@@ -188,18 +205,16 @@ def poincare(spec: ProblemSpec, x0: float, v0: float,
              tol: float = 1e-10) -> State:
     """Terminal state of the flow after one period."""
     flow = _Flow(spec)
-    atol = max(_SHOOT_ATOL_FLOOR, tol * 1e-2) * (1.0 + flow.scale)
-    res = flow.shoot(x0, v0, 0.0, spec.omega, rtol=tol, atol=atol)
+    res = flow.shoot(x0, v0, 0.0, spec.omega, rtol=tol)
     return State(t=res.t, x=float(res.y[0]), v=float(res.y[1]))
 
 
-def _return_defect(flow: _Flow, omega: float, s: np.ndarray,
-                   atol: float) -> np.ndarray | None:
+def _return_defect(flow: _Flow, omega: float,
+                   s: np.ndarray) -> np.ndarray | None:
     """F(s) = flow_omega(s) - s, or None when the shot fails (guard floor
     hit or state not finite)."""
     try:
-        res = flow.shoot(s[0], s[1], 0.0, omega,
-                         rtol=_SHOOT_RTOL, atol=atol)
+        res = flow.shoot(s[0], s[1], 0.0, omega, rtol=_SHOOT_RTOL)
     except (IntegrationBlowUp, SingularityError):
         return None
     out = res.y - s
@@ -220,18 +235,18 @@ def find_periodic(spec: ProblemSpec, guess: State | None = None,
     """
     flow = _Flow(spec)
     omega = spec.omega
-    atol = _SHOOT_ATOL_FLOOR * (1.0 + flow.scale)
     if guess is None:
         guess = State(t=0.0, x=flow.scale, v=0.0)
     best = math.inf
     attempted = 0
+    newton_steps = 0
 
     for factor in _START_FACTORS:
         s = np.array([guess.x * factor, guess.v])
         if not (s[0] > flow.eps_min):
             continue
         attempted += 1
-        F = _return_defect(flow, omega, s, atol)
+        F = _return_defect(flow, omega, s)
         if F is None:
             continue
         stagnant = 0
@@ -247,7 +262,7 @@ def find_periodic(spec: ProblemSpec, guess: State | None = None,
                 h = 1e-6 * (1.0 + abs(s[j]))
                 sp = s.copy()
                 sp[j] += h
-                Fp = _return_defect(flow, omega, sp, atol)
+                Fp = _return_defect(flow, omega, sp)
                 if Fp is None:
                     ok = False
                     break
@@ -267,7 +282,7 @@ def find_periodic(spec: ProblemSpec, guess: State | None = None,
             for _ in range(_MAX_HALVINGS):
                 cand = s + lam * d
                 Fc = (None if not (cand[0] > flow.eps_min)
-                      else _return_defect(flow, omega, cand, atol))
+                      else _return_defect(flow, omega, cand))
                 if Fc is not None:
                     last_eval = (cand, Fc)
                     if float(np.hypot(Fc[0], Fc[1])) < fn:
@@ -285,6 +300,7 @@ def find_periodic(spec: ProblemSpec, guess: State | None = None,
                     break
             else:
                 break
+        newton_steps += steps
         # fall through to the next start factor
 
     if attempted == 0:
@@ -294,14 +310,14 @@ def find_periodic(spec: ProblemSpec, guess: State | None = None,
     raise NoConvergenceError(
         f"no periodic orbit found after trying starts "
         f"{[guess.x * f for f in _START_FACTORS]} (best residual "
-        f"{best:.3e}, tol {tol:.3e})", best)
+        f"{best:.3e}, tol {tol:.3e}; {flow.shots} shots, {newton_steps} "
+        f"Newton steps)", best, flow.shots, newton_steps)
 
 
 def _package(spec: ProblemSpec, flow: _Flow, s: np.ndarray, fn: float,
              steps: int, factor: float, tol: float) -> Orbit:
-    atol = _SHOOT_ATOL_FLOOR * (1.0 + flow.scale)
-    res = flow.shoot(s[0], s[1], 0.0, spec.omega,
-                     rtol=_SHOOT_RTOL, atol=atol, dense=True)
+    res = flow.shoot(s[0], s[1], 0.0, spec.omega, rtol=_SHOOT_RTOL,
+                     dense=True)
     tgrid = np.linspace(0.0, spec.omega, PATH_SAMPLES)
     vals = res.dense(tgrid)
     path = SampledPath(tgrid, vals[:, 0], vals[:, 1])

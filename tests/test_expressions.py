@@ -1,6 +1,9 @@
 """Expression parsing, evaluation, calculus helpers, and periodic coefficients."""
 
 import math
+import pickle
+import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +20,8 @@ from periorbit import (
     evaluate,
     parse_expression,
 )
+from periorbit.expressions import (Add, Const, Cos, Exp, Mul, Neg, Pow, Sin,
+                                   TimeVar, compiled)
 
 # ---------------------------------------------------------------------------
 # parsing and evaluation
@@ -99,6 +104,135 @@ def test_domain_error_negative_power_of_zero():
 
 
 # ---------------------------------------------------------------------------
+# compiled evaluation against a tree walk
+
+
+def _ev(e, t, vec):
+    """Recursive tree-walk evaluation, the reference for compiled code."""
+    kind = type(e)
+    if kind is Const:
+        return e.value
+    if kind is TimeVar:
+        return t
+    if kind is Neg:
+        return -_ev(e.arg, t, vec)
+    if kind is Add:
+        return _ev(e.left, t, vec) + _ev(e.right, t, vec)
+    if kind is Mul:
+        return _ev(e.left, t, vec) * _ev(e.right, t, vec)
+    if kind is Pow:
+        base = _ev(e.base, t, vec)
+        q = e.exponent
+        if q.denominator != 1:
+            bad = np.any(np.asarray(base) <= 0.0) if vec else base <= 0.0
+            if bad:
+                raise EvalDomainError(
+                    f"fractional power {q} of a non-positive base")
+            return base ** float(q)
+        if q < 0:
+            bad = np.any(np.asarray(base) == 0.0) if vec else base == 0.0
+            if bad:
+                raise EvalDomainError(f"zero base raised to power {q}")
+        return base ** float(q)
+    if kind is Sin:
+        v = _ev(e.arg, t, vec)
+        return np.sin(v) if vec else math.sin(v)
+    if kind is Cos:
+        v = _ev(e.arg, t, vec)
+        return np.cos(v) if vec else math.cos(v)
+    if kind is Exp:
+        v = _ev(e.arg, t, vec)
+        return np.exp(v) if vec else math.exp(v)
+    raise TypeError(f"unknown node {e!r}")
+
+
+def _walk_evaluate(e, t):
+    vec = isinstance(t, np.ndarray)
+    result = _ev(e, t, vec)
+    if vec and np.ndim(result) == 0:
+        return np.full(t.shape, float(result))
+    return result
+
+
+def _outcome(fn, e, t):
+    """The value as (type, dtype, shape, raw bytes), or the exception."""
+    try:
+        with np.errstate(all="ignore"):
+            v = fn(e, t)
+    except (ArithmeticError, ValueError) as err:
+        return type(err), str(err)
+    if isinstance(v, np.ndarray):
+        return np.ndarray, v.dtype, v.shape, v.tobytes()
+    return type(v), struct.pack("<d", v)
+
+
+_leaves = st.one_of(
+    st.just(TimeVar()),
+    st.builds(Const, st.floats(-4.0, 4.0)),
+    st.builds(Const, st.sampled_from(
+        [0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf, math.nan])))
+_exponents = st.builds(Fraction, st.integers(-3, 4), st.integers(1, 3))
+_trees = st.recursive(_leaves, lambda sub: st.one_of(
+    st.builds(Neg, sub), st.builds(Add, sub, sub), st.builds(Mul, sub, sub),
+    st.builds(Pow, sub, _exponents), st.builds(Sin, sub),
+    st.builds(Cos, sub), st.builds(Exp, sub)), max_leaves=12)
+_POINTS = (-2.0, -0.5, -0.0, 0.0, 0.3, 1.7, 40.0)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(e=_trees)
+def test_compiled_matches_tree_walk_bit_for_bit(e):
+    """Compiled scalar and array evaluation reproduce the tree walk: the
+    same value bit for bit, or the same error (domain, overflow, math
+    domain) on the same input."""
+    for t in _POINTS:
+        assert _outcome(evaluate, e, t) == _outcome(_walk_evaluate, e, t)
+    for ts in (np.array(_POINTS), np.array([0.3, 1.7]), np.zeros(0)):
+        assert _outcome(evaluate, e, ts) == _outcome(_walk_evaluate, e, ts)
+
+
+def test_compiled_function_is_built_once():
+    e = parse_expression("1+2*cos(3*t)")
+    assert compiled(e) is compiled(e)
+    assert compiled(e, array=True) is compiled(e, array=True)
+    assert compiled(e) is not compiled(e, array=True)
+
+
+def test_evaluated_expression_still_pickles():
+    e = parse_expression("(2+cos(3*t))^(3/2)")
+    evaluate(e, 0.4)
+    evaluate(e, np.array([0.4]))
+    back = pickle.loads(pickle.dumps(e))
+    assert back == e
+    assert evaluate(back, 0.4) == evaluate(e, 0.4)
+
+
+def test_deep_trees_compile():
+    """Trees nested deeper than the 200 parentheses Python's parser accepts
+    in one expression still compile, and keep the walk's order: a long sum
+    as the parser builds it, and a chain over every node kind whose deep
+    right operands fail the power domain after a failing left one."""
+    e = parse_expression("+".join(f"{k}*cos({k}*t)" for k in range(1, 401)))
+    ts = np.linspace(0.0, 1.0, 5)
+    assert np.array_equal(evaluate(e, ts), _walk_evaluate(e, ts))
+    assert evaluate(e, 0.25) == _walk_evaluate(e, 0.25)
+
+    chain = TimeVar()
+    for k in range(300):
+        node = (Neg, Sin, Cos, Exp)[k % 4](chain) if k % 5 else \
+            Pow(Add(Const(1.5), chain), Fraction(1, 2))
+        chain = Mul(Const(0.5), node) if k % 3 else Add(node, TimeVar())
+    late = Add(Pow(TimeVar(), Fraction(-1)), Mul(chain, Pow(TimeVar(), Fraction(1, 3))))
+    for tree in (chain, late):
+        for t in (-0.7, 0.0, 0.4):
+            assert _outcome(evaluate, tree, t) == _outcome(_walk_evaluate, tree, t)
+        for ts in (np.array([0.1, 0.4]), np.array([-0.7, 0.0])):
+            assert _outcome(evaluate, tree, ts) == _outcome(_walk_evaluate, tree, ts)
+    with pytest.raises(EvalDomainError, match="zero base"):
+        evaluate(late, 0.0)
+
+
+# ---------------------------------------------------------------------------
 # derivatives
 
 
@@ -178,6 +312,16 @@ def test_extrema_frozen_examples():
 
     kx = pc("10").extrema()
     assert kx.min_value == 10.0 and kx.max_value == 10.0
+
+
+def test_extrema_cached_on_the_coefficient(monkeypatch):
+    coeff = pc("1+2*cos(3*t)")
+    first = coeff.extrema()
+    calls = []
+    monkeypatch.setattr(PeriodicCoeff, "__call__",
+                        lambda self, t: calls.append(t))
+    assert coeff.extrema() is first
+    assert calls == []
 
 
 @settings(max_examples=140, deadline=None, derandomize=True)

@@ -29,6 +29,7 @@ from periorbit import (
     rhs,
     to_y_equation,
 )
+from periorbit.solver import _MAX_NEWTON, _START_FACTORS
 
 XBAR = (3.0 + math.sqrt(13.0)) / 2.0  # positive root of x^2 - 3x - 1 = 0
 
@@ -347,14 +348,31 @@ def test_find_periodic_rejects_subfloor_starts(spec41):
         find_periodic(spec41, guess=State(t=0.0, x=1e-9, v=0.0))
 
 
-def test_find_periodic_reports_no_convergence():
+def test_find_periodic_reports_no_convergence(monkeypatch):
     """x'' = x + 1/x + 1 has no periodic solution (v strictly increases by
     at least 3 omega per period), so every start must fail with the best
-    residual reported."""
+    residual reported, together with the shots and Newton steps spent."""
+    import periorbit.solver as solver
+
     om = 0.3
     spec = ProblemSpec(p=pc("0", om), q=pc("-1", om), b=pc("0", om),
                        c=pc("1", om), e=pc("1", om),
                        rho1=1.0, rho2=1.0, omega=om)
+    integrations = []
+    integrate_dp = solver.solve_ivp_dp
+
+    def counted(*args, **kwargs):
+        integrations.append(None)
+        return integrate_dp(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_ivp_dp", counted)
     with pytest.raises(NoConvergenceError) as exc:
         find_periodic(spec, tol=1e-8)
-    assert exc.value.best_residual >= 3.0 * om - 1e-9
+    err = exc.value
+    assert err.best_residual >= 3.0 * om - 1e-9
+    assert err.shots == len(integrations) > 0
+    # every start that reaches Newton takes at least one step, each step
+    # costs two Jacobian shots and at least one line-search shot
+    assert 0 < err.newton_steps <= len(_START_FACTORS) * _MAX_NEWTON
+    assert err.shots >= 3 * err.newton_steps
+    assert f"{err.shots} shots, {err.newton_steps} Newton steps" in str(err)
