@@ -9,62 +9,21 @@ periodic kernel plus scalar cone inequalities, and computes the orbits
 numerically by Newton shooting on the return map.
 """
 
-from .expressions import (EvalDomainError, Extrema, ParseError,
-                          PeriodicCoeff, PeriodicityError, derivative,
-                          evaluate, parse_expression)
-from .greens import (CriterionVerdict, GreensFunction, ResonanceError,
-                     check_A1, check_A2, check_chu, closed_form_constant,
-                     diagonal_jump_error, homogeneous_residual,
-                     numeric_periodic_green, periodicity_mismatch)
-from .hypotheses import (Certificate, CertEvaluation, HypothesisConstants,
-                         IntervalCheck, ProblemSpec, RSearch, ValidationError,
-                         ValueCheck, alpha_exponent, case_one_interval,
-                         certify, check_H1, check_H2, check_H3, check_H4,
-                         constants_from, find_R, step3_lhs, theorem_for)
-from .ivp import DenseSolution, IntegrationBlowUp, IvpResult, solve_ivp_dp
-from .problemfile import (LoadedProblem, ProblemFileError, load_problem,
-                          parse_problem_text)
-from .quadrature import (QuadratureError, cumulative_integral, golden_min,
-                         integrate_adaptive, integrate_fixed)
-from .solver import (ConeReport, NoConvergenceError, Orbit, SingularityError,
-                     State, apply_T, cone_check, find_periodic, guard_floor,
-                     integrate, poincare, rhs)
-from .transform import (MERGED, NO_EXTRA, ORIGINAL, TRANSFORMED,
-                        TWO_REPULSIVE, PositivityError, SampledPath,
-                        TransformedSpec, residual, singularity_class,
-                        to_y_equation, x_from_y)
+from .expressions import PeriodicCoeff, parse_expression
+from .hypotheses import Certificate, ProblemSpec, certify, theorem_for
+from .problemfile import ProblemFileError, load_problem, parse_problem_text
+from .solver import (NoConvergenceError, Orbit, SingularityError, State,
+                     find_periodic)
 
 __version__ = "0.1.0"
 
+# The public surface.  Every other name lives in its submodule and is
+# internal: it may change without notice.
 __all__ = [
     "__version__",
-    # expressions
-    "ParseError", "EvalDomainError", "PeriodicityError", "Extrema",
-    "PeriodicCoeff", "parse_expression", "evaluate", "derivative",
-    # quadrature
-    "QuadratureError", "integrate_adaptive", "integrate_fixed",
-    "cumulative_integral", "golden_min",
-    # ivp
-    "IntegrationBlowUp", "DenseSolution", "IvpResult", "solve_ivp_dp",
-    # greens
-    "GreensFunction", "ResonanceError", "CriterionVerdict",
-    "closed_form_constant", "numeric_periodic_green", "check_A1", "check_A2",
-    "check_chu", "homogeneous_residual", "periodicity_mismatch",
-    "diagonal_jump_error",
-    # hypotheses
-    "ValidationError", "ProblemSpec", "alpha_exponent",
-    "HypothesisConstants", "constants_from", "IntervalCheck", "ValueCheck",
-    "check_H1", "check_H2", "check_H3", "check_H4", "case_one_interval",
-    "RSearch", "find_R", "step3_lhs", "theorem_for", "CertEvaluation", "Certificate",
-    "certify",
-    # transform
-    "NO_EXTRA", "TWO_REPULSIVE", "MERGED", "ORIGINAL", "TRANSFORMED",
-    "TransformedSpec", "to_y_equation", "singularity_class", "SampledPath",
-    "PositivityError", "x_from_y", "residual",
-    # solver
-    "SingularityError", "NoConvergenceError", "State", "Orbit",
-    "guard_floor", "rhs", "integrate", "poincare", "find_periodic",
-    "apply_T", "ConeReport", "cone_check",
-    # problem files
-    "ProblemFileError", "LoadedProblem", "parse_problem_text", "load_problem",
+    "load_problem", "parse_problem_text", "ProblemFileError", "ProblemSpec",
+    "PeriodicCoeff", "parse_expression",
+    "certify", "Certificate", "theorem_for",
+    "find_periodic", "Orbit", "State", "NoConvergenceError",
+    "SingularityError",
 ]

@@ -41,8 +41,6 @@ from .solver import (NoConvergenceError, Orbit, SingularityError, State,
 from .svgfig import phase_svg, timeseries_svg
 from .transform import to_y_equation
 
-__all__ = ["main", "run"]
-
 _BUNDLED = ("example41", "example42", "example43")
 
 # Reference results for the bundled instances: closed-form kernel extremes,

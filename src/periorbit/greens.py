@@ -39,26 +39,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expressions import PeriodicCoeff
+from .expressions import Const, PeriodicCoeff, compiled
 from .quadrature import _gauss_nodes, integrate_adaptive
-
-__all__ = [
-    "ResonanceError",
-    "GreensFunction",
-    "closed_form_constant",
-    "numeric_periodic_green",
-    "kernel_for",
-    "CriterionVerdict",
-    "check_A1",
-    "check_A2",
-    "check_chu",
-    "homogeneous_residual",
-    "periodicity_mismatch",
-    "diagonal_jump_error",
-]
 
 DEFAULT_GRID = 200
 _RESONANCE_TOL = 1e-8
+_MONODROMY_RTOL = 1e-12
+_MONODROMY_ATOL = 1e-14
+_JUMP_STEP = 1e-4        # diagonal_jump_error's difference step, in omega units
 
 
 class ResonanceError(RuntimeError):
@@ -220,7 +208,7 @@ def _refine_value_extremum(be, tgrid, G, i, j, sign):
     return sign * best
 
 
-def _refine_slope_maximum(be, tgrid, tc, sc, width):
+def _refine_slope_maximum(factors, tgrid, tc, sc, width):
     """Largest |dG/dt| near (tc, sc), honouring the diagonal one-sidedly.
 
     Both branch surfaces are scanned on their own closed half of the local
@@ -232,11 +220,10 @@ def _refine_slope_maximum(be, tgrid, tc, sc, width):
         ts = np.linspace(max(0.0, tc - width), min(omega, tc + width), 17)
         ss = np.linspace(max(0.0, sc - width), min(omega, sc + width), 17)
         lower_ok = ts[:, None] >= ss[None, :]
-        _, Gt_lo = be(ts, ss, "lower")
-        _, Gt_up = be(ts, ss, "upper")
-        cand = np.maximum(np.where(lower_ok, np.abs(Gt_lo), -np.inf),
+        _, dU, V_lo, V_up = factors(ts, ss)
+        cand = np.maximum(np.where(lower_ok, np.abs(dU @ V_lo.T), -np.inf),
                           np.where(~lower_ok | (ts[:, None] == ss[None, :]),
-                                   np.abs(Gt_up), -np.inf))
+                                   np.abs(dU @ V_up.T), -np.inf))
         flat = np.argmax(cand)
         ii, jj = np.unravel_index(flat, cand.shape)
         if cand[ii, jj] > best:
@@ -246,7 +233,14 @@ def _refine_slope_maximum(be, tgrid, tc, sc, width):
     return best
 
 
-def _grid_constants(be, tgrid, G, Gt, gt_analytic=None):
+def _periodic_images(i, j, n):
+    """Grid cell (i, j) and, since the kernel is omega-periodic in t and in
+    s, its images on the opposite edges when it lies on an edge."""
+    alt = lambda k: (k, n - k) if k in (0, n) else (k,)
+    return [(a, b) for a in alt(i) for b in alt(j)]
+
+
+def _grid_constants(be, factors, tgrid, G, Gt, gt_analytic=None):
     n = len(tgrid) - 1
     imin, jmin = np.unravel_index(np.argmin(G), G.shape)
     imax, jmax = np.unravel_index(np.argmax(G), G.shape)
@@ -256,15 +250,16 @@ def _grid_constants(be, tgrid, G, Gt, gt_analytic=None):
     if gt_analytic is not None:
         gt_max = gt_analytic
     else:
-        step = tgrid[1] - tgrid[0]
-        candidates = []
+        # seeds: the grid argmax of |Gt| and of the upper-branch diagonal
+        # slope |Gt - 1|; an argmax in a corner may stand for a maximum
+        # just inside the opposite corner
         i, j = np.unravel_index(np.argmax(np.abs(Gt)), Gt.shape)
-        candidates.append((tgrid[i], tgrid[j]))
-        diag_upper = np.abs(np.diagonal(Gt) - 1.0)
-        k = int(np.argmax(diag_upper))
-        candidates.append((tgrid[k], tgrid[k]))
-        gt_max = max(_refine_slope_maximum(be, tgrid, tc, sc, step)
-                     for tc, sc in candidates)
+        k = int(np.argmax(np.abs(np.diagonal(Gt) - 1.0)))
+        seeds = dict.fromkeys(_periodic_images(i, j, n)
+                              + _periodic_images(k, k, n))
+        step = tgrid[1] - tgrid[0]
+        gt_max = max(_refine_slope_maximum(factors, tgrid, tgrid[a], tgrid[b],
+                                           step) for a, b in seeds)
     return g_min, g_max, gt_max
 
 
@@ -272,7 +267,8 @@ def _assemble(omega, n, be, factors, source, p_fn, l_fn, positive=None,
               gt_analytic=None) -> GreensFunction:
     tgrid = np.linspace(0.0, omega, n + 1)
     G, Gt = be(tgrid, tgrid, "auto")
-    g_min, g_max, gt_max = _grid_constants(be, tgrid, G, Gt, gt_analytic)
+    g_min, g_max, gt_max = _grid_constants(be, factors, tgrid, G, Gt,
+                                           gt_analytic)
     if positive is None:
         positive = bool(G.min() > 0.0 and g_min > 0.0)
     sigma = g_min / (g_max + gt_max)
@@ -340,30 +336,30 @@ def closed_form_constant(xi: float, omega: float, n: int = DEFAULT_GRID
 # numeric construction via the fundamental matrix
 
 
-def numeric_periodic_green(p, l, omega: float, n: int = DEFAULT_GRID,
-                           rtol: float = 1e-12, atol: float = 1e-14
+def numeric_periodic_green(p, l, omega: float, n: int = DEFAULT_GRID
                            ) -> GreensFunction:
     """Kernel for general continuous periodic p, l via the monodromy matrix.
 
-    p and l may be PeriodicCoeff or plain callables.  Raises ResonanceError
-    when the monodromy matrix has an eigenvalue within 1e-8 of +1 (the
-    homogeneous problem has a periodic solution) or of -1 (the antiperiodic
-    boundary case, where the kernel theory degenerates).
+    p and l are PeriodicCoeff or numbers, taken as constants.  Raises
+    ResonanceError when the monodromy matrix has an eigenvalue within 1e-8
+    of +1 (the homogeneous problem has a periodic solution) or of -1 (the
+    antiperiodic boundary case, where the kernel theory degenerates).
     """
     from .ivp import solve_ivp_dp
 
-    p_fn = p if callable(p) else (lambda t: np.full_like(t, float(p)))
-    l_fn = l if callable(l) else (lambda t: np.full_like(t, float(l)))
+    p, l = (k if isinstance(k, PeriodicCoeff)
+            else PeriodicCoeff(Const(float(k)), omega) for k in (p, l))
+    p_t, l_t = compiled(p.expr), compiled(l.expr)
 
     def rhs(t, y):
         # y is the fundamental matrix, row-major: (u, w, u', w')
         u, w, du, dw = y
-        pv = float(p_fn(t))
-        lv = float(l_fn(t))
+        pv = p_t(t)
+        lv = l_t(t)
         return du, dw, -lv * u - pv * du, -lv * w - pv * dw
 
     res = solve_ivp_dp(rhs, 0.0, np.eye(2).ravel(), omega,
-                       rtol=rtol, atol=atol, dense=True,
+                       rtol=_MONODROMY_RTOL, atol=_MONODROMY_ATOL, dense=True,
                        max_step=omega / 16.0)
     M = res.y.reshape(2, 2)
     eigs = np.linalg.eigvals(M)
@@ -404,7 +400,7 @@ def numeric_periodic_green(p, l, omega: float, n: int = DEFAULT_GRID,
         Gt = np.where(mask, rows2 @ v_low.T, rows2 @ v_up.T)
         return G, Gt
 
-    return _assemble(omega, n, be, factors, "numeric", p_fn, l_fn)
+    return _assemble(omega, n, be, factors, "numeric", p, l)
 
 
 def kernel_for(p: PeriodicCoeff, l: PeriodicCoeff, omega: float,
@@ -454,12 +450,10 @@ def periodicity_mismatch(gf: GreensFunction) -> float:
     return float(max(dG.max(), dGt.max()))
 
 
-def diagonal_jump_error(gf: GreensFunction, s_values, h: float | None = None
-                        ) -> np.ndarray:
+def diagonal_jump_error(gf: GreensFunction, s_values) -> np.ndarray:
     """|(dG/dt(s+,s) - dG/dt(s-,s)) - 1| with one-sided second-order finite
     differences of G itself, independent of the stored Gt grid."""
-    if h is None:
-        h = 1e-4 * gf.omega
+    h = _JUMP_STEP * gf.omega
     s_values = np.asarray(s_values, dtype=float)
     out = np.empty(len(s_values))
     for idx, s in enumerate(s_values):

@@ -39,27 +39,6 @@ from .greens import (CriterionVerdict, GreensFunction, ResonanceError,
                      check_A1, check_A2, check_chu, closed_form_constant,
                      kernel_for, numeric_periodic_green)
 
-__all__ = [
-    "ValidationError",
-    "ProblemSpec",
-    "alpha_exponent",
-    "HypothesisConstants",
-    "constants_from",
-    "IntervalCheck",
-    "ValueCheck",
-    "check_H1",
-    "check_H2",
-    "check_H3",
-    "check_H4",
-    "case_one_interval",
-    "RSearch",
-    "find_R",
-    "theorem_for",
-    "CertEvaluation",
-    "Certificate",
-    "certify",
-]
-
 R_SEARCH_CAP = 1e12
 
 
@@ -459,8 +438,8 @@ def _evaluate_case(k: HypothesisConstants, case: str, positive: bool
                           verdict=verdict, reason=reason)
 
 
-def certify(spec: ProblemSpec, a1: PeriodicCoeff | None = None,
-            n: int = 200) -> Certificate:
+def certify(spec: ProblemSpec, a1: PeriodicCoeff | None = None
+            ) -> Certificate:
     """Build the kernel, verify its positivity, evaluate the hypothesis
     chain for the dispatched case and search for the radius pair.
 
@@ -477,7 +456,7 @@ def certify(spec: ProblemSpec, a1: PeriodicCoeff | None = None,
 
     checks: list[CriterionVerdict] = []
     try:
-        gf = kernel_for(spec.p, l, spec.omega, n=n)
+        gf = kernel_for(spec.p, l, spec.omega)
         if gf.source == "closed-form":
             # the kernel's l is xi*xi, and sqrt recovers xi exactly
             xi = math.sqrt(float(gf.l_fn(0.0)))

@@ -36,8 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["IntegrationBlowUp", "DenseSolution", "IvpResult", "solve_ivp_dp"]
-
 
 class IntegrationBlowUp(RuntimeError):
     """Step size underflowed; .t and .y hold the last accepted state."""

@@ -18,9 +18,6 @@ from .expressions import (EvalDomainError, ParseError, PeriodicCoeff,
                           contains_time, evaluate, parse_expression)
 from .hypotheses import ProblemSpec, ValidationError
 
-__all__ = ["ProblemFileError", "LoadedProblem", "parse_problem_text",
-           "load_problem"]
-
 _COEFF_KEYS = ("p", "q", "b", "c", "e", "a1")
 _SCALAR_KEYS = ("omega", "rho1", "rho2", "guess_x0", "guess_v0", "tol")
 _REQUIRED = ("omega", "p", "q", "b", "c", "e", "rho1", "rho2")

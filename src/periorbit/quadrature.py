@@ -9,19 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "QuadratureError",
-    "integrate_adaptive",
-    "integrate_fixed",
-    "cumulative_integral",
-    "golden_min",
-]
-
 _NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 # relative accuracy driven well below the 1e-10*(b-a)*max|f| contract
 _DEFAULT_REL = 1e-12
 _MAX_DEPTH = 48
+_NODES = 12              # Gauss nodes per panel
+_GOLDEN_MAXITER = 200
 
 
 class QuadratureError(RuntimeError):
@@ -35,15 +29,15 @@ def _gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _NODE_CACHE[n]
 
 
-def _panel(f, a: float, b: float, n: int) -> float:
-    x, w = _gauss_nodes(n)
+def _panel(f, a: float, b: float) -> float:
+    x, w = _gauss_nodes(_NODES)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     return half * float(np.dot(w, np.asarray(f(mid + half * x), dtype=float)))
 
 
-def integrate_adaptive(f, a: float, b: float, tol: float | None = None,
-                       nodes: int = 12) -> float:
+def integrate_adaptive(f, a: float, b: float, tol: float | None = None
+                       ) -> float:
     """Integrate callable f over [a, b] to absolute accuracy tol.
 
     f must accept a numpy array of abscissae and return values elementwise.
@@ -60,12 +54,12 @@ def integrate_adaptive(f, a: float, b: float, tol: float | None = None,
         tol = _DEFAULT_REL * (b - a) * (scale + 1e-300)
     total = 0.0
     # stack entries: (left, right, whole-panel estimate, depth)
-    stack = [(a, b, _panel(f, a, b, nodes), 0)]
+    stack = [(a, b, _panel(f, a, b), 0)]
     while stack:
         lo, hi, whole, depth = stack.pop()
         mid = 0.5 * (lo + hi)
-        left = _panel(f, lo, mid, nodes)
-        right = _panel(f, mid, hi, nodes)
+        left = _panel(f, lo, mid)
+        right = _panel(f, mid, hi)
         err = abs(left + right - whole)
         if err <= tol * (hi - lo) / (b - a) or (hi - lo) <= 1e-15 * (b - a):
             total += left + right
@@ -78,32 +72,14 @@ def integrate_adaptive(f, a: float, b: float, tol: float | None = None,
     return total
 
 
-def integrate_fixed(f, a: float, b: float, panels: int = 16,
-                    nodes: int = 12) -> float:
-    """Deterministic composite rule: fixed panel edges, fixed node count.
-
-    Node placement depends only on (a, b, panels, nodes), so linearity in f
-    holds to rounding; used where superposition must be exact.
-    """
-    if b <= a:
-        return 0.0
-    edges = np.linspace(a, b, panels + 1)
-    x, w = _gauss_nodes(nodes)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * (edges[1:] - edges[:-1])
-    pts = mids[:, None] + halves[:, None] * x[None, :]
-    vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
-    return float(np.sum(halves * (vals @ w)))
-
-
-def cumulative_integral(f, grid: np.ndarray, nodes: int = 12) -> np.ndarray:
+def cumulative_integral(f, grid: np.ndarray) -> np.ndarray:
     """Running integral of f from grid[0] along an ascending grid.
 
     Each grid interval is covered by one Gauss panel; the returned array has
     the same length as the grid with a leading zero.
     """
     grid = np.asarray(grid, dtype=float)
-    x, w = _gauss_nodes(nodes)
+    x, w = _gauss_nodes(_NODES)
     mids = 0.5 * (grid[:-1] + grid[1:])
     halves = 0.5 * (grid[1:] - grid[:-1])
     pts = mids[:, None] + halves[:, None] * x[None, :]
@@ -115,8 +91,8 @@ def cumulative_integral(f, grid: np.ndarray, nodes: int = 12) -> np.ndarray:
     return out
 
 
-def golden_min(f, a: float, b: float, tol: float = 1e-12,
-               maxiter: int = 200) -> tuple[float, float]:
+def golden_min(f, a: float, b: float, tol: float = 1e-12
+               ) -> tuple[float, float]:
     """Golden-section minimum of a scalar callable on [a, b].
 
     Returns (argmin, value).  The bracket need not be unimodal; the routine
@@ -127,7 +103,7 @@ def golden_min(f, a: float, b: float, tol: float = 1e-12,
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(maxiter):
+    for _ in range(_GOLDEN_MAXITER):
         if (b - a) <= tol:
             break
         if f1 <= f2:

@@ -28,22 +28,6 @@ from .ivp import IntegrationBlowUp, solve_ivp_dp
 from .transform import (ORIGINAL, TRANSFORMED, PositivityError, SampledPath,
                         TransformedSpec, residual, x_from_y)
 
-__all__ = [
-    "SingularityError",
-    "NoConvergenceError",
-    "State",
-    "Orbit",
-    "guard_floor",
-    "rhs",
-    "integrate",
-    "poincare",
-    "find_periodic",
-    "apply_T",
-    "ConeReport",
-    "cone_check",
-    "PATH_SAMPLES",
-]
-
 PATH_SAMPLES = 2049          # 2048 uniform intervals per period, endpoints kept
 _SHOOT_RTOL = 1e-12          # return-map integrations run tighter than the
 _SHOOT_ATOL_FLOOR = 1e-14    # Newton tolerance so map jitter stays below it
@@ -142,19 +126,6 @@ def _vector_field(spec: ProblemSpec):
     return f
 
 
-def rhs(spec: ProblemSpec, t: float, x: float, v: float,
-        eps_min: float | None = None) -> tuple[float, float]:
-    """(x', v') of the first-order system; refuses states at or below the
-    singularity floor."""
-    if eps_min is None:
-        eps_min = guard_floor(spec)
-    if not (x > eps_min):
-        raise SingularityError(
-            f"x = {x:.6g} at t = {t:.6g} is at or below the floor "
-            f"{eps_min:.6g}")
-    return _vector_field(spec)(t, (x, v))
-
-
 class _Flow:
     """The vector field, guard and tolerance rule for repeated shots of one
     problem; counts the shots made."""
@@ -182,6 +153,15 @@ class _Flow:
         return solve_ivp_dp(self.f, t0, (x0, v0), t1, rtol=rtol, atol=atol,
                             guard=self.guard, dense=dense)
 
+    def sample(self, x0: float, v0: float, t0: float, t1: float,
+               rtol: float, samples: int) -> SampledPath:
+        """A dense shot from (x0, v0) at t0 to t1, sampled on a uniform
+        grid of the given size."""
+        res = self.shoot(x0, v0, t0, t1, rtol=rtol, dense=True)
+        tgrid = np.linspace(t0, t1, samples)
+        vals = res.dense(tgrid)
+        return SampledPath(tgrid, vals[:, 0], vals[:, 1])
+
 
 def integrate(spec: ProblemSpec, x0: float, v0: float, t0: float = 0.0,
               t1: float | None = None, tol: float = 1e-10,
@@ -192,21 +172,9 @@ def integrate(spec: ProblemSpec, x0: float, v0: float, t0: float = 0.0,
         t1 = t0 + spec.omega
     if t1 < t0:
         raise ValueError("t1 must not precede t0")
-    flow = _Flow(spec)
     if t1 == t0:
         return SampledPath(np.array([t0]), np.array([x0]), np.array([v0]))
-    res = flow.shoot(x0, v0, t0, t1, rtol=tol, dense=True)
-    tgrid = np.linspace(t0, t1, samples)
-    vals = res.dense(tgrid)
-    return SampledPath(tgrid, vals[:, 0], vals[:, 1])
-
-
-def poincare(spec: ProblemSpec, x0: float, v0: float,
-             tol: float = 1e-10) -> State:
-    """Terminal state of the flow after one period."""
-    flow = _Flow(spec)
-    res = flow.shoot(x0, v0, 0.0, spec.omega, rtol=tol)
-    return State(t=res.t, x=float(res.y[0]), v=float(res.y[1]))
+    return _Flow(spec).sample(x0, v0, t0, t1, tol, samples)
 
 
 def _return_defect(flow: _Flow, omega: float,
@@ -215,7 +183,7 @@ def _return_defect(flow: _Flow, omega: float,
     hit or state not finite)."""
     try:
         res = flow.shoot(s[0], s[1], 0.0, omega, rtol=_SHOOT_RTOL)
-    except (IntegrationBlowUp, SingularityError):
+    except IntegrationBlowUp:
         return None
     out = res.y - s
     if not np.all(np.isfinite(out)):
@@ -316,11 +284,7 @@ def find_periodic(spec: ProblemSpec, guess: State | None = None,
 
 def _package(spec: ProblemSpec, flow: _Flow, s: np.ndarray, fn: float,
              steps: int, factor: float, tol: float) -> Orbit:
-    res = flow.shoot(s[0], s[1], 0.0, spec.omega, rtol=_SHOOT_RTOL,
-                     dense=True)
-    tgrid = np.linspace(0.0, spec.omega, PATH_SAMPLES)
-    vals = res.dense(tgrid)
-    path = SampledPath(tgrid, vals[:, 0], vals[:, 1])
+    path = flow.sample(s[0], s[1], 0.0, spec.omega, _SHOOT_RTOL, PATH_SAMPLES)
     alpha = alpha_exponent(spec.rho1)
     y_path = x_from_y(path, 1.0 / alpha)
     return Orbit(
@@ -383,11 +347,6 @@ class ConeReport:
     norm: float
     floor_margin: float    # min y - sigma ||y||
     slope_margin: float    # min over t of (delta y - |y'|)
-
-    def to_dict(self) -> dict:
-        return {"in_cone": self.in_cone, "norm": self.norm,
-                "floor_margin": self.floor_margin,
-                "slope_margin": self.slope_margin}
 
 
 def cone_check(y: SampledPath, sigma: float, delta: float) -> ConeReport:

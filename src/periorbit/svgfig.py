@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Series", "Panel", "render_panels", "phase_svg", "timeseries_svg"]
-
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c")
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 74, 22, 40, 50
 

@@ -27,24 +27,6 @@ import numpy as np
 from .expressions import PeriodicCoeff
 from .hypotheses import ProblemSpec, alpha_exponent
 
-__all__ = [
-    "NO_EXTRA",
-    "TWO_REPULSIVE",
-    "MERGED",
-    "ORIGINAL",
-    "TRANSFORMED",
-    "TransformedSpec",
-    "to_y_equation",
-    "singularity_class",
-    "SampledPath",
-    "x_from_y",
-    "residual",
-]
-
-NO_EXTRA = "NO_EXTRA"            # rho1 > rho2: repulsive term loses its pole
-TWO_REPULSIVE = "TWO_REPULSIVE"  # rho1 < rho2: a repulsive pole survives
-MERGED = "MERGED"                # rho1 = rho2: weights add, exponent zero
-
 ORIGINAL = "ORIGINAL"            # residual against the x-equation
 TRANSFORMED = "TRANSFORMED"      # residual against the y-equation
 
@@ -80,16 +62,6 @@ def to_y_equation(spec: ProblemSpec) -> TransformedSpec:
         e_over_alpha=spec.e.scaled(1.0 / alpha),
         b_over_alpha=spec.b.scaled(1.0 / alpha),
     )
-
-
-def singularity_class(spec: ProblemSpec) -> str:
-    """How the repulsive term looks after the substitution, a pure function
-    of the exponent ordering."""
-    if spec.rho1 > spec.rho2:
-        return NO_EXTRA
-    if spec.rho1 < spec.rho2:
-        return TWO_REPULSIVE
-    return MERGED
 
 
 class PositivityError(ValueError):

@@ -16,17 +16,16 @@ import numpy as np
 import pytest
 
 from conftest import OMEGA, make_example
-from periorbit import (
-    apply_T,
-    certify,
+from periorbit import certify, find_periodic
+from periorbit.greens import (
     closed_form_constant,
     diagonal_jump_error,
-    find_periodic,
     homogeneous_residual,
     numeric_periodic_green,
     periodicity_mismatch,
-    to_y_equation,
 )
+from periorbit.solver import apply_T
+from periorbit.transform import to_y_equation
 from periorbit import cli
 
 ROOT = Path(__file__).resolve().parents[1]

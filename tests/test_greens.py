@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import OMEGA, pc
-from periorbit import (
+from periorbit import parse_problem_text
+from periorbit.greens import (
     ResonanceError,
     check_A1,
     check_A2,
@@ -15,9 +16,11 @@ from periorbit import (
     closed_form_constant,
     diagonal_jump_error,
     homogeneous_residual,
+    kernel_for,
     numeric_periodic_green,
     periodicity_mismatch,
 )
+from periorbit.hypotheses import alpha_exponent
 
 XI = 0.25  # sqrt(l) for the worked instance: l = (1/40)/alpha = 1/16
 
@@ -67,6 +70,28 @@ def test_slope_maximum_against_dense_scan(gf_closed):
     scan = float(max(lower.max(), upper.max()))
     assert scan == pytest.approx(0.5, abs=1e-4)
     assert gf_closed.gt_max == pytest.approx(scan, abs=1e-4)
+
+
+def test_slope_maximum_near_the_far_corner():
+    """On this numeric kernel the grid maximum of |dG/dt| sits in the
+    corner (0, 0) while the true maximum lies just inside the opposite
+    corner, near t = s = 0.9975 omega; a dense 2001^2 scan of both
+    branches reaches 0.5735820554911553.  The kernel is periodic in t and
+    in s, so the refinement must look there too, at every grid size."""
+    spec = parse_problem_text(
+        "omega = 2*pi/3\n"
+        "p = 0.0747 + 0.0301*cos(3*t)\n"
+        "q = 0.0206 + 0.0074*sin(3*t)\n"
+        "b = 1.1008 + 0.0312*cos(3*t)\n"
+        "c = 0.9419*exp(0.7052*sin(3*t))\n"
+        "e = 11.1053 + 1.1937*cos(3*t)\n"
+        "rho1 = 1.6484\n"
+        "rho2 = 1.6484\n").spec
+    l = spec.q.scaled(1.0 / alpha_exponent(spec.rho1))
+    gt = {n: kernel_for(spec.p, l, spec.omega, n=n).gt_max
+          for n in (190, 200, 210)}
+    assert gt[200] >= 0.57358205
+    assert max(gt.values()) - min(gt.values()) <= 1e-8 * gt[200]
 
 
 def test_kernel_positive_on_dense_grid(gf_closed):

@@ -10,23 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import OMEGA, make_example, pc
-from periorbit import (
-    Certificate,
+from periorbit import Certificate, ProblemSpec, certify, theorem_for
+from periorbit.greens import closed_form_constant
+from periorbit.hypotheses import (
     HypothesisConstants,
-    ProblemSpec,
     ValidationError,
     alpha_exponent,
     case_one_interval,
-    certify,
     check_H1,
     check_H2,
     check_H3,
     check_H4,
-    closed_form_constant,
     constants_from,
     find_R,
     step3_lhs,
-    theorem_for,
 )
 
 GT_REPORTED = math.sqrt(2.0 - math.sqrt(3.0)) / 2.0  # sin(pi/12)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import OMEGA, make_cheap_spec, make_example, pc
-from periorbit import IntegrationBlowUp, ProblemSpec, find_periodic
-from periorbit.ivp import DenseSolution, IvpResult, solve_ivp_dp
+from periorbit import ProblemSpec, find_periodic
+from periorbit.ivp import DenseSolution, IntegrationBlowUp, IvpResult, solve_ivp_dp
 from periorbit.solver import _SHOOT_RTOL, _Flow
 
 
@@ -300,7 +300,7 @@ def test_oracle_guard_hitting_start():
 def test_shooting_tolerance_rule(monkeypatch):
     """One rule gives the absolute tolerance of every shot: the floor at
     the shooting rtol (Newton shots), two orders below a looser rtol
-    (integrate, poincare)."""
+    (integrate)."""
     import periorbit.solver as solver
 
     flow = _Flow(make_cheap_spec())

@@ -1,0 +1,52 @@
+"""The package's public surface: the names README's "Library use" and the
+command line rely on, and no more.  Everything else is reached through
+its submodule and is internal."""
+
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
+import periorbit
+
+ROOT = Path(__file__).resolve().parents[1]
+
+PUBLIC = {
+    "__version__",
+    "load_problem", "parse_problem_text", "ProblemFileError", "ProblemSpec",
+    "PeriodicCoeff", "parse_expression",
+    "certify", "Certificate", "theorem_for",
+    "find_periodic", "Orbit", "State", "NoConvergenceError",
+    "SingularityError",
+}
+
+
+def _submodules():
+    return [importlib.import_module(f"periorbit.{m.name}")
+            for m in pkgutil.iter_modules(periorbit.__path__)]
+
+
+def test_package_exports_exactly_the_public_names():
+    assert set(periorbit.__all__) == PUBLIC
+    assert len(periorbit.__all__) == len(PUBLIC)
+    for name in periorbit.__all__:
+        assert hasattr(periorbit, name), name
+
+
+def test_no_submodule_declares_its_own_export_list():
+    modules = _submodules()
+    assert {m.__name__ for m in modules} >= {"periorbit.cli",
+                                             "periorbit.solver"}
+    for module in modules:
+        assert not hasattr(module, "__all__"), module.__name__
+
+
+def test_readme_library_use_runs_verbatim(monkeypatch, capsys):
+    section = (ROOT / "README.md").read_text().split("## Library use", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    monkeypatch.chdir(ROOT)
+    exec(compile(code, "README.md", "exec"), {"__name__": "readme"})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("T3.1 True (")
+    assert abs(float(lines[1].split()[0]) - 399.93) < 0.5

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periorbit import QuadratureError
 from periorbit.quadrature import (
+    QuadratureError,
     cumulative_integral,
     golden_min,
     integrate_adaptive,
-    integrate_fixed,
 )
 
 
@@ -80,27 +79,6 @@ def test_adaptive_additivity(a0, b0, k, lo, width, frac):
     parts = integrate_adaptive(f, lo, mid) + integrate_adaptive(f, mid, hi)
     scale = float(np.max(np.abs(f(np.linspace(lo, hi, 257))))) + 1.0
     assert abs(whole - parts) <= 1e-10 * width * scale
-
-
-def test_fixed_superposition_is_exact():
-    """Fixed-rule integration is linear in the integrand to rounding."""
-
-    def f(t):
-        return np.exp(np.sin(3.0 * t))
-
-    def g(t):
-        return 1.0 / (2.0 + np.cos(t))
-
-    a, b = 0.3, 2.9
-    combo = integrate_fixed(lambda t: 2.0 * f(t) + 3.0 * g(t), a, b)
-    parts = 2.0 * integrate_fixed(f, a, b) + 3.0 * integrate_fixed(g, a, b)
-    assert abs(combo - parts) <= 1e-13 * (abs(combo) + 1.0)
-
-
-def test_fixed_accuracy_and_degenerate_span():
-    assert integrate_fixed(np.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-12)
-    assert integrate_fixed(np.sin, 1.0, 1.0) == 0.0
-    assert integrate_fixed(np.sin, 1.0, 0.5) == 0.0
 
 
 def test_cumulative_integral_matches_antiderivative():

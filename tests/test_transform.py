@@ -8,18 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import OMEGA, make_cheap_spec, make_constant_spec, make_example, pc
-from periorbit import (
-    MERGED,
-    NO_EXTRA,
+from periorbit import ProblemSpec
+from periorbit.hypotheses import alpha_exponent
+from periorbit.transform import (
     ORIGINAL,
     TRANSFORMED,
-    TWO_REPULSIVE,
     PositivityError,
-    ProblemSpec,
     SampledPath,
-    alpha_exponent,
     residual,
-    singularity_class,
     to_y_equation,
     x_from_y,
 )
@@ -55,12 +51,6 @@ def test_transformed_coefficients_are_scaled():
 def test_alpha_inverts_exponent_sum(rho1):
     a = alpha_exponent(rho1)
     assert abs(a * (1.0 + rho1) - 1.0) < 5e-16
-
-
-def test_singularity_class_matches_dispatch():
-    assert singularity_class(make_example(1.3)) == NO_EXTRA
-    assert singularity_class(make_example(2.0)) == TWO_REPULSIVE
-    assert singularity_class(make_example(1.5)) == MERGED
 
 
 def test_x_from_y_trivial():
