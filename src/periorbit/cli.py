@@ -61,6 +61,12 @@ def _g(v: float) -> str:
     return f"{v:.17g}"
 
 
+def _cone_ratios(sigma: float, delta: float, positive: bool):
+    """sigma and delta as printed: they mean nothing for a kernel that is
+    not positive."""
+    return (_g(sigma), _g(delta)) if positive else ("n/a", "n/a")
+
+
 class _CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
@@ -149,8 +155,9 @@ def _certificate_report(problem: LoadedProblem, cert: Certificate) -> str:
         if ev is None:
             continue
         k = ev.constants
+        sigma, delta = _cone_ratios(k.sigma, k.delta, cert.positive)
         lines.append(f"[{k.label}] gt_max = {_g(k.gt_max)}  "
-                     f"sigma = {_g(k.sigma)}  delta = {_g(k.delta)}")
+                     f"sigma = {sigma}  delta = {delta}")
         for name, chk in sorted(ev.checks.items()):
             if hasattr(chk, "lower"):
                 lo_br = "(" if chk.strict_lower else "["
@@ -218,7 +225,10 @@ def _cmd_greens(args) -> int:
     csv_text = header + "\n".join(rows) + "\n"
     out = _out_dir(args)
     _write(os.path.join(out, f"{_stem(problem)}.greens.csv"), csv_text)
-    for key, val in gf.constants().items():
+    shown = gf.constants()
+    shown["sigma"], shown["delta"] = _cone_ratios(gf.sigma, gf.delta,
+                                                  gf.positive)
+    for key, val in shown.items():
         sys.stdout.write(
             f"{key} = {val if isinstance(val, (bool, str)) else _g(val)}\n")
     sys.stdout.write(f"rows = {(gf.n + 1) ** 2}\n")

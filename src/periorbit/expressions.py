@@ -564,10 +564,14 @@ class PeriodicCoeff:
         around the best seeds polishes each candidate, so values are correct
         to ~1e-8 even when the true extremum falls between samples.
         """
-        found = self.__dict__.get("_extrema")
+        return self._kept("_extrema", self._locate_extrema)
+
+    def _kept(self, key: str, compute):
+        """compute()'s result, kept on the coefficient under key."""
+        found = self.__dict__.get(key)
         if found is None:
-            found = self._locate_extrema()
-            object.__setattr__(self, "_extrema", found)
+            found = compute()
+            object.__setattr__(self, key, found)
         return found
 
     def _locate_extrema(self) -> Extrema:
@@ -602,12 +606,16 @@ class PeriodicCoeff:
         return self.integrate(0.0, self.omega) / self.omega
 
     def mean_positive_part(self) -> float:
-        """Mean of max(f, 0) over one period.
+        """Mean of max(f, 0) over one period, computed on the first call and
+        kept on the coefficient.
 
         Sign changes are first isolated by bisection on a 4096-cell grid;
         the positive part is then integrated piecewise on intervals where f
         keeps one sign, so the integrand handed to the quadrature is smooth.
         """
+        return self._kept("_mean_positive_part", self._integrate_positive_part)
+
+    def _integrate_positive_part(self) -> float:
         n = _EXTREMA_SAMPLES
         ts = np.linspace(0.0, self.omega, n + 1)
         vals = np.asarray(self(ts), dtype=float)

@@ -29,7 +29,12 @@ O(n) time and memory instead of an (n+1)^2 kernel matrix.
 Constants attached to a kernel: the extreme values g_max and g_min, the
 largest slope gt_max = max |dG/dt| (diagonal counted one-sided on both
 branches), the cone floor ratio sigma = g_min/(g_max + gt_max), and the
-slope-to-value bound delta = gt_max/g_min.
+slope-to-value bound delta = gt_max/g_min.  Every kernel value, on the grid
+or anywhere else, is built from the rank-2 factors.  The closed form's
+g_max, g_min and gt_max are analytic: on each branch the cosine's argument
+runs exactly over [-xi omega/2, xi omega/2].  A numeric kernel's are
+estimates: each is the best value a refining scan finds, seeded at the grid
+cell where its surface is extreme; they are not outward-rounded enclosures.
 """
 
 from __future__ import annotations
@@ -47,6 +52,8 @@ _RESONANCE_TOL = 1e-8
 _MONODROMY_RTOL = 1e-12
 _MONODROMY_ATOL = 1e-14
 _JUMP_STEP = 1e-4        # diagonal_jump_error's difference step, in omega units
+_SCAN_POINTS = 17        # per axis of each extremum-scan level
+_SCAN_LEVELS = 5         # each level cuts the scan's shortfall ~60-fold
 
 
 class ResonanceError(RuntimeError):
@@ -78,7 +85,6 @@ class GreensFunction:
     source: str
     p_fn: object = field(repr=False)
     l_fn: object = field(repr=False)
-    _branch_eval: object = field(repr=False)
     _factors: object = field(repr=False)
 
     def kernel(self, t, s, branch: str = "auto"):
@@ -89,7 +95,7 @@ class GreensFunction:
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        return self._branch_eval(t, s, branch)
+        return _evaluate(self._factors, t, s, branch)
 
     def solve_linear(self, h, return_derivative: bool = False):
         """Periodic response u(t_i) = int_0^omega G(t_i, s) h(s) ds.
@@ -140,95 +146,50 @@ class GreensFunction:
 
 
 # ---------------------------------------------------------------------------
-# extremum refinement on the kernel square
+# kernel values and their extremes
 
 
-def _quadratic_fit_candidate(vals3: np.ndarray, sign: float):
-    """Stationary point of a quadratic fitted to a 3x3 patch, cell units.
+def _evaluate(factors, t, s, branch: str = "auto"):
+    """(G, dG/dt) on the outer product of the arrays t and s from the rank-2
+    factors; branch as in GreensFunction.kernel."""
+    U, dU, V_lo, V_up = factors(t, s)
+    if branch == "lower":
+        return U @ V_lo.T, dU @ V_lo.T
+    if branch == "upper":
+        return U @ V_up.T, dU @ V_up.T
+    lower = t[:, None] >= s[None, :]
+    return (np.where(lower, U @ V_lo.T, U @ V_up.T),
+            np.where(lower, dU @ V_lo.T, dU @ V_up.T))
 
-    Returns (dx, dy) within [-1.5, 1.5]^2 when the fit is usable for the
-    requested extremum (sign = +1 for a maximum of vals, -1 for a minimum),
-    else None.
+
+def _slope(tau, G, Gt):
+    """|dG/dt| with both one-sided slopes competing on the diagonal tau = 0,
+    where G and Gt hold the lower branch and the unit jump puts the upper
+    branch's slope at Gt - 1."""
+    return np.where(tau == 0.0, np.maximum(np.abs(Gt), np.abs(Gt - 1.0)),
+                    np.abs(Gt))
+
+
+# the surfaces whose maxima are -g_min, g_max and gt_max
+_SURFACES = (lambda tau, G, Gt: -G, lambda tau, G, Gt: G, _slope)
+
+
+def _scan_max(factors, surface, omega, tc, sc, width):
+    """Largest value of the surface near (tc, sc).
+
+    Each level scans a _SCAN_POINTS^2 window of half-width `width`, clipped
+    to the square, then recentres on its argmax at 1/8 the width.
     """
-    xs, ys = np.meshgrid([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], indexing="ij")
-    A = np.column_stack([np.ones(9), xs.ravel(), ys.ravel(),
-                         xs.ravel() ** 2, xs.ravel() * ys.ravel(),
-                         ys.ravel() ** 2])
-    c, *_ = np.linalg.lstsq(A, vals3.ravel(), rcond=None)
-    H = np.array([[2 * c[3], c[4]], [c[4], 2 * c[5]]])
-    det = H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0]
-    if det <= 1e-12 * (abs(H).max() ** 2 + 1e-300):
-        return None
-    if sign > 0 and H[0, 0] >= 0:
-        return None
-    if sign < 0 and H[0, 0] <= 0:
-        return None
-    try:
-        step = np.linalg.solve(H, -np.array([c[1], c[2]]))
-    except np.linalg.LinAlgError:
-        return None
-    if np.max(np.abs(step)) > 1.5:
-        return None
-    return step
-
-
-def _refine_value_extremum(be, tgrid, G, i, j, sign):
-    """Polish an extreme kernel value near grid cell (i, j).
-
-    A quadratic fit over the 3x3 neighbourhood is tried first; a two-level
-    local subgrid scan backs it up, which also covers ridge-shaped kernels
-    where the fit degenerates.  Returns the refined value (sign = +1 max,
-    -1 min); never worse than the grid value.
-    """
-    omega = tgrid[-1]
-    step = tgrid[1] - tgrid[0]
-    best = sign * G[i, j]
-
-    if 1 <= i <= len(tgrid) - 2 and 1 <= j <= len(tgrid) - 2:
-        patch = G[i - 1:i + 2, j - 1:j + 2]
-        cand = _quadratic_fit_candidate(patch, sign)
-        if cand is not None:
-            tt = np.array([min(max(tgrid[i] + cand[0] * step, 0.0), omega)])
-            ss = np.array([min(max(tgrid[j] + cand[1] * step, 0.0), omega)])
-            Gv, _ = be(tt, ss, "auto")
-            best = max(best, sign * Gv[0, 0])
-
-    tc, sc, width = tgrid[i], tgrid[j], step
-    for _ in range(2):
-        ts = np.linspace(max(0.0, tc - width), min(omega, tc + width), 17)
-        ss = np.linspace(max(0.0, sc - width), min(omega, sc + width), 17)
-        Gv, _ = be(ts, ss, "auto")
-        flat = np.argmax(sign * Gv)
-        ii, jj = np.unravel_index(flat, Gv.shape)
-        val = sign * Gv[ii, jj]
-        if val > best:
-            best = val
-        tc, sc = ts[ii], ss[jj]
-        width /= 8.0
-    return sign * best
-
-
-def _refine_slope_maximum(factors, tgrid, tc, sc, width):
-    """Largest |dG/dt| near (tc, sc), honouring the diagonal one-sidedly.
-
-    Both branch surfaces are scanned on their own closed half of the local
-    window, so the two one-sided diagonal slopes each compete.
-    """
-    omega = tgrid[-1]
     best = -np.inf
-    for _ in range(2):
-        ts = np.linspace(max(0.0, tc - width), min(omega, tc + width), 17)
-        ss = np.linspace(max(0.0, sc - width), min(omega, sc + width), 17)
-        lower_ok = ts[:, None] >= ss[None, :]
-        _, dU, V_lo, V_up = factors(ts, ss)
-        cand = np.maximum(np.where(lower_ok, np.abs(dU @ V_lo.T), -np.inf),
-                          np.where(~lower_ok | (ts[:, None] == ss[None, :]),
-                                   np.abs(dU @ V_up.T), -np.inf))
-        flat = np.argmax(cand)
-        ii, jj = np.unravel_index(flat, cand.shape)
-        if cand[ii, jj] > best:
-            best = float(cand[ii, jj])
-        tc, sc = ts[ii], ss[jj]
+    for _ in range(_SCAN_LEVELS):
+        ts = np.linspace(max(0.0, tc - width), min(omega, tc + width),
+                         _SCAN_POINTS)
+        ss = np.linspace(max(0.0, sc - width), min(omega, sc + width),
+                         _SCAN_POINTS)
+        vals = surface(ts[:, None] - ss[None, :], *_evaluate(factors, ts, ss))
+        i, j = np.unravel_index(np.argmax(vals), vals.shape)
+        best = max(best, float(vals[i, j]))
+        tc, sc = ts[i], ss[j]
         width /= 8.0
     return best
 
@@ -240,35 +201,29 @@ def _periodic_images(i, j, n):
     return [(a, b) for a in alt(i) for b in alt(j)]
 
 
-def _grid_constants(be, factors, tgrid, G, Gt, gt_analytic=None):
-    n = len(tgrid) - 1
-    imin, jmin = np.unravel_index(np.argmin(G), G.shape)
-    imax, jmax = np.unravel_index(np.argmax(G), G.shape)
-    g_min = _refine_value_extremum(be, tgrid, G, imin, jmin, -1.0)
-    g_max = _refine_value_extremum(be, tgrid, G, imax, jmax, +1.0)
-
-    if gt_analytic is not None:
-        gt_max = gt_analytic
-    else:
-        # seeds: the grid argmax of |Gt| and of the upper-branch diagonal
-        # slope |Gt - 1|; an argmax in a corner may stand for a maximum
-        # just inside the opposite corner
-        i, j = np.unravel_index(np.argmax(np.abs(Gt)), Gt.shape)
-        k = int(np.argmax(np.abs(np.diagonal(Gt) - 1.0)))
-        seeds = dict.fromkeys(_periodic_images(i, j, n)
-                              + _periodic_images(k, k, n))
-        step = tgrid[1] - tgrid[0]
-        gt_max = max(_refine_slope_maximum(factors, tgrid, tgrid[a], tgrid[b],
-                                           step) for a, b in seeds)
-    return g_min, g_max, gt_max
+def _scanned_extremes(factors, tgrid, G, Gt):
+    """(g_min, g_max, gt_max) of a numeric kernel.  Each surface is scanned
+    from its grid argmax and that cell's periodic images, so the constants
+    are estimates, not enclosures."""
+    omega, n, step = tgrid[-1], len(tgrid) - 1, tgrid[1] - tgrid[0]
+    tau = tgrid[:, None] - tgrid[None, :]
+    found = []
+    for surface in _SURFACES:
+        vals = surface(tau, G, Gt)
+        i, j = np.unravel_index(np.argmax(vals), vals.shape)
+        found.append(max(_scan_max(factors, surface, omega, tgrid[a],
+                                   tgrid[b], step)
+                         for a, b in _periodic_images(i, j, n)))
+    return -found[0], found[1], found[2]
 
 
-def _assemble(omega, n, be, factors, source, p_fn, l_fn, positive=None,
-              gt_analytic=None) -> GreensFunction:
+def _assemble(omega, n, factors, source, p_fn, l_fn, positive=None,
+              extremes=None) -> GreensFunction:
     tgrid = np.linspace(0.0, omega, n + 1)
-    G, Gt = be(tgrid, tgrid, "auto")
-    g_min, g_max, gt_max = _grid_constants(be, factors, tgrid, G, Gt,
-                                           gt_analytic)
+    G, Gt = _evaluate(factors, tgrid, tgrid)
+    if extremes is None:
+        extremes = _scanned_extremes(factors, tgrid, G, Gt)
+    g_min, g_max, gt_max = extremes
     if positive is None:
         positive = bool(G.min() > 0.0 and g_min > 0.0)
     sigma = g_min / (g_max + gt_max)
@@ -277,7 +232,7 @@ def _assemble(omega, n, be, factors, source, p_fn, l_fn, positive=None,
                           g_max=g_max, g_min=g_min, gt_max=gt_max,
                           sigma=sigma, delta=delta, positive=positive,
                           source=source, p_fn=p_fn, l_fn=l_fn,
-                          _branch_eval=be, _factors=factors)
+                          _factors=factors)
 
 
 # ---------------------------------------------------------------------------
@@ -297,19 +252,7 @@ def closed_form_constant(xi: float, omega: float, n: int = DEFAULT_GRID
             "problem admits a periodic solution and the kernel is undefined")
     den = 2.0 * xi * s_half
 
-    def be(tarr, sarr, branch):
-        tau = tarr[:, None] - sarr[None, :]
-        if branch == "lower":
-            arg = xi * (tau - 0.5 * omega)
-        elif branch == "upper":
-            arg = xi * (tau + 0.5 * omega)
-        else:
-            arg = xi * np.where(tau >= 0.0, tau - 0.5 * omega,
-                                tau + 0.5 * omega)
-        return np.cos(arg) / den, -xi * np.sin(arg) / den
-
-    # cos(xi (t - s -+ omega/2)) expanded by the addition theorem; be keeps
-    # the direct cosines, which the kernel constants are computed from
+    # cos(xi (t - s -+ omega/2)) expanded by the addition theorem
     def factors(tarr, sarr):
         ct, st = np.cos(xi * tarr), np.sin(xi * tarr)
         lo = xi * (sarr + 0.5 * omega)
@@ -319,17 +262,19 @@ def closed_form_constant(xi: float, omega: float, n: int = DEFAULT_GRID
                 np.column_stack((np.cos(lo), np.sin(lo))),
                 np.column_stack((np.cos(up), np.sin(up))))
 
-    # |dG/dt| = |sin(u)| / (2 |sin(xi omega/2)|) with u running exactly over
-    # [-xi omega/2, xi omega/2] on each closed branch: the maximisation is
-    # one-dimensional and analytic.
+    # On each closed branch the cosine's argument u runs exactly over
+    # [-xi omega/2, xi omega/2], so G = cos(u)/den and |dG/dt| =
+    # |sin(u)|/(2 |sin(xi omega/2)|) have their extremes in closed form.
+    cos_low = math.cos(half_angle) if half_angle <= math.pi else -1.0
+    ends = (cos_low / den, 1.0 / den)
     peak = math.sin(half_angle) if half_angle <= 0.5 * math.pi else 1.0
-    gt_analytic = abs(peak) / (2.0 * abs(s_half))
+    gt_max = abs(peak) / (2.0 * abs(s_half))
 
     p_fn = lambda t: np.zeros_like(np.asarray(t, dtype=float))
     l_fn = lambda t: np.full_like(np.asarray(t, dtype=float), xi * xi)
-    return _assemble(omega, n, be, factors, "closed-form", p_fn, l_fn,
+    return _assemble(omega, n, factors, "closed-form", p_fn, l_fn,
                      positive=bool(xi < math.pi / omega),
-                     gt_analytic=gt_analytic)
+                     extremes=(min(ends), max(ends), gt_max))
 
 
 # ---------------------------------------------------------------------------
@@ -389,18 +334,7 @@ def numeric_periodic_green(p, l, omega: float, n: int = DEFAULT_GRID
         col[:, 1] = Ps[:, 0, 0] / det
         return Pt[:, 0, :], Pt[:, 1, :], col @ B_low.T, col @ B_up.T
 
-    def be(tarr, sarr, branch):
-        rows1, rows2, v_low, v_up = factors(tarr, sarr)
-        if branch == "lower":
-            return rows1 @ v_low.T, rows2 @ v_low.T
-        if branch == "upper":
-            return rows1 @ v_up.T, rows2 @ v_up.T
-        mask = tarr[:, None] >= sarr[None, :]
-        G = np.where(mask, rows1 @ v_low.T, rows1 @ v_up.T)
-        Gt = np.where(mask, rows2 @ v_low.T, rows2 @ v_up.T)
-        return G, Gt
-
-    return _assemble(omega, n, be, factors, "numeric", p, l)
+    return _assemble(omega, n, factors, "numeric", p, l)
 
 
 def kernel_for(p: PeriodicCoeff, l: PeriodicCoeff, omega: float,
@@ -460,8 +394,8 @@ def diagonal_jump_error(gf: GreensFunction, s_values) -> np.ndarray:
         sa = np.array([s])
         up_nodes = np.array([s - 2 * h, s - h, s])
         lo_nodes = np.array([s, s + h, s + 2 * h])
-        Gu, _ = gf._branch_eval(up_nodes, sa, "upper")
-        Gl, _ = gf._branch_eval(lo_nodes, sa, "lower")
+        Gu, _ = _evaluate(gf._factors, up_nodes, sa, "upper")
+        Gl, _ = _evaluate(gf._factors, lo_nodes, sa, "lower")
         slope_minus = (3 * Gu[2, 0] - 4 * Gu[1, 0] + Gu[0, 0]) / (2 * h)
         slope_plus = (-3 * Gl[0, 0] + 4 * Gl[1, 0] - Gl[2, 0]) / (2 * h)
         out[idx] = abs((slope_plus - slope_minus) - 1.0)

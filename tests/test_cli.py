@@ -62,6 +62,18 @@ rho1 = 3/2
 rho2 = 3/2
 """
 
+# q = -1 makes the kernel negative everywhere (the solve-failure family)
+NON_POSITIVE = """\
+omega = 0.05
+p = 0
+q = -1
+b = 0
+c = 9
+e = 3
+rho1 = 3/2
+rho2 = 1
+"""
+
 
 @pytest.fixture(autouse=True)
 def _isolated_out(tmp_path, monkeypatch):
@@ -160,6 +172,27 @@ def test_greens_and_check_choose_the_same_kernel(tmp_path, capsys):
     assert "source = numeric" in capsys.readouterr().out
     cli.main(["check", str(f)])
     assert "kernel: numeric" in capsys.readouterr().out
+
+
+def test_cone_ratios_of_a_non_positive_kernel_print_na(tmp_path, capsys):
+    """sigma and delta mean nothing for a kernel that is not positive: the
+    text outputs say n/a, the JSON and CSV keep the numbers."""
+    f = tmp_path / "nonpos.problem"
+    f.write_text(NON_POSITIVE)
+    assert cli.main(["check", str(f)]) == 1
+    report = capsys.readouterr().out
+    assert "positive: no" in report
+    assert "[computed] gt_max = " in report
+    assert "sigma = n/a  delta = n/a" in report
+    doc = json.loads((tmp_path / "nonpos.certificate.json").read_text())
+    assert isinstance(doc["computed"]["constants"]["sigma"], float)
+    assert cli.main(["greens", str(f), "--n", "20"]) == 0
+    out = capsys.readouterr().out
+    assert "positive = False" in out
+    assert "sigma = n/a\ndelta = n/a\n" in out
+    header = (tmp_path / "nonpos.greens.csv").read_text().split("t,s,G,Gt")[0]
+    assert "n/a" not in header
+    assert "# sigma = 1.06" in header
 
 
 def test_greens_resonant_exit_1(tmp_path, capsys):

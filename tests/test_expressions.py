@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import OMEGA, pc
-from periorbit import PeriodicCoeff, parse_expression
+from periorbit import PeriodicCoeff, expressions, parse_expression
 from periorbit.expressions import (
     Add,
     Const,
@@ -328,6 +328,18 @@ def test_extrema_cached_on_the_coefficient(monkeypatch):
     monkeypatch.setattr(PeriodicCoeff, "__call__",
                         lambda self, t: calls.append(t))
     assert coeff.extrema() is first
+    assert calls == []
+
+
+def test_mean_positive_part_cached_on_the_coefficient(monkeypatch):
+    coeff = pc("1+2*cos(3*t)")
+    first = coeff.mean_positive_part()
+    calls = []
+    monkeypatch.setattr(expressions, "integrate_adaptive",
+                        lambda *args: calls.append(args))
+    monkeypatch.setattr(PeriodicCoeff, "__call__",
+                        lambda self, t: calls.append(t))
+    assert coeff.mean_positive_part() == first
     assert calls == []
 
 

@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import OMEGA, pc
 from periorbit import parse_problem_text
@@ -94,6 +96,80 @@ def test_slope_maximum_near_the_far_corner():
     assert max(gt.values()) - min(gt.values()) <= 1e-8 * gt[200]
 
 
+def _dense_extremes(gf):
+    """Oracle for (g_min, g_max, gt_max): both branches on an 801^2 grid,
+    then, around each of the 10 best cells of each surface, 8 levels of
+    65^2 points, each 1/16 the width of the last and recentred on its best
+    point."""
+    def surfaces(t, s):
+        (G_lo, Gt_lo), (G_up, Gt_up) = (gf.kernel(t, s, branch=b)
+                                        for b in ("lower", "upper"))
+        tau = t[:, None] - s[None, :]
+        both = lambda lo, up: np.maximum(np.where(tau >= 0.0, lo, -np.inf),
+                                         np.where(tau <= 0.0, up, -np.inf))
+        return (both(-G_lo, -G_up), both(G_lo, G_up),
+                both(np.abs(Gt_lo), np.abs(Gt_up)))
+
+    omega = gf.omega
+    grid = np.linspace(0.0, omega, 801)
+    best = []
+    for k, surface in enumerate(surfaces(grid, grid)):
+        top = surface.max()
+        for flat in np.argsort(surface, axis=None)[-10:]:
+            i, j = np.unravel_index(flat, surface.shape)
+            tc, sc, width = grid[i], grid[j], grid[1]
+            for _ in range(8):
+                ts = np.linspace(max(0.0, tc - width), min(omega, tc + width), 65)
+                ss = np.linspace(max(0.0, sc - width), min(omega, sc + width), 65)
+                vals = surfaces(ts, ss)[k]
+                a, b = np.unravel_index(np.argmax(vals), vals.shape)
+                top = max(top, vals[a, b])
+                tc, sc, width = ts[a], ss[b], width / 16.0
+        best.append(float(top))
+    return -best[0], best[1], best[2]
+
+
+def test_numeric_constants_against_dense_oracle():
+    """A generated text whose numeric-kernel constants a two-level scan got
+    wrong on the unsafe side: g_min 3.9e-10 high, gt_max 2.5e-9 low."""
+    spec = parse_problem_text(
+        "omega = 2*pi/3\n"
+        "p = 0.0528 + 0.028*cos(3*t)\n"
+        "q = 0.0302 + 0.0098*sin(3*t)\n"
+        "b = 1.4617 + 0.1767*cos(3*t)\n"
+        "c = 1.0929*exp(1.3484*sin(3*t))\n"
+        "e = 9.7496 + 1.1534*cos(3*t)\n"
+        "rho1 = 1.5654\n"
+        "rho2 = 1.5654\n").spec
+    gf = kernel_for(spec.p, spec.q.scaled(1.0 / alpha_exponent(spec.rho1)),
+                    spec.omega)
+    assert gf.source == "numeric"
+    g_min, g_max, gt_max = _dense_extremes(gf)
+    assert gf.g_min <= g_min * (1.0 + 1e-13)
+    assert gf.g_max >= g_max * (1.0 - 1e-13)
+    assert gf.gt_max >= gt_max * (1.0 - 1e-13)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(omega=st.floats(0.5, 5.0), half=st.floats(0.01, 6.0))
+def test_closed_form_constants_match_dense_cosine_scan(omega, half):
+    """The analytic constants against a direct-cosine scan of both branches,
+    for half angles xi omega/2 on both sides of pi/2 (the positivity edge
+    xi = pi/omega) and past pi, at least 1e-6 from resonance at pi."""
+    assume(abs(half - math.pi) >= 1e-6)
+    xi = 2.0 * half / omega
+    gf = closed_form_constant(xi, omega, n=8)
+    den = 2.0 * xi * math.sin(half)
+    tau = np.linspace(0.0, omega, 1_000_001)
+    args = np.concatenate([xi * (tau - 0.5 * omega),
+                           xi * (tau - omega + 0.5 * omega)])
+    G, Gt = np.cos(args) / den, -xi * np.sin(args) / den
+    scale = 1.0 / abs(den)
+    assert gf.g_max == pytest.approx(G.max(), rel=1e-9, abs=1e-12 * scale)
+    assert gf.g_min == pytest.approx(G.min(), rel=1e-9, abs=1e-12 * scale)
+    assert gf.gt_max == pytest.approx(np.abs(Gt).max(), rel=1e-9)
+
+
 def test_kernel_positive_on_dense_grid(gf_closed):
     ts = np.linspace(0.0, OMEGA, 301)
     G, _ = gf_closed.kernel(ts, ts)
@@ -133,18 +209,55 @@ def test_defining_properties(which, gf_closed, gf_numeric):
     assert float(np.max(diagonal_jump_error(gf, s_vals))) <= 1e-4
 
 
+P_VARYING, L_VARYING = "1/5+1/10*sin(3*t)", "4/5+3/10*cos(3*t)"
+
+
+def _direct_kernel(which, t, s, branch):
+    """(G, dG/dt) on the outer product of t and s from the defining formulas,
+    without the rank-2 factors: the two-branch cosine for the closed form,
+    and rows 1 and 2, column 2 of Phi(t) B Phi(s)^-1, with the fundamental
+    matrix Phi integrated by scipy, for the numeric kernels."""
+    tau = t[:, None] - s[None, :]
+    shift = -0.5 * OMEGA if branch == "lower" else 0.5 * OMEGA
+    if which == "closed":
+        den = 2.0 * XI * math.sin(0.5 * XI * OMEGA)
+        arg = XI * (tau + shift)
+        return np.cos(arg) / den, -XI * np.sin(arg) / den
+    from scipy.integrate import solve_ivp
+
+    p, l = ((pc("0"), pc(repr(XI * XI))) if which == "numeric"
+            else (pc(P_VARYING), pc(L_VARYING)))
+
+    def f(u, y):
+        Y = y.reshape(2, 2)
+        return np.concatenate([Y[1], -l(u) * Y[0] - p(u) * Y[1]])
+
+    grid = np.union1d(np.union1d(t, s), [OMEGA])
+    sol = solve_ivp(f, (0.0, OMEGA), np.eye(2).ravel(), method="DOP853",
+                    t_eval=grid, rtol=1e-12, atol=1e-14)
+    phi = dict(zip(grid, sol.y.T.reshape(-1, 2, 2)))
+    B = np.linalg.inv(np.eye(2) - phi[OMEGA])
+    if branch == "upper":
+        B = B - np.eye(2)
+    K = np.array([[phi[a] @ B @ np.linalg.inv(phi[b]) for b in s]
+                  for a in t])
+    return K[..., 0, 1], K[..., 1, 1]
+
+
 @pytest.mark.parametrize("which", ["closed", "numeric", "varying"])
 def test_factors_reproduce_both_branches(gf_closed, gf_numeric, gf_varying,
                                          which):
     gf = {"closed": gf_closed, "numeric": gf_numeric,
           "varying": gf_varying}[which]
+    tol = 1e-13 if which == "closed" else 1e-10
     t = np.linspace(0.0, OMEGA, 37)
     s = np.linspace(0.0, OMEGA, 23)
     U, dU, V_lo, V_up = gf._factors(t, s)
     for branch, V in (("lower", V_lo), ("upper", V_up)):
-        G, Gt = gf.kernel(t, s, branch=branch)
-        assert np.max(np.abs(U @ V.T - G)) <= 1e-13 * np.max(np.abs(G))
-        assert np.max(np.abs(dU @ V.T - Gt)) <= 1e-13 * np.max(np.abs(Gt))
+        G, Gt = _direct_kernel(which, t, s, branch)
+        assert np.max(np.abs(U @ V.T - G)) <= tol * np.max(np.abs(G))
+        assert np.max(np.abs(dU @ V.T - Gt)) <= tol * np.max(np.abs(Gt))
+        assert np.array_equal(gf.kernel(t, s, branch=branch)[0], U @ V.T)
 
 
 def test_solve_linear_constant_forcing(gf_closed):
@@ -164,7 +277,7 @@ def test_solve_linear_superposition(gf_closed):
 
 @pytest.fixture(scope="module")
 def gf_varying():
-    return numeric_periodic_green(pc("1/5+1/10*sin(3*t)"), pc("4/5+3/10*cos(3*t)"), OMEGA)
+    return numeric_periodic_green(pc(P_VARYING), pc(L_VARYING), OMEGA)
 
 
 def test_varying_coefficients_properties(gf_varying):
