@@ -7,7 +7,8 @@ rather than error-controlled, and step underflow raises IntegrationBlowUp
 carrying the last valid state.
 
 The systems integrated here are small (the 2-dimensional shooting system,
-the 4-dimensional fundamental matrix), where numpy's per-call overhead on
+the 6-dimensional shooting system with its variational equations, the
+4-dimensional fundamental matrix), where numpy's per-call overhead on
 tiny arrays costs more than the arithmetic.  So the step loop runs on plain
 Python floats, with the seven stages written out; numpy appears only at the
 boundary, in IvpResult.y, IntegrationBlowUp.y and the dense coefficients.
@@ -80,20 +81,39 @@ class DenseSolution:
     widths: np.ndarray         # (nsteps,)
     coef: np.ndarray           # (nsteps, 5, dim)
 
-    def __call__(self, t):
-        scalar = np.ndim(t) == 0
-        tq = np.atleast_1d(np.asarray(t, dtype=float))
+    def __post_init__(self):
         lo, hi = min(self.t0, self.t1), max(self.t0, self.t1)
-        if np.any(tq < lo - 1e-12 * (hi - lo + 1.0)) or \
-                np.any(tq > hi + 1e-12 * (hi - lo + 1.0)):
+        slack = 1e-12 * (hi - lo + 1.0)
+        self._span = (lo - slack, hi + slack)
+        # searching the inner edges gives each query its step index,
+        # already clamped to [0, nsteps - 1]
+        self._inner = self.lefts[1:]
+
+    def __call__(self, t):
+        tq = np.asarray(t, dtype=float)
+        scalar = tq.ndim == 0
+        if scalar:
+            tq = tq.reshape(1)
+        lo, hi = self._span
+        if tq.size and (tq.min() < lo or tq.max() > hi):
             raise ValueError("dense evaluation outside the integrated span")
-        idx = np.searchsorted(self.lefts, tq, side="right") - 1
-        idx = np.clip(idx, 0, len(self.lefts) - 1)
-        theta = (tq - self.lefts[idx]) / self.widths[idx]
-        theta = np.clip(theta, 0.0, 1.0)[:, None]
-        c = self.coef[idx]
+        idx = np.searchsorted(self._inner, tq, side="right")
+        theta = tq - self.lefts[idx]
+        theta /= self.widths[idx]
+        np.maximum(theta, 0.0, out=theta)
+        np.minimum(theta, 1.0, out=theta)
+        theta = theta[:, None]
         one = 1.0 - theta
-        out = c[:, 0] + theta * (c[:, 1] + one * (c[:, 2] + theta * (c[:, 3] + one * c[:, 4])))
+        c = self.coef[idx]
+        # c0 + theta (c1 + one (c2 + theta (c3 + one c4))), in place
+        out = one * c[:, 4]
+        out += c[:, 3]
+        out *= theta
+        out += c[:, 2]
+        out *= one
+        out += c[:, 1]
+        out *= theta
+        out += c[:, 0]
         return out[0] if scalar else out
 
 
@@ -159,7 +179,8 @@ def _stages(f, guard, t, h, y, k1):
 
 def solve_ivp_dp(f, t0: float, y0, t1: float, rtol: float = 1e-10,
                  atol: float = 1e-12, guard=None, dense: bool = False,
-                 max_step: float = np.inf) -> IvpResult:
+                 max_step: float = np.inf,
+                 norm_dims: int | None = None) -> IvpResult:
     """Integrate y' = f(t, y) from t0 to t1 (t1 > t0).
 
     f(t, y) gets the state as a list of floats and returns a sequence of
@@ -167,6 +188,12 @@ def solve_ivp_dp(f, t0: float, y0, t1: float, rtol: float = 1e-10,
     when the state is inadmissible.  f is only ever called on states that
     passed the guard, so it may safely evaluate inverse powers of
     components the guard keeps positive.
+
+    The error norm runs over the first norm_dims components (default:
+    all).  Components past them ride along uncontrolled: when they do not
+    feed back into the leading ones, as a variational system does not,
+    the leading components and the step sequence are those of the leading
+    system integrated alone, bit for bit.
     """
     if t1 == t0:
         y = np.asarray(y0, dtype=float).copy()
@@ -180,6 +207,10 @@ def solve_ivp_dp(f, t0: float, y0, t1: float, rtol: float = 1e-10,
         raise ValueError("backward integration is not supported")
     y = np.asarray(y0, dtype=float).tolist()
     n = len(y)
+    m = n if norm_dims is None else norm_dims
+    if not 0 < m <= n:
+        raise ValueError(f"norm_dims must lie in [1, {n}], not {norm_dims}")
+    controlled = range(m)
     if guard is None:
         guard = _never
     elif guard(y):
@@ -215,13 +246,13 @@ def solve_ivp_dp(f, t0: float, y0, t1: float, rtol: float = 1e-10,
         nfev += 6
 
         err = 0.0
-        for a, b, p1, p3, p4, p5, p6, p7 in zip(y, y_new, k1, k3, k4, k5,
-                                                k6, k7):
+        for _, a, b, p1, p3, p4, p5, p6, p7 in zip(controlled, y, y_new, k1,
+                                                   k3, k4, k5, k6, k7):
             r = (h * (_E1 * p1 + _E3 * p3 + _E4 * p4 + _E5 * p5 + _E6 * p6
                       + _E7 * p7)
                  / (atol + rtol * max(abs(a), abs(b))))
             err += r * r
-        err = math.sqrt(err / n)
+        err = math.sqrt(err / m)
 
         if err <= 1.0:
             if dense:

@@ -3,10 +3,15 @@
 A periodic solution of the singular equation is a fixed point of the flow
 map over one period.  The solver integrates the equation with an adaptive
 embedded Runge-Kutta pair protected by a positivity guard (the right-hand
-side is never evaluated at or below the singularity floor), applies damped
-Newton iteration with a finite-difference 2x2 Jacobian to the return-map
-defect, and packages the converged trajectory together with positivity,
-periodicity and plug-in residual diagnostics.
+side is never evaluated at or below the singularity floor), and applies
+damped Newton iteration to the return-map defect F(s) = flow(s) - s.  The
+Jacobian of F is M - I, where the monodromy matrix M is the fundamental
+matrix of the variational equations, integrated in the same shot as the
+state: a Newton step costs one such shot plus the plain shots of its line
+search, which backtracks by safeguarded quadratic interpolation on |F|^2.
+The converged trajectory is packaged together with its Floquet
+multipliers (the eigenvalues of M) and positivity, periodicity and
+plug-in residual diagnostics.
 
 The cone-operator route is kept independent: apply_T evaluates the kernel
 integral operator whose fixed points are the periodic solutions of the
@@ -17,7 +22,7 @@ operator formulation without sharing any machinery with the integrator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,8 +38,18 @@ _SHOOT_RTOL = 1e-12          # return-map integrations run tighter than the
 _SHOOT_ATOL_FLOOR = 1e-14    # Newton tolerance so map jitter stays below it
 _START_FACTORS = (1.0, 0.5, 0.75, 1.5, 2.0)
 _MAX_NEWTON = 50
-_MAX_HALVINGS = 20
+_MAX_HALVINGS = 20           # line-search candidates per Newton step
 _MAX_STAGNANT = 5
+# each backtrack shrinks the step length into [0.1, 0.5] of the last one
+_SHRINK_MIN, _SHRINK_MAX = 0.1, 0.5
+
+# why a start stopped, as NoConvergenceError.stops lists them
+STOP_FLOOR = "start below the guard floor"
+STOP_SHOT = "failed shot"
+STOP_SINGULAR = "singular Jacobian"
+STOP_LINE_SEARCH = "no admissible line-search point"
+STOP_STAGNANT = "stagnation"
+STOP_CAP = "Newton cap"
 
 
 class SingularityError(RuntimeError):
@@ -42,16 +57,17 @@ class SingularityError(RuntimeError):
 
 
 class NoConvergenceError(RuntimeError):
-    """Every start failed; carries the smallest return-map defect reached
-    and the work spent: shots integrated and Newton steps taken, summed
-    over all starts."""
+    """Every start failed; carries the smallest return-map defect reached,
+    the work spent (shots integrated and Newton steps taken, summed over
+    all starts) and, in stops, why each start stopped, in start order."""
 
     def __init__(self, message: str, best_residual: float, shots: int = 0,
-                 newton_steps: int = 0):
+                 newton_steps: int = 0, stops: tuple = ()):
         super().__init__(message)
         self.best_residual = best_residual
         self.shots = shots
         self.newton_steps = newton_steps
+        self.stops = stops
 
 
 @dataclass(frozen=True)
@@ -77,8 +93,11 @@ class Orbit:
     newton_steps: int
     start_factor: float
     tol: float
+    multipliers: tuple[complex, complex]  # Floquet: eigenvalues of M
+    det_M_minus_I: float              # det of the Newton Jacobian M - I
 
     def summary(self) -> dict:
+        m1, m2 = self.multipliers
         return {
             "x0": self.initial.x,
             "v0": self.initial.v,
@@ -91,6 +110,11 @@ class Orbit:
             "newton_steps": self.newton_steps,
             "start_factor": self.start_factor,
             "tol": self.tol,
+            "multiplier1_re": m1.real,
+            "multiplier1_im": m1.imag,
+            "multiplier2_re": m2.real,
+            "multiplier2_im": m2.imag,
+            "det_M_minus_I": self.det_M_minus_I,
         }
 
 
@@ -111,30 +135,50 @@ def guard_floor(spec: ProblemSpec) -> float:
     return 1e-6 * _amplitude_scale(spec)
 
 
-def _vector_field(spec: ProblemSpec):
+def _vector_field(spec: ProblemSpec, variational: bool = False):
     """f(t, (x, v)) -> (x', v') of the first-order system on floats, built
-    on the coefficients' compiled scalar functions."""
+    on the coefficients' compiled scalar functions.
+
+    variational=True gives the 6-dimensional field of (x, v) together with
+    its fundamental matrix Phi = ((u, w), (u', w')), stored row-major
+    after x and v: Phi' = ((0, 1), (f_x, -p)) Phi, where
+    f_x = -q + (m1 b x^m1 + m2 c x^m2) / x is the x-derivative of the
+    force.  Its (x', v') are the plain field's, operation for operation.
+    """
     p, q, b, c, e = (compiled(k.expr) for k in
                      (spec.p, spec.q, spec.b, spec.c, spec.e))
     m1, m2 = -spec.rho1, -spec.rho2
 
-    def f(t, y):
-        x, v = y
-        return v, (-p(t) * v - q(t) * x + b(t) * x ** m1
-                   + c(t) * x ** m2 + e(t))
+    if not variational:
+        def f(t, y):
+            x, v = y
+            return v, (-p(t) * v - q(t) * x + b(t) * x ** m1
+                       + c(t) * x ** m2 + e(t))
 
-    return f
+        return f
+
+    def f_var(t, y):
+        x, v, u, w, du, dw = y
+        pt, qt = p(t), q(t)
+        bx = b(t) * x ** m1
+        cx = c(t) * x ** m2
+        fx = (m1 * bx + m2 * cx) / x - qt
+        return (v, -pt * v - qt * x + bx + cx + e(t),
+                du, dw, fx * u - pt * du, fx * w - pt * dw)
+
+    return f_var
 
 
 class _Flow:
-    """The vector field, guard and tolerance rule for repeated shots of one
-    problem; counts the shots made."""
+    """The vector fields, guard and tolerance rule for repeated shots of
+    one problem; counts the shots made."""
 
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
         self.eps_min = guard_floor(spec)
         self.scale = _amplitude_scale(spec)
         self.f = _vector_field(spec)
+        self.f_var = _vector_field(spec, variational=True)
         self.shots = 0
         eps_min = self.eps_min
 
@@ -144,23 +188,29 @@ class _Flow:
         self.guard = guard
 
     def shoot(self, x0: float, v0: float, t0: float, t1: float,
-              rtol: float, dense: bool = False):
+              rtol: float, dense: bool = False, jacobian: bool = False):
         """Integrate from (x0, v0) at t0 to t1.  The absolute tolerance is
         two orders below rtol, floored at _SHOOT_ATOL_FLOOR, in units of
-        1 + the amplitude scale."""
+        1 + the amplitude scale.
+
+        jacobian=True also carries the fundamental matrix from Phi(t0) = I
+        as state components 2..5.  The error norm covers (x, v) alone, so
+        the shot's (x, v) and steps equal the plain shot's bit for bit."""
         self.shots += 1
         atol = max(_SHOOT_ATOL_FLOOR, rtol * 1e-2) * (1.0 + self.scale)
+        if jacobian:
+            return solve_ivp_dp(self.f_var, t0, (x0, v0, 1.0, 0.0, 0.0, 1.0),
+                                t1, rtol=rtol, atol=atol, guard=self.guard,
+                                dense=dense, norm_dims=2)
         return solve_ivp_dp(self.f, t0, (x0, v0), t1, rtol=rtol, atol=atol,
                             guard=self.guard, dense=dense)
 
-    def sample(self, x0: float, v0: float, t0: float, t1: float,
-               rtol: float, samples: int) -> SampledPath:
-        """A dense shot from (x0, v0) at t0 to t1, sampled on a uniform
-        grid of the given size."""
-        res = self.shoot(x0, v0, t0, t1, rtol=rtol, dense=True)
-        tgrid = np.linspace(t0, t1, samples)
-        vals = res.dense(tgrid)
-        return SampledPath(tgrid, vals[:, 0], vals[:, 1])
+
+def _sampled(res, t0: float, t1: float, samples: int) -> SampledPath:
+    """(x, v) of a dense shot on a uniform grid of the given size."""
+    tgrid = np.linspace(t0, t1, samples)
+    vals = res.dense(tgrid)
+    return SampledPath(tgrid, vals[:, 0], vals[:, 1])
 
 
 def integrate(spec: ProblemSpec, x0: float, v0: float, t0: float = 0.0,
@@ -174,21 +224,90 @@ def integrate(spec: ProblemSpec, x0: float, v0: float, t0: float = 0.0,
         raise ValueError("t1 must not precede t0")
     if t1 == t0:
         return SampledPath(np.array([t0]), np.array([x0]), np.array([v0]))
-    return _Flow(spec).sample(x0, v0, t0, t1, tol, samples)
+    res = _Flow(spec).shoot(x0, v0, t0, t1, rtol=tol, dense=True)
+    return _sampled(res, t0, t1, samples)
 
 
-def _return_defect(flow: _Flow, omega: float,
-                   s: np.ndarray) -> np.ndarray | None:
-    """F(s) = flow_omega(s) - s, or None when the shot fails (guard floor
-    hit or state not finite)."""
+def _return_map(flow: _Flow, x: float, v: float, jacobian: bool = False):
+    """(F0, F1, M): the defect F = flow_omega(s) - s at s = (x, v), as
+    floats, and with jacobian the monodromy matrix M = Phi(omega) as a
+    row-major list (else empty).  None when the shot fails: guard floor
+    hit or a defect that is not finite."""
     try:
-        res = flow.shoot(s[0], s[1], 0.0, omega, rtol=_SHOOT_RTOL)
+        res = flow.shoot(x, v, 0.0, flow.spec.omega, rtol=_SHOOT_RTOL,
+                         jacobian=jacobian)
     except IntegrationBlowUp:
         return None
-    out = res.y - s
-    if not np.all(np.isfinite(out)):
+    end = res.y.tolist()
+    F0, F1 = end[0] - x, end[1] - v
+    if not (math.isfinite(F0) and math.isfinite(F1)):
         return None
-    return out
+    return F0, F1, end[2:]
+
+
+def _next_lambda(lam: float, ratio: float) -> float:
+    """The backtracked step length after a rejected one, lam, whose |F|
+    was ratio >= 1 times the current one: the minimiser of the quadratic
+    phi(l) = phi0 (1 - 2 l) + a l^2 through phi(lam), with phi = |F|^2
+    and slope -2 phi0 at 0 (that of an exact Newton direction), kept in
+    [0.1, 0.5] lam (Dennis and Schnabel, Algorithm A6.3.1)."""
+    lam_q = lam * lam / (ratio * ratio - 1.0 + 2.0 * lam)
+    return min(max(lam_q, _SHRINK_MIN * lam), _SHRINK_MAX * lam)
+
+
+def _newton(flow: _Flow, x: float, v: float, tol: float):
+    """Damped Newton iteration from (x, v).  Returns
+    (x, v, |F|, steps, best |F|, stop): stop is None when |F| <= tol,
+    else the reason the start was given up."""
+    shot = _return_map(flow, x, v, jacobian=True)
+    if shot is None:
+        return x, v, math.inf, 0, math.inf, STOP_SHOT
+    F0, F1, M = shot
+    fn = best = math.hypot(F0, F1)
+    steps = stagnant = 0
+    while fn > tol:
+        if steps == _MAX_NEWTON:
+            return x, v, fn, steps, best, STOP_CAP
+        if M is None:
+            shot = _return_map(flow, x, v, jacobian=True)
+            if shot is None:
+                return x, v, fn, steps, best, STOP_SHOT
+            M = shot[2]
+        # solve (M - I) d = -F by Cramer's rule
+        j00, j01, j10, j11 = M[0] - 1.0, M[1], M[2], M[3] - 1.0
+        det = j00 * j11 - j01 * j10
+        if det == 0.0:
+            return x, v, fn, steps, best, STOP_SINGULAR
+        d0 = (j01 * F1 - j11 * F0) / det
+        d1 = (j10 * F0 - j00 * F1) / det
+        if not (math.isfinite(d0) and math.isfinite(d1)):
+            return x, v, fn, steps, best, STOP_SINGULAR
+
+        lam = 1.0
+        accepted = last = None
+        for _ in range(_MAX_HALVINGS):
+            cx, cv = x + lam * d0, v + lam * d1
+            cand = (_return_map(flow, cx, cv) if cx > flow.eps_min
+                    else None)
+            if cand is None:
+                lam *= 0.5
+                continue
+            fc = math.hypot(cand[0], cand[1])
+            last = (cx, cv, cand[0], cand[1], fc)
+            if fc < fn:
+                accepted = last
+                break
+            lam = _next_lambda(lam, fc / fn)
+        steps += 1
+        if last is None:
+            return x, v, fn, steps, best, STOP_LINE_SEARCH
+        x, v, F0, F1, fn = last
+        M = None
+        best = min(best, fn)
+        stagnant = 0 if accepted else stagnant + 1
+        if stagnant == _MAX_STAGNANT:
+            return x, v, fn, steps, best, STOP_STAGNANT
+    return x, v, fn, steps, best, None
 
 
 def find_periodic(spec: ProblemSpec, guess: State | None = None,
@@ -197,98 +316,68 @@ def find_periodic(spec: ProblemSpec, guess: State | None = None,
 
     The default initial point balances the periodic means (x = mean e /
     mean q, v = 0); on failure the x-guess is rescaled through a fixed
-    factor ladder.  Each Newton step uses a forward-difference Jacobian
-    and a halving line search on |F|; five consecutive non-decreasing
-    steps abandon the current start.
+    factor ladder.  Each Newton step takes its Jacobian M - I from one
+    shot that integrates the variational equations with the state, solves
+    the 2x2 system by Cramer's rule, and backtracks along the step until
+    |F| strictly decreases, each new step length minimising a quadratic
+    model of |F|^2.  Five consecutive steps without a decrease abandon the
+    current start.
     """
     flow = _Flow(spec)
-    omega = spec.omega
     if guess is None:
         guess = State(t=0.0, x=flow.scale, v=0.0)
+    starts = [guess.x * f for f in _START_FACTORS]
     best = math.inf
-    attempted = 0
     newton_steps = 0
+    stops = []
 
-    for factor in _START_FACTORS:
-        s = np.array([guess.x * factor, guess.v])
-        if not (s[0] > flow.eps_min):
+    for factor, x0 in zip(_START_FACTORS, starts):
+        if not (x0 > flow.eps_min):
+            stops.append(STOP_FLOOR)
             continue
-        attempted += 1
-        F = _return_defect(flow, omega, s)
-        if F is None:
-            continue
-        stagnant = 0
-        steps = 0
-        while steps < _MAX_NEWTON:
-            fn = float(np.hypot(F[0], F[1]))
-            best = min(best, fn)
-            if fn <= tol:
-                return _package(spec, flow, s, fn, steps, factor, tol)
-            J = np.empty((2, 2))
-            ok = True
-            for j in range(2):
-                h = 1e-6 * (1.0 + abs(s[j]))
-                sp = s.copy()
-                sp[j] += h
-                Fp = _return_defect(flow, omega, sp)
-                if Fp is None:
-                    ok = False
-                    break
-                J[:, j] = (Fp - F) / h
-            if not ok:
-                break
-            try:
-                d = np.linalg.solve(J, -F)
-            except np.linalg.LinAlgError:
-                break
-            if not np.all(np.isfinite(d)):
-                break
-
-            lam = 1.0
-            accepted = None
-            last_eval = None
-            for _ in range(_MAX_HALVINGS):
-                cand = s + lam * d
-                Fc = (None if not (cand[0] > flow.eps_min)
-                      else _return_defect(flow, omega, cand))
-                if Fc is not None:
-                    last_eval = (cand, Fc)
-                    if float(np.hypot(Fc[0], Fc[1])) < fn:
-                        accepted = (cand, Fc)
-                        break
-                lam *= 0.5
-            steps += 1
-            if accepted is not None:
-                s, F = accepted
-                stagnant = 0
-            elif last_eval is not None:
-                s, F = last_eval
-                stagnant += 1
-                if stagnant >= _MAX_STAGNANT:
-                    break
-            else:
-                break
+        x, v, fn, steps, reached, stop = _newton(flow, x0, guess.v, tol)
+        if stop is None:
+            return _package(spec, flow, x, v, fn, steps, factor, tol)
+        best = min(best, reached)
         newton_steps += steps
-        # fall through to the next start factor
+        stops.append(stop)
 
-    if attempted == 0:
+    if all(stop == STOP_FLOOR for stop in stops):
         raise SingularityError(
-            f"every starting point {[guess.x * f for f in _START_FACTORS]} "
-            f"lies at or below the positivity floor {flow.eps_min:.6g}")
+            f"every starting point {starts} lies at or below the "
+            f"positivity floor {flow.eps_min:.6g}")
+    reasons = "; ".join(f"{x0:.6g}: {stop}"
+                        for x0, stop in zip(starts, stops))
     raise NoConvergenceError(
-        f"no periodic orbit found after trying starts "
-        f"{[guess.x * f for f in _START_FACTORS]} (best residual "
-        f"{best:.3e}, tol {tol:.3e}; {flow.shots} shots, {newton_steps} "
-        f"Newton steps)", best, flow.shots, newton_steps)
+        f"no periodic orbit found after trying starts {starts} (best "
+        f"residual {best:.3e}, tol {tol:.3e}; {flow.shots} shots, "
+        f"{newton_steps} Newton steps; stops: {reasons})",
+        best, flow.shots, newton_steps, tuple(stops))
 
 
-def _package(spec: ProblemSpec, flow: _Flow, s: np.ndarray, fn: float,
+def _floquet(M) -> tuple[complex, complex]:
+    """Eigenvalues of the row-major 2x2 matrix M, the larger-modulus one
+    first; their product is det M."""
+    half = 0.5 * (M[0] + M[3])
+    det = M[0] * M[3] - M[1] * M[2]
+    disc = half * half - det
+    if disc < 0.0:
+        root = math.sqrt(-disc)
+        return complex(half, root), complex(half, -root)
+    big = half + math.copysign(math.sqrt(disc), half)
+    return complex(big), complex(det / big if big else 0.0)
+
+
+def _package(spec: ProblemSpec, flow: _Flow, x: float, v: float, fn: float,
              steps: int, factor: float, tol: float) -> Orbit:
-    path = flow.sample(s[0], s[1], 0.0, spec.omega, _SHOOT_RTOL, PATH_SAMPLES)
+    res = flow.shoot(x, v, 0.0, spec.omega, _SHOOT_RTOL, dense=True,
+                     jacobian=True)
+    path = _sampled(res, 0.0, spec.omega, PATH_SAMPLES)
+    M = res.y[2:].tolist()
     alpha = alpha_exponent(spec.rho1)
     y_path = x_from_y(path, 1.0 / alpha)
     return Orbit(
-        initial=State(t=0.0, x=float(s[0]), v=float(s[1])),
+        initial=State(t=0.0, x=x, v=v),
         path=path,
         y_path=y_path,
         omega=spec.omega,
@@ -300,6 +389,8 @@ def _package(spec: ProblemSpec, flow: _Flow, s: np.ndarray, fn: float,
         newton_steps=steps,
         start_factor=factor,
         tol=tol,
+        multipliers=_floquet(M),
+        det_M_minus_I=(M[0] - 1.0) * (M[3] - 1.0) - M[1] * M[2],
     )
 
 

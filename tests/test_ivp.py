@@ -45,6 +45,82 @@ def test_dense_output_rejects_out_of_span():
         res.dense(-0.5)
 
 
+def _reference_dense(sol, t):
+    """The dense evaluation as first written: two range checks, a clipped
+    step index, a clipped theta and one expression for the quartic."""
+    scalar = np.ndim(t) == 0
+    tq = np.atleast_1d(np.asarray(t, dtype=float))
+    lo, hi = min(sol.t0, sol.t1), max(sol.t0, sol.t1)
+    if np.any(tq < lo - 1e-12 * (hi - lo + 1.0)) or \
+            np.any(tq > hi + 1e-12 * (hi - lo + 1.0)):
+        raise ValueError("dense evaluation outside the integrated span")
+    idx = np.searchsorted(sol.lefts, tq, side="right") - 1
+    idx = np.clip(idx, 0, len(sol.lefts) - 1)
+    theta = (tq - sol.lefts[idx]) / sol.widths[idx]
+    theta = np.clip(theta, 0.0, 1.0)[:, None]
+    c = sol.coef[idx]
+    one = 1.0 - theta
+    out = c[:, 0] + theta * (c[:, 1] + one * (c[:, 2] + theta * (
+        c[:, 3] + one * c[:, 4])))
+    return out[0] if scalar else out
+
+
+def test_dense_call_matches_reference_formula():
+    """Random, endpoint, step-boundary and just-outside-but-tolerated
+    queries give the reference formula's values bit for bit."""
+    rng = np.random.default_rng(7)
+    res = solve_ivp_dp(lambda t, y: (y[2], y[3], -y[0], -y[1]), 0.5,
+                       [1.0, 0.0, 0.0, 1.0], 3.0, rtol=1e-9, dense=True)
+    sol = res.dense
+    edges = np.concatenate([sol.lefts, sol.lefts + sol.widths])
+    slack = 0.5e-12 * (2.5 + 1.0)
+    queries = [
+        rng.uniform(0.5, 3.0, 500),
+        np.array([0.5, 3.0, 0.5 - slack, 3.0 + slack]),
+        edges,
+        np.nextafter(edges, -np.inf).clip(0.5, 3.0),
+        np.nextafter(edges, np.inf).clip(0.5, 3.0),
+        np.array([]),
+    ]
+    for tq in queries:
+        mine = sol(tq)
+        assert mine.shape == (tq.size, 4)
+        assert np.array_equal(mine, _reference_dense(sol, tq))
+    for t in (0.5, 3.0, float(sol.lefts[3]), 1.2345):
+        assert np.array_equal(sol(t), _reference_dense(sol, t))
+    for bad in (0.5 - 4 * slack, 3.0 + 4 * slack):
+        with pytest.raises(ValueError):
+            sol(np.array([1.0, bad]))
+        with pytest.raises(ValueError):
+            _reference_dense(sol, np.array([1.0, bad]))
+
+
+def test_error_norm_over_leading_components():
+    """Components past norm_dims ride along: a variational system adds
+    them without moving the leading state or the steps."""
+    def f(t, y):
+        return (y[1], -math.sin(y[0]))
+
+    def f_var(t, y):
+        x, v, u, w, du, dw = y
+        fx = -math.cos(x)
+        return (v, -math.sin(x), du, dw, fx * u, fx * w)
+
+    plain = solve_ivp_dp(f, 0.0, [1.0, 0.0], 7.0, rtol=1e-10, atol=1e-12)
+    var = solve_ivp_dp(f_var, 0.0, [1.0, 0.0, 1.0, 0.0, 0.0, 1.0], 7.0,
+                       rtol=1e-10, atol=1e-12, norm_dims=2)
+    assert var.y[:2].tolist() == plain.y.tolist()
+    assert (var.nsteps, var.nfev, var.rejected) == (plain.nsteps, plain.nfev,
+                                                    plain.rejected)
+    # a flow of a Hamiltonian system preserves area: det Phi = 1
+    u, w, du, dw = var.y[2:]
+    assert u * dw - w * du == pytest.approx(1.0, abs=1e-8)
+    for bad in (0, 7):
+        with pytest.raises(ValueError, match="norm_dims"):
+            solve_ivp_dp(f_var, 0.0, [1.0, 0.0, 1.0, 0.0, 0.0, 1.0], 1.0,
+                         norm_dims=bad)
+
+
 def test_against_scipy_reference():
     """Cross-check a driven damped pendulum against an independent solver."""
     from scipy.integrate import solve_ivp as scipy_solve

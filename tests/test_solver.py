@@ -16,13 +16,18 @@ from periorbit import (
     SingularityError,
     State,
     find_periodic,
+    parse_problem_text,
 )
 from periorbit.greens import closed_form_constant, numeric_periodic_green
 from periorbit.ivp import IntegrationBlowUp
 from periorbit.solver import (
     _MAX_NEWTON,
+    _SHOOT_RTOL,
     _START_FACTORS,
+    STOP_FLOOR,
+    STOP_LINE_SEARCH,
     _Flow,
+    _return_map,
     _vector_field,
     apply_T,
     cone_check,
@@ -32,6 +37,46 @@ from periorbit.solver import (
 from periorbit.transform import PositivityError, SampledPath, to_y_equation
 
 XBAR = (3.0 + math.sqrt(13.0)) / 2.0  # positive root of x^2 - 3x - 1 = 0
+
+# A generated family text with varying p and q: its kernel is numeric and
+# its orbit's multipliers have product exp(-0.0528 omega).
+NUMERIC_P_TEXT = ("omega = 2*pi/3\n"
+                  "p = 0.0528 + 0.028*cos(3*t)\n"
+                  "q = 0.0302 + 0.0098*sin(3*t)\n"
+                  "b = 1.4617 + 0.1767*cos(3*t)\n"
+                  "c = 1.0929*exp(1.3484*sin(3*t))\n"
+                  "e = 9.7496 + 1.1534*cos(3*t)\n"
+                  "rho1 = 1.5654\n"
+                  "rho2 = 1.5654\n")
+P_MEAN = 0.0528
+
+
+@pytest.fixture(scope="module")
+def spec_numeric_p():
+    return parse_problem_text(NUMERIC_P_TEXT).spec
+
+
+def _no_orbit_spec(om=0.3):
+    """x'' = x + 1/x + 1 has no periodic solution: v strictly increases by
+    at least 3 omega per period."""
+    return ProblemSpec(p=pc("0", om), q=pc("-1", om), b=pc("0", om),
+                       c=pc("1", om), e=pc("1", om),
+                       rho1=1.0, rho2=1.0, omega=om)
+
+
+def _counting_shots(monkeypatch):
+    """Count every integration the solver makes, at the name it calls."""
+    import periorbit.solver as solver
+
+    integrations = []
+    integrate_dp = solver.solve_ivp_dp
+
+    def counted(*args, **kwargs):
+        integrations.append(None)
+        return integrate_dp(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_ivp_dp", counted)
+    return integrations
 
 
 def test_rhs_frozen_oracle(spec41):
@@ -121,7 +166,9 @@ def test_orbit_structure(spec41, orbit41):
     s = o.summary()
     assert set(s) == {"x0", "v0", "omega", "periodicity_residual",
                       "ode_residual", "ode_residual_y", "min_x", "norm_y",
-                      "newton_steps", "start_factor", "tol"}
+                      "newton_steps", "start_factor", "tol",
+                      "multiplier1_re", "multiplier1_im", "multiplier2_re",
+                      "multiplier2_im", "det_M_minus_I"}
 
 
 def test_orbit_initial_values_frozen(orbit41, orbit42, orbit43):
@@ -340,30 +387,128 @@ def test_find_periodic_rejects_subfloor_starts(spec41):
 
 
 def test_find_periodic_reports_no_convergence(monkeypatch):
-    """x'' = x + 1/x + 1 has no periodic solution (v strictly increases by
-    at least 3 omega per period), so every start must fail with the best
-    residual reported, together with the shots and Newton steps spent."""
-    import periorbit.solver as solver
-
+    """Every start on a text without orbit must fail with the best
+    residual reported, together with the shots and Newton steps spent and
+    why each start stopped."""
     om = 0.3
-    spec = ProblemSpec(p=pc("0", om), q=pc("-1", om), b=pc("0", om),
-                       c=pc("1", om), e=pc("1", om),
-                       rho1=1.0, rho2=1.0, omega=om)
-    integrations = []
-    integrate_dp = solver.solve_ivp_dp
-
-    def counted(*args, **kwargs):
-        integrations.append(None)
-        return integrate_dp(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "solve_ivp_dp", counted)
+    integrations = _counting_shots(monkeypatch)
     with pytest.raises(NoConvergenceError) as exc:
-        find_periodic(spec, tol=1e-8)
+        find_periodic(_no_orbit_spec(om), tol=1e-8)
     err = exc.value
     assert err.best_residual >= 3.0 * om - 1e-9
     assert err.shots == len(integrations) > 0
-    # every start that reaches Newton takes at least one step, each step
-    # costs two Jacobian shots and at least one line-search shot
     assert 0 < err.newton_steps <= len(_START_FACTORS) * _MAX_NEWTON
-    assert err.shots >= 3 * err.newton_steps
+    # every start reaches the minimum of |F|, which is not a root: there
+    # the Newton step explodes and no candidate along it is admissible
+    assert err.stops == (STOP_LINE_SEARCH,) * len(_START_FACTORS)
+    # every start reaches Newton with one Jacobian shot, and each step
+    # shoots at least one line-search candidate
+    assert err.shots >= err.newton_steps + len(_START_FACTORS)
     assert f"{err.shots} shots, {err.newton_steps} Newton steps" in str(err)
+    assert str(err).count(STOP_LINE_SEARCH) == len(_START_FACTORS)
+
+
+def test_no_convergence_names_a_subfloor_start(monkeypatch):
+    """A start below the guard floor is reported as such among the
+    others; only when every start is below it does the search raise
+    SingularityError."""
+    spec = _no_orbit_spec()
+    floor = guard_floor(spec)
+    # factor 0.5 puts the second start below the floor, the others above
+    with pytest.raises(NoConvergenceError) as exc:
+        find_periodic(spec, guess=State(t=0.0, x=1.5 * floor, v=0.0))
+    stops = exc.value.stops
+    assert len(stops) == len(_START_FACTORS)
+    assert [i for i, stop in enumerate(stops) if stop == STOP_FLOOR] == [1]
+    assert STOP_FLOOR in str(exc.value)
+
+
+def test_shot_budget(monkeypatch, spec41, spec42, spec43):
+    """One Jacobian shot per start, one line-search shot per accepted full
+    step and the packaging shot: three shots for the bundled instances,
+    and a bounded failure on a text without orbit."""
+    integrations = _counting_shots(monkeypatch)
+    for spec in (spec41, spec42, spec43):
+        integrations.clear()
+        orbit = find_periodic(spec, tol=1e-8)
+        assert orbit.newton_steps == 1
+        assert len(integrations) <= 4
+    integrations.clear()
+    with pytest.raises(NoConvergenceError):
+        find_periodic(_no_orbit_spec(), tol=1e-8)
+    assert len(integrations) <= 1000
+
+
+def _scipy_return_map(spec, x, v):
+    """(x, v)(omega) by scipy's DOP853 on the coefficients' own calls."""
+    from scipy.integrate import solve_ivp
+
+    def f(t, y):
+        return [y[1], (-spec.p(t) * y[1] - spec.q(t) * y[0]
+                       + spec.b(t) * y[0] ** -spec.rho1
+                       + spec.c(t) * y[0] ** -spec.rho2 + spec.e(t))]
+
+    res = solve_ivp(f, (0.0, spec.omega), [x, v], method="DOP853",
+                    rtol=1e-12, atol=1e-12)
+    assert res.success
+    return res.y[:, -1]
+
+
+@pytest.mark.parametrize("which", ["example41", "numeric-p"])
+def test_jacobian_against_central_differences(which, spec41,
+                                              spec_numeric_p):
+    """M - I from the variational equations matches central differences
+    of an independent return map at the default start."""
+    spec = spec41 if which == "example41" else spec_numeric_p
+    flow = _Flow(spec)
+    x, v = flow.scale, 0.0
+    _, _, M = _return_map(flow, x, v, jacobian=True)
+    J = np.array(M).reshape(2, 2) - np.eye(2)
+    cols = []
+    for j in range(2):
+        h = 1e-3 * (1.0 + abs((x, v)[j]))
+        e = h * np.eye(2)[j]
+        plus = _scipy_return_map(spec, x + e[0], v + e[1])
+        minus = _scipy_return_map(spec, x - e[0], v - e[1])
+        cols.append((plus - minus) / (2.0 * h))
+    oracle = np.column_stack(cols) - np.eye(2)
+    assert np.max(np.abs(J - oracle)) <= 1e-6 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("which", ["example41", "numeric-p"])
+def test_jacobian_shot_keeps_the_plain_state(which, spec41, spec_numeric_p):
+    """The error norm leaves Phi out, so a shot that carries it takes the
+    plain shot's steps and ends in its state, bit for bit."""
+    spec = spec41 if which == "example41" else spec_numeric_p
+    flow = _Flow(spec)
+    plain = flow.shoot(flow.scale, 0.0, 0.0, spec.omega, _SHOOT_RTOL,
+                       dense=True)
+    var = flow.shoot(flow.scale, 0.0, 0.0, spec.omega, _SHOOT_RTOL,
+                     dense=True, jacobian=True)
+    assert var.y.shape == (6,)
+    assert var.y[:2].tolist() == plain.y.tolist()
+    counts = lambda r: (r.t, r.nsteps, r.nfev, r.rejected,
+                        r.guard_rejections)
+    assert counts(var) == counts(plain)
+    ts = np.linspace(0.0, spec.omega, 257)
+    assert np.array_equal(var.dense(ts)[:, :2], plain.dense(ts))
+
+
+def test_floquet_multipliers_obey_liouville(orbit41, orbit42, orbit43,
+                                            spec_numeric_p):
+    """det M = exp(-int_0^omega p): 1 for the bundled instances (p = 0),
+    exp(-0.0528 omega) for the numeric-p text."""
+    numeric = find_periodic(spec_numeric_p, tol=1e-8)
+    cases = [(o, 1.0) for o in (orbit41, orbit42, orbit43)]
+    cases.append((numeric, math.exp(-P_MEAN * spec_numeric_p.omega)))
+    for orbit, det in cases:
+        m1, m2 = orbit.multipliers
+        assert abs(m1 * m2 - det) <= 1e-8 * det
+        assert abs(m1) >= abs(m2)
+        assert orbit.det_M_minus_I == pytest.approx(
+            ((m1 - 1.0) * (m2 - 1.0)).real, rel=1e-12, abs=1e-14)
+        s = orbit.summary()
+        assert (s["multiplier1_re"], s["multiplier1_im"]) == (m1.real,
+                                                              m1.imag)
+        assert (s["multiplier2_re"], s["multiplier2_im"]) == (m2.real,
+                                                              m2.imag)
