@@ -578,6 +578,7 @@ class PeriodicCoeff:
         ts = np.linspace(0.0, self.omega, _EXTREMA_SAMPLES + 1)
         vals = self(ts)
         step = self.omega / _EXTREMA_SAMPLES
+        fn = compiled(self.expr)
 
         def refine(sign: float) -> tuple[float, float]:
             signed = sign * vals
@@ -585,9 +586,10 @@ class PeriodicCoeff:
             best_t = float(ts[order[0]])
             best_v = float(signed[order[0]])
             for idx in order:
-                lo = max(0.0, ts[idx] - step)
-                hi = min(self.omega, ts[idx] + step)
-                tm, vm = golden_min(lambda u: sign * float(self(float(u))),
+                seed = float(ts[idx])
+                lo = max(0.0, seed - step)
+                hi = min(self.omega, seed + step)
+                tm, vm = golden_min(lambda u: sign * float(fn(u)),
                                     lo, hi, tol=1e-12 * max(1.0, self.omega))
                 if vm < best_v:
                     best_t, best_v = tm, vm
@@ -616,33 +618,32 @@ class PeriodicCoeff:
         return self._kept("_mean_positive_part", self._integrate_positive_part)
 
     def _integrate_positive_part(self) -> float:
-        n = _EXTREMA_SAMPLES
-        ts = np.linspace(0.0, self.omega, n + 1)
+        ts = np.linspace(0.0, self.omega, _EXTREMA_SAMPLES + 1)
         vals = np.asarray(self(ts), dtype=float)
+        fn = compiled(self.expr)
         cuts = [0.0]
-        for i in range(n):
+        # cells whose ends have strictly opposite signs; a zero end gives a
+        # zero product and no cut
+        for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
             a, fa = ts[i], vals[i]
             b, fb = ts[i + 1], vals[i + 1]
-            if fa == 0.0:
-                continue
-            if fa * fb < 0.0:
-                for _ in range(80):
-                    m = 0.5 * (a + b)
-                    fm = float(self(m))
-                    if fm == 0.0 or (b - a) < 1e-14 * self.omega:
-                        a = b = m
-                        break
-                    if fa * fm < 0.0:
-                        b, fb = m, fm
-                    else:
-                        a, fa = m, fm
-                cuts.append(0.5 * (a + b))
+            for _ in range(80):
+                m = 0.5 * (a + b)
+                fm = float(fn(m))
+                if fm == 0.0 or (b - a) < 1e-14 * self.omega:
+                    a = b = m
+                    break
+                if fa * fm < 0.0:
+                    b, fb = m, fm
+                else:
+                    a, fa = m, fm
+            cuts.append(0.5 * (a + b))
         cuts.append(self.omega)
         total = 0.0
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             if hi - lo < 1e-14 * self.omega:
                 continue
-            if float(self(0.5 * (lo + hi))) > 0.0:
+            if float(fn(0.5 * (lo + hi))) > 0.0:
                 total += self.integrate(lo, hi)
         return max(total, 0.0) / self.omega
 

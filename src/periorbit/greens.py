@@ -470,17 +470,17 @@ def check_chu(p: PeriodicCoeff, l: PeriodicCoeff) -> CriterionVerdict:
     """Exponential-weight criterion with window integrals over one period.
 
     With varsigma(p)(t) = exp(int_0^t p) and
-    sigma1(p)(t) = varsigma(p)(omega) * int_0^t p(s) ds
+    sigma1(p)(t) = varsigma(p)(omega) * int_0^t varsigma(p)(s) ds
                    + int_t^omega varsigma(p)(s) ds,
     it requires int_0^omega l varsigma(p) sigma1(-p) >= 0, the windowed
     product sup_t int_t^{t+omega} varsigma(-p) * int_t^{t+omega}
     max(l, 0) varsigma(p) <= 4 (sup over a 512-point t-grid), and l not
     identically zero.
 
-    The first term of sigma1 integrates the coefficient itself, as the
-    criterion is printed; a plausible variant integrates its exponential
-    weight instead.  The printed form is applied verbatim and flagged here
-    rather than silently corrected.
+    Both terms of sigma1 integrate the exponential weight.  The form in
+    which the first term integrates the coefficient itself is unsound: it
+    holds for omega = 3, p = 1.268 + 0.031 cos(2 pi t/3),
+    l = -0.420 + 0.293 sin(2 pi t/3), whose kernel is negative throughout.
     """
     from .quadrature import cumulative_integral
 
@@ -500,8 +500,8 @@ def check_chu(p: PeriodicCoeff, l: PeriodicCoeff) -> CriterionVerdict:
         return out
 
     C_mp = cumtrapz(vs_mp)
-    # sigma1(-p) on [0, omega]: vs_mp(omega) * int_0^t(-p) + int_t^omega vs_mp
-    sig1_mp = vs_mp[half] * (-P[:half + 1]) + (C_mp[half] - C_mp[:half + 1])
+    # sigma1(-p) on [0, omega]: vs_mp(omega) int_0^t vs_mp + int_t^omega vs_mp
+    sig1_mp = vs_mp[half] * C_mp[:half + 1] + (C_mp[half] - C_mp[:half + 1])
     first = float(np.trapezoid(
         lv[:half + 1] * vs_p[:half + 1] * sig1_mp, dx=dt))
 
@@ -518,5 +518,5 @@ def check_chu(p: PeriodicCoeff, l: PeriodicCoeff) -> CriterionVerdict:
         criterion="CHU", holds=holds, applicable=True,
         quantities={"first_integral": first, "window_sup": window_sup,
                     "l_max_abs": l_scale},
-        notes="sigma1 weight applied as printed: its first term integrates "
-              "the coefficient itself, not its exponential weight")
+        notes="sigma1 weight: both terms integrate the exponential "
+              "weight varsigma(-p)")

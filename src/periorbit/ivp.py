@@ -9,8 +9,12 @@ carrying the last valid state.
 The systems integrated here are small (the 2-dimensional shooting system,
 the 6-dimensional shooting system with its variational equations, the
 4-dimensional fundamental matrix), where numpy's per-call overhead on
-tiny arrays costs more than the arithmetic.  So the step loop runs on plain
-Python floats, with the seven stages written out; numpy appears only at the
+tiny arrays costs more than the arithmetic, and so does building a Python
+list per stage.  So the step loop is generated per state dimension: its
+source writes every stage, error and dense-output expression out for each
+component, on scalar local floats.  It is compiled on the first
+integration of each (dimension, error-norm width, dense) and cached in
+_LOOPS; nothing is generated at import.  numpy appears only at the
 boundary, in IvpResult.y, IntegrationBlowUp.y and the dense coefficients.
 f(t, y) receives the state as a list of floats and may return any sequence
 of the same length; guard(y) receives a list of floats as well.
@@ -31,6 +35,7 @@ Sections II.4-5.
 
 from __future__ import annotations
 
+import linecache
 import math
 from array import array
 from dataclasses import dataclass
@@ -132,49 +137,137 @@ def _initial_step(span: float, max_step: float) -> float:
     return min(span / 100.0, max_step, span)
 
 
-class _Vetoed(Exception):
-    """The guard rejected a stage state after `calls` RHS evaluations."""
-
-    def __init__(self, calls: int):
-        self.calls = calls
-
-
 def _never(y) -> bool:
     return False
 
 
-def _stages(f, guard, t, h, y, k1):
-    """Slopes k2..k7 of one step from (t, y) with first slope k1, plus the
-    7th stage state, which is the 5th-order solution."""
-    y2 = [a + h * (_A21 * p1) for a, p1 in zip(y, k1)]
-    if guard(y2):
-        raise _Vetoed(0)
-    k2 = f(t + _C2 * h, y2)
-    y3 = [a + h * (_A31 * p1 + _A32 * p2) for a, p1, p2 in zip(y, k1, k2)]
-    if guard(y3):
-        raise _Vetoed(1)
-    k3 = f(t + _C3 * h, y3)
-    y4 = [a + h * (_A41 * p1 + _A42 * p2 + _A43 * p3)
-          for a, p1, p2, p3 in zip(y, k1, k2, k3)]
-    if guard(y4):
-        raise _Vetoed(2)
-    k4 = f(t + _C4 * h, y4)
-    y5 = [a + h * (_A51 * p1 + _A52 * p2 + _A53 * p3 + _A54 * p4)
-          for a, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)]
-    if guard(y5):
-        raise _Vetoed(3)
-    k5 = f(t + _C5 * h, y5)
-    y6 = [a + h * (_A61 * p1 + _A62 * p2 + _A63 * p3 + _A64 * p4 + _A65 * p5)
-          for a, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)]
-    if guard(y6):
-        raise _Vetoed(4)
-    k6 = f(t + h, y6)
-    y7 = [a + h * (_A71 * p1 + _A73 * p3 + _A74 * p4 + _A75 * p5 + _A76 * p6)
-          for a, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
-    if guard(y7):
-        raise _Vetoed(5)
-    k7 = f(t + h, y7)
-    return k2, k3, k4, k5, k6, k7, y7
+# ---------------------------------------------------------------------------
+# the step loop, generated per (n, m, dense): state dimension, number of
+# error-controlled components, dense output or not
+#
+# In the generated source a_i is the state, pj_i the j-th slope and yj_i
+# the j-th stage state of component i.  Each tableau expression keeps the
+# association order of the one-component formula, so states, steps and
+# counters do not depend on the dimension the loop was written for.  The
+# source is registered with linecache under the loop's filename, so
+# tracebacks and profiles through it show the generated lines.
+
+# per stage s = 2..7: the time of its slope and the weights A[s] of the
+# earlier slopes in its state (None for a zero entry)
+_STAGES = (
+    ("t + _C2 * h", ("_A21",)),
+    ("t + _C3 * h", ("_A31", "_A32")),
+    ("t + _C4 * h", ("_A41", "_A42", "_A43")),
+    ("t + _C5 * h", ("_A51", "_A52", "_A53", "_A54")),
+    ("t + h", ("_A61", "_A62", "_A63", "_A64", "_A65")),
+    ("t + h", ("_A71", None, "_A73", "_A74", "_A75", "_A76")),
+)
+_ERROR = ("_E1", None, "_E3", "_E4", "_E5", "_E6", "_E7")
+_DENSE = ("_D1", None, "_D3", "_D4", "_D5", "_D6", "_D7")
+
+_LOOPS: dict = {}  # (n, m, dense) -> compiled loop
+
+
+def _step_loop(n: int, m: int, dense: bool):
+    """The step loop for n components, the first m error-controlled."""
+    key = (n, m, dense)
+    loop = _LOOPS.get(key)
+    if loop is None:
+        filename = f"<dp5 loop n={n} m={m} dense={dense}>"
+        source = _loop_source(n, m, dense)
+        linecache.cache[filename] = (len(source), None,
+                                     source.splitlines(True), filename)
+        # the loop reads the tableau and IntegrationBlowUp from a copy of
+        # this module's namespace, and is taken out of it afterwards
+        names = dict(globals())
+        exec(compile(source, filename, "exec"), names)
+        loop = _LOOPS[key] = names.pop("_loop")
+    return loop
+
+
+def _loop_source(n: int, m: int, dense: bool) -> str:
+    comps = range(n)
+
+    def each(fmt: str) -> str:
+        """fmt filled in for every component, each followed by a comma, so
+        that one component still makes a tuple."""
+        return " ".join(fmt.format(i=i) + "," for i in comps)
+
+    def combo(weights, i: int) -> str:
+        return " + ".join(f"{w} * p{j}_{i}"
+                          for j, w in enumerate(weights, 1) if w)
+
+    state = each("a_{i}")
+    lines = [
+        "def _loop(f, guard, t, t1, h, hmin, max_step, rtol, atol, y, k1,",
+        "          lefts, widths, coefs):",
+        f"    {state} = y",
+        f"    {each('p1_{i}')} = k1",
+        "    nfev = 1",
+        "    nsteps = rejected = guard_rejections = 0",
+        "    while t < t1:",
+        "        h = min(h, t1 - t)",
+        "        if h < hmin:",
+        "            raise IntegrationBlowUp(",
+        "                f\"step size underflow near t = {t:.12g}\", t,",
+        f"                np.array([{state}]))",
+    ]
+    for s, (when, weights) in enumerate(_STAGES, 2):
+        lines += [f"        y{s}_{i} = a_{i} + h * ({combo(weights, i)})"
+                  for i in comps]
+        lines += [
+            f"        y = [{each(f'y{s}_{{i}}')}]",
+            "        if guard(y):",
+        ]
+        if s > 2:
+            lines.append(f"            nfev += {s - 2}")
+        lines += [
+            "            h *= 0.5",
+            "            guard_rejections += 1",
+            "            continue",
+            f"        {each(f'p{s}_{{i}}')} = f({when}, y)",
+        ]
+    lines.append("        nfev += 6")
+    for i in range(m):
+        lines += [
+            f"        r = (h * ({combo(_ERROR, i)})",
+            f"             / (atol + rtol * max(abs(a_{i}), abs(y7_{i}))))",
+            f"        err {'+' if i else ''}= r * r",
+        ]
+    lines += [
+        f"        err = math.sqrt(err / {m})",
+        "        if err <= 1.0:",
+    ]
+    if dense:
+        for i in comps:
+            lines += [
+                f"            dy_{i} = y7_{i} - a_{i}",
+                f"            r3_{i} = h * p1_{i} - dy_{i}",
+                f"            r4_{i} = dy_{i} - h * p7_{i} - r3_{i}",
+                f"            r5_{i} = h * ({combo(_DENSE, i)})",
+            ]
+        lines += [
+            "            coefs.extend((",
+            *(f"                {each(part + '_{i}')}"
+              for part in ("a", "dy", "r3", "r4", "r5")),
+            "            ))",
+            "            lefts.append(t)",
+            "            widths.append(h)",
+        ]
+    lines += [
+        "            t += h",
+        f"            {state} = {each('y7_{i}')}",
+        f"            {each('p1_{i}')} = {each('p7_{i}')}",
+        "            nsteps += 1",
+        "            factor = _MAX_FACTOR if err == 0.0 else min(",
+        "                _MAX_FACTOR, _SAFETY * err ** -0.2)",
+        "            h = min(h * max(factor, _MIN_FACTOR), max_step)",
+        "        else:",
+        "            rejected += 1",
+        "            h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)",
+        f"    return t, [{state}], nsteps, nfev, rejected, guard_rejections",
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def solve_ivp_dp(f, t0: float, y0, t1: float, rtol: float = 1e-10,
@@ -210,7 +303,6 @@ def solve_ivp_dp(f, t0: float, y0, t1: float, rtol: float = 1e-10,
     m = n if norm_dims is None else norm_dims
     if not 0 < m <= n:
         raise ValueError(f"norm_dims must lie in [1, {n}], not {norm_dims}")
-    controlled = range(m)
     if guard is None:
         guard = _never
     elif guard(y):
@@ -218,65 +310,16 @@ def solve_ivp_dp(f, t0: float, y0, t1: float, rtol: float = 1e-10,
                                 np.array(y))
 
     span = t1 - t0
-    hmin = 1e-14 * span
-    h = _initial_step(span, max_step)
-    t = t0
-    k1 = f(t, y)
+    k1 = f(t0, y)
     if len(k1) != n:
         raise ValueError(f"f returned {len(k1)} components for a state of "
                          f"{n}")
-    nfev = 1
-    nsteps = rejected = guard_rejections = 0
     # per accepted step: y, dy, r3, r4, r5, packed as C doubles
     lefts, widths, coefs = [], [], array("d")
-
-    while t < t1:
-        h = min(h, t1 - t)
-        if h < hmin:
-            raise IntegrationBlowUp(
-                f"step size underflow near t = {t:.12g}", t, np.array(y))
-
-        try:
-            k2, k3, k4, k5, k6, k7, y_new = _stages(f, guard, t, h, y, k1)
-        except _Vetoed as veto:
-            nfev += veto.calls
-            h *= 0.5
-            guard_rejections += 1
-            continue
-        nfev += 6
-
-        err = 0.0
-        for _, a, b, p1, p3, p4, p5, p6, p7 in zip(controlled, y, y_new, k1,
-                                                   k3, k4, k5, k6, k7):
-            r = (h * (_E1 * p1 + _E3 * p3 + _E4 * p4 + _E5 * p5 + _E6 * p6
-                      + _E7 * p7)
-                 / (atol + rtol * max(abs(a), abs(b))))
-            err += r * r
-        err = math.sqrt(err / m)
-
-        if err <= 1.0:
-            if dense:
-                dy = [b - a for a, b in zip(y, y_new)]
-                r3 = [h * p1 - d for p1, d in zip(k1, dy)]
-                r4 = [d - h * p7 - c for d, p7, c in zip(dy, k7, r3)]
-                r5 = [h * (_D1 * p1 + _D3 * p3 + _D4 * p4 + _D5 * p5
-                           + _D6 * p6 + _D7 * p7)
-                      for p1, p3, p4, p5, p6, p7 in zip(k1, k3, k4, k5, k6,
-                                                        k7)]
-                for part in (y, dy, r3, r4, r5):
-                    coefs.extend(part)
-                lefts.append(t)
-                widths.append(h)
-            t += h
-            y = y_new
-            k1 = k7
-            nsteps += 1
-            factor = _MAX_FACTOR if err == 0.0 else min(
-                _MAX_FACTOR, _SAFETY * err ** -0.2)
-            h = min(h * max(factor, _MIN_FACTOR), max_step)
-        else:
-            rejected += 1
-            h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+    loop = _step_loop(n, m, dense)
+    t, y, nsteps, nfev, rejected, guard_rejections = loop(
+        f, guard, t0, t1, _initial_step(span, max_step), 1e-14 * span,
+        max_step, rtol, atol, y, k1, lefts, widths, coefs)
 
     sol = None
     if dense:

@@ -7,6 +7,8 @@ difference passes a budget proportional to its length.  Smooth integrands
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -99,7 +101,7 @@ def golden_min(f, a: float, b: float, tol: float = 1e-12
     then still returns some local minimum inside it, which suits refinement
     around an already-located grid minimum.
     """
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = f(x1), f(x2)

@@ -412,3 +412,134 @@ def test_scaled_plus_derivative_methods():
     for t0 in (0.1, 0.9, 1.7):
         fd = (f(t0 + h) - f(t0 - h)) / (2.0 * h)
         assert d(t0) == pytest.approx(fd, rel=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# oracle: extrema and positive-part means as first written, refining and
+# bisecting through PeriodicCoeff.__call__ on numpy scalars, with the
+# golden-section search on numpy's sqrt.  The code on compiled floats must
+# give the same values bit for bit.
+
+
+def _old_golden_min(f, a, b, tol=1e-12):
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(200):
+        if (b - a) <= tol:
+            break
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = f(x2)
+    xm = 0.5 * (a + b)
+    fm = f(xm)
+    if f1 < fm:
+        xm, fm = x1, f1
+    if f2 < fm:
+        xm, fm = x2, f2
+    return xm, fm
+
+
+def _old_extrema(coeff):
+    ts = np.linspace(0.0, coeff.omega, 4097)
+    vals = coeff(ts)
+    step = coeff.omega / 4096
+
+    def refine(sign):
+        signed = sign * vals
+        order = np.argsort(signed)[:8]
+        best_t = float(ts[order[0]])
+        best_v = float(signed[order[0]])
+        for idx in order:
+            lo = max(0.0, ts[idx] - step)
+            hi = min(coeff.omega, ts[idx] + step)
+            tm, vm = _old_golden_min(
+                lambda u: sign * float(coeff(float(u))), lo, hi,
+                tol=1e-12 * max(1.0, coeff.omega))
+            if vm < best_v:
+                best_t, best_v = tm, vm
+        return best_t, sign * best_v
+
+    t_min, v_min = refine(1.0)
+    t_max, v_max = refine(-1.0)
+    return v_min, v_max, t_min, t_max
+
+
+def _old_mean_positive_part(coeff):
+    n = 4096
+    ts = np.linspace(0.0, coeff.omega, n + 1)
+    vals = np.asarray(coeff(ts), dtype=float)
+    cuts = [0.0]
+    for i in range(n):
+        a, fa = ts[i], vals[i]
+        b, fb = ts[i + 1], vals[i + 1]
+        if fa == 0.0:
+            continue
+        if fa * fb < 0.0:
+            for _ in range(80):
+                m = 0.5 * (a + b)
+                fm = float(coeff(m))
+                if fm == 0.0 or (b - a) < 1e-14 * coeff.omega:
+                    a = b = m
+                    break
+                if fa * fm < 0.0:
+                    b, fb = m, fm
+                else:
+                    a, fa = m, fm
+            cuts.append(0.5 * (a + b))
+    cuts.append(coeff.omega)
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if hi - lo < 1e-14 * coeff.omega:
+            continue
+        if float(coeff(0.5 * (lo + hi))) > 0.0:
+            total += coeff.integrate(lo, hi)
+    return max(total, 0.0) / coeff.omega
+
+
+def _generated_coefficients(monkeypatch):
+    """The coefficients of the family-solve and solve-failure benchmark
+    texts of two seeds and of example41-43, with their derivatives."""
+    from pathlib import Path
+
+    from periorbit import parse_problem_text
+
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "bench"))
+    import workloads
+
+    texts = [path.read_text() for path in
+             sorted((root / "src" / "periorbit" / "problems").glob("*.problem"))]
+    for seed in (41, 42):
+        for kind in (workloads.FamilySolve, workloads.SolveFailure):
+            texts += kind(seed, "", "").texts
+    coeffs = []
+    for text in texts:
+        spec = parse_problem_text(text).spec
+        for k in (spec.p, spec.q, spec.b, spec.c, spec.e):
+            coeffs += [k, k.derivative()]
+    return coeffs
+
+
+def test_coefficient_analysis_matches_list_oracle(monkeypatch):
+    coeffs = _generated_coefficients(monkeypatch)
+    changing = constant = 0
+    for k in coeffs:
+        old_pos = _old_mean_positive_part(k)
+        new_pos = k._integrate_positive_part()
+        assert struct.pack("<d", new_pos) == struct.pack("<d", old_pos)
+        ext = k._locate_extrema()
+        got = (ext.min_value, ext.max_value, ext.t_min, ext.t_max)
+        assert [struct.pack("<d", v) for v in got] == \
+            [struct.pack("<d", v) for v in _old_extrema(k)]
+        assert all(type(v) is float for v in got)
+        changing += ext.min_value < 0.0 < ext.max_value
+        constant += ext.min_value == ext.max_value
+    # sign-changing b of T3.3-II and derivatives; p = 0 and constant q
+    assert changing > 20 and constant > 20

@@ -393,8 +393,25 @@ def test_chu_on_worked_instance():
     v = check_chu(pc("0"), pc("1/16"))
     assert v.applicable is True
     assert v.holds is True
-    assert v.quantities["first_integral"] == pytest.approx(OMEGA**2 / 32.0, rel=1e-6)
+    # p = 0 makes both weights 1: sigma1(0)(t) = t + (omega - t) = omega
+    assert v.quantities["first_integral"] == pytest.approx(OMEGA**2 / 16.0, rel=1e-6)
     assert v.quantities["window_sup"] == pytest.approx(OMEGA**2 / 16.0, rel=1e-6)
+
+
+def test_chu_rejects_a_negative_kernel():
+    """On this instance the kernel is negative throughout.  The form of
+    sigma1 whose first term integrates -p itself gives a first integral of
+    +0.596 and would hold; integrating the weight varsigma(-p) gives
+    -0.968."""
+    omega = 3.0
+    p = pc("1.268 + 0.031*cos(2*pi*t/3)", omega)
+    l = pc("-0.420 + 0.293*sin(2*pi*t/3)", omega)
+    gf = numeric_periodic_green(p, l, omega, n=120)
+    assert gf.g_min == pytest.approx(-1.10, abs=5e-3)
+    assert gf.g_max < 0.0
+    v = check_chu(p, l)
+    assert v.holds is False
+    assert v.quantities["first_integral"] == pytest.approx(-0.968, abs=1e-3)
 
 
 def test_chu_fails_for_large_l():

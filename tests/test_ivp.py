@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import OMEGA, make_cheap_spec, make_example, pc
 from periorbit import ProblemSpec, find_periodic
+from periorbit.expressions import compiled
 from periorbit.ivp import DenseSolution, IntegrationBlowUp, IvpResult, solve_ivp_dp
 from periorbit.solver import _SHOOT_RTOL, _Flow
 
@@ -412,3 +415,317 @@ def test_state_and_slopes_are_floats_inside():
 def test_rhs_of_wrong_length_rejected():
     with pytest.raises(ValueError, match="components"):
         solve_ivp_dp(lambda t, y: (1.0,), 0.0, [1.0, 0.0], 1.0)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the float integrator as it was written over lists, one
+# comprehension per stage.  The generated per-dimension loop must reproduce
+# it bit for bit: states, step sequence, counters, dense coefficients and
+# the state carried by IntegrationBlowUp.
+
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
+                                49 / 176, -5103 / 18656)
+_A71, _A73, _A74, _A75, _A76 = (35 / 384, 500 / 1113, 125 / 192,
+                                -2187 / 6784, 11 / 84)
+_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
+                                -17253 / 339200, 22 / 525, -1 / 40)
+_D1, _D3, _D4, _D5, _D6, _D7 = (
+    -12715105075 / 11282082432, 87487479700 / 32700410799,
+    -10690763975 / 1880347072, 701980252875 / 199316789632,
+    -1453857185 / 822651844, 69997945 / 29380423)
+
+
+class _Vetoed(Exception):
+    def __init__(self, calls):
+        self.calls = calls
+
+
+def _list_stages(f, guard, t, h, y, k1):
+    y2 = [a + h * (_A21 * p1) for a, p1 in zip(y, k1)]
+    if guard(y2):
+        raise _Vetoed(0)
+    k2 = f(t + 1 / 5 * h, y2)
+    y3 = [a + h * (_A31 * p1 + _A32 * p2) for a, p1, p2 in zip(y, k1, k2)]
+    if guard(y3):
+        raise _Vetoed(1)
+    k3 = f(t + 3 / 10 * h, y3)
+    y4 = [a + h * (_A41 * p1 + _A42 * p2 + _A43 * p3)
+          for a, p1, p2, p3 in zip(y, k1, k2, k3)]
+    if guard(y4):
+        raise _Vetoed(2)
+    k4 = f(t + 4 / 5 * h, y4)
+    y5 = [a + h * (_A51 * p1 + _A52 * p2 + _A53 * p3 + _A54 * p4)
+          for a, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)]
+    if guard(y5):
+        raise _Vetoed(3)
+    k5 = f(t + 8 / 9 * h, y5)
+    y6 = [a + h * (_A61 * p1 + _A62 * p2 + _A63 * p3 + _A64 * p4 + _A65 * p5)
+          for a, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)]
+    if guard(y6):
+        raise _Vetoed(4)
+    k6 = f(t + h, y6)
+    y7 = [a + h * (_A71 * p1 + _A73 * p3 + _A74 * p4 + _A75 * p5 + _A76 * p6)
+          for a, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
+    if guard(y7):
+        raise _Vetoed(5)
+    k7 = f(t + h, y7)
+    return k2, k3, k4, k5, k6, k7, y7
+
+
+def _list_solve_ivp_dp(f, t0, y0, t1, rtol=1e-10, atol=1e-12, guard=None,
+                       dense=False, max_step=np.inf, norm_dims=None):
+    y = np.asarray(y0, dtype=float).tolist()
+    n = len(y)
+    m = n if norm_dims is None else norm_dims
+    controlled = range(m)
+    if guard is None:
+        guard = lambda y: False
+    elif guard(y):
+        raise IntegrationBlowUp("initial state violates the guard", t0,
+                                np.array(y))
+    span = t1 - t0
+    hmin = 1e-14 * span
+    h = min(span / 100.0, max_step, span)
+    t = t0
+    k1 = f(t, y)
+    nfev = 1
+    nsteps = rejected = guard_rejections = 0
+    lefts, widths, coefs = [], [], []
+    while t < t1:
+        h = min(h, t1 - t)
+        if h < hmin:
+            raise IntegrationBlowUp(
+                f"step size underflow near t = {t:.12g}", t, np.array(y))
+        try:
+            k2, k3, k4, k5, k6, k7, y_new = _list_stages(f, guard, t, h, y,
+                                                         k1)
+        except _Vetoed as veto:
+            nfev += veto.calls
+            h *= 0.5
+            guard_rejections += 1
+            continue
+        nfev += 6
+        err = 0.0
+        for _, a, b, p1, p3, p4, p5, p6, p7 in zip(controlled, y, y_new, k1,
+                                                   k3, k4, k5, k6, k7):
+            r = (h * (_E1 * p1 + _E3 * p3 + _E4 * p4 + _E5 * p5 + _E6 * p6
+                      + _E7 * p7)
+                 / (atol + rtol * max(abs(a), abs(b))))
+            err += r * r
+        err = math.sqrt(err / m)
+        if err <= 1.0:
+            if dense:
+                dy = [b - a for a, b in zip(y, y_new)]
+                r3 = [h * p1 - d for p1, d in zip(k1, dy)]
+                r4 = [d - h * p7 - c for d, p7, c in zip(dy, k7, r3)]
+                r5 = [h * (_D1 * p1 + _D3 * p3 + _D4 * p4 + _D5 * p5
+                           + _D6 * p6 + _D7 * p7)
+                      for p1, p3, p4, p5, p6, p7 in zip(k1, k3, k4, k5, k6,
+                                                        k7)]
+                for part in (y, dy, r3, r4, r5):
+                    coefs.extend(part)
+                lefts.append(t)
+                widths.append(h)
+            t += h
+            y = y_new
+            k1 = k7
+            nsteps += 1
+            factor = 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2)
+            h = min(h * max(factor, 0.2), max_step)
+        else:
+            rejected += 1
+            h *= max(0.2, 0.9 * err ** -0.2)
+    sol = None
+    if dense:
+        sol = DenseSolution(t0, t1, np.asarray(lefts), np.asarray(widths),
+                            np.array(coefs).reshape(nsteps, 5, n))
+    return IvpResult(t, np.array(y, dtype=float), sol, nsteps, nfev,
+                     rejected, guard_rejections)
+
+
+def _run(integrate, f, t0, y0, t1, make_guard=None, **kwargs):
+    """The result of one run, or the IntegrationBlowUp it raised."""
+    guard = make_guard() if make_guard else None
+    try:
+        return integrate(f, t0, y0, t1, guard=guard, **kwargs)
+    except IntegrationBlowUp as exc:
+        return exc
+
+
+def _assert_bitwise(f, t0, y0, t1, make_guard=None, **kwargs):
+    """The generated loop and the list oracle agree bit for bit.
+    make_guard builds a fresh guard per run, so a stateful guard sees the
+    same calls in both."""
+    mine = _run(solve_ivp_dp, f, t0, y0, t1, make_guard, **kwargs)
+    ref = _run(_list_solve_ivp_dp, f, t0, y0, t1, make_guard, **kwargs)
+    assert type(mine) is type(ref)
+    assert mine.t == ref.t
+    assert mine.y.dtype == ref.y.dtype == np.float64
+    assert mine.y.tobytes() == ref.y.tobytes()
+    if isinstance(ref, IntegrationBlowUp):
+        assert str(mine) == str(ref)
+        return mine
+    counts = lambda r: (r.nsteps, r.nfev, r.rejected, r.guard_rejections)
+    assert counts(mine) == counts(ref)
+    if kwargs.get("dense"):
+        for part in ("lefts", "widths", "coef"):
+            a, b = getattr(mine.dense, part), getattr(ref.dense, part)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    else:
+        assert mine.dense is None and ref.dense is None
+    return mine
+
+
+def _shot_kwargs(flow, dense=False):
+    return dict(rtol=_SHOOT_RTOL, atol=_flow_atol(flow), dense=dense)
+
+
+@pytest.mark.parametrize("rho2", [1.3, 2.0, 1.5])
+def test_list_oracle_bundled_shots(rho2):
+    """Return-map shots and Jacobian shots through each bundled instance's
+    periodic start and through a start off the orbit."""
+    spec = make_example(rho2)
+    orbit = find_periodic(spec, tol=1e-8)
+    flow = _Flow(spec)
+    x0, v0 = orbit.initial.x, orbit.initial.v
+    for start in ((x0, v0), (0.7 * x0, 0.3 * abs(v0) + 1.0)):
+        for dense in (False, True):
+            res = _assert_bitwise(flow.f, 0.0, start, spec.omega,
+                                  lambda: flow.guard,
+                                  **_shot_kwargs(flow, dense))
+            assert res.nsteps > 10
+        _assert_bitwise(flow.f_var, 0.0, (*start, 1.0, 0.0, 0.0, 1.0),
+                        spec.omega, lambda: flow.guard, norm_dims=2,
+                        **_shot_kwargs(flow, dense=True))
+
+
+def test_list_oracle_numeric_family_and_monodromy():
+    """A shot with varying coefficients, its 6-dimensional Jacobian shot
+    with dense output, and the 4-dimensional monodromy shot of the numeric
+    kernel with its max_step."""
+    spec = _numeric_kernel_spec()
+    flow = _Flow(spec)
+    _assert_bitwise(flow.f, 0.0, (flow.scale, 0.0), spec.omega,
+                    lambda: flow.guard, **_shot_kwargs(flow))
+    _assert_bitwise(flow.f_var, 0.0, (flow.scale, 0.0, 1.0, 0.0, 0.0, 1.0),
+                    spec.omega, lambda: flow.guard, norm_dims=2,
+                    **_shot_kwargs(flow, dense=True))
+    p, l = (compiled(k.expr) for k in (spec.p, spec.q.scaled(1.0 / 0.4)))
+
+    def monodromy(t, y):
+        u, w, du, dw = y
+        pv, lv = p(t), l(t)
+        return du, dw, -lv * u - pv * du, -lv * w - pv * dw
+
+    for dense in (False, True):
+        _assert_bitwise(monodromy, 0.0, np.eye(2).ravel(), spec.omega,
+                        rtol=1e-12, atol=1e-14, dense=dense,
+                        max_step=spec.omega / 16.0)
+
+
+def test_list_oracle_guard_hits_and_blowup():
+    """The guard-hitting start (stage states vetoed, steps halved) and the
+    steep dive that ends in step underflow, plain and with the Jacobian."""
+    flow = _Flow(make_cheap_spec())
+    omega = flow.spec.omega
+    res = _assert_bitwise(flow.f, 0.0, (0.001, -3.0), omega,
+                          lambda: flow.guard, **_shot_kwargs(flow, True))
+    assert res.guard_rejections > 0
+    for f, y0 in ((flow.f, (0.01, -10.0)),
+                  (flow.f_var, (0.01, -10.0, 1.0, 0.0, 0.0, 1.0))):
+        exc = _assert_bitwise(f, 0.0, y0, omega, lambda: flow.guard,
+                              norm_dims=2, **_shot_kwargs(flow))
+        assert isinstance(exc, IntegrationBlowUp)
+        assert "underflow" in str(exc) and exc.y[0] > flow.eps_min
+    exc = _assert_bitwise(flow.f, 0.0, (-1.0, 0.0), omega,
+                          lambda: flow.guard)
+    assert exc.t == 0.0 and "initial state" in str(exc)
+
+
+@pytest.mark.parametrize("stage", range(6))
+def test_veto_at_each_stage_counts_its_rhs_calls(stage):
+    """A guard that vetoes the stage state of position `stage` in the third
+    step charges the `stage` RHS calls made before it, and no more."""
+    def make_guard():
+        calls = [0]
+
+        def guard(y):
+            calls[0] += 1
+            # call 1 checks the initial state; each full step makes six
+            return calls[0] == 2 + 2 * 6 + stage
+
+        return guard
+
+    res = _assert_bitwise(lambda t, y: (y[1], -y[0]), 0.0, (1.0, 0.0), 1.0,
+                          make_guard, dense=True)
+    assert res.guard_rejections == 1
+    assert res.nfev == 1 + 6 * (res.nsteps + res.rejected) + stage
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(1, 6), dense=st.booleans(),
+       rtol=st.floats(1e-12, 1e-4))
+def test_list_oracle_random_linear_systems(data, n, dense, rtol):
+    """y' = A y + cos(t) b for random A, b and start, over random spans and
+    error-norm widths: the generated loop matches the oracle bit for bit."""
+    vals = st.floats(-3.0, 3.0, allow_nan=False)
+    A = data.draw(st.lists(st.lists(vals, min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+    b = data.draw(st.lists(vals, min_size=n, max_size=n))
+    y0 = data.draw(st.lists(vals, min_size=n, max_size=n))
+    m = data.draw(st.integers(1, n))
+    t1 = data.draw(st.floats(0.1, 4.0))
+
+    def f(t, y):
+        c = math.cos(t)
+        return [sum(a * u for a, u in zip(row, y)) + c * bi
+                for row, bi in zip(A, b)]
+
+    _assert_bitwise(f, 0.0, y0, t1, rtol=rtol, atol=1e-3 * rtol,
+                    dense=dense, norm_dims=m)
+
+
+def test_step_loop_generated_once_per_shape(monkeypatch):
+    """A second integration of the same (n, norm_dims, dense) reuses the
+    compiled loop; another shape generates its own."""
+    import periorbit.ivp as ivp
+
+    generated = []
+    make = ivp._loop_source
+
+    def spy(*key):
+        generated.append(key)
+        return make(*key)
+
+    monkeypatch.setattr(ivp, "_LOOPS", {})
+    monkeypatch.setattr(ivp, "_loop_source", spy)
+    f = lambda t, y: (y[1], -y[0], y[2])
+    for _ in range(2):
+        solve_ivp_dp(f, 0.0, [1.0, 0.0, 1.0], 1.0, norm_dims=2, dense=True)
+    assert generated == [(3, 2, True)]
+    solve_ivp_dp(f, 0.0, [1.0, 0.0, 1.0], 1.0, norm_dims=2)
+    assert generated == [(3, 2, True), (3, 2, False)]
+
+
+def test_generated_loop_shows_in_tracebacks(monkeypatch):
+    """A traceback through the loop names it and shows its source line."""
+    import traceback
+
+    import periorbit.ivp as ivp
+
+    monkeypatch.setattr(ivp, "_LOOPS", {})
+
+    def f(t, y):
+        if t > 0.5:
+            raise ArithmeticError("stop")
+        return (y[1], -y[0])
+
+    with pytest.raises(ArithmeticError) as exc:
+        solve_ivp_dp(f, 0.0, [1.0, 0.0], 1.0)
+    text = "".join(traceback.format_exception(exc.value))
+    assert 'File "<dp5 loop n=2 m=2 dense=False>"' in text
+    assert "= f(t + " in text
