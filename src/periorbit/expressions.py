@@ -158,7 +158,11 @@ def _pow(base: Expr, exponent: Fraction) -> Expr:
             if base.exact is not None and exponent.denominator == 1:
                 exact = base.exact ** exponent.numerator if base.exact != 0 or exponent > 0 else None
                 if exact is not None:
-                    return Const(float(exact), exact)
+                    try:
+                        value = float(exact)
+                    except OverflowError:  # as the literal 1e400 does
+                        value = math.inf if exact > 0 else -math.inf
+                    return Const(value, exact)
             try:
                 return Const(math.pow(base.value, float(exponent)))
             except (ValueError, OverflowError):
@@ -438,7 +442,10 @@ class _Parser:
             self.advance()
             epos = self.peek().pos
             exponent_expr = self.unary()
-            q = _rational_value(exponent_expr)
+            # the folding constructors reduce a rational constant subtree
+            # to one Const
+            q = (exponent_expr.exact if isinstance(exponent_expr, Const)
+                 else None)
             if q is None:
                 raise ParseError("exponent must be a rational constant", epos)
             return _pow(base, q)
@@ -466,31 +473,6 @@ class _Parser:
         raise ParseError(
             f"expected a value, got {tok.text!r}" if tok.text else
             "unexpected end of input", tok.pos)
-
-
-def _rational_value(e: Expr) -> Fraction | None:
-    """Exact rational value of a constant subtree, None when not available."""
-    kind = type(e)
-    if kind is Const:
-        return e.exact
-    if kind is Neg:
-        v = _rational_value(e.arg)
-        return None if v is None else -v
-    if kind is Add:
-        a, b = _rational_value(e.left), _rational_value(e.right)
-        return None if a is None or b is None else a + b
-    if kind is Mul:
-        a, b = _rational_value(e.left), _rational_value(e.right)
-        return None if a is None or b is None else a * b
-    if kind is Pow:
-        a = _rational_value(e.base)
-        if a is None or e.exponent.denominator != 1:
-            return None
-        n = e.exponent.numerator
-        if a == 0 and n < 0:
-            return None
-        return a ** n
-    return None
 
 
 def parse_expression(text: str) -> Expr:
@@ -527,7 +509,8 @@ class PeriodicCoeff:
 
     The period check compares f(t) against f(t + omega) on a 256-point grid
     with relative tolerance 1e-10; non-periodic expressions are rejected
-    rather than silently wrapped.
+    rather than silently wrapped, and so are values that are not finite
+    on that grid.
     """
 
     expr: Expr
@@ -537,8 +520,13 @@ class PeriodicCoeff:
         if not (self.omega > 0.0) or not math.isfinite(self.omega):
             raise ValueError("period must be a positive finite number")
         ts = np.linspace(0.0, self.omega, _PERIOD_GRID, endpoint=False)
-        f0 = evaluate(self.expr, ts)
-        f1 = evaluate(self.expr, ts + self.omega)
+        with np.errstate(over="ignore", invalid="ignore"):
+            f0 = evaluate(self.expr, ts)
+            f1 = evaluate(self.expr, ts + self.omega)
+        if not np.all(np.isfinite(f0)):
+            bad = int(np.argmin(np.isfinite(f0)))
+            raise ValueError(f"value {f0[bad]} at t = {ts[bad]:.6f} "
+                             f"is not finite")
         gap = np.abs(f1 - f0) - _PERIOD_RTOL * (1.0 + np.abs(f0))
         if np.any(gap > 0.0):
             worst = int(np.argmax(gap))
@@ -625,8 +613,8 @@ class PeriodicCoeff:
         # cells whose ends have strictly opposite signs; a zero end gives a
         # zero product and no cut
         for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
-            a, fa = ts[i], vals[i]
-            b, fb = ts[i + 1], vals[i + 1]
+            a, fa = float(ts[i]), float(vals[i])
+            b, fb = float(ts[i + 1]), float(vals[i + 1])
             for _ in range(80):
                 m = 0.5 * (a + b)
                 fm = float(fn(m))

@@ -414,15 +414,6 @@ class CriterionVerdict:
     quantities: dict
     notes: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "holds": self.holds,
-            "applicable": self.applicable,
-            "quantities": dict(self.quantities),
-            "notes": self.notes,
-        }
-
 
 def check_A1(p: PeriodicCoeff, l: PeriodicCoeff, a1: PeriodicCoeff
              ) -> CriterionVerdict:

@@ -28,9 +28,7 @@ the two inverse powers, so the sum b + c plays the role of b.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import asdict, dataclass, field, replace
 
 from .expressions import PeriodicCoeff
 # closed_form_constant and numeric_periodic_green are not called here;
@@ -117,12 +115,6 @@ class HypothesisConstants:
     e_max: float
     b_plus_mean: float
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "label", "alpha", "omega", "rho1", "rho2", "g_max", "g_min",
-            "gt_max", "sigma", "delta", "b_min", "b_max", "c_min", "c_max",
-            "e_min", "e_max", "b_plus_mean")}
-
 
 def constants_from(spec: ProblemSpec, gf: GreensFunction,
                    gt_max_override: float | None = None,
@@ -158,11 +150,6 @@ class IntervalCheck:
     strict_lower: bool = False
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "lower": self.lower, "upper": self.upper,
-                "ok": self.ok, "strict_lower": self.strict_lower,
-                "note": self.note}
-
 
 @dataclass(frozen=True)
 class ValueCheck:
@@ -170,10 +157,6 @@ class ValueCheck:
     value: float
     bound: float
     ok: bool
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "value": self.value, "bound": self.bound,
-                "ok": self.ok}
 
 
 def _small_radius_floor(numerator: float, e_min: float, sigma: float,
@@ -247,11 +230,6 @@ class RSearch:
     boundary_bracketed: bool
     lhs_at_R: float | None
     evaluations: int
-
-    def to_dict(self) -> dict:
-        return {"R": self.R, "found": self.found,
-                "boundary_bracketed": self.boundary_bracketed,
-                "lhs_at_R": self.lhs_at_R, "evaluations": self.evaluations}
 
 
 def step3_lhs(k: HypothesisConstants, case: str, R: float) -> float:
@@ -358,17 +336,6 @@ class CertEvaluation:
     verdict: bool
     reason: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "constants": self.constants.to_dict(),
-            "checks": {k: v.to_dict() for k, v in self.checks.items()},
-            "r_interval": list(self.r_interval) if self.r_interval else None,
-            "r_strict_lower": self.r_strict_lower,
-            "R_witness": self.r_witness.to_dict(),
-            "verdict": self.verdict,
-            "reason": self.reason,
-        }
-
 
 @dataclass(frozen=True)
 class Certificate:
@@ -385,17 +352,19 @@ class Certificate:
                                           compare=False)
 
     def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "alpha": self.alpha,
-            "positivity_source": self.positivity_source,
-            "positivity_checks": [v.to_dict() for v in self.positivity_checks],
-            "positive": self.positive,
-            "computed": self.computed.to_dict() if self.computed else None,
-            "reported": self.reported.to_dict() if self.reported else None,
-            "verdict": self.verdict,
-            "reason": self.reason,
-        }
+        """The wire format: the fields, less the kernel, with each
+        evaluation's r_witness written as R_witness."""
+        doc = asdict(replace(self, greens=None))
+        del doc["greens"]
+        for ev in (doc["computed"], doc["reported"]):
+            if ev is not None:
+                ev["R_witness"] = ev.pop("r_witness")
+        return doc
+
+
+# the small-radius window of each case
+_WINDOWS = {"T3.1": check_H1, "T3.2": check_H3, "T3.3-I": case_one_interval,
+            "T3.3-II": check_H4}
 
 
 def _evaluate_case(k: HypothesisConstants, case: str, positive: bool
@@ -407,18 +376,9 @@ def _evaluate_case(k: HypothesisConstants, case: str, positive: bool
                               r_strict_lower=False,
                               r_witness=RSearch(None, False, False, None, 0),
                               verdict=False, reason="kernel not positive")
-    checks: dict = {}
+    window = _WINDOWS[case](k)
     h2 = check_H2(k)
-    if case == "T3.1":
-        window = check_H1(k)
-    elif case == "T3.2":
-        window = check_H3(k)
-    elif case == "T3.3-II":
-        window = check_H4(k)
-    else:
-        window = case_one_interval(k)
-    checks[window.name] = window
-    checks["H2"] = h2
+    checks = {window.name: window, "H2": h2}
 
     rs = find_R(k, case, window.lower)
     interval = (window.lower, window.upper) if window.ok else None
@@ -454,38 +414,25 @@ def certify(spec: ProblemSpec, a1: PeriodicCoeff | None = None
     case = theorem_for(spec.rho1, spec.rho2,
                        spec.b.extrema().min_value + spec.c.extrema().min_value)
 
-    checks: list[CriterionVerdict] = []
     try:
         gf = kernel_for(spec.p, l, spec.omega)
-        if gf.source == "closed-form":
-            # the kernel's l is xi*xi, and sqrt recovers xi exactly
-            xi = math.sqrt(float(gf.l_fn(0.0)))
-            source = "closed-form"
-            checks.append(CriterionVerdict(
-                criterion="CLOSED_FORM", holds=True, applicable=True,
-                quantities={"xi": xi, "pi_over_omega": math.pi / spec.omega}))
-        else:
-            source = None
-            if a1 is not None:
-                v = check_A1(spec.p, l, a1)
-                checks.append(v)
-                if v.holds and source is None:
-                    source = "A1"
-            v = check_A2(spec.p, l)
-            checks.append(v)
-            if v.holds and source is None:
-                source = "A2"
-            v = check_chu(spec.p, l)
-            checks.append(v)
-            if v.holds and source is None:
-                source = "CHU"
-            if source is None and gf.positive:
-                source = "grid"
     except ResonanceError as err:
         return Certificate(theorem="NONE", alpha=alpha,
-                           positivity_source=None, positivity_checks=checks,
+                           positivity_source=None, positivity_checks=[],
                            positive=False, computed=None, reported=None,
                            verdict=False, reason=f"resonance: {err}")
+    if gf.source == "closed-form":
+        # the kernel's l is xi*xi, and sqrt recovers xi exactly
+        xi = math.sqrt(float(gf.l_fn(0.0)))
+        source = "closed-form"
+        checks = [CriterionVerdict(
+            criterion="CLOSED_FORM", holds=True, applicable=True,
+            quantities={"xi": xi, "pi_over_omega": math.pi / spec.omega})]
+    else:
+        # every applicable criterion runs; the first that holds decides
+        checks = [] if a1 is None else [check_A1(spec.p, l, a1)]
+        checks += [check_A2(spec.p, l), check_chu(spec.p, l)]
+        source = next((v.criterion for v in checks if v.holds), "grid")
 
     positive = gf.positive
     if not positive:

@@ -11,6 +11,7 @@ starting with '#' are ignored.  Errors carry the 1-based line number.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass
 
@@ -49,9 +50,15 @@ def _scalar(text: str, key: str, line: int) -> float:
     if contains_time(expr):
         raise ProblemFileError(f"{key} must be a constant (found t)", line)
     try:
-        return float(evaluate(expr, 0.0))
+        value = float(evaluate(expr, 0.0))
     except EvalDomainError as err:
         raise ProblemFileError(f"{key}: {err}", line) from err
+    except OverflowError as err:
+        raise ProblemFileError(f"{key}: value is not finite ({err})",
+                               line) from err
+    if not math.isfinite(value):
+        raise ProblemFileError(f"{key}: value {value} is not finite", line)
+    return value
 
 
 def parse_problem_text(text: str, name: str = "<string>") -> LoadedProblem:

@@ -7,28 +7,24 @@ randomness, so identical inputs give byte-identical files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-_COLORS = ("#1f77b4", "#d62728", "#2ca02c")
+_BLUE, _RED = "#1f77b4", "#d62728"
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 74, 22, 40, 50
 
 
 @dataclass(frozen=True)
-class Series:
+class Panel:
+    """One curve and its axes."""
+
     x: np.ndarray
     y: np.ndarray
-    label: str = ""
-    color: str = _COLORS[0]
-
-
-@dataclass(frozen=True)
-class Panel:
-    series: tuple
+    color: str
+    xlabel: str
+    ylabel: str
     title: str = ""
-    xlabel: str = ""
-    ylabel: str = ""
 
 
 def _nice_step(span: float) -> float:
@@ -64,9 +60,8 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _data_range(arrays) -> tuple[float, float]:
-    lo = min(float(np.min(a)) for a in arrays)
-    hi = max(float(np.max(a)) for a in arrays)
+def _data_range(values) -> tuple[float, float]:
+    lo, hi = float(np.min(values)), float(np.max(values))
     if hi - lo < 1e-12 * max(1.0, abs(lo), abs(hi)):
         pad = max(1e-6, abs(lo) * 0.05, 0.5)
         lo, hi = lo - pad, hi + pad
@@ -77,8 +72,8 @@ def _data_range(arrays) -> tuple[float, float]:
 
 
 def _render_panel(panel: Panel, width: int, height: int, y_off: int) -> list[str]:
-    xlo, xhi = _data_range([s.x for s in panel.series])
-    ylo, yhi = _data_range([s.y for s in panel.series])
+    xlo, xhi = _data_range(panel.x)
+    ylo, yhi = _data_range(panel.y)
     px0, px1 = _MARGIN_L, width - _MARGIN_R
     py0, py1 = y_off + _MARGIN_T, y_off + height - _MARGIN_B
 
@@ -103,32 +98,19 @@ def _render_panel(panel: Panel, width: int, height: int, y_off: int) -> list[str
                    f'y2="{gy:.2f}" stroke="#dddddd" stroke-width="1"/>')
         out.append(f'<text x="{px0 - 6}" y="{gy + 4:.2f}" font-size="12" '
                    f'text-anchor="end">{_fmt(ty)}</text>')
-    for s in panel.series:
-        pts = " ".join(f"{X(a):.2f},{Y(b):.2f}" for a, b in zip(s.x, s.y))
-        out.append(f'<polyline points="{pts}" fill="none" '
-                   f'stroke="{s.color}" stroke-width="1.3"/>')
+    pts = " ".join(f"{X(a):.2f},{Y(b):.2f}" for a, b in zip(panel.x, panel.y))
+    out.append(f'<polyline points="{pts}" fill="none" '
+               f'stroke="{panel.color}" stroke-width="1.3"/>')
     if panel.title:
         out.append(f'<text x="{(px0 + px1) / 2:.1f}" y="{py0 - 14}" '
                    f'font-size="15" text-anchor="middle" '
                    f'font-weight="bold">{panel.title}</text>')
-    if panel.xlabel:
-        out.append(f'<text x="{(px0 + px1) / 2:.1f}" y="{py1 + 38}" '
-                   f'font-size="13" text-anchor="middle">{panel.xlabel}</text>')
-    if panel.ylabel:
-        cy = (py0 + py1) / 2
-        out.append(f'<text x="18" y="{cy:.1f}" font-size="13" '
-                   f'text-anchor="middle" '
-                   f'transform="rotate(-90 18 {cy:.1f})">{panel.ylabel}</text>')
-    legend_y = py0 + 16
-    for s in panel.series:
-        if not s.label:
-            continue
-        out.append(f'<line x1="{px1 - 130}" y1="{legend_y - 4}" '
-                   f'x2="{px1 - 104}" y2="{legend_y - 4}" '
-                   f'stroke="{s.color}" stroke-width="2"/>')
-        out.append(f'<text x="{px1 - 98}" y="{legend_y}" '
-                   f'font-size="12">{s.label}</text>')
-        legend_y += 16
+    cy = (py0 + py1) / 2
+    out.append(f'<text x="{(px0 + px1) / 2:.1f}" y="{py1 + 38}" '
+               f'font-size="13" text-anchor="middle">{panel.xlabel}</text>')
+    out.append(f'<text x="18" y="{cy:.1f}" font-size="13" '
+               f'text-anchor="middle" '
+               f'transform="rotate(-90 18 {cy:.1f})">{panel.ylabel}</text>')
     return out
 
 
@@ -146,16 +128,11 @@ def render_panels(panels, width: int = 760, panel_height: int = 360) -> str:
 
 def phase_svg(path, title: str = "Phase portrait") -> str:
     """Position-velocity loop of a trajectory."""
-    return render_panels([Panel(
-        series=(Series(path.x, path.v, color=_COLORS[0]),),
-        title=title, xlabel="x", ylabel="x'")], panel_height=480)
+    return render_panels([Panel(path.x, path.v, _BLUE, "x", "x'", title)],
+                         panel_height=480)
 
 
 def timeseries_svg(path, title: str = "Time series") -> str:
     """Stacked x(t) and x'(t) panels."""
-    return render_panels([
-        Panel(series=(Series(path.t, path.x, color=_COLORS[0]),),
-              title=title, xlabel="t", ylabel="x"),
-        Panel(series=(Series(path.t, path.v, color=_COLORS[1]),),
-              xlabel="t", ylabel="x'"),
-    ])
+    return render_panels([Panel(path.t, path.x, _BLUE, "t", "x", title),
+                          Panel(path.t, path.v, _RED, "t", "x'")])

@@ -129,6 +129,27 @@ def test_check_invalid_problem_exit_2(tmp_path, capsys):
     assert "c must be positive" in err
 
 
+# each value is out of the float range or evaluates to inf or nan on the
+# period grid; (key, value, line of the key in the text below)
+_NON_FINITE = [("c", "exp(1000)", 5), ("q", "1e400", 3), ("q", "10^400", 3),
+               ("rho1", "10^400", 7), ("b", "1e308*10*cos(t)", 4),
+               ("rho2", "1e400", 8), ("rho1", "exp(1000)", 7)]
+
+
+@pytest.mark.parametrize("key,value,line", _NON_FINITE)
+def test_check_non_finite_value_exit_2(tmp_path, capsys, key, value, line):
+    lines = MERGED_NONNEG.splitlines()
+    assert lines[line - 1].startswith(f"{key} = ")
+    lines[line - 1] = f"{key} = {value}"
+    bad = tmp_path / "non_finite.problem"
+    bad.write_text("\n".join(lines) + "\n")
+    code = cli.main(["check", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {bad}: line {line}: {key}: ")
+    assert "not finite" in err and err.count("\n") == 1
+
+
 def test_check_resonant_instance_exit_1(tmp_path, capsys):
     res = tmp_path / "resonant.problem"
     res.write_text(RESONANT)

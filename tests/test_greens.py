@@ -444,10 +444,3 @@ def test_A1_time_varying_factorisation():
     l = pc("3/10*cos(3*t)+1+1/10*sin(3*t)")
     v = check_A1(p, l, a1)
     assert v.holds is True
-
-
-def test_criterion_verdict_to_dict():
-    v = check_A2(pc("0"), pc("1/16"))
-    d = v.to_dict()
-    assert d["criterion"] == "A2"
-    assert set(d) == {"criterion", "holds", "applicable", "quantities", "notes"}

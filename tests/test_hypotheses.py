@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import OMEGA, make_example, pc
-from periorbit import Certificate, ProblemSpec, certify, theorem_for
+from periorbit import (Certificate, ProblemSpec, certify, parse_problem_text,
+                       theorem_for)
+from periorbit import cli
 from periorbit.greens import closed_form_constant
 from periorbit.hypotheses import (
     HypothesisConstants,
     ValidationError,
+    ValueCheck,
     alpha_exponent,
     case_one_interval,
     check_H1,
@@ -468,3 +472,119 @@ def test_certificate_to_dict_serializes(cert41):
     assert "T3.1" in text
     assert d["computed"]["checks"]["H1"]["ok"] is True
     assert d["computed"]["R_witness"]["found"] is True
+
+
+# ---------------------------------------------------------------------------
+# the wire format against the hand-written serializers it replaced
+
+
+def _ref_verdict(v):
+    return {"criterion": v.criterion, "holds": v.holds,
+            "applicable": v.applicable, "quantities": dict(v.quantities),
+            "notes": v.notes}
+
+
+def _ref_constants(k):
+    return {name: getattr(k, name) for name in (
+        "label", "alpha", "omega", "rho1", "rho2", "g_max", "g_min",
+        "gt_max", "sigma", "delta", "b_min", "b_max", "c_min", "c_max",
+        "e_min", "e_max", "b_plus_mean")}
+
+
+def _ref_check(c):
+    if isinstance(c, ValueCheck):
+        return {"name": c.name, "value": c.value, "bound": c.bound,
+                "ok": c.ok}
+    return {"name": c.name, "lower": c.lower, "upper": c.upper, "ok": c.ok,
+            "strict_lower": c.strict_lower, "note": c.note}
+
+
+def _ref_search(r):
+    return {"R": r.R, "found": r.found,
+            "boundary_bracketed": r.boundary_bracketed,
+            "lhs_at_R": r.lhs_at_R, "evaluations": r.evaluations}
+
+
+def _ref_evaluation(ev):
+    if ev is None:
+        return None
+    return {
+        "constants": _ref_constants(ev.constants),
+        "checks": {k: _ref_check(v) for k, v in ev.checks.items()},
+        "r_interval": list(ev.r_interval) if ev.r_interval else None,
+        "r_strict_lower": ev.r_strict_lower,
+        "R_witness": _ref_search(ev.r_witness),
+        "verdict": ev.verdict,
+        "reason": ev.reason,
+    }
+
+
+def _ref_certificate(c):
+    return {
+        "theorem": c.theorem,
+        "alpha": c.alpha,
+        "positivity_source": c.positivity_source,
+        "positivity_checks": [_ref_verdict(v) for v in c.positivity_checks],
+        "positive": c.positive,
+        "computed": _ref_evaluation(c.computed),
+        "reported": _ref_evaluation(c.reported),
+        "verdict": c.verdict,
+        "reason": c.reason,
+    }
+
+
+A1_HOLDS = """\
+omega = 2*pi/3
+p = 2+1/10*sin(3*t)
+q = (2/5)*(1+1/10*sin(3*t)+3/10*cos(3*t))
+b = 0
+c = 1
+e = 1
+rho1 = 3/2
+rho2 = 13/10
+a1 = 1+1/10*sin(3*t)
+"""
+
+
+def _wire_texts(monkeypatch):
+    """example41-43, the family-solve texts of one benchmark seed (numeric
+    and closed-form kernels), a text with a1, a resonant text and one whose
+    kernel is not positive."""
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "bench"))
+    import workloads
+
+    texts = [path.read_text() for path in
+             sorted((root / "src" / "periorbit" / "problems").glob("*.problem"))]
+    texts += workloads.FamilySolve(41, "", "").texts
+    texts.append(A1_HOLDS)
+    for q in ("18/5", "8/5"):
+        texts.append(A1_HOLDS.replace(
+            "q = (2/5)*(1+1/10*sin(3*t)+3/10*cos(3*t))", f"q = {q}").replace(
+            "p = 2+1/10*sin(3*t)", "p = 0"))
+    return texts
+
+
+def test_certificate_wire_format_matches_reference(monkeypatch):
+    sources = set()
+    for text in _wire_texts(monkeypatch):
+        problem = parse_problem_text(text)
+        cert = certify(problem.spec, a1=problem.a1)
+        sources.add(cert.positivity_source)
+        assert cli._json_text(cert.to_dict()) == \
+            cli._json_text(_ref_certificate(cert))
+    assert {"closed-form", "A1", "CHU", None} <= sources
+
+
+def test_certificate_positivity_checks_entries():
+    problem = parse_problem_text(A1_HOLDS)
+    cert = certify(problem.spec, a1=problem.a1)
+    entries = cert.to_dict()["positivity_checks"]
+    assert [e["criterion"] for e in entries] == ["A1", "A2", "CHU"]
+    for entry, verdict in zip(entries, cert.positivity_checks):
+        assert set(entry) == {"criterion", "holds", "applicable",
+                              "quantities", "notes"}
+        assert entry["holds"] == verdict.holds
+        assert entry["quantities"] == verdict.quantities
+    assert entries[0]["holds"] is True
+    assert cert.to_dict()["positivity_source"] == "A1"
