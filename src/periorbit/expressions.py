@@ -30,7 +30,8 @@ class ExpressionError(ValueError):
 
 
 class EvalDomainError(ExpressionError):
-    """Evaluation left a node's domain (fractional power of a non-positive base)."""
+    """Evaluation left a node's domain (fractional power of a non-positive
+    base) or the float range."""
 
 
 class ParseError(ExpressionError):
@@ -156,18 +157,43 @@ def _pow(base: Expr, exponent: Fraction) -> Expr:
     if isinstance(base, Const):
         if base.value > 0.0 or exponent.denominator == 1:
             if base.exact is not None and exponent.denominator == 1:
-                exact = base.exact ** exponent.numerator if base.exact != 0 or exponent > 0 else None
-                if exact is not None:
-                    try:
-                        value = float(exact)
-                    except OverflowError:  # as the literal 1e400 does
-                        value = math.inf if exact > 0 else -math.inf
-                    return Const(value, exact)
+                if base.exact != 0 or exponent > 0:
+                    return _exact_power(base.exact, exponent.numerator)
             try:
                 return Const(math.pow(base.value, float(exponent)))
             except (ValueError, OverflowError):
                 pass
     return Pow(base, exponent)
+
+
+# An exact power is computed only up to this many bits: past it, its float
+# is beyond the float range anyway (overflow past 2^1024, underflow below
+# 2^-1075), and the exact integers would cost time growing with the
+# exponent.
+_EXACT_POWER_BITS = 1 << 16
+
+
+def _exact_power(x: Fraction, n: int) -> Const:
+    """x^n folded to a Const (x = 0 only with n > 0).  A power whose bit
+    length |n log2|x|| passes _EXACT_POWER_BITS folds straight to +-inf or
+    +-0.0 with no exact value; any other keeps its exact value."""
+    negative = x < 0 and n % 2 == 1
+    log2x = (math.log2(abs(x.numerator)) - math.log2(x.denominator)
+             if x != 0 else 0.0)
+    if log2x:
+        try:
+            bits = abs(n * log2x)
+        except OverflowError:  # n past the float range
+            bits = math.inf
+        if bits > _EXACT_POWER_BITS:
+            value = math.inf if (n > 0) == (log2x > 0) else 0.0
+            return Const(-value if negative else value)
+    exact = x ** n
+    try:
+        value = float(exact)
+    except OverflowError:  # as the literal 1e400 does
+        value = -math.inf if negative else math.inf
+    return Const(value, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +521,11 @@ _PERIOD_GRID = 256
 _PERIOD_RTOL = 1e-10
 
 
+def _not_finite(t) -> EvalDomainError:
+    """The error for a coefficient value past the float range near t."""
+    return EvalDomainError(f"value near t = {t:.6f} is not finite")
+
+
 @dataclass(frozen=True)
 class Extrema:
     min_value: float
@@ -564,7 +595,11 @@ class PeriodicCoeff:
 
     def _locate_extrema(self) -> Extrema:
         ts = np.linspace(0.0, self.omega, _EXTREMA_SAMPLES + 1)
-        vals = self(ts)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = self(ts)
+        finite = np.isfinite(vals)
+        if not np.all(finite):
+            raise _not_finite(ts[int(np.argmin(finite))])
         step = self.omega / _EXTREMA_SAMPLES
         fn = compiled(self.expr)
 
@@ -577,8 +612,13 @@ class PeriodicCoeff:
                 seed = float(ts[idx])
                 lo = max(0.0, seed - step)
                 hi = min(self.omega, seed + step)
-                tm, vm = golden_min(lambda u: sign * float(fn(u)),
-                                    lo, hi, tol=1e-12 * max(1.0, self.omega))
+                try:
+                    tm, vm = golden_min(lambda u: sign * float(fn(u)), lo,
+                                        hi, tol=1e-12 * max(1.0, self.omega))
+                except OverflowError:
+                    tm, vm = seed, math.inf
+                if not math.isfinite(vm):
+                    raise _not_finite(tm)
                 if vm < best_v:
                     best_t, best_v = tm, vm
             return best_t, sign * best_v

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, replace
 
-from .expressions import PeriodicCoeff
+from .expressions import EvalDomainError, PeriodicCoeff
 # closed_form_constant and numeric_periodic_green are not called here;
 # bench/spans.py rebinds them under these names
 from .greens import (CriterionVerdict, GreensFunction, ResonanceError,
@@ -41,7 +41,11 @@ R_SEARCH_CAP = 1e12
 
 
 class ValidationError(ValueError):
-    pass
+    """An invalid instance; key names the coefficient at fault, if one is."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 @dataclass(frozen=True)
@@ -69,11 +73,14 @@ class ProblemSpec:
                     f"coefficient {name} carries period {coeff.omega}, "
                     f"expected {self.omega}")
         for name in ("c", "e"):
-            ext = getattr(self, name).extrema()
+            try:
+                ext = getattr(self, name).extrema()
+            except EvalDomainError as err:
+                raise ValidationError(f"{name}: {err}", name) from err
             if not (ext.min_value > 0.0):
                 raise ValidationError(
                     f"{name} must be positive over a full period "
-                    f"(min {ext.min_value:.6g} at t = {ext.t_min:.6g})")
+                    f"(min {ext.min_value:.6g} at t = {ext.t_min:.6g})", name)
 
 
 def alpha_exponent(rho1: float) -> float:

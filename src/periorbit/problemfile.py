@@ -115,7 +115,8 @@ def parse_problem_text(text: str, name: str = "<string>") -> LoadedProblem:
                            rho1=scalars["rho1"], rho2=scalars["rho2"],
                            omega=omega)
     except ValidationError as err:
-        raise ProblemFileError(str(err)) from err
+        line = raw[err.key][1] if err.key else None
+        raise ProblemFileError(str(err), line) from err
 
     return LoadedProblem(
         spec=spec,

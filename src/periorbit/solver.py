@@ -7,11 +7,14 @@ side is never evaluated at or below the singularity floor), and applies
 damped Newton iteration to the return-map defect F(s) = flow(s) - s.  The
 Jacobian of F is M - I, where the monodromy matrix M is the fundamental
 matrix of the variational equations, integrated in the same shot as the
-state: a Newton step costs one such shot plus the plain shots of its line
-search, which backtracks by safeguarded quadratic interpolation on |F|^2.
-The converged trajectory is packaged together with its Floquet
-multipliers (the eigenvalues of M) and positivity, periodicity and
-plug-in residual diagnostics.
+state.  Such a shot takes the plain shot's steps and ends in its state, so
+while Newton takes full steps its lam = 1 candidate is shot that way, with
+dense output: accepted, it brings the next step's Jacobian, and converged,
+the orbit's path and M.  A step after a backtracked one costs one
+Jacobian shot plus the plain shots of its line search, which backtracks by
+safeguarded quadratic interpolation on |F|^2.  The converged trajectory is
+packaged together with its Floquet multipliers (the eigenvalues of M) and
+positivity, periodicity and plug-in residual diagnostics.
 
 The cone-operator route is kept independent: apply_T evaluates the kernel
 integral operator whose fixed points are the periodic solutions of the
@@ -206,10 +209,11 @@ class _Flow:
                             guard=self.guard, dense=dense)
 
 
-def _sampled(res, t0: float, t1: float, samples: int) -> SampledPath:
-    """(x, v) of a dense shot on a uniform grid of the given size."""
+def _sampled(sol, t0: float, t1: float, samples: int) -> SampledPath:
+    """(x, v) of a shot's dense output on a uniform grid of the given
+    size."""
     tgrid = np.linspace(t0, t1, samples)
-    vals = res.dense(tgrid)
+    vals = sol(tgrid)
     return SampledPath(tgrid, vals[:, 0], vals[:, 1])
 
 
@@ -225,24 +229,26 @@ def integrate(spec: ProblemSpec, x0: float, v0: float, t0: float = 0.0,
     if t1 == t0:
         return SampledPath(np.array([t0]), np.array([x0]), np.array([v0]))
     res = _Flow(spec).shoot(x0, v0, t0, t1, rtol=tol, dense=True)
-    return _sampled(res, t0, t1, samples)
+    return _sampled(res.dense, t0, t1, samples)
 
 
-def _return_map(flow: _Flow, x: float, v: float, jacobian: bool = False):
-    """(F0, F1, M): the defect F = flow_omega(s) - s at s = (x, v), as
-    floats, and with jacobian the monodromy matrix M = Phi(omega) as a
-    row-major list (else empty).  None when the shot fails: guard floor
-    hit or a defect that is not finite."""
+def _return_map(flow: _Flow, x: float, v: float, jacobian: bool = False,
+                dense: bool = False):
+    """(F0, F1, M, sol): the defect F = flow_omega(s) - s at s = (x, v), as
+    floats; with jacobian the monodromy matrix M = Phi(omega) as a
+    row-major list (else None); with dense the shot's dense output (else
+    None).  None when the shot fails: guard floor hit or a defect that is
+    not finite."""
     try:
         res = flow.shoot(x, v, 0.0, flow.spec.omega, rtol=_SHOOT_RTOL,
-                         jacobian=jacobian)
+                         dense=dense, jacobian=jacobian)
     except IntegrationBlowUp:
         return None
     end = res.y.tolist()
     F0, F1 = end[0] - x, end[1] - v
     if not (math.isfinite(F0) and math.isfinite(F1)):
         return None
-    return F0, F1, end[2:]
+    return F0, F1, end[2:] or None, res.dense
 
 
 def _next_lambda(lam: float, ratio: float) -> float:
@@ -257,57 +263,68 @@ def _next_lambda(lam: float, ratio: float) -> float:
 
 def _newton(flow: _Flow, x: float, v: float, tol: float):
     """Damped Newton iteration from (x, v).  Returns
-    (x, v, |F|, steps, best |F|, stop): stop is None when |F| <= tol,
-    else the reason the start was given up."""
+    (x, v, |F|, steps, best |F|, stop, carried): stop is None when
+    |F| <= tol, else the reason the start was given up; carried is
+    (M, dense output) of the final iterate when a carried candidate shot
+    it, else None.
+
+    In the full-step regime (the first step of a start, or a step after
+    one accepted at lam = 1) the lam = 1 candidate is shot with Phi and
+    dense output: taken as the next iterate, its M is the next step's
+    Jacobian, and converged, its shot is the orbit's.  Every other
+    candidate is plain."""
     shot = _return_map(flow, x, v, jacobian=True)
     if shot is None:
-        return x, v, math.inf, 0, math.inf, STOP_SHOT
-    F0, F1, M = shot
+        return x, v, math.inf, 0, math.inf, STOP_SHOT, None
+    F0, F1, M, sol = shot
     fn = best = math.hypot(F0, F1)
     steps = stagnant = 0
+    full = True
     while fn > tol:
         if steps == _MAX_NEWTON:
-            return x, v, fn, steps, best, STOP_CAP
+            return x, v, fn, steps, best, STOP_CAP, None
         if M is None:
             shot = _return_map(flow, x, v, jacobian=True)
             if shot is None:
-                return x, v, fn, steps, best, STOP_SHOT
+                return x, v, fn, steps, best, STOP_SHOT, None
             M = shot[2]
         # solve (M - I) d = -F by Cramer's rule
         j00, j01, j10, j11 = M[0] - 1.0, M[1], M[2], M[3] - 1.0
         det = j00 * j11 - j01 * j10
         if det == 0.0:
-            return x, v, fn, steps, best, STOP_SINGULAR
+            return x, v, fn, steps, best, STOP_SINGULAR, None
         d0 = (j01 * F1 - j11 * F0) / det
         d1 = (j10 * F0 - j00 * F1) / det
         if not (math.isfinite(d0) and math.isfinite(d1)):
-            return x, v, fn, steps, best, STOP_SINGULAR
+            return x, v, fn, steps, best, STOP_SINGULAR, None
 
         lam = 1.0
         accepted = last = None
         for _ in range(_MAX_HALVINGS):
             cx, cv = x + lam * d0, v + lam * d1
-            cand = (_return_map(flow, cx, cv) if cx > flow.eps_min
-                    else None)
+            carry = full and lam == 1.0
+            cand = (_return_map(flow, cx, cv, jacobian=carry, dense=carry)
+                    if cx > flow.eps_min else None)
             if cand is None:
                 lam *= 0.5
                 continue
             fc = math.hypot(cand[0], cand[1])
-            last = (cx, cv, cand[0], cand[1], fc)
+            last = (cx, cv, fc, cand)
             if fc < fn:
                 accepted = last
                 break
             lam = _next_lambda(lam, fc / fn)
         steps += 1
         if last is None:
-            return x, v, fn, steps, best, STOP_LINE_SEARCH
-        x, v, F0, F1, fn = last
-        M = None
+            return x, v, fn, steps, best, STOP_LINE_SEARCH, None
+        x, v, fn, (F0, F1, M, sol) = last
         best = min(best, fn)
+        full = accepted is not None and lam == 1.0
         stagnant = 0 if accepted else stagnant + 1
         if stagnant == _MAX_STAGNANT:
-            return x, v, fn, steps, best, STOP_STAGNANT
-    return x, v, fn, steps, best, None
+            return x, v, fn, steps, best, STOP_STAGNANT, None
+    carried = None if sol is None else (M, sol)
+    return x, v, fn, steps, best, None, carried
 
 
 def find_periodic(spec: ProblemSpec, guess: State | None = None,
@@ -316,12 +333,16 @@ def find_periodic(spec: ProblemSpec, guess: State | None = None,
 
     The default initial point balances the periodic means (x = mean e /
     mean q, v = 0); on failure the x-guess is rescaled through a fixed
-    factor ladder.  Each Newton step takes its Jacobian M - I from one
-    shot that integrates the variational equations with the state, solves
-    the 2x2 system by Cramer's rule, and backtracks along the step until
-    |F| strictly decreases, each new step length minimising a quadratic
-    model of |F|^2.  Five consecutive steps without a decrease abandon the
-    current start.
+    factor ladder.  Each Newton step takes its Jacobian M - I from a shot
+    that integrates the variational equations with the state, solves the
+    2x2 system by Cramer's rule, and backtracks along the step until |F|
+    strictly decreases, each new step length minimising a quadratic model
+    of |F|^2.  Five consecutive steps without a decrease abandon the
+    current start.  On the first step of a start, and after a step
+    accepted at full length, the full-length candidate carries the
+    variational equations and dense output: when it is accepted it needs
+    no Jacobian shot of its own, and when it converges the orbit is
+    packaged from it without shooting again.
     """
     flow = _Flow(spec)
     if guess is None:
@@ -335,9 +356,11 @@ def find_periodic(spec: ProblemSpec, guess: State | None = None,
         if not (x0 > flow.eps_min):
             stops.append(STOP_FLOOR)
             continue
-        x, v, fn, steps, reached, stop = _newton(flow, x0, guess.v, tol)
+        x, v, fn, steps, reached, stop, carried = _newton(flow, x0, guess.v,
+                                                          tol)
         if stop is None:
-            return _package(spec, flow, x, v, fn, steps, factor, tol)
+            return _package(spec, flow, x, v, fn, steps, factor, tol,
+                            carried)
         best = min(best, reached)
         newton_steps += steps
         stops.append(stop)
@@ -369,11 +392,16 @@ def _floquet(M) -> tuple[complex, complex]:
 
 
 def _package(spec: ProblemSpec, flow: _Flow, x: float, v: float, fn: float,
-             steps: int, factor: float, tol: float) -> Orbit:
-    res = flow.shoot(x, v, 0.0, spec.omega, _SHOOT_RTOL, dense=True,
-                     jacobian=True)
-    path = _sampled(res, 0.0, spec.omega, PATH_SAMPLES)
-    M = res.y[2:].tolist()
+             steps: int, factor: float, tol: float, carried) -> Orbit:
+    """The orbit through the converged point (x, v).  carried is (M, dense
+    output) of its Phi-carrying dense shot when Newton made one; without
+    it the point is shot once more."""
+    if carried is None:
+        res = flow.shoot(x, v, 0.0, spec.omega, _SHOOT_RTOL, dense=True,
+                         jacobian=True)
+        carried = res.y[2:].tolist(), res.dense
+    M, sol = carried
+    path = _sampled(sol, 0.0, spec.omega, PATH_SAMPLES)
     alpha = alpha_exponent(spec.rho1)
     y_path = x_from_y(path, 1.0 / alpha)
     return Orbit(

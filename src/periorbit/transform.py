@@ -136,12 +136,15 @@ def residual(spec: ProblemSpec, path: SampledPath, which: str) -> float:
                   - spec.c(t) * x ** (-spec.rho2)
                   - spec.e(t))
     elif which == TRANSFORMED:
-        ts = to_y_equation(spec)
-        defect = (a + spec.p(t) * v + ts.l(t) * x
-                  - ts.c_over_alpha(t) * x ** ts.exponent_c
-                  - ts.e_over_alpha(t) * x ** ts.exponent_e
-                  - ts.gradient_factor * v * v / x
-                  - ts.b_over_alpha(t))
+        # the coefficients of to_y_equation, k E(t) with k = 1/alpha,
+        # without building and validating them as PeriodicCoeffs
+        alpha = alpha_exponent(spec.rho1)
+        k = 1.0 / alpha
+        defect = (a + spec.p(t) * v + k * spec.q(t) * x
+                  - k * spec.c(t) * x ** (1.0 - alpha - alpha * spec.rho2)
+                  - k * spec.e(t) * x ** (1.0 - alpha)
+                  - (1.0 - alpha) * v * v / x
+                  - k * spec.b(t))
     else:
         raise ValueError(f"unknown equation selector {which!r}")
     return float(np.max(np.abs(defect)))

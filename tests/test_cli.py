@@ -133,7 +133,8 @@ def test_check_invalid_problem_exit_2(tmp_path, capsys):
 # period grid; (key, value, line of the key in the text below)
 _NON_FINITE = [("c", "exp(1000)", 5), ("q", "1e400", 3), ("q", "10^400", 3),
                ("rho1", "10^400", 7), ("b", "1e308*10*cos(t)", 4),
-               ("rho2", "1e400", 8), ("rho1", "exp(1000)", 7)]
+               ("rho2", "1e400", 8), ("rho1", "exp(1000)", 7),
+               ("q", "3^(10^9)", 3)]
 
 
 @pytest.mark.parametrize("key,value,line", _NON_FINITE)
@@ -148,6 +149,43 @@ def test_check_non_finite_value_exit_2(tmp_path, capsys, key, value, line):
     assert code == 2
     assert err.startswith(f"error: {bad}: line {line}: {key}: ")
     assert "not finite" in err and err.count("\n") == 1
+
+
+# finite on the 256-point period grid (the peak at t = pi/768 lies halfway
+# between two points, where the exponent reaches 709.6), but exp overflows
+# near the peak, where the extrema refinement evaluates it
+_OVERFLOW_BETWEEN_GRID_POINTS = "exp(710*cos(3*t - pi/256)^8)"
+
+
+def _example41_with(key: str, value: str, tmp_path) -> tuple[Path, int]:
+    text = (ROOT / "src" / "periorbit" / "problems"
+            / "example41.problem").read_text()
+    lines = text.splitlines()
+    line = next(i for i, ln in enumerate(lines, 1)
+                if ln.startswith(f"{key} = "))
+    lines[line - 1] = f"{key} = {value}"
+    path = tmp_path / "overflow.problem"
+    path.write_text("\n".join(lines) + "\n")
+    return path, line
+
+
+def test_check_overflow_between_grid_points_exit_2(tmp_path, capsys):
+    bad, line = _example41_with("c", _OVERFLOW_BETWEEN_GRID_POINTS, tmp_path)
+    code = cli.main(["check", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {bad}: line {line}: c: ")
+    assert "not finite" in err and err.count("\n") == 1
+
+
+def test_check_overflow_in_certificate_extrema_exit_2(tmp_path, capsys):
+    """b's extrema are first taken by the certificate: the overflow ends
+    the command as a domain error, not a traceback."""
+    bad, _ = _example41_with("b", _OVERFLOW_BETWEEN_GRID_POINTS, tmp_path)
+    code = cli.main(["check", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("domain error: ") and "not finite" in err
 
 
 def test_check_resonant_instance_exit_1(tmp_path, capsys):

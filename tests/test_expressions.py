@@ -3,6 +3,7 @@
 import math
 import pickle
 import struct
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -362,6 +363,30 @@ def test_exact_power_past_float_range_folds_to_inf():
     assert parse_expression("10^400") == Const(math.inf, Fraction(10) ** 400)
     assert parse_expression("(-10)^401").value == -math.inf
     assert parse_expression("10^400").value == parse_expression("1e400").value
+
+
+def test_exact_power_far_past_float_range_is_not_computed():
+    """A power whose exact value would run to millions of digits folds
+    straight to +-inf or +-0.0, in parse time independent of the
+    exponent."""
+    start = time.perf_counter()
+    assert parse_expression("3^(10^9)") == Const(math.inf)
+    assert time.perf_counter() - start < 0.1
+    assert parse_expression("3^(10^400)") == Const(math.inf)
+    assert parse_expression("(-3)^(10^9+1)") == Const(-math.inf)
+    assert parse_expression("(1/3)^(10^9)") == Const(0.0)
+    negative_zero = parse_expression("(-3)^(-10^9-1)").value
+    assert negative_zero == 0.0 and math.copysign(1.0, negative_zero) < 0.0
+    # a power of one stays exact however large the exponent
+    assert parse_expression("(-1)^(10^400+1)") == Const(-1.0, Fraction(-1))
+
+
+def test_extrema_overflow_between_grid_points():
+    """A value finite on the period grid but past the float range between
+    its points is an error of the extrema search, not an OverflowError."""
+    coeff = pc("exp(710*cos(3*t - pi/256)^8)")
+    with pytest.raises(EvalDomainError, match="not finite"):
+        coeff.extrema()
 
 
 def test_extrema_frozen_examples():

@@ -135,6 +135,12 @@ def test_validation_error_is_wrapped():
         parse_problem_text(_replace_line("c", "c = cos(3*t)"))
 
 
+def test_validation_error_names_the_line_of_its_coefficient():
+    with pytest.raises(ProblemFileError, match="e must be positive") as exc:
+        parse_problem_text(_replace_line("e", "e = cos(3*t)"))
+    assert exc.value.line == 7
+
+
 def test_load_problem_from_disk(tmp_path):
     path = tmp_path / "demo.problem"
     path.write_text(FULL, encoding="utf-8")

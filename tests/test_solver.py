@@ -27,6 +27,7 @@ from periorbit.solver import (
     STOP_FLOOR,
     STOP_LINE_SEARCH,
     _Flow,
+    _floquet,
     _return_map,
     _vector_field,
     apply_T,
@@ -34,7 +35,8 @@ from periorbit.solver import (
     guard_floor,
     integrate,
 )
-from periorbit.transform import PositivityError, SampledPath, to_y_equation
+from periorbit.transform import (TRANSFORMED, PositivityError, SampledPath,
+                                 residual, to_y_equation)
 
 XBAR = (3.0 + math.sqrt(13.0)) / 2.0  # positive root of x^2 - 3x - 1 = 0
 
@@ -424,19 +426,58 @@ def test_no_convergence_names_a_subfloor_start(monkeypatch):
 
 
 def test_shot_budget(monkeypatch, spec41, spec42, spec43):
-    """One Jacobian shot per start, one line-search shot per accepted full
-    step and the packaging shot: three shots for the bundled instances,
-    and a bounded failure on a text without orbit."""
+    """One Jacobian shot for the start and one full-step candidate, which
+    carries Phi and dense output and so is packaged as the orbit: two
+    shots for the bundled instances, and a bounded failure on a text
+    without orbit."""
     integrations = _counting_shots(monkeypatch)
     for spec in (spec41, spec42, spec43):
         integrations.clear()
         orbit = find_periodic(spec, tol=1e-8)
         assert orbit.newton_steps == 1
-        assert len(integrations) <= 4
+        assert len(integrations) == 2
     integrations.clear()
     with pytest.raises(NoConvergenceError):
         find_periodic(_no_orbit_spec(), tol=1e-8)
     assert len(integrations) <= 1000
+
+
+def _residual_y_oracle(spec, path):
+    """The y-equation defect with the coefficients of to_y_equation, as
+    residual computed it before it wrote them out."""
+    ts = to_y_equation(spec)
+    a = (path.v[2:] - path.v[:-2]) / (2.0 * path.step)
+    t, x, v = path.t[1:-1], path.x[1:-1], path.v[1:-1]
+    defect = (a + spec.p(t) * v + ts.l(t) * x
+              - ts.c_over_alpha(t) * x ** ts.exponent_c
+              - ts.e_over_alpha(t) * x ** ts.exponent_e
+              - ts.gradient_factor * v * v / x
+              - ts.b_over_alpha(t))
+    return float(np.max(np.abs(defect)))
+
+
+@pytest.mark.parametrize("which", ["example41", "example42", "example43",
+                                   "numeric-p"])
+def test_packaging_matches_a_fresh_shot(which, request):
+    """However Newton reached the orbit, its path, Floquet data and
+    y-residual are those of fresh shots from orbit.initial, bit for bit."""
+    if which == "numeric-p":
+        spec = request.getfixturevalue("spec_numeric_p")
+        orbit = find_periodic(spec, tol=1e-8)
+    else:
+        spec = request.getfixturevalue("spec" + which[-2:])
+        orbit = request.getfixturevalue("orbit" + which[-2:])
+    x, v = orbit.initial.x, orbit.initial.v
+    path = integrate(spec, x, v, tol=_SHOOT_RTOL)
+    for mine, fresh in ((orbit.path.t, path.t), (orbit.path.x, path.x),
+                        (orbit.path.v, path.v)):
+        assert np.array_equal(mine, fresh)
+    M = _Flow(spec).shoot(x, v, 0.0, spec.omega, _SHOOT_RTOL,
+                          jacobian=True).y[2:].tolist()
+    assert orbit.multipliers == _floquet(M)
+    assert orbit.det_M_minus_I == (M[0] - 1.0) * (M[3] - 1.0) - M[1] * M[2]
+    assert orbit.ode_residual_y == residual(spec, orbit.y_path, TRANSFORMED)
+    assert orbit.ode_residual_y == _residual_y_oracle(spec, orbit.y_path)
 
 
 def _scipy_return_map(spec, x, v):
@@ -462,7 +503,7 @@ def test_jacobian_against_central_differences(which, spec41,
     spec = spec41 if which == "example41" else spec_numeric_p
     flow = _Flow(spec)
     x, v = flow.scale, 0.0
-    _, _, M = _return_map(flow, x, v, jacobian=True)
+    _, _, M, _ = _return_map(flow, x, v, jacobian=True)
     J = np.array(M).reshape(2, 2) - np.eye(2)
     cols = []
     for j in range(2):
