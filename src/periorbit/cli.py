@@ -32,7 +32,7 @@ from .expressions import EvalDomainError
 # bench/spans.py rebinds them under these names
 from .greens import (ResonanceError, closed_form_constant, kernel_for,
                      numeric_periodic_green)
-from .hypotheses import Certificate, ProblemSpec, alpha_exponent, certify
+from .hypotheses import Certificate, ProblemSpec, certify
 from .ivp import IntegrationBlowUp
 from .problemfile import LoadedProblem, ProblemFileError, load_problem, \
     parse_problem_text
@@ -205,12 +205,7 @@ def _cmd_check(args) -> int:
 def _cmd_greens(args) -> int:
     problem = _resolve(args.file)
     spec = problem.spec
-    l = spec.q.scaled(1.0 / alpha_exponent(spec.rho1))
-    try:
-        gf = kernel_for(spec.p, l, spec.omega, n=args.n)
-    except ResonanceError as err:
-        sys.stderr.write(f"resonance: {err}\n")
-        return 1
+    gf = kernel_for(spec.p, spec.l, spec.omega, n=args.n)
     lines = [f"# instance = {_stem(problem)}",
              f"# sha256 = {problem.sha256}",
              f"# source = {gf.source}",

@@ -633,7 +633,10 @@ class PeriodicCoeff:
         return integrate_adaptive(lambda s: self(s), t0, t1)
 
     def mean(self) -> float:
-        return self.integrate(0.0, self.omega) / self.omega
+        """Mean over one period, computed on the first call and kept on the
+        coefficient."""
+        return self._kept(
+            "_mean", lambda: self.integrate(0.0, self.omega) / self.omega)
 
     def mean_positive_part(self) -> float:
         """Mean of max(f, 0) over one period, computed on the first call and

@@ -50,7 +50,9 @@ class ValidationError(ValueError):
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A validated instance of the singular periodic equation."""
+    """A validated instance of the singular periodic equation, with the
+    exponent alpha = 1/(1 + rho1) of the substitution x = y^alpha and the
+    linear coefficient l = q/alpha of the y-equation."""
 
     p: PeriodicCoeff
     q: PeriodicCoeff
@@ -60,6 +62,8 @@ class ProblemSpec:
     rho1: float
     rho2: float
     omega: float
+    alpha: float = field(init=False)
+    l: PeriodicCoeff = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (self.rho1 > 0.0 and self.rho2 > 0.0):
@@ -81,13 +85,13 @@ class ProblemSpec:
                 raise ValidationError(
                     f"{name} must be positive over a full period "
                     f"(min {ext.min_value:.6g} at t = {ext.t_min:.6g})", name)
-
-
-def alpha_exponent(rho1: float) -> float:
-    """Exponent of the positivity-preserving substitution x = y^alpha."""
-    if not (rho1 > 0.0):
-        raise ValidationError("rho1 must be positive")
-    return 1.0 / (1.0 + rho1)
+        alpha = 1.0 / (1.0 + self.rho1)
+        try:
+            l = self.q.scaled(1.0 / alpha)
+        except ValueError as err:
+            raise ValidationError(f"q: q/alpha {err}", "q") from err
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "l", l)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +130,6 @@ class HypothesisConstants:
 def constants_from(spec: ProblemSpec, gf: GreensFunction,
                    gt_max_override: float | None = None,
                    label: str = "computed") -> HypothesisConstants:
-    alpha = alpha_exponent(spec.rho1)
     gt_max = gf.gt_max if gt_max_override is None else gt_max_override
     sigma = gf.g_min / (gf.g_max + gt_max)
     delta = gt_max / gf.g_min
@@ -134,7 +137,7 @@ def constants_from(spec: ProblemSpec, gf: GreensFunction,
     cx = spec.c.extrema()
     ex = spec.e.extrema()
     return HypothesisConstants(
-        label=label, alpha=alpha, omega=spec.omega,
+        label=label, alpha=spec.alpha, omega=spec.omega,
         rho1=spec.rho1, rho2=spec.rho2,
         g_max=gf.g_max, g_min=gf.g_min, gt_max=gt_max,
         sigma=sigma, delta=delta,
@@ -416,15 +419,14 @@ def certify(spec: ProblemSpec, a1: PeriodicCoeff | None = None
     alternative sin(xi*omega/2), kept for comparison against previously
     published constant tables.  The headline verdict is the computed one.
     """
-    alpha = alpha_exponent(spec.rho1)
-    l = spec.q.scaled(1.0 / alpha)
+    l = spec.l
     case = theorem_for(spec.rho1, spec.rho2,
                        spec.b.extrema().min_value + spec.c.extrema().min_value)
 
     try:
         gf = kernel_for(spec.p, l, spec.omega)
     except ResonanceError as err:
-        return Certificate(theorem="NONE", alpha=alpha,
+        return Certificate(theorem="NONE", alpha=spec.alpha,
                            positivity_source=None, positivity_checks=[],
                            positive=False, computed=None, reported=None,
                            verdict=False, reason=f"resonance: {err}")
@@ -455,7 +457,8 @@ def certify(spec: ProblemSpec, a1: PeriodicCoeff | None = None
                                     label="reported")
         reported = _evaluate_case(k_reported, case, positive)
 
-    return Certificate(theorem=case, alpha=alpha, positivity_source=source,
+    return Certificate(theorem=case, alpha=spec.alpha,
+                       positivity_source=source,
                        positivity_checks=checks, positive=positive,
                        computed=computed, reported=reported,
                        verdict=computed.verdict, reason=computed.reason,

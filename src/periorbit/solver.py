@@ -31,7 +31,7 @@ import numpy as np
 
 from .expressions import compiled
 from .greens import GreensFunction
-from .hypotheses import ProblemSpec, alpha_exponent
+from .hypotheses import ProblemSpec
 from .ivp import IntegrationBlowUp, solve_ivp_dp
 from .transform import (ORIGINAL, TRANSFORMED, PositivityError, SampledPath,
                         TransformedSpec, residual, x_from_y)
@@ -402,8 +402,7 @@ def _package(spec: ProblemSpec, flow: _Flow, x: float, v: float, fn: float,
         carried = res.y[2:].tolist(), res.dense
     M, sol = carried
     path = _sampled(sol, 0.0, spec.omega, PATH_SAMPLES)
-    alpha = alpha_exponent(spec.rho1)
-    y_path = x_from_y(path, 1.0 / alpha)
+    y_path = x_from_y(path, 1.0 / spec.alpha)
     return Orbit(
         initial=State(t=0.0, x=x, v=v),
         path=path,
@@ -447,10 +446,11 @@ def apply_T(gf: GreensFunction, tspec: TransformedSpec,
     if n < 2 or abs(t[0]) > 1e-12 * gf.omega \
             or abs(t[-1] - gf.omega) > 1e-9 * gf.omega:
         raise ValueError("operator input must sample [0, omega] uniformly")
-    F = (tspec.c_over_alpha(t) * y.x ** tspec.exponent_c
-         + tspec.e_over_alpha(t) * y.x ** tspec.exponent_e
+    spec, k = tspec.spec, tspec.k
+    F = (k * spec.c(t) * y.x ** tspec.exponent_c
+         + k * spec.e(t) * y.x ** tspec.exponent_e
          + tspec.gradient_factor * y.v * y.v / y.x
-         + tspec.b_over_alpha(t))
+         + k * spec.b(t))
     ends = lambda a: np.column_stack((a[:-1], a[1:]))
     Ty, Typ = gf._integrate(t, ends(t), np.full((n, 2), 0.5 * y.step),
                             ends(F))

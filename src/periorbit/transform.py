@@ -16,6 +16,11 @@ merge into (b+c)/alpha).
 
 Positive periodic solutions of either form map bijectively onto those of
 the other via y = x^(1/alpha).
+
+ProblemSpec derives alpha and the coefficient l = q/alpha once, when it is
+validated.  to_y_equation adds only floats: the factor k = 1/alpha that
+the right-hand side applies to c, e and b as it evaluates them, the two
+exponents and the gradient weight.
 """
 
 from __future__ import annotations
@@ -24,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import PeriodicCoeff
-from .hypotheses import ProblemSpec, alpha_exponent
+from .hypotheses import ProblemSpec
 
 ORIGINAL = "ORIGINAL"            # residual against the x-equation
 TRANSFORMED = "TRANSFORMED"      # residual against the y-equation
@@ -33,35 +37,22 @@ TRANSFORMED = "TRANSFORMED"      # residual against the y-equation
 
 @dataclass(frozen=True)
 class TransformedSpec:
-    """Coefficients and exponents of the y-equation."""
+    """The constants of the y-equation: its coefficients are those of spec
+    times k, with spec.l = k q."""
 
-    source: ProblemSpec
-    alpha: float
+    spec: ProblemSpec
+    k: float                # 1/alpha
     exponent_c: float       # 1 - alpha - alpha*rho2
     exponent_e: float       # 1 - alpha
-    l: PeriodicCoeff        # q/alpha
-    c_over_alpha: PeriodicCoeff
-    e_over_alpha: PeriodicCoeff
-    b_over_alpha: PeriodicCoeff
-
-    @property
-    def gradient_factor(self) -> float:
-        """Weight (1 - alpha) of the |y'|^2 / y term."""
-        return 1.0 - self.alpha
+    gradient_factor: float  # 1 - alpha, the weight of |y'|^2 / y
 
 
 def to_y_equation(spec: ProblemSpec) -> TransformedSpec:
-    alpha = alpha_exponent(spec.rho1)
-    return TransformedSpec(
-        source=spec,
-        alpha=alpha,
-        exponent_c=1.0 - alpha - alpha * spec.rho2,
-        exponent_e=1.0 - alpha,
-        l=spec.q.scaled(1.0 / alpha),
-        c_over_alpha=spec.c.scaled(1.0 / alpha),
-        e_over_alpha=spec.e.scaled(1.0 / alpha),
-        b_over_alpha=spec.b.scaled(1.0 / alpha),
-    )
+    alpha = spec.alpha
+    return TransformedSpec(spec=spec, k=1.0 / alpha,
+                           exponent_c=1.0 - alpha - alpha * spec.rho2,
+                           exponent_e=1.0 - alpha,
+                           gradient_factor=1.0 - alpha)
 
 
 class PositivityError(ValueError):
@@ -136,14 +127,12 @@ def residual(spec: ProblemSpec, path: SampledPath, which: str) -> float:
                   - spec.c(t) * x ** (-spec.rho2)
                   - spec.e(t))
     elif which == TRANSFORMED:
-        # the coefficients of to_y_equation, k E(t) with k = 1/alpha,
-        # without building and validating them as PeriodicCoeffs
-        alpha = alpha_exponent(spec.rho1)
-        k = 1.0 / alpha
-        defect = (a + spec.p(t) * v + k * spec.q(t) * x
-                  - k * spec.c(t) * x ** (1.0 - alpha - alpha * spec.rho2)
-                  - k * spec.e(t) * x ** (1.0 - alpha)
-                  - (1.0 - alpha) * v * v / x
+        ts = to_y_equation(spec)
+        k = ts.k
+        defect = (a + spec.p(t) * v + spec.l(t) * x
+                  - k * spec.c(t) * x ** ts.exponent_c
+                  - k * spec.e(t) * x ** ts.exponent_e
+                  - ts.gradient_factor * v * v / x
                   - k * spec.b(t))
     else:
         raise ValueError(f"unknown equation selector {which!r}")

@@ -188,6 +188,17 @@ def test_check_overflow_in_certificate_extrema_exit_2(tmp_path, capsys):
     assert err.startswith("domain error: ") and "not finite" in err
 
 
+@pytest.mark.parametrize("command", ["check", "greens", "solve"])
+def test_q_over_alpha_past_float_range_exit_2(tmp_path, capsys, command):
+    """q = 1e308 is finite, but l = q/alpha = 2.5e308 is not."""
+    bad, line = _example41_with("q", "1e308", tmp_path)
+    code = cli.main([command, str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {bad}: line {line}: q: ")
+    assert "not finite" in err and err.count("\n") == 1
+
+
 def test_check_resonant_instance_exit_1(tmp_path, capsys):
     res = tmp_path / "resonant.problem"
     res.write_text(RESONANT)

@@ -22,7 +22,6 @@ from periorbit.greens import (
     numeric_periodic_green,
     periodicity_mismatch,
 )
-from periorbit.hypotheses import alpha_exponent
 
 XI = 0.25  # sqrt(l) for the worked instance: l = (1/40)/alpha = 1/16
 
@@ -89,8 +88,7 @@ def test_slope_maximum_near_the_far_corner():
         "e = 11.1053 + 1.1937*cos(3*t)\n"
         "rho1 = 1.6484\n"
         "rho2 = 1.6484\n").spec
-    l = spec.q.scaled(1.0 / alpha_exponent(spec.rho1))
-    gt = {n: kernel_for(spec.p, l, spec.omega, n=n).gt_max
+    gt = {n: kernel_for(spec.p, spec.l, spec.omega, n=n).gt_max
           for n in (190, 200, 210)}
     assert gt[200] >= 0.57358205
     assert max(gt.values()) - min(gt.values()) <= 1e-8 * gt[200]
@@ -141,8 +139,7 @@ def test_numeric_constants_against_dense_oracle():
         "e = 9.7496 + 1.1534*cos(3*t)\n"
         "rho1 = 1.5654\n"
         "rho2 = 1.5654\n").spec
-    gf = kernel_for(spec.p, spec.q.scaled(1.0 / alpha_exponent(spec.rho1)),
-                    spec.omega)
+    gf = kernel_for(spec.p, spec.l, spec.omega)
     assert gf.source == "numeric"
     g_min, g_max, gt_max = _dense_extremes(gf)
     assert gf.g_min <= g_min * (1.0 + 1e-13)

@@ -19,7 +19,6 @@ from periorbit.hypotheses import (
     HypothesisConstants,
     ValidationError,
     ValueCheck,
-    alpha_exponent,
     case_one_interval,
     check_H1,
     check_H2,
@@ -65,14 +64,16 @@ def k43_rep(gf):
                           label="reported")
 
 
-def test_alpha_exponent():
-    assert alpha_exponent(1.5) == pytest.approx(0.4, rel=1e-15)
-    assert alpha_exponent(1.0) == 0.5
-    assert alpha_exponent(3.0) == 0.25
-    with pytest.raises(ValidationError):
-        alpha_exponent(0.0)
-    with pytest.raises(ValidationError):
-        alpha_exponent(-1.0)
+def test_problem_spec_alpha():
+    """alpha = 1/(1 + rho1), derived once when the instance is validated;
+    an instance with rho1 <= 0 has no substitution and is rejected."""
+    spec = make_example(1.3)
+    assert spec.alpha == pytest.approx(0.4, rel=1e-15)
+    assert dataclasses.replace(spec, rho1=1.0).alpha == 0.5
+    assert dataclasses.replace(spec, rho1=3.0).alpha == 0.25
+    for rho1 in (0.0, -1.0):
+        with pytest.raises(ValidationError):
+            dataclasses.replace(spec, rho1=rho1)
 
 
 def test_constants_from_worked_instance(k41, k41_rep):

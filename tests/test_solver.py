@@ -238,19 +238,19 @@ def test_apply_T_constant_case():
 
 
 def test_apply_T_gradient_term_against_kernel_solve():
-    """With the power terms zeroed, the operator reduces to the periodic
-    response to the gradient load, independently computable from the kernel."""
+    """The operator is the periodic response to the whole right-hand side,
+    gradient term included, independently computable from the kernel.  On
+    the constant instance alpha = 1/2: the load is 2 c + 2 e y^(1/2)
+    + (1/2) y'^2 / y with c = 1, e = 3 and b = 0."""
     spec = make_constant_spec()
-    tspec = to_y_equation(spec)
-    zero = pc("0")
-    tg = dataclasses.replace(tspec, c_over_alpha=zero, e_over_alpha=zero,
-                             b_over_alpha=zero)
     n = 512
     gf = closed_form_constant(math.sqrt(2.0), OMEGA, n=n)
     t = gf.t
     y = SampledPath(t=t, x=4.0 + np.sin(3.0 * t), v=3.0 * np.cos(3.0 * t))
-    Ty = apply_T(gf, tg, y)
-    load = lambda s: 0.5 * (3.0 * np.cos(3.0 * s)) ** 2 / (4.0 + np.sin(3.0 * s))
+    Ty = apply_T(gf, to_y_equation(spec), y)
+    load = lambda s: (2.0 + 6.0 * np.sqrt(4.0 + np.sin(3.0 * s))
+                      + 0.5 * (3.0 * np.cos(3.0 * s)) ** 2
+                      / (4.0 + np.sin(3.0 * s)))
     u, up = gf.solve_linear(load, return_derivative=True)
     scale = float(np.max(np.abs(u))) + 1.0
     assert np.max(np.abs(Ty.x - u)) <= 1e-5 * scale
@@ -262,10 +262,12 @@ def _dense_apply_T(gf, tspec, y):
     diagonal, applied to full kernel rows (O(n^2) time and memory)."""
     t = y.t
     n = t.size - 1
-    F = (tspec.c_over_alpha(t) * y.x ** tspec.exponent_c
-         + tspec.e_over_alpha(t) * y.x ** tspec.exponent_e
+    c, e, b = (E.scaled(tspec.k) for E in (tspec.spec.c, tspec.spec.e,
+                                            tspec.spec.b))
+    F = (c(t) * y.x ** tspec.exponent_c
+         + e(t) * y.x ** tspec.exponent_e
          + tspec.gradient_factor * y.v * y.v / y.x
-         + tspec.b_over_alpha(t))
+         + b(t))
     h = y.step
     Ty = np.empty(t.size)
     Typ = np.empty(t.size)
@@ -443,16 +445,18 @@ def test_shot_budget(monkeypatch, spec41, spec42, spec43):
 
 
 def _residual_y_oracle(spec, path):
-    """The y-equation defect with the coefficients of to_y_equation, as
-    residual computed it before it wrote them out."""
-    ts = to_y_equation(spec)
+    """The y-equation defect on coefficients built here as E scaled by
+    1/alpha, with the exponents written out."""
+    alpha = spec.alpha
+    l, c, e, b = (E.scaled(1.0 / alpha)
+                  for E in (spec.q, spec.c, spec.e, spec.b))
     a = (path.v[2:] - path.v[:-2]) / (2.0 * path.step)
     t, x, v = path.t[1:-1], path.x[1:-1], path.v[1:-1]
-    defect = (a + spec.p(t) * v + ts.l(t) * x
-              - ts.c_over_alpha(t) * x ** ts.exponent_c
-              - ts.e_over_alpha(t) * x ** ts.exponent_e
-              - ts.gradient_factor * v * v / x
-              - ts.b_over_alpha(t))
+    defect = (a + spec.p(t) * v + l(t) * x
+              - c(t) * x ** (1.0 - alpha - alpha * spec.rho2)
+              - e(t) * x ** (1.0 - alpha)
+              - (1.0 - alpha) * v * v / x
+              - b(t))
     return float(np.max(np.abs(defect)))
 
 

@@ -1,5 +1,6 @@
 """Substitution x = y^alpha: exponents, classification, paths, residuals."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from conftest import OMEGA, make_cheap_spec, make_constant_spec, make_example, pc
 from periorbit import ProblemSpec
-from periorbit.hypotheses import alpha_exponent
 from periorbit.transform import (
     ORIGINAL,
     TRANSFORMED,
@@ -23,7 +23,8 @@ from periorbit.transform import (
 
 def test_exponents_on_worked_instances():
     t41 = to_y_equation(make_example(1.3))
-    assert t41.alpha == pytest.approx(0.4, rel=1e-15)
+    assert t41.spec.alpha == pytest.approx(0.4, rel=1e-15)
+    assert t41.k == pytest.approx(2.5, rel=1e-15)
     # exponent of the repulsive image: 1 - alpha - alpha*rho2
     assert t41.exponent_c == pytest.approx(0.08, abs=1e-14)
     assert t41.exponent_e == pytest.approx(0.6, rel=1e-14)
@@ -36,20 +37,20 @@ def test_exponents_on_worked_instances():
     assert t43.exponent_c == pytest.approx(0.0, abs=1e-14)
 
 
-def test_transformed_coefficients_are_scaled():
-    spec = make_example(1.3)
-    tr = to_y_equation(spec)
+def test_linear_coefficient_is_q_over_alpha():
+    """spec.l is q/alpha, and k q to the bit, with k = 1/alpha the factor
+    to_y_equation applies to c, e and b."""
+    spec = dataclasses.replace(make_example(1.3), q=pc("1/40+1/80*sin(3*t)"))
+    k = to_y_equation(spec).k
     ts = np.linspace(0.0, OMEGA, 33)
-    a = alpha_exponent(spec.rho1)
-    assert np.allclose(tr.l(ts), spec.q(ts) / a, rtol=1e-13)
-    assert np.allclose(tr.c_over_alpha(ts), spec.c(ts) / a, rtol=1e-13)
-    assert np.allclose(tr.e_over_alpha(ts), spec.e(ts) / a, rtol=1e-13)
-    assert np.allclose(tr.b_over_alpha(ts), spec.b(ts) / a, rtol=1e-13)
+    assert np.allclose(spec.l(ts), spec.q(ts) / spec.alpha, rtol=1e-13)
+    assert np.array_equal(spec.l(ts), k * spec.q(ts))
+    assert spec.l.omega == spec.omega
 
 
 @pytest.mark.parametrize("rho1", [0.5, 1.0, 1.5, 2.0, 7.0 / 3.0])
 def test_alpha_inverts_exponent_sum(rho1):
-    a = alpha_exponent(rho1)
+    a = dataclasses.replace(make_example(1.3), rho1=rho1).alpha
     assert abs(a * (1.0 + rho1) - 1.0) < 5e-16
 
 
@@ -97,8 +98,7 @@ def test_residual_zero_at_equilibrium():
     t = np.linspace(0.0, OMEGA, 101)
     path = SampledPath(t=t, x=np.full(t.size, xbar), v=np.zeros(t.size))
     assert residual(spec, path, ORIGINAL) <= 1e-8
-    a = alpha_exponent(spec.rho1)
-    y_path = x_from_y(path, 1.0 / a)
+    y_path = x_from_y(path, 1.0 / spec.alpha)
     assert residual(spec, y_path, TRANSFORMED) <= 1e-8
 
 
@@ -162,6 +162,6 @@ def test_orbit_paths_satisfy_both_forms(spec41, orbit41):
     r_x = residual(spec41, orbit41.path, ORIGINAL)
     assert r_x <= 1e-4 * 11.0  # 1e-4 * max e
     r_y = residual(spec41, orbit41.y_path, TRANSFORMED)
-    a = alpha_exponent(spec41.rho1)
+    a = spec41.alpha
     scale_y = 11.0 / a * float(np.max(orbit41.y_path.x)) ** (1.0 - a)
     assert r_y <= 1e-4 * scale_y
