@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from importlib import resources
 
 import numpy as np
@@ -32,7 +33,8 @@ from .expressions import EvalDomainError
 # bench/spans.py rebinds them under these names
 from .greens import (ResonanceError, closed_form_constant, kernel_for,
                      numeric_periodic_green)
-from .hypotheses import Certificate, ProblemSpec, certify
+from .hypotheses import (Certificate, ProblemSpec, ValidationError, certify,
+                         keyed)
 from .ivp import IntegrationBlowUp
 from .problemfile import LoadedProblem, ProblemFileError, load_problem, \
     parse_problem_text
@@ -92,6 +94,17 @@ def _resolve(fileref: str) -> LoadedProblem:
         f"(bundled: {', '.join(_BUNDLED)})", 2)
 
 
+@contextmanager
+def _located(fileref: str, problem: LoadedProblem):
+    """A ValidationError against a key of problem, raised after parsing,
+    reported as the parser reports one: with the key's line, exit 2."""
+    try:
+        yield
+    except ValidationError as err:
+        located = ProblemFileError(str(err), problem.lines.get(err.key))
+        raise _CliError(f"{fileref}: {located}", 2) from err
+
+
 def _out_dir(args) -> str:
     out = args.out or os.environ.get("PERIORBIT_OUT") or "."
     os.makedirs(out, exist_ok=True)
@@ -108,21 +121,8 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _np_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True,
-                      default=_np_default) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +183,8 @@ def _certificate_report(problem: LoadedProblem, cert: Certificate) -> str:
 
 def _cmd_check(args) -> int:
     problem = _resolve(args.file)
-    cert = certify(problem.spec, a1=problem.a1)
+    with _located(args.file, problem):
+        cert = certify(problem.spec, a1=problem.a1)
     doc = cert.to_dict()
     doc["instance"] = {"name": _stem(problem), "sha256": problem.sha256,
                        "omega": problem.spec.omega,
@@ -205,7 +206,8 @@ def _cmd_check(args) -> int:
 def _cmd_greens(args) -> int:
     problem = _resolve(args.file)
     spec = problem.spec
-    gf = kernel_for(spec.p, spec.l, spec.omega, n=args.n)
+    with _located(args.file, problem), keyed("q", "q/alpha "):
+        gf = kernel_for(spec.p, spec.l, spec.omega, n=args.n)
     lines = [f"# instance = {_stem(problem)}",
              f"# sha256 = {problem.sha256}",
              f"# source = {gf.source}",
@@ -264,7 +266,8 @@ def _solve_problem(problem: LoadedProblem, args) -> Orbit:
 def _cmd_solve(args) -> int:
     problem = _resolve(args.file)
     try:
-        orbit = _solve_problem(problem, args)
+        with _located(args.file, problem):
+            orbit = _solve_problem(problem, args)
     except NoConvergenceError as err:
         sys.stderr.write(f"no convergence: {err}\n")
         return 1

@@ -176,7 +176,9 @@ _EXACT_POWER_BITS = 1 << 16
 def _exact_power(x: Fraction, n: int) -> Const:
     """x^n folded to a Const (x = 0 only with n > 0).  A power whose bit
     length |n log2|x|| passes _EXACT_POWER_BITS folds straight to +-inf or
-    +-0.0 with no exact value; any other keeps its exact value."""
+    +-0.0, and one whose exact integers would pass it (a base near +-1,
+    where log2|x| reads about 0) folds through floats; neither keeps an
+    exact value.  Any other keeps its exact value."""
     negative = x < 0 and n % 2 == 1
     log2x = (math.log2(abs(x.numerator)) - math.log2(x.denominator)
              if x != 0 else 0.0)
@@ -188,6 +190,15 @@ def _exact_power(x: Fraction, n: int) -> Const:
         if bits > _EXACT_POWER_BITS:
             value = math.inf if (n > 0) == (log2x > 0) else 0.0
             return Const(-value if negative else value)
+    # about the bit length of the larger integer of x^n; 0 for 0 and +-1
+    size = abs(n) * (max(x.numerator.bit_length(),
+                         x.denominator.bit_length()) - 1)
+    if size > _EXACT_POWER_BITS:
+        try:
+            value = math.exp(n * math.log1p(float(abs(x) - 1)))
+        except OverflowError:  # exp, or n past the float range
+            value = math.inf if (n > 0) == (abs(x) > 1) else 0.0
+        return Const(-value if negative else value)
     exact = x ** n
     try:
         value = float(exact)
@@ -318,18 +329,22 @@ def _compile(expr: Expr, array: bool):
 
 
 def contains_time(e: Expr) -> bool:
-    kind = type(e)
-    if kind is TimeVar:
-        return True
-    if kind is Const:
-        return False
-    if kind in (Neg, Sin, Cos, Exp):
-        return contains_time(e.arg)
-    if kind in (Add, Mul):
-        return contains_time(e.left) or contains_time(e.right)
-    if kind is Pow:
-        return contains_time(e.base)
-    raise TypeError(f"unknown node {e!r}")
+    # a walk with an explicit stack: a long sum is as deep as it is long
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        kind = type(e)
+        if kind is TimeVar:
+            return True
+        if kind in (Neg, Sin, Cos, Exp):
+            stack.append(e.arg)
+        elif kind in (Add, Mul):
+            stack += (e.right, e.left)
+        elif kind is Pow:
+            stack.append(e.base)
+        elif kind is not Const:
+            raise TypeError(f"unknown node {e!r}")
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +387,10 @@ _TOKEN_RE = re.compile(
 
 _FUNCTIONS = {"sin": Sin, "cos": Cos, "exp": Exp}
 
+# Parentheses, function calls and exponents may nest this deep; the parser
+# recurses a few frames per level and stops well inside Python's limit.
+_MAX_PARSE_NESTING = 100
+
 
 @dataclass(frozen=True)
 class _Token:
@@ -404,6 +423,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.k = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.k]
@@ -412,6 +432,16 @@ class _Parser:
         tok = self.tokens[self.k]
         self.k += 1
         return tok
+
+    def nest(self, tok: _Token, parse):
+        """parse() one nesting level below tok, which opens it."""
+        if self.depth == _MAX_PARSE_NESTING:
+            raise ParseError(f"nested deeper than {_MAX_PARSE_NESTING} "
+                             f"levels", tok.pos)
+        self.depth += 1
+        e = parse()
+        self.depth -= 1
+        return e
 
     def expect_op(self, op: str):
         tok = self.peek()
@@ -452,14 +482,17 @@ class _Parser:
                 return e
 
     def unary(self) -> Expr:
+        # a chain of signs is read in a loop, then folded innermost first
+        negations = 0
         tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
+        while tok.kind == "op" and tok.text in "+-":
+            negations += tok.text == "-"
             self.advance()
-            return _neg(self.unary())
-        if tok.kind == "op" and tok.text == "+":
-            self.advance()
-            return self.unary()
-        return self.power()
+            tok = self.peek()
+        e = self.power()
+        for _ in range(negations):
+            e = _neg(e)
+        return e
 
     def power(self) -> Expr:
         base = self.atom()
@@ -467,7 +500,7 @@ class _Parser:
         if tok.kind == "op" and tok.text == "^":
             self.advance()
             epos = self.peek().pos
-            exponent_expr = self.unary()
+            exponent_expr = self.nest(tok, self.unary)
             # the folding constructors reduce a rational constant subtree
             # to one Const
             q = (exponent_expr.exact if isinstance(exponent_expr, Const)
@@ -488,12 +521,12 @@ class _Parser:
                 return Const(math.pi)
             if tok.text in _FUNCTIONS:
                 self.expect_op("(")
-                arg = self.expression()
+                arg = self.nest(tok, self.expression)
                 self.expect_op(")")
                 return _FUNCTIONS[tok.text](arg)
             raise ParseError(f"unknown name {tok.text!r}", tok.pos)
         if tok.kind == "op" and tok.text == "(":
-            e = self.expression()
+            e = self.nest(tok, self.expression)
             self.expect_op(")")
             return e
         raise ParseError(
@@ -635,8 +668,12 @@ class PeriodicCoeff:
     def mean(self) -> float:
         """Mean over one period, computed on the first call and kept on the
         coefficient."""
-        return self._kept(
-            "_mean", lambda: self.integrate(0.0, self.omega) / self.omega)
+        return self._kept("_mean", self._integrate_mean)
+
+    def _integrate_mean(self) -> float:
+        # a sum past the float range raises QuadratureError, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.integrate(0.0, self.omega) / self.omega
 
     def mean_positive_part(self) -> float:
         """Mean of max(f, 0) over one period, computed on the first call and
@@ -688,7 +725,8 @@ class PeriodicCoeff:
         """The constant value of this coefficient, or None if it varies."""
         ts = np.linspace(0.0, self.omega, 257)
         vals = np.asarray(self(ts), dtype=float)
-        mean = float(np.mean(vals))
+        with np.errstate(over="ignore"):
+            mean = float(np.mean(vals))
         if float(np.max(vals) - np.min(vals)) <= 1e-12 * (1.0 + abs(mean)):
             return mean
         return None

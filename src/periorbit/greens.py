@@ -347,6 +347,9 @@ def kernel_for(p: PeriodicCoeff, l: PeriodicCoeff, omega: float,
         xi = math.sqrt(l_const)
         if xi < math.pi / omega:
             return closed_form_constant(xi, omega, n=n)
+    # the numeric construction integrates l: where l leaves the float
+    # range between grid points, its extrema raise EvalDomainError first
+    l.extrema()
     return numeric_periodic_green(p, l, omega, n=n)
 
 

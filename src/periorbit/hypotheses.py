@@ -28,6 +28,7 @@ the two inverse powers, so the sum b + c plays the role of b.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
 from .expressions import EvalDomainError, PeriodicCoeff
@@ -36,6 +37,7 @@ from .expressions import EvalDomainError, PeriodicCoeff
 from .greens import (CriterionVerdict, GreensFunction, ResonanceError,
                      check_A1, check_A2, check_chu, closed_form_constant,
                      kernel_for, numeric_periodic_green)
+from .quadrature import QuadratureError
 
 R_SEARCH_CAP = 1e12
 
@@ -77,10 +79,8 @@ class ProblemSpec:
                     f"coefficient {name} carries period {coeff.omega}, "
                     f"expected {self.omega}")
         for name in ("c", "e"):
-            try:
+            with keyed(name):
                 ext = getattr(self, name).extrema()
-            except EvalDomainError as err:
-                raise ValidationError(f"{name}: {err}", name) from err
             if not (ext.min_value > 0.0):
                 raise ValidationError(
                     f"{name} must be positive over a full period "
@@ -92,6 +92,17 @@ class ProblemSpec:
             raise ValidationError(f"q: q/alpha {err}", "q") from err
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "l", l)
+
+
+@contextmanager
+def keyed(key: str, what: str = ""):
+    """Report a value past the float range, or a mean that cannot be
+    integrated, as a ValidationError against the problem key it comes
+    from; what names the quantity derived from it, if any."""
+    try:
+        yield
+    except (EvalDomainError, QuadratureError) as err:
+        raise ValidationError(f"{key}: {what}{err}", key) from err
 
 
 # ---------------------------------------------------------------------------
@@ -418,13 +429,19 @@ def certify(spec: ProblemSpec, a1: PeriodicCoeff | None = None
     every positive closed-form kernel) and once with the reported
     alternative sin(xi*omega/2), kept for comparison against previously
     published constant tables.  The headline verdict is the computed one.
+
+    A value of b or of l = q/alpha past the float range, found by their
+    extrema between the grid points that parsing checks, raises
+    ValidationError keyed to b or q.
     """
     l = spec.l
-    case = theorem_for(spec.rho1, spec.rho2,
-                       spec.b.extrema().min_value + spec.c.extrema().min_value)
+    with keyed("b"):
+        b_min = spec.b.extrema().min_value
+    case = theorem_for(spec.rho1, spec.rho2, b_min + spec.c.extrema().min_value)
 
     try:
-        gf = kernel_for(spec.p, l, spec.omega)
+        with keyed("q", "q/alpha "):
+            gf = kernel_for(spec.p, l, spec.omega)
     except ResonanceError as err:
         return Certificate(theorem="NONE", alpha=spec.alpha,
                            positivity_source=None, positivity_checks=[],

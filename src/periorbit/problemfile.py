@@ -40,6 +40,7 @@ class LoadedProblem:
     tol: float | None
     sha256: str
     name: str
+    lines: dict             # each key's line in the text
 
 
 def _scalar(text: str, key: str, line: int) -> float:
@@ -109,14 +110,14 @@ def parse_problem_text(text: str, name: str = "<string>") -> LoadedProblem:
         if key in raw:
             scalars[key] = _scalar(raw[key][0], key, raw[key][1])
 
+    lines = {key: lineno for key, (_, lineno) in raw.items()}
     try:
         spec = ProblemSpec(p=coeffs["p"], q=coeffs["q"], b=coeffs["b"],
                            c=coeffs["c"], e=coeffs["e"],
                            rho1=scalars["rho1"], rho2=scalars["rho2"],
                            omega=omega)
     except ValidationError as err:
-        line = raw[err.key][1] if err.key else None
-        raise ProblemFileError(str(err), line) from err
+        raise ProblemFileError(str(err), lines.get(err.key)) from err
 
     return LoadedProblem(
         spec=spec,
@@ -126,6 +127,7 @@ def parse_problem_text(text: str, name: str = "<string>") -> LoadedProblem:
         tol=scalars.get("tol"),
         sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
         name=name,
+        lines=lines,
     )
 
 

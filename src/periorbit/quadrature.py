@@ -21,7 +21,8 @@ _GOLDEN_MAXITER = 200
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive refinement hit the depth cap without meeting its budget."""
+    """Adaptive refinement hit the depth cap without meeting its budget, or
+    met a panel sum that is not finite."""
 
 
 def _gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -62,6 +63,9 @@ def integrate_adaptive(f, a: float, b: float, tol: float | None = None
         mid = 0.5 * (lo + hi)
         left = _panel(f, lo, mid)
         right = _panel(f, mid, hi)
+        if not math.isfinite(left + right):
+            # no refinement makes a sum past the float range finite
+            raise QuadratureError(f"integral on [{lo}, {hi}] is not finite")
         err = abs(left + right - whole)
         if err <= tol * (hi - lo) / (b - a) or (hi - lo) <= 1e-15 * (b - a):
             total += left + right

@@ -31,7 +31,7 @@ import numpy as np
 
 from .expressions import compiled
 from .greens import GreensFunction
-from .hypotheses import ProblemSpec
+from .hypotheses import ProblemSpec, keyed
 from .ivp import IntegrationBlowUp, solve_ivp_dp
 from .transform import (ORIGINAL, TRANSFORMED, PositivityError, SampledPath,
                         TransformedSpec, residual, x_from_y)
@@ -124,9 +124,12 @@ class Orbit:
 def _amplitude_scale(spec: ProblemSpec) -> float:
     """Natural trajectory amplitude: the mean balance q x ~ e gives
     x ~ mean(e)/mean(q); fall back to a unit scale when the linear
-    coefficient has no positive mean to balance against."""
-    qm = spec.q.mean()
-    em = spec.e.mean()
+    coefficient has no positive mean to balance against.  A mean that
+    cannot be integrated raises ValidationError keyed to q or e."""
+    with keyed("q"):
+        qm = spec.q.mean()
+    with keyed("e"):
+        em = spec.e.mean()
     if qm > 1e-12 and em > 0.0:
         return em / qm
     return max(1.0, abs(em))

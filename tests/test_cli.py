@@ -178,25 +178,67 @@ def test_check_overflow_between_grid_points_exit_2(tmp_path, capsys):
     assert "not finite" in err and err.count("\n") == 1
 
 
-def test_check_overflow_in_certificate_extrema_exit_2(tmp_path, capsys):
-    """b's extrema are first taken by the certificate: the overflow ends
-    the command as a domain error, not a traceback."""
-    bad, _ = _example41_with("b", _OVERFLOW_BETWEEN_GRID_POINTS, tmp_path)
-    code = cli.main(["check", str(bad)])
+def _exits_2_on_line(argv, bad, line, key, capsys):
+    code = cli.main(argv)
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("domain error: ") and "not finite" in err
+    assert err.startswith(f"error: {bad}: line {line}: {key}: ")
+    assert "not finite" in err and err.count("\n") == 1
+
+
+def test_check_overflow_in_certificate_extrema_exit_2(tmp_path, capsys):
+    """b's extrema are first taken by the certificate, after parsing: the
+    overflow is still reported on b's line."""
+    bad, line = _example41_with("b", _OVERFLOW_BETWEEN_GRID_POINTS, tmp_path)
+    _exits_2_on_line(["check", str(bad)], bad, line, "b", capsys)
+
+
+def test_solve_mean_past_float_range_exit_2(tmp_path, capsys):
+    """The mean of e, which sets the solver's amplitude scale, overflows:
+    the solve stops on e's line, not in a quadrature traceback."""
+    bad, line = _example41_with("e", "1e308 + cos(3*t)", tmp_path)
+    _exits_2_on_line(["solve", str(bad)], bad, line, "e", capsys)
 
 
 @pytest.mark.parametrize("command", ["check", "greens", "solve"])
 def test_q_over_alpha_past_float_range_exit_2(tmp_path, capsys, command):
     """q = 1e308 is finite, but l = q/alpha = 2.5e308 is not."""
     bad, line = _example41_with("q", "1e308", tmp_path)
-    code = cli.main([command, str(bad)])
+    _exits_2_on_line([command, str(bad)], bad, line, "q", capsys)
+
+
+@pytest.mark.parametrize("command", ["check", "greens"])
+def test_q_over_alpha_overflow_between_grid_points_exit_2(tmp_path, capsys,
+                                                          command):
+    """q peaks at exp(709), finite, and l = 2.5 q overflows there; on the
+    grid l stays finite, so the kernel build meets it first."""
+    bad, line = _example41_with("q", "exp(709*cos(3*t - pi/256)^8)",
+                                tmp_path)
+    _exits_2_on_line([command, str(bad)], bad, line, "q", capsys)
+
+
+# 400 nested parentheses, a sign chain with no operand, and a scalar sum
+# as deep as it is long: each once ended in a RecursionError
+_DEEP = [("p", "(" * 400 + "0" + ")" * 400, "nested deeper than 100 levels"),
+         ("p", "-" * 1500, "unexpected end of input"),
+         ("rho2", "13/10" + "+t" * 1500, "rho2 must be a constant")]
+
+
+@pytest.mark.parametrize("key,value,message", _DEEP)
+def test_check_deep_nesting_exit_2(tmp_path, capsys, key, value, message):
+    bad, line = _example41_with(key, value, tmp_path)
+    code = cli.main(["check", str(bad)])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith(f"error: {bad}: line {line}: q: ")
-    assert "not finite" in err and err.count("\n") == 1
+    assert err.startswith(f"error: {bad}: line {line}: ")
+    assert message in err and err.count("\n") == 1
+
+
+def test_check_long_sign_chain_parses(tmp_path, capsys):
+    """1500 minus signs before 0 are p = 0, example41's own p."""
+    path, _ = _example41_with("p", "-" * 1500 + "0", tmp_path)
+    assert cli.main(["check", str(path)]) == 0
+    assert "verdict: TRUE" in capsys.readouterr().out
 
 
 def test_check_resonant_instance_exit_1(tmp_path, capsys):

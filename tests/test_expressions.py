@@ -1,5 +1,6 @@
 """Expression parsing, evaluation, calculus helpers, and periodic coefficients."""
 
+import decimal
 import math
 import pickle
 import struct
@@ -27,6 +28,7 @@ from periorbit.expressions import (
     Sin,
     TimeVar,
     compiled,
+    contains_time,
     derivative,
     evaluate,
 )
@@ -379,6 +381,72 @@ def test_exact_power_far_past_float_range_is_not_computed():
     assert negative_zero == 0.0 and math.copysign(1.0, negative_zero) < 0.0
     # a power of one stays exact however large the exponent
     assert parse_expression("(-1)^(10^400+1)") == Const(-1.0, Fraction(-1))
+
+
+def _float_of_power(base: Fraction, n: int) -> float:
+    """float(base^n), from a 60-digit decimal power."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        x = decimal.Decimal(base.numerator) / decimal.Decimal(base.denominator)
+        return float(x ** n)
+
+
+@pytest.mark.parametrize("text,base,n", [
+    ("1.00000000000000000001^(10^5)", Fraction("1.00000000000000000001"),
+     10 ** 5),
+    ("(1+10^-30)^(10^5)", 1 + Fraction(1, 10 ** 30), 10 ** 5),
+    ("(1+10^-30)^(10^6)", 1 + Fraction(1, 10 ** 30), 10 ** 6),
+    ("(1-10^-12)^(10^6)", 1 - Fraction(1, 10 ** 12), 10 ** 6),
+    ("(-1-10^-20)^(-10^5-1)", -1 - Fraction(1, 10 ** 20), -10 ** 5 - 1),
+])
+def test_exact_power_near_one_folds_through_floats(text, base, n):
+    """A base within float cancellation of +-1 has log2|x| of about 0, yet
+    its exact power runs to n times its bit length: past the bound it
+    folds through floats, in bounded time, to the exact power's float."""
+    start = time.perf_counter()
+    value = parse_expression(text)
+    assert time.perf_counter() - start < 0.1
+    assert value.exact is None
+    expected = _float_of_power(base, n)
+    assert abs(value.value - expected) <= 1e-12 * abs(expected)
+
+
+@pytest.mark.parametrize("text,base,n", [
+    ("(3/2)^40", Fraction(3, 2), 40),
+    ("(-7/3)^(-25)", Fraction(-7, 3), -25),
+    ("2^1000", Fraction(2), 1000),
+    ("(1+10^-30)^600", 1 + Fraction(1, 10 ** 30), 600),
+    ("1.00000000000000000001^(10^2)", Fraction("1.00000000000000000001"),
+     100),
+])
+def test_exact_power_under_the_bound_stays_exact(text, base, n):
+    assert parse_expression(text) == Const(float(base ** n), base ** n)
+
+
+def test_nesting_limit():
+    """Parentheses, function calls and exponents nest at most 100 deep;
+    the level past it is a ParseError at its column, not a
+    RecursionError.  Signs are not nesting: any chain of them parses."""
+    assert parse_expression("(" * 100 + "t" + ")" * 100) == TimeVar()
+    for text, column in (("(" * 101 + "t" + ")" * 101, 101),
+                         ("(" * 400 + "0" + ")" * 400, 101),
+                         ("1+" + "sin(" * 101 + "t" + ")" * 101, 403),
+                         ("t" + "^1" * 101, 202)):
+        with pytest.raises(ParseError, match="nested deeper than 100") as err:
+            parse_expression(text)
+        assert err.value.position == column - 1
+    assert parse_expression("-" * 1500 + "0") == Const(0.0, Fraction(0))
+    assert parse_expression("-" * 1501 + "t") == Neg(TimeVar())
+    assert parse_expression("+-" * 300 + "t") == TimeVar()
+    assert parse_expression("2*-" + "-+" * 700 + "3") == Const(-6.0,
+                                                               Fraction(-6))
+    with pytest.raises(ParseError, match="unexpected end of input"):
+        parse_expression("-" * 1500)
+
+
+def test_contains_time_walks_long_sums():
+    assert contains_time(parse_expression("13/10" + "+t" * 5000))
+    assert not contains_time(parse_expression("+".join(["sin(1)"] * 5000)))
 
 
 def test_extrema_overflow_between_grid_points():

@@ -577,6 +577,26 @@ def test_certificate_wire_format_matches_reference(monkeypatch):
     assert {"closed-form", "A1", "CHU", None} <= sources
 
 
+def test_wire_format_is_plain_json(orbit41):
+    """Every value of a certificate's wire format and of Orbit.summary()
+    is a Python scalar, bool, str, list or dict, which json.dumps takes
+    with no default hook: example41, a numeric kernel certified through
+    a1, and a resonant instance."""
+    resonant = A1_HOLDS.replace(
+        "q = (2/5)*(1+1/10*sin(3*t)+3/10*cos(3*t))", "q = 18/5").replace(
+        "p = 2+1/10*sin(3*t)", "p = 0")
+    example41 = (Path(__file__).resolve().parents[1] / "src" / "periorbit"
+                 / "problems" / "example41.problem").read_text()
+    seen = set()
+    for text in (example41, A1_HOLDS, resonant):
+        problem = parse_problem_text(text)
+        cert = certify(problem.spec, a1=problem.a1)
+        seen.add((cert.theorem, cert.positivity_source))
+        json.dumps(cert.to_dict())
+    assert {("T3.1", "closed-form"), ("T3.1", "A1"), ("NONE", None)} == seen
+    json.dumps(orbit41.summary())
+
+
 def test_certificate_positivity_checks_entries():
     problem = parse_problem_text(A1_HOLDS)
     cert = certify(problem.spec, a1=problem.a1)
