@@ -214,12 +214,16 @@ def _cmd_greens(args) -> int:
              f"# n = {gf.n}"]
     for key, val in gf.constants().items():
         lines.append(f"# {key} = {val if isinstance(val, (bool, str)) else _g(val)}")
-    header = "\n".join(lines) + "\nt,s,G,Gt\n"
-    rows = []
-    for i, ti in enumerate(gf.t):
-        for j, sj in enumerate(gf.t):
-            rows.append(f"{_g(ti)},{_g(sj)},{_g(gf.G[i, j])},{_g(gf.Gt[i, j])}")
-    csv_text = header + "\n".join(rows) + "\n"
+    blocks = ["\n".join(lines) + "\nt,s,G,Gt\n"]
+    # one %-format per row, whose "%.17g" is _g's format; the s column
+    # reuses the t strings, formatted once
+    ts = [_g(v) for v in gf.t.tolist()]
+    cells = [""] * (3 * len(ts))
+    cells[0::3] = ts
+    for ti, g_row, gt_row in zip(ts, gf.G.tolist(), gf.Gt.tolist()):
+        cells[1::3], cells[2::3] = g_row, gt_row
+        blocks.append((ti + ",%s,%.17g,%.17g\n") * len(ts) % tuple(cells))
+    csv_text = "".join(blocks)
     out = _out_dir(args)
     _write(os.path.join(out, f"{_stem(problem)}.greens.csv"), csv_text)
     shown = gf.constants()
@@ -246,10 +250,10 @@ def _orbit_csv(problem: LoadedProblem, orbit: Orbit) -> str:
         if key == "omega":
             continue
         lines.append(f"# {key} = {_g(float(val))}")
-    lines.append("t,x,v")
-    for t, x, v in zip(orbit.path.t, orbit.path.x, orbit.path.v):
-        lines.append(f"{_g(t)},{_g(x)},{_g(v)}")
-    return "\n".join(lines) + "\n"
+    path = orbit.path
+    rows = np.column_stack((path.t, path.x, path.v)).ravel().tolist()
+    return ("\n".join(lines) + "\nt,x,v\n"
+            + "%.17g,%.17g,%.17g\n" * len(path.t) % tuple(rows))
 
 
 def _solve_problem(problem: LoadedProblem, args) -> Orbit:

@@ -328,23 +328,45 @@ def _compile(expr: Expr, array: bool):
     return names.pop("_f")
 
 
+def _children(e: Expr) -> tuple:
+    kind = type(e)
+    if kind in (Neg, Sin, Cos, Exp):
+        return (e.arg,)
+    if kind in (Add, Mul):
+        return (e.left, e.right)
+    if kind is Pow:
+        return (e.base,)
+    if kind in (Const, TimeVar):
+        return ()
+    raise TypeError(f"unknown node {e!r}")
+
+
 def contains_time(e: Expr) -> bool:
     # a walk with an explicit stack: a long sum is as deep as it is long
     stack = [e]
     while stack:
         e = stack.pop()
-        kind = type(e)
-        if kind is TimeVar:
+        if type(e) is TimeVar:
             return True
-        if kind in (Neg, Sin, Cos, Exp):
-            stack.append(e.arg)
-        elif kind in (Add, Mul):
-            stack += (e.right, e.left)
-        elif kind is Pow:
-            stack.append(e.base)
-        elif kind is not Const:
-            raise TypeError(f"unknown node {e!r}")
+        stack += _children(e)
     return False
+
+
+# The deepest tree a problem file may give (a sum or product of n terms is
+# about n deep).  _compile and derivative recurse once per level, and a
+# derivative is at most about twice as deep as its tree, so both stay well
+# inside Python's default recursion limit of 1000.
+MAX_TREE_DEPTH = 300
+
+
+def tree_depth(e: Expr) -> int:
+    """Nodes on the longest path from e down to a leaf, counted one level
+    of the tree at a time, without recursion."""
+    depth, level = 0, [e]
+    while level:
+        depth += 1
+        level = [c for node in level for c in _children(node)]
+    return depth
 
 
 # ---------------------------------------------------------------------------
@@ -722,11 +744,14 @@ class PeriodicCoeff:
         return float(np.max(np.abs(self(ts)))) <= 1e-13
 
     def constant_value(self) -> float | None:
-        """The constant value of this coefficient, or None if it varies."""
+        """The constant value of this coefficient, or None if it varies or
+        its 257-point mean or spread is not finite."""
         ts = np.linspace(0.0, self.omega, 257)
         vals = np.asarray(self(ts), dtype=float)
         with np.errstate(over="ignore"):
             mean = float(np.mean(vals))
-        if float(np.max(vals) - np.min(vals)) <= 1e-12 * (1.0 + abs(mean)):
+            spread = float(np.max(vals) - np.min(vals))
+        # a mean or spread past the float range says nothing of constancy
+        if math.isfinite(mean) and spread <= 1e-12 * (1.0 + abs(mean)):
             return mean
         return None

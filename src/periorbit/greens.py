@@ -45,13 +45,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expressions import Const, PeriodicCoeff, compiled
-from .quadrature import _gauss_nodes, integrate_adaptive
+from .quadrature import integrate_adaptive
 
 DEFAULT_GRID = 200
 _RESONANCE_TOL = 1e-8
 _MONODROMY_RTOL = 1e-12
 _MONODROMY_ATOL = 1e-14
-_JUMP_STEP = 1e-4        # diagonal_jump_error's difference step, in omega units
 _SCAN_POINTS = 17        # per axis of each extremum-scan level
 _SCAN_LEVELS = 5         # each level cuts the scan's shortfall ~60-fold
 
@@ -96,20 +95,6 @@ class GreensFunction:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         s = np.atleast_1d(np.asarray(s, dtype=float))
         return _evaluate(self._factors, t, s, branch)
-
-    def solve_linear(self, h, return_derivative: bool = False):
-        """Periodic response u(t_i) = int_0^omega G(t_i, s) h(s) ds.
-
-        Every grid cell carries a 10-point Gauss rule, so no cell straddles
-        the diagonal; node placement depends only on the grid, making the
-        map exactly linear in h.
-        """
-        x10, w10 = _gauss_nodes(10)
-        half = 0.5 * np.diff(self.t)[:, None]
-        nodes = 0.5 * (self.t[:-1] + self.t[1:])[:, None] + half * x10
-        hv = np.asarray(h(nodes.ravel()), dtype=float).reshape(nodes.shape)
-        u, up = self._integrate(self.t, nodes, half * w10, hv)
-        return (u, up) if return_derivative else u
 
     def _integrate(self, t, nodes, weights, values):
         """(int_0^omega G(t_i, s) f(s) ds, the same with dG/dt) at every
@@ -351,58 +336,6 @@ def kernel_for(p: PeriodicCoeff, l: PeriodicCoeff, omega: float,
     # range between grid points, its extrema raise EvalDomainError first
     l.extrema()
     return numeric_periodic_green(p, l, omega, n=n)
-
-
-# ---------------------------------------------------------------------------
-# defining-property diagnostics
-
-
-def homogeneous_residual(gf: GreensFunction) -> float:
-    """Max |G_tt + p G_t + l G| over grid rows at least two cells off the
-    diagonal, with G_tt and G_t from central differences down the columns."""
-    dt = gf.t[1] - gf.t[0]
-    G = gf.G
-    pv = np.asarray(gf.p_fn(gf.t), dtype=float)
-    lv = np.asarray(gf.l_fn(gf.t), dtype=float)
-    worst = 0.0
-    nn = gf.n
-    for i in range(1, nn):
-        js = np.nonzero(np.abs(np.arange(nn + 1) - i) >= 2)[0]
-        if len(js) == 0:
-            continue
-        d2 = (G[i + 1, js] - 2.0 * G[i, js] + G[i - 1, js]) / dt ** 2
-        d1 = (G[i + 1, js] - G[i - 1, js]) / (2.0 * dt)
-        r = np.abs(d2 + pv[i] * d1 + lv[i] * G[i, js])
-        worst = max(worst, float(r.max()))
-    return worst
-
-
-def periodicity_mismatch(gf: GreensFunction) -> float:
-    """Max of |G(0,s) - G(omega,s)| and |Gt(0,s) - Gt(omega,s)| over interior
-    s.  The corner columns s = 0 and s = omega are excluded: there the two
-    rows sit on opposite sides of the diagonal jump of Gt."""
-    sel = slice(1, gf.n)
-    dG = np.abs(gf.G[0, sel] - gf.G[-1, sel])
-    dGt = np.abs(gf.Gt[0, sel] - gf.Gt[-1, sel])
-    return float(max(dG.max(), dGt.max()))
-
-
-def diagonal_jump_error(gf: GreensFunction, s_values) -> np.ndarray:
-    """|(dG/dt(s+,s) - dG/dt(s-,s)) - 1| with one-sided second-order finite
-    differences of G itself, independent of the stored Gt grid."""
-    h = _JUMP_STEP * gf.omega
-    s_values = np.asarray(s_values, dtype=float)
-    out = np.empty(len(s_values))
-    for idx, s in enumerate(s_values):
-        sa = np.array([s])
-        up_nodes = np.array([s - 2 * h, s - h, s])
-        lo_nodes = np.array([s, s + h, s + 2 * h])
-        Gu, _ = _evaluate(gf._factors, up_nodes, sa, "upper")
-        Gl, _ = _evaluate(gf._factors, lo_nodes, sa, "lower")
-        slope_minus = (3 * Gu[2, 0] - 4 * Gu[1, 0] + Gu[0, 0]) / (2 * h)
-        slope_plus = (-3 * Gl[0, 0] + 4 * Gl[1, 0] - Gl[2, 0]) / (2 * h)
-        out[idx] = abs((slope_plus - slope_minus) - 1.0)
-    return out
 
 
 # ---------------------------------------------------------------------------

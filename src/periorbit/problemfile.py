@@ -15,8 +15,9 @@ import math
 import os
 from dataclasses import dataclass
 
-from .expressions import (EvalDomainError, ParseError, PeriodicCoeff,
-                          contains_time, evaluate, parse_expression)
+from .expressions import (MAX_TREE_DEPTH, EvalDomainError, Expr,
+                          ParseError, PeriodicCoeff, contains_time, evaluate,
+                          parse_expression, tree_depth)
 from .hypotheses import ProblemSpec, ValidationError
 
 _COEFF_KEYS = ("p", "q", "b", "c", "e", "a1")
@@ -43,13 +44,22 @@ class LoadedProblem:
     lines: dict             # each key's line in the text
 
 
-def _scalar(text: str, key: str, line: int) -> float:
+def _parsed(text: str, key: str, line: int, constant: bool = False) -> Expr:
+    """key's value, parsed; constant demands a tree free of t."""
     try:
         expr = parse_expression(text)
     except ParseError as err:
         raise ProblemFileError(f"{key}: {err}", line) from err
-    if contains_time(expr):
+    if constant and contains_time(expr):
         raise ProblemFileError(f"{key} must be a constant (found t)", line)
+    if tree_depth(expr) > MAX_TREE_DEPTH:
+        raise ProblemFileError(f"{key}: expression tree deeper than "
+                               f"{MAX_TREE_DEPTH} levels", line)
+    return expr
+
+
+def _scalar(text: str, key: str, line: int) -> float:
+    expr = _parsed(text, key, line, constant=True)
     try:
         value = float(evaluate(expr, 0.0))
     except EvalDomainError as err:
@@ -96,10 +106,7 @@ def parse_problem_text(text: str, name: str = "<string>") -> LoadedProblem:
         if key not in raw:
             continue
         value, lineno = raw[key]
-        try:
-            expr = parse_expression(value)
-        except ParseError as err:
-            raise ProblemFileError(f"{key}: {err}", lineno) from err
+        expr = _parsed(value, key, lineno)
         try:
             coeffs[key] = PeriodicCoeff(expr, omega)
         except Exception as err:

@@ -240,12 +240,13 @@ def _return_map(flow: _Flow, x: float, v: float, jacobian: bool = False,
     """(F0, F1, M, sol): the defect F = flow_omega(s) - s at s = (x, v), as
     floats; with jacobian the monodromy matrix M = Phi(omega) as a
     row-major list (else None); with dense the shot's dense output (else
-    None).  None when the shot fails: guard floor hit or a defect that is
-    not finite."""
+    None).  None when the shot fails: guard floor hit, a right-hand side
+    past the float range, or a defect that is not finite."""
     try:
         res = flow.shoot(x, v, 0.0, flow.spec.omega, rtol=_SHOOT_RTOL,
                          dense=dense, jacobian=jacobian)
-    except IntegrationBlowUp:
+    except (IntegrationBlowUp, OverflowError):
+        # a coefficient or power in the right-hand side left the float range
         return None
     end = res.y.tolist()
     F0, F1 = end[0] - x, end[1] - v
@@ -345,7 +346,9 @@ def find_periodic(spec: ProblemSpec, guess: State | None = None,
     accepted at full length, the full-length candidate carries the
     variational equations and dense output: when it is accepted it needs
     no Jacobian shot of its own, and when it converges the orbit is
-    packaged from it without shooting again.
+    packaged from it without shooting again.  When a start stopped on a
+    failed shot and p, b or q/alpha leaves the float range, the search
+    ends in a ValidationError keyed to that coefficient.
     """
     flow = _Flow(spec)
     if guess is None:
@@ -368,6 +371,14 @@ def find_periodic(spec: ProblemSpec, guess: State | None = None,
         newton_steps += steps
         stops.append(stop)
 
+    if STOP_SHOT in stops:
+        # a shot fails where p, b or q leave the float range (ProblemSpec
+        # checks c and e): their extrema, kept on the coefficients, raise
+        # a ValidationError that names the key
+        for key, coeff, what in (("p", spec.p, ""), ("b", spec.b, ""),
+                                 ("q", spec.l, "q/alpha ")):
+            with keyed(key, what):
+                coeff.extrema()
     if all(stop == STOP_FLOOR for stop in stops):
         raise SingularityError(
             f"every starting point {starts} lies at or below the "

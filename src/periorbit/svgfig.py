@@ -71,6 +71,13 @@ def _data_range(values) -> tuple[float, float]:
     return lo, hi
 
 
+def _to_pixels(v, lo, hi, p0, p1):
+    """Data value v in [lo, hi] as a pixel coordinate from p0 to p1.  An
+    array v gets the operations a float would, element by element, so
+    its values are the same doubles."""
+    return p0 + (v - lo) / (hi - lo) * (p1 - p0)
+
+
 def _render_panel(panel: Panel, width: int, height: int, y_off: int) -> list[str]:
     xlo, xhi = _data_range(panel.x)
     ylo, yhi = _data_range(panel.y)
@@ -78,10 +85,10 @@ def _render_panel(panel: Panel, width: int, height: int, y_off: int) -> list[str
     py0, py1 = y_off + _MARGIN_T, y_off + height - _MARGIN_B
 
     def X(v):
-        return px0 + (v - xlo) / (xhi - xlo) * (px1 - px0)
+        return _to_pixels(v, xlo, xhi, px0, px1)
 
     def Y(v):
-        return py1 - (v - ylo) / (yhi - ylo) * (py1 - py0)
+        return _to_pixels(v, ylo, yhi, py1, py0)
 
     out = [f'<rect x="{px0}" y="{py0}" width="{px1 - px0}" '
            f'height="{py1 - py0}" fill="white" stroke="#444444" '
@@ -98,7 +105,8 @@ def _render_panel(panel: Panel, width: int, height: int, y_off: int) -> list[str
                    f'y2="{gy:.2f}" stroke="#dddddd" stroke-width="1"/>')
         out.append(f'<text x="{px0 - 6}" y="{gy + 4:.2f}" font-size="12" '
                    f'text-anchor="end">{_fmt(ty)}</text>')
-    pts = " ".join(f"{X(a):.2f},{Y(b):.2f}" for a, b in zip(panel.x, panel.y))
+    xy = np.column_stack((X(panel.x), Y(panel.y))).ravel().tolist()
+    pts = " ".join(["%.2f,%.2f"] * len(panel.x)) % tuple(xy)
     out.append(f'<polyline points="{pts}" fill="none" '
                f'stroke="{panel.color}" stroke-width="1.3"/>')
     if panel.title:

@@ -16,14 +16,13 @@ import numpy as np
 import pytest
 
 from conftest import OMEGA, make_example
-from periorbit import certify, find_periodic
-from periorbit.greens import (
-    closed_form_constant,
+from kernel_oracles import (
     diagonal_jump_error,
     homogeneous_residual,
-    numeric_periodic_green,
     periodicity_mismatch,
 )
+from periorbit import certify, find_periodic
+from periorbit.greens import closed_form_constant, numeric_periodic_green
 from periorbit.solver import apply_T
 from periorbit.transform import to_y_equation
 from periorbit import cli

@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import periorbit
-from periorbit import cli
+from periorbit import cli, parse_expression
+from periorbit.expressions import MAX_TREE_DEPTH, tree_depth
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -232,6 +233,74 @@ def test_check_deep_nesting_exit_2(tmp_path, capsys, key, value, message):
     assert code == 2
     assert err.startswith(f"error: {bad}: line {line}: ")
     assert message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key,value", [
+    ("b", _OVERFLOW_BETWEEN_GRID_POINTS),
+    ("q", "exp(709*cos(3*t - pi/256)^8)")])
+def test_solve_overflow_in_shooting_coefficients_exit_2(tmp_path, capsys,
+                                                        key, value):
+    """b overflows between grid points, and q peaks at exp(709) where
+    l = q/alpha overflows: solve stops on the key's line, as check does,
+    not in an OverflowError from the shooting right-hand side."""
+    bad, line = _example41_with(key, value, tmp_path)
+    _exits_2_on_line(["solve", str(bad)], bad, line, key, capsys)
+
+
+def test_solve_overflowing_power_is_a_failed_shot(tmp_path, capsys):
+    """x^-200 at x = 0.01 leaves the float range inside the first shot of
+    every start: the solve gives up, exit 1, with no traceback."""
+    path, _ = _example41_with("rho1", "200", tmp_path)
+    path.write_text(path.read_text() + "guess_x0 = 0.01\n")
+    assert cli.main(["solve", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("no convergence: ") and "failed shot" in err
+
+
+# a sum, a difference and a right-deep product (_mul puts the constant
+# first) as deep as they are long: each once ended in a RecursionError
+_TOO_DEEP = [("rho2", "+".join(["sin(1)"] * 1500)),
+             ("p", "-".join(["t"] * 1500)),
+             ("p", "t" + "*2" * 1500)]
+
+
+@pytest.mark.parametrize("key,value", _TOO_DEEP)
+def test_check_deep_tree_exit_2(tmp_path, capsys, key, value):
+    bad, line = _example41_with(key, value, tmp_path)
+    assert cli.main(["check", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {bad}: line {line}: {key}: expression tree "
+                   f"deeper than {MAX_TREE_DEPTH} levels\n")
+
+
+def _a1_product(depth: int) -> str:
+    """A product of periodic factors whose tree is exactly depth deep; its
+    derivative is about twice as deep."""
+    text = "cos(3*t)"
+    while tree_depth(parse_expression(text)) < depth:
+        text += "*cos(3*t)"
+    assert tree_depth(parse_expression(text)) == depth
+    return text
+
+
+def test_deep_tree_at_the_bound_is_accepted(tmp_path, capsys):
+    """An a1 at the depth bound is parsed, compiled and differentiated by
+    the factorisation criterion of a numeric kernel; one level deeper is
+    rejected on a1's line."""
+    path = tmp_path / "deep.problem"
+    at_bound = ABOVE_HALF_PERIOD + f"a1 = {_a1_product(MAX_TREE_DEPTH)}\n"
+    path.write_text(at_bound)
+    assert cli.main(["check", str(path)]) in (0, 1)
+    assert "positivity A1: fails" in capsys.readouterr().out
+
+    line = at_bound.count("\n")
+    path.write_text(at_bound.replace("\na1 = ", "\na1 = cos(3*t)*"))
+    assert tree_depth(parse_expression(
+        "cos(3*t)*" + _a1_product(MAX_TREE_DEPTH))) == MAX_TREE_DEPTH + 1
+    assert cli.main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: line {line}: a1: expression tree deeper than "
+        f"{MAX_TREE_DEPTH} levels\n")
 
 
 def test_check_long_sign_chain_parses(tmp_path, capsys):

@@ -31,6 +31,7 @@ from periorbit.expressions import (
     contains_time,
     derivative,
     evaluate,
+    tree_depth,
 )
 
 # ---------------------------------------------------------------------------
@@ -550,6 +551,25 @@ def test_constant_value_and_is_zero():
     assert not pc("cos(3*t)").is_zero()
     assert pc("1/40").constant_value() == pytest.approx(0.025, abs=0.0)
     assert pc("10+cos(3*t)").constant_value() is None
+
+
+def test_constant_value_needs_a_finite_mean_and_spread():
+    """The 257-point mean of a varying coefficient near the float limit
+    overflows; that is no evidence that it is constant."""
+    varying = pc("1e308*(1.5+0.2*cos(3*t))")
+    assert varying.extrema().max_value == pytest.approx(1.7e308)
+    assert varying.constant_value() is None
+    # so is a constant whose sum overflows: its mean would read inf
+    assert pc("1e308").constant_value() is None
+    assert pc("1e305").constant_value() == pytest.approx(1e305)
+
+
+def test_tree_depth_counts_the_longest_path():
+    assert tree_depth(parse_expression("t")) == 1
+    assert tree_depth(parse_expression("sin(3*t)+1")) == 4
+    # left-deep sums, and right-deep products with the constant first
+    assert tree_depth(parse_expression("+".join(["t"] * 5000))) == 5000
+    assert tree_depth(parse_expression("t" + "*2" * 5000)) == 5001
 
 
 def test_scaled_plus_derivative_methods():

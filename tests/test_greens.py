@@ -9,6 +9,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import OMEGA, pc
+from kernel_oracles import (
+    diagonal_jump_error,
+    homogeneous_residual,
+    periodicity_mismatch,
+    solve_linear,
+)
 from periorbit import parse_problem_text
 from periorbit.greens import (
     ResonanceError,
@@ -16,11 +22,8 @@ from periorbit.greens import (
     check_A2,
     check_chu,
     closed_form_constant,
-    diagonal_jump_error,
-    homogeneous_residual,
     kernel_for,
     numeric_periodic_green,
-    periodicity_mismatch,
 )
 
 XI = 0.25  # sqrt(l) for the worked instance: l = (1/40)/alpha = 1/16
@@ -259,15 +262,15 @@ def test_factors_reproduce_both_branches(gf_closed, gf_numeric, gf_varying,
 
 def test_solve_linear_constant_forcing(gf_closed):
     """For constant l the periodic response to h = 1 is exactly 1/l."""
-    u = gf_closed.solve_linear(lambda s: np.ones_like(s))
+    u = solve_linear(gf_closed, lambda s: np.ones_like(s))
     assert np.max(np.abs(u - 16.0)) < 1e-9
 
 
 def test_solve_linear_superposition(gf_closed):
     h1 = lambda s: np.exp(np.sin(3.0 * s))
     h2 = lambda s: 1.0 + 0.5 * np.cos(3.0 * s)
-    combo = gf_closed.solve_linear(lambda s: 2.0 * h1(s) - 3.0 * h2(s))
-    parts = 2.0 * gf_closed.solve_linear(h1) - 3.0 * gf_closed.solve_linear(h2)
+    combo = solve_linear(gf_closed, lambda s: 2.0 * h1(s) - 3.0 * h2(s))
+    parts = 2.0 * solve_linear(gf_closed, h1) - 3.0 * solve_linear(gf_closed, h2)
     scale = float(np.max(np.abs(parts))) + 1.0
     assert np.max(np.abs(combo - parts)) <= 1e-12 * scale
 
@@ -292,7 +295,7 @@ def test_solve_linear_cross_checked_against_ivp(gf_varying):
     from periorbit.ivp import solve_ivp_dp
 
     h = lambda s: 1.0 + 0.3 * np.sin(3.0 * s) + 0.1 * np.cos(6.0 * s)
-    u, up = gf_varying.solve_linear(h, return_derivative=True)
+    u, up = solve_linear(gf_varying, h, return_derivative=True)
     p_fn, l_fn = gf_varying.p_fn, gf_varying.l_fn
 
     def f(t, y):
