@@ -352,10 +352,10 @@ def contains_time(e: Expr) -> bool:
     return False
 
 
-# The deepest tree a problem file may give (a sum or product of n terms is
-# about n deep).  _compile and derivative recurse once per level, and a
-# derivative is at most about twice as deep as its tree, so both stay well
-# inside Python's default recursion limit of 1000.
+# The deepest tree a problem file or PeriodicCoeff may be given (a sum or
+# product of n terms is about n deep).  _compile and derivative recurse
+# once per level, and a derivative is at most about twice as deep as its
+# tree, so both stay well inside Python's default recursion limit of 1000.
 MAX_TREE_DEPTH = 300
 
 
@@ -596,7 +596,8 @@ class PeriodicCoeff:
     The period check compares f(t) against f(t + omega) on a 256-point grid
     with relative tolerance 1e-10; non-periodic expressions are rejected
     rather than silently wrapped, and so are values that are not finite
-    on that grid.
+    on that grid and trees deeper than MAX_TREE_DEPTH, which could not be
+    compiled.
     """
 
     expr: Expr
@@ -605,14 +606,12 @@ class PeriodicCoeff:
     def __post_init__(self):
         if not (self.omega > 0.0) or not math.isfinite(self.omega):
             raise ValueError("period must be a positive finite number")
-        ts = np.linspace(0.0, self.omega, _PERIOD_GRID, endpoint=False)
+        if tree_depth(self.expr) > MAX_TREE_DEPTH:
+            raise ExpressionError(
+                f"expression tree deeper than {MAX_TREE_DEPTH} levels")
+        ts, f0 = self._finite_samples()
         with np.errstate(over="ignore", invalid="ignore"):
-            f0 = evaluate(self.expr, ts)
             f1 = evaluate(self.expr, ts + self.omega)
-        if not np.all(np.isfinite(f0)):
-            bad = int(np.argmin(np.isfinite(f0)))
-            raise ValueError(f"value {f0[bad]} at t = {ts[bad]:.6f} "
-                             f"is not finite")
         gap = np.abs(f1 - f0) - _PERIOD_RTOL * (1.0 + np.abs(f0))
         if np.any(gap > 0.0):
             worst = int(np.argmax(gap))
@@ -621,14 +620,40 @@ class PeriodicCoeff:
                 f"|f(t+omega)-f(t)| = {abs(f1[worst] - f0[worst]):.3e} "
                 f"at t = {ts[worst]:.6f}")
 
+    def _finite_samples(self):
+        """The period grid and the values on it; a ValueError names the
+        first value that is not finite."""
+        ts = np.linspace(0.0, self.omega, _PERIOD_GRID, endpoint=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            f0 = evaluate(self.expr, ts)
+        if not np.all(np.isfinite(f0)):
+            bad = int(np.argmin(np.isfinite(f0)))
+            raise ValueError(f"value {f0[bad]} at t = {ts[bad]:.6f} "
+                             f"is not finite")
+        return ts, f0
+
+    def _derived(self, expr: Expr) -> "PeriodicCoeff":
+        """A coefficient of this period built from this one and others
+        that passed the checks: a derivative, a multiple or a difference.
+        It is periodic by construction, so only its values' finiteness is
+        checked.  Sampling its period again could fail on rounding alone:
+        near a zero of a derivative of size 1e15 the pointwise tolerance
+        is below the error of sin(3(t + omega)).  Its depth, at most about
+        twice that of its parts, is not bounded either."""
+        coeff = object.__new__(PeriodicCoeff)
+        object.__setattr__(coeff, "expr", expr)
+        object.__setattr__(coeff, "omega", self.omega)
+        coeff._finite_samples()
+        return coeff
+
     def __call__(self, t):
         return evaluate(self.expr, t)
 
     def derivative(self) -> "PeriodicCoeff":
-        return PeriodicCoeff(derivative(self.expr), self.omega)
+        return self._derived(derivative(self.expr))
 
     def scaled(self, factor: float) -> "PeriodicCoeff":
-        return PeriodicCoeff(_mul(Const(float(factor)), self.expr), self.omega)
+        return self._derived(_mul(Const(float(factor)), self.expr))
 
     def extrema(self) -> Extrema:
         """Global extrema over one period, computed on the first call and

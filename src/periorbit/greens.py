@@ -359,7 +359,7 @@ def check_A1(p: PeriodicCoeff, l: PeriodicCoeff, a1: PeriodicCoeff
     The caller supplies the factor a1; this routine only verifies it.
     """
     omega = p.omega
-    a2 = PeriodicCoeff(p.expr + (-a1.expr), omega)
+    a2 = p._derived(p.expr + (-a1.expr))
     a1p = a1.derivative()
     ts = np.linspace(0.0, omega, 1025)
     residual = float(np.max(np.abs(a1p(ts) + a1(ts) * a2(ts) - l(ts))))

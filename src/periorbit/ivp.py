@@ -9,15 +9,20 @@ carrying the last valid state.
 The systems integrated here are small (the 2-dimensional shooting system,
 the 6-dimensional shooting system with its variational equations, the
 4-dimensional fundamental matrix), where numpy's per-call overhead on
-tiny arrays costs more than the arithmetic, and so does building a Python
-list per stage.  So the step loop is generated per state dimension: its
-source writes every stage, error and dense-output expression out for each
-component, on scalar local floats.  It is compiled on the first
-integration of each (dimension, error-norm width, dense) and cached in
-_LOOPS; nothing is generated at import.  numpy appears only at the
-boundary, in IvpResult.y, IntegrationBlowUp.y and the dense coefficients.
-f(t, y) receives the state as a list of floats and may return any sequence
-of the same length; guard(y) receives a list of floats as well.
+tiny arrays costs more than the arithmetic, and so does a Python call
+and a list per stage.  So the step loop is generated: its source writes
+every stage, error and dense-output expression out for each component,
+on scalar local floats, and takes the right-hand side as a Field, the
+source of one slope evaluation and of its guard test on a stage's
+locals.  A plain callable f(t, y) with a guard(y) becomes the generic
+field, whose source calls them on a list of floats; a caller that can
+write its right-hand side as source (the shooting system of
+periorbit.solver) passes its own Field, and its slopes and guard then
+cost no call at all.  A loop is compiled on the first integration of
+each (dimension, error-norm width, dense, field name, field mask) and
+cached in _LOOPS; nothing is generated at import.  numpy appears only at
+the boundary, in IvpResult.y, IntegrationBlowUp.y and the dense
+coefficients.
 
 Characteristics
 ---------------
@@ -38,6 +43,7 @@ from __future__ import annotations
 import linecache
 import math
 from array import array
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,13 +143,51 @@ def _initial_step(span: float, max_step: float) -> float:
     return min(span / 100.0, max_step, span)
 
 
-def _never(y) -> bool:
-    return False
+@dataclass(frozen=True)
+class Field:
+    """A right-hand side y' = f(t, y) as step-loop source.
+
+    slopes(p, y, when, first) returns the source lines that set the slope
+    names p from the state names y at time `when`, an expression; first
+    marks the slope at the initial state.  veto(y) returns an expression
+    that is true where the guard rejects the state y, or None when no
+    state is rejected: slopes are only ever taken on states that passed
+    it.  Every other name the source reads is a key of args, and the
+    loop takes args' values as its trailing arguments.  name and mask
+    identify the source: fields that share them write the same lines for
+    the same names."""
+
+    name: str
+    mask: tuple
+    slopes: Callable[[list, list, str, bool], list]
+    veto: Callable[[list], str] | None
+    args: dict
+
+
+def _generic(f, guard) -> Field:
+    """The field of a callable f(t, y) and guard(y), both given the state
+    as a list of floats; f returns a sequence of the same length."""
+
+    def slopes(p, y, when, first):
+        call = f"f({when}, [{', '.join(y)}])"
+        if not first:
+            return [f"{', '.join(p)}, = {call}"]
+        n = len(p)
+        return [f"k1 = {call}",
+                f"if len(k1) != {n}:",
+                "    raise ValueError(f\"f returned {len(k1)} components "
+                f"for a state of {n}\")",
+                f"{', '.join(p)}, = k1"]
+
+    veto = None if guard is None else lambda y: f"guard([{', '.join(y)}])"
+    return Field("generic", (guard is not None,), slopes, veto,
+                 {"f": f, "guard": guard})
 
 
 # ---------------------------------------------------------------------------
-# the step loop, generated per (n, m, dense): state dimension, number of
-# error-controlled components, dense output or not
+# the step loop, generated per (n, m, dense, field): state dimension,
+# number of error-controlled components, dense output or not, and the
+# right-hand side
 #
 # In the generated source a_i is the state, pj_i the j-th slope and yj_i
 # the j-th stage state of component i.  Each tableau expression keeps the
@@ -165,16 +209,18 @@ _STAGES = (
 _ERROR = ("_E1", None, "_E3", "_E4", "_E5", "_E6", "_E7")
 _DENSE = ("_D1", None, "_D3", "_D4", "_D5", "_D6", "_D7")
 
-_LOOPS: dict = {}  # (n, m, dense) -> compiled loop
+_LOOPS: dict = {}  # (n, m, dense, field name, field mask) -> compiled loop
 
 
-def _step_loop(n: int, m: int, dense: bool):
+def _step_loop(n: int, m: int, dense: bool, field: Field):
     """The step loop for n components, the first m error-controlled."""
-    key = (n, m, dense)
+    key = (n, m, dense, field.name, field.mask)
     loop = _LOOPS.get(key)
     if loop is None:
-        filename = f"<dp5 loop n={n} m={m} dense={dense}>"
-        source = _loop_source(n, m, dense)
+        mask = "".join(str(int(bit)) for bit in field.mask)
+        filename = (f"<dp5 loop n={n} m={m} dense={dense} "
+                    f"field={field.name} mask={mask}>")
+        source = _loop_source(n, m, dense, field)
         linecache.cache[filename] = (len(source), None,
                                      source.splitlines(True), filename)
         # the loop reads the tableau and IntegrationBlowUp from a copy of
@@ -185,7 +231,7 @@ def _step_loop(n: int, m: int, dense: bool):
     return loop
 
 
-def _loop_source(n: int, m: int, dense: bool) -> str:
+def _loop_source(n: int, m: int, dense: bool, field: Field) -> str:
     comps = range(n)
 
     def each(fmt: str) -> str:
@@ -197,12 +243,27 @@ def _loop_source(n: int, m: int, dense: bool) -> str:
         return " + ".join(f"{w} * p{j}_{i}"
                           for j, w in enumerate(weights, 1) if w)
 
+    def names(prefix: str) -> list:
+        return [f"{prefix}_{i}" for i in comps]
+
+    def indented(block, depth: int) -> list:
+        return [" " * depth + line for line in block]
+
     state = each("a_{i}")
     lines = [
-        "def _loop(f, guard, t, t1, h, hmin, max_step, rtol, atol, y, k1,",
-        "          lefts, widths, coefs):",
+        "def _loop(t, t1, h, hmin, max_step, rtol, atol, y, lefts, widths,",
+        f"          coefs, {', '.join(field.args)}):",
         f"    {state} = y",
-        f"    {each('p1_{i}')} = k1",
+    ]
+    if field.veto:
+        lines += [
+            f"    if {field.veto(names('a'))}:",
+            "        raise IntegrationBlowUp(\"initial state violates the "
+            "guard\",",
+            f"                                t, np.array([{state}]))",
+        ]
+    lines += indented(field.slopes(names("p1"), names("a"), "t", True), 4)
+    lines += [
         "    nfev = 1",
         "    nsteps = rejected = guard_rejections = 0",
         "    while t < t1:",
@@ -215,18 +276,17 @@ def _loop_source(n: int, m: int, dense: bool) -> str:
     for s, (when, weights) in enumerate(_STAGES, 2):
         lines += [f"        y{s}_{i} = a_{i} + h * ({combo(weights, i)})"
                   for i in comps]
-        lines += [
-            f"        y = [{each(f'y{s}_{{i}}')}]",
-            "        if guard(y):",
-        ]
-        if s > 2:
-            lines.append(f"            nfev += {s - 2}")
-        lines += [
-            "            h *= 0.5",
-            "            guard_rejections += 1",
-            "            continue",
-            f"        {each(f'p{s}_{{i}}')} = f({when}, y)",
-        ]
+        if field.veto:
+            lines.append(f"        if {field.veto(names(f'y{s}'))}:")
+            if s > 2:
+                lines.append(f"            nfev += {s - 2}")
+            lines += [
+                "            h *= 0.5",
+                "            guard_rejections += 1",
+                "            continue",
+            ]
+        lines += indented(field.slopes(names(f"p{s}"), names(f"y{s}"),
+                                       when, False), 8)
     lines.append("        nfev += 6")
     for i in range(m):
         lines += [
@@ -276,11 +336,13 @@ def solve_ivp_dp(f, t0: float, y0, t1: float, rtol: float = 1e-10,
                  norm_dims: int | None = None) -> IvpResult:
     """Integrate y' = f(t, y) from t0 to t1 (t1 > t0).
 
-    f(t, y) gets the state as a list of floats and returns a sequence of
-    the same length.  guard(y) -> bool, also given a list, returns True
-    when the state is inadmissible.  f is only ever called on states that
-    passed the guard, so it may safely evaluate inverse powers of
-    components the guard keeps positive.
+    f is a Field, which carries its own guard, or a callable f(t, y) that
+    gets the state as a list of floats and returns a sequence of the same
+    length; guard(y) -> bool, also given a list, then returns True when
+    the state is inadmissible.  Either way the right-hand side is only
+    ever evaluated on states that passed the guard, so it may safely
+    evaluate inverse powers of components the guard keeps positive.  A
+    start that fails the guard raises IntegrationBlowUp.
 
     The error norm runs over the first norm_dims components (default:
     all).  Components past them ride along uncontrolled: when they do not
@@ -298,28 +360,23 @@ def solve_ivp_dp(f, t0: float, y0, t1: float, rtol: float = 1e-10,
         return IvpResult(t0, y, None, 0, 0, 0, 0)
     if t1 < t0:
         raise ValueError("backward integration is not supported")
+    if not isinstance(f, Field):
+        f = _generic(f, guard)
+    elif guard is not None:
+        raise ValueError("a Field carries its own guard")
     y = np.asarray(y0, dtype=float).tolist()
     n = len(y)
     m = n if norm_dims is None else norm_dims
     if not 0 < m <= n:
         raise ValueError(f"norm_dims must lie in [1, {n}], not {norm_dims}")
-    if guard is None:
-        guard = _never
-    elif guard(y):
-        raise IntegrationBlowUp("initial state violates the guard", t0,
-                                np.array(y))
 
     span = t1 - t0
-    k1 = f(t0, y)
-    if len(k1) != n:
-        raise ValueError(f"f returned {len(k1)} components for a state of "
-                         f"{n}")
     # per accepted step: y, dy, r3, r4, r5, packed as C doubles
     lefts, widths, coefs = [], [], array("d")
-    loop = _step_loop(n, m, dense)
+    loop = _step_loop(n, m, dense, f)
     t, y, nsteps, nfev, rejected, guard_rejections = loop(
-        f, guard, t0, t1, _initial_step(span, max_step), 1e-14 * span,
-        max_step, rtol, atol, y, k1, lefts, widths, coefs)
+        t0, t1, _initial_step(span, max_step), 1e-14 * span, max_step,
+        rtol, atol, y, lefts, widths, coefs, *f.args.values())
 
     sol = None
     if dense:

@@ -5,6 +5,10 @@ map over one period.  The solver integrates the equation with an adaptive
 embedded Runge-Kutta pair protected by a positivity guard (the right-hand
 side is never evaluated at or below the singularity floor), and applies
 damped Newton iteration to the return-map defect F(s) = flow(s) - s.  The
+force formula and the guard are written into the integrator's generated
+step loop as source (see _field), so a stage costs no Python call beyond
+the coefficients that vary in time: a coefficient whose expression tree
+is a constant is folded into the loop as a float argument.  The
 Jacobian of F is M - I, where the monodromy matrix M is the fundamental
 matrix of the variational equations, integrated in the same shot as the
 state.  Such a shot takes the plain shot's steps and ends in its state, so
@@ -29,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import compiled
+from .expressions import Const, compiled
 from .greens import GreensFunction
 from .hypotheses import ProblemSpec, keyed
-from .ivp import IntegrationBlowUp, solve_ivp_dp
+from .ivp import Field, IntegrationBlowUp, solve_ivp_dp
 from .transform import (ORIGINAL, TRANSFORMED, PositivityError, SampledPath,
                         TransformedSpec, residual, x_from_y)
 
@@ -141,57 +145,64 @@ def guard_floor(spec: ProblemSpec) -> float:
     return 1e-6 * _amplitude_scale(spec)
 
 
-def _vector_field(spec: ProblemSpec, variational: bool = False):
-    """f(t, (x, v)) -> (x', v') of the first-order system on floats, built
-    on the coefficients' compiled scalar functions.
+def _field(spec: ProblemSpec, eps_min: float, variational: bool) -> Field:
+    """The first-order system of (x, v) as DP5 loop source, with the guard
+    x > eps_min.
 
     variational=True gives the 6-dimensional field of (x, v) together with
     its fundamental matrix Phi = ((u, w), (u', w')), stored row-major
     after x and v: Phi' = ((0, 1), (f_x, -p)) Phi, where
     f_x = -q + (m1 b x^m1 + m2 c x^m2) / x is the x-derivative of the
-    force.  Its (x', v') are the plain field's, operation for operation.
+    force, m1 = -rho1 and m2 = -rho2.  Its (x', v') are the plain field's,
+    operation for operation.  A coefficient whose tree is a constant is
+    read as a float; the others are called at the stage time through
+    their compiled scalar functions.
     """
-    p, q, b, c, e = (compiled(k.expr) for k in
-                     (spec.p, spec.q, spec.b, spec.c, spec.e))
-    m1, m2 = -spec.rho1, -spec.rho2
+    coeffs = (spec.p, spec.q, spec.b, spec.c, spec.e)
+    mask = tuple(type(k.expr) is Const for k in coeffs)
+    args = {"_eps": eps_min, "_m1": -spec.rho1, "_m2": -spec.rho2}
+    terms = []
+    for name, k, constant in zip("pqbce", coeffs, mask):
+        args[f"_{name}"] = k.expr.value if constant else compiled(k.expr)
+        terms.append(f"_{name}" if constant else f"_{name}(ts)")
+    P, Q, B, C, E = terms
+    # a varying p or q is called once per slope, into a local: the
+    # variational slope reads each three times
+    pt, qt = ("_p" if mask[0] else "pt"), ("_q" if mask[1] else "qt")
 
-    if not variational:
-        def f(t, y):
-            x, v = y
-            return v, (-p(t) * v - q(t) * x + b(t) * x ** m1
-                       + c(t) * x ** m2 + e(t))
+    def slopes(p, y, when, first):
+        x, v = y[:2]
+        lines = [] if all(mask) else [f"ts = {when}"]
+        lines += [f"{local} = {term}" for local, term in ((pt, P), (qt, Q))
+                  if local != term]
+        lines += [f"bx = {B} * {x} ** _m1",
+                  f"cx = {C} * {x} ** _m2",
+                  f"{p[0]} = {v}",
+                  f"{p[1]} = -{pt} * {v} - {qt} * {x} + bx + cx + {E}"]
+        if variational:
+            u, w, du, dw = y[2:]
+            lines += [f"fx = (_m1 * bx + _m2 * cx) / {x} - {qt}",
+                      f"{p[2]} = {du}",
+                      f"{p[3]} = {dw}",
+                      f"{p[4]} = fx * {u} - {pt} * {du}",
+                      f"{p[5]} = fx * {w} - {pt} * {dw}"]
+        return lines
 
-        return f
-
-    def f_var(t, y):
-        x, v, u, w, du, dw = y
-        pt, qt = p(t), q(t)
-        bx = b(t) * x ** m1
-        cx = c(t) * x ** m2
-        fx = (m1 * bx + m2 * cx) / x - qt
-        return (v, -pt * v - qt * x + bx + cx + e(t),
-                du, dw, fx * u - pt * du, fx * w - pt * dw)
-
-    return f_var
+    return Field("variational" if variational else "shooting", mask, slopes,
+                 lambda y: f"not ({y[0]} > _eps)", args)
 
 
 class _Flow:
-    """The vector fields, guard and tolerance rule for repeated shots of
-    one problem; counts the shots made."""
+    """The fields and tolerance rule for repeated shots of one problem;
+    counts the shots made."""
 
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
         self.eps_min = guard_floor(spec)
         self.scale = _amplitude_scale(spec)
-        self.f = _vector_field(spec)
-        self.f_var = _vector_field(spec, variational=True)
+        self.field = _field(spec, self.eps_min, variational=False)
+        self.field_var = _field(spec, self.eps_min, variational=True)
         self.shots = 0
-        eps_min = self.eps_min
-
-        def guard(y):
-            return not (y[0] > eps_min)
-
-        self.guard = guard
 
     def shoot(self, x0: float, v0: float, t0: float, t1: float,
               rtol: float, dense: bool = False, jacobian: bool = False):
@@ -205,11 +216,11 @@ class _Flow:
         self.shots += 1
         atol = max(_SHOOT_ATOL_FLOOR, rtol * 1e-2) * (1.0 + self.scale)
         if jacobian:
-            return solve_ivp_dp(self.f_var, t0, (x0, v0, 1.0, 0.0, 0.0, 1.0),
-                                t1, rtol=rtol, atol=atol, guard=self.guard,
-                                dense=dense, norm_dims=2)
-        return solve_ivp_dp(self.f, t0, (x0, v0), t1, rtol=rtol, atol=atol,
-                            guard=self.guard, dense=dense)
+            return solve_ivp_dp(self.field_var, t0,
+                                (x0, v0, 1.0, 0.0, 0.0, 1.0), t1, rtol=rtol,
+                                atol=atol, dense=dense, norm_dims=2)
+        return solve_ivp_dp(self.field, t0, (x0, v0), t1, rtol=rtol,
+                            atol=atol, dense=dense)
 
 
 def _sampled(sol, t0: float, t1: float, samples: int) -> SampledPath:

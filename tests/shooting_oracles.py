@@ -1,0 +1,53 @@
+"""The shooting right-hand side and positivity guard as Python closures.
+
+periorbit.solver writes the force formula and the guard into the DP5
+step loop as source.  These closures are the same formula as functions
+of (t, y), in the same association order, on the coefficients' compiled
+scalar functions, so an integration run with them (through the generic
+field, or through a reference integrator) takes the fused loop's steps
+bit for bit.
+"""
+
+from periorbit.expressions import compiled
+
+
+def vector_field(spec, variational=False):
+    """f(t, (x, v)) -> (x', v') of the first-order system on floats.
+
+    variational=True gives the 6-dimensional field of (x, v) together with
+    its fundamental matrix Phi = ((u, w), (u', w')), stored row-major
+    after x and v: Phi' = ((0, 1), (f_x, -p)) Phi, where
+    f_x = -q + (m1 b x^m1 + m2 c x^m2) / x is the x-derivative of the
+    force.  Its (x', v') are the plain field's, operation for operation.
+    """
+    p, q, b, c, e = (compiled(k.expr) for k in
+                     (spec.p, spec.q, spec.b, spec.c, spec.e))
+    m1, m2 = -spec.rho1, -spec.rho2
+
+    if not variational:
+        def f(t, y):
+            x, v = y
+            return v, (-p(t) * v - q(t) * x + b(t) * x ** m1
+                       + c(t) * x ** m2 + e(t))
+
+        return f
+
+    def f_var(t, y):
+        x, v, u, w, du, dw = y
+        pt, qt = p(t), q(t)
+        bx = b(t) * x ** m1
+        cx = c(t) * x ** m2
+        fx = (m1 * bx + m2 * cx) / x - qt
+        return (v, -pt * v - qt * x + bx + cx + e(t),
+                du, dw, fx * u - pt * du, fx * w - pt * dw)
+
+    return f_var
+
+
+def positivity_guard(eps_min):
+    """guard(y): True where the position y[0] is not above eps_min."""
+
+    def guard(y):
+        return not (y[0] > eps_min)
+
+    return guard

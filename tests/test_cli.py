@@ -303,6 +303,23 @@ def test_deep_tree_at_the_bound_is_accepted(tmp_path, capsys):
         f"{MAX_TREE_DEPTH} levels\n")
 
 
+@pytest.mark.parametrize("a1", [
+    "exp(30*cos(3*t))",
+    "*".join(["(1+cos(3*t)/9)"] * (MAX_TREE_DEPTH - 4))],
+    ids=["exp", "product-at-the-depth-bound"])
+def test_check_steep_a1_prints_its_verdict(tmp_path, capsys, a1):
+    """Factors whose derivatives are steep (about 1e15 for the exponential
+    and for the product of 296 factors) once ended in a PeriodicityError
+    traceback: the derivative's period was sampled again and failed on
+    rounding near its zeros."""
+    assert tree_depth(parse_expression(a1)) <= MAX_TREE_DEPTH
+    path = tmp_path / "steep.problem"
+    path.write_text(ABOVE_HALF_PERIOD + f"a1 = {a1}\n")
+    assert cli.main(["check", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "positivity A1: fails" in out and "verdict: FALSE" in out
+
+
 def test_check_long_sign_chain_parses(tmp_path, capsys):
     """1500 minus signs before 0 are p = 0, example41's own p."""
     path, _ = _example41_with("p", "-" * 1500 + "0", tmp_path)

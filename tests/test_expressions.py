@@ -18,8 +18,10 @@ from periorbit.expressions import (
     Add,
     Const,
     Cos,
+    MAX_TREE_DEPTH,
     EvalDomainError,
     Exp,
+    ExpressionError,
     Mul,
     Neg,
     ParseError,
@@ -570,6 +572,39 @@ def test_tree_depth_counts_the_longest_path():
     # left-deep sums, and right-deep products with the constant first
     assert tree_depth(parse_expression("+".join(["t"] * 5000))) == 5000
     assert tree_depth(parse_expression("t" + "*2" * 5000)) == 5001
+
+
+def test_periodic_coeff_bounds_tree_depth():
+    """A tree past MAX_TREE_DEPTH is rejected with an error naming the
+    bound, not a RecursionError from compiling it; one at the bound is
+    accepted, and so is its derivative, about twice as deep."""
+    deep = parse_expression("-".join(["cos(3*t)"] * 1500))
+    with pytest.raises(ExpressionError,
+                       match=f"deeper than {MAX_TREE_DEPTH} levels"):
+        PeriodicCoeff(deep, OMEGA)
+    text = "+".join(["cos(3*t)"] * (MAX_TREE_DEPTH - 2))
+    at_bound = pc(text)
+    assert tree_depth(at_bound.expr) == MAX_TREE_DEPTH
+    slope = at_bound.derivative()
+    assert tree_depth(slope.expr) > MAX_TREE_DEPTH
+    assert slope(0.1) == pytest.approx(-3.0 * math.sin(0.3) * 298, rel=1e-12)
+
+
+def test_derived_coefficients_skip_the_period_resample():
+    """The derivative of exp(30 cos 3t) is periodic by construction, but
+    sampled again near one of its zeros, where it is about 1e15 steep, it
+    fails the pointwise 1e-10 test on rounding alone.  Derived
+    coefficients are checked for finite values only."""
+    steep = pc("exp(30*cos(3*t))")
+    with pytest.raises(PeriodicityError):
+        PeriodicCoeff(derivative(steep.expr), OMEGA)
+    slope = steep.derivative()
+    assert slope(0.5) == pytest.approx(
+        -90.0 * math.sin(1.5) * math.exp(30.0 * math.cos(1.5)), rel=1e-12)
+    with pytest.raises(ValueError, match="not finite"):
+        pc("exp(709*cos(3*t))").derivative()
+    with pytest.raises(ValueError, match="not finite"):
+        pc("1e300*(2+cos(3*t))").scaled(1e10)
 
 
 def test_scaled_plus_derivative_methods():

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import OMEGA, make_cheap_spec, make_example, pc
+from conftest import (OMEGA, make_cheap_spec, make_constant_spec,
+                      make_example, pc)
 from periorbit import ProblemSpec, find_periodic
 from periorbit.expressions import compiled
 from periorbit.ivp import DenseSolution, IntegrationBlowUp, IvpResult, solve_ivp_dp
 from periorbit.solver import _SHOOT_RTOL, _Flow
+from shooting_oracles import positivity_guard, vector_field
 
 
 def _harmonic(t, y):
@@ -290,9 +292,14 @@ def _numpy_solve_ivp_dp(f, t0, y0, t1, rtol=1e-10, atol=1e-12, guard=None,
 
 
 def _assert_same_run(f, y0, t1, guard=None, rtol=1e-12, atol=1e-14,
-                     max_step=np.inf):
-    mine = solve_ivp_dp(f, 0.0, y0, t1, rtol=rtol, atol=atol, guard=guard,
-                        dense=True, max_step=max_step)
+                     max_step=np.inf, field=None):
+    """The loop and the numpy oracle take the same steps to within
+    rounding; the loop runs field when given (it carries its own guard),
+    else f and guard."""
+    mine = (solve_ivp_dp(field, 0.0, y0, t1, rtol=rtol, atol=atol,
+                         dense=True, max_step=max_step) if field else
+            solve_ivp_dp(f, 0.0, y0, t1, rtol=rtol, atol=atol, guard=guard,
+                         dense=True, max_step=max_step))
     ref = _numpy_solve_ivp_dp(f, 0.0, y0, t1, rtol=rtol, atol=atol,
                               guard=guard, dense=True, max_step=max_step)
     counts = lambda r: (r.nsteps, r.nfev, r.rejected, r.guard_rejections)
@@ -322,15 +329,22 @@ def _flow_atol(flow):
     return 1e-14 * (1.0 + flow.scale)
 
 
+def _oracle_shot(flow, variational=False):
+    """The shooting field's closure and guard, for the oracles."""
+    return (vector_field(flow.spec, variational),
+            positivity_guard(flow.eps_min))
+
+
 @pytest.mark.parametrize("rho2", [1.3, 2.0, 1.5])
 def test_oracle_return_map_shot_bundled(rho2):
     """The shot through each bundled instance's periodic start."""
     spec = make_example(rho2)
     orbit = find_periodic(spec, tol=1e-8)
     flow = _Flow(spec)
-    res = _assert_same_run(flow.f, [orbit.initial.x, orbit.initial.v],
-                           spec.omega, guard=flow.guard,
-                           atol=_flow_atol(flow))
+    f, guard = _oracle_shot(flow)
+    res = _assert_same_run(f, [orbit.initial.x, orbit.initial.v],
+                           spec.omega, guard=guard, atol=_flow_atol(flow),
+                           field=flow.field)
     assert res.nsteps > 10
 
 
@@ -339,8 +353,9 @@ def test_oracle_numeric_kernel_family_text():
     4-dimensional fundamental-matrix system the numeric kernel integrates."""
     spec = _numeric_kernel_spec()
     flow = _Flow(spec)
-    _assert_same_run(flow.f, [flow.scale, 0.0], spec.omega,
-                     guard=flow.guard, atol=_flow_atol(flow))
+    f, guard = _oracle_shot(flow)
+    _assert_same_run(f, [flow.scale, 0.0], spec.omega, guard=guard,
+                     atol=_flow_atol(flow), field=flow.field)
     p, l = spec.p, spec.q.scaled(1.0 / 0.4)
 
     def monodromy(t, y):
@@ -358,17 +373,17 @@ def test_oracle_guard_hitting_start():
     time."""
     spec = make_cheap_spec()
     flow = _Flow(spec)
-    res = _assert_same_run(flow.f, [0.001, -3.0], spec.omega,
-                           guard=flow.guard, atol=_flow_atol(flow))
+    f, guard = _oracle_shot(flow)
+    res = _assert_same_run(f, [0.001, -3.0], spec.omega, guard=guard,
+                           atol=_flow_atol(flow), field=flow.field)
     assert res.guard_rejections > 0
-    blowups = []
-    for integrate in (solve_ivp_dp, _numpy_solve_ivp_dp):
-        with pytest.raises(IntegrationBlowUp) as exc:
-            integrate(flow.f, 0.0, [0.01, -10.0], spec.omega,
-                      rtol=_SHOOT_RTOL, atol=_flow_atol(flow),
-                      guard=flow.guard)
-        blowups.append(exc.value)
-    mine, ref = blowups
+    tols = dict(rtol=_SHOOT_RTOL, atol=_flow_atol(flow))
+    with pytest.raises(IntegrationBlowUp) as mine:
+        solve_ivp_dp(flow.field, 0.0, [0.01, -10.0], spec.omega, **tols)
+    with pytest.raises(IntegrationBlowUp) as ref:
+        _numpy_solve_ivp_dp(f, 0.0, [0.01, -10.0], spec.omega, guard=guard,
+                            **tols)
+    mine, ref = mine.value, ref.value
     assert mine.t == pytest.approx(ref.t, rel=1e-12, abs=0.0)
     # the last states sit on the floor, where 1/x makes the velocity
     # ill-conditioned; both must still hold an admissible position
@@ -410,6 +425,13 @@ def test_state_and_slopes_are_floats_inside():
     res = solve_ivp_dp(f, 0.0, np.array([1.0, 0.0]), 1.0, guard=guard)
     assert set(seen) == {list}
     assert isinstance(res.y, np.ndarray) and res.y.shape == (2,)
+
+
+def test_field_carries_its_own_guard():
+    flow = _Flow(make_cheap_spec())
+    with pytest.raises(ValueError, match="own guard"):
+        solve_ivp_dp(flow.field, 0.0, [1.0, 0.0], 1.0,
+                     guard=positivity_guard(flow.eps_min))
 
 
 def test_rhs_of_wrong_length_rejected():
@@ -556,11 +578,13 @@ def _run(integrate, f, t0, y0, t1, make_guard=None, **kwargs):
         return exc
 
 
-def _assert_bitwise(f, t0, y0, t1, make_guard=None, **kwargs):
+def _assert_bitwise(f, t0, y0, t1, make_guard=None, field=None, **kwargs):
     """The generated loop and the list oracle agree bit for bit.
     make_guard builds a fresh guard per run, so a stateful guard sees the
-    same calls in both."""
-    mine = _run(solve_ivp_dp, f, t0, y0, t1, make_guard, **kwargs)
+    same calls in both.  The loop runs field when given (it carries its
+    own guard), else f with the guard."""
+    mine = (_run(solve_ivp_dp, field, t0, y0, t1, **kwargs) if field else
+            _run(solve_ivp_dp, f, t0, y0, t1, make_guard, **kwargs))
     ref = _run(_list_solve_ivp_dp, f, t0, y0, t1, make_guard, **kwargs)
     assert type(mine) is type(ref)
     assert mine.t == ref.t
@@ -584,6 +608,18 @@ def _shot_kwargs(flow, dense=False):
     return dict(rtol=_SHOOT_RTOL, atol=_flow_atol(flow), dense=dense)
 
 
+def _assert_fused_shot(flow, y0, variational=False, **kwargs):
+    """A shot through the solver's fused field equals the list oracle run
+    with the hand-written right-hand side and guard, bit for bit."""
+    f, guard = _oracle_shot(flow, variational)
+    if variational:
+        y0 = (*y0, 1.0, 0.0, 0.0, 1.0)
+        kwargs["norm_dims"] = 2
+    return _assert_bitwise(
+        f, 0.0, y0, flow.spec.omega, lambda: guard,
+        field=flow.field_var if variational else flow.field, **kwargs)
+
+
 @pytest.mark.parametrize("rho2", [1.3, 2.0, 1.5])
 def test_list_oracle_bundled_shots(rho2):
     """Return-map shots and Jacobian shots through each bundled instance's
@@ -594,13 +630,10 @@ def test_list_oracle_bundled_shots(rho2):
     x0, v0 = orbit.initial.x, orbit.initial.v
     for start in ((x0, v0), (0.7 * x0, 0.3 * abs(v0) + 1.0)):
         for dense in (False, True):
-            res = _assert_bitwise(flow.f, 0.0, start, spec.omega,
-                                  lambda: flow.guard,
-                                  **_shot_kwargs(flow, dense))
+            res = _assert_fused_shot(flow, start, **_shot_kwargs(flow, dense))
             assert res.nsteps > 10
-        _assert_bitwise(flow.f_var, 0.0, (*start, 1.0, 0.0, 0.0, 1.0),
-                        spec.omega, lambda: flow.guard, norm_dims=2,
-                        **_shot_kwargs(flow, dense=True))
+        _assert_fused_shot(flow, start, variational=True,
+                           **_shot_kwargs(flow, dense=True))
 
 
 def test_list_oracle_numeric_family_and_monodromy():
@@ -609,11 +642,9 @@ def test_list_oracle_numeric_family_and_monodromy():
     kernel with its max_step."""
     spec = _numeric_kernel_spec()
     flow = _Flow(spec)
-    _assert_bitwise(flow.f, 0.0, (flow.scale, 0.0), spec.omega,
-                    lambda: flow.guard, **_shot_kwargs(flow))
-    _assert_bitwise(flow.f_var, 0.0, (flow.scale, 0.0, 1.0, 0.0, 0.0, 1.0),
-                    spec.omega, lambda: flow.guard, norm_dims=2,
-                    **_shot_kwargs(flow, dense=True))
+    _assert_fused_shot(flow, (flow.scale, 0.0), **_shot_kwargs(flow))
+    _assert_fused_shot(flow, (flow.scale, 0.0), variational=True,
+                       **_shot_kwargs(flow, dense=True))
     p, l = (compiled(k.expr) for k in (spec.p, spec.q.scaled(1.0 / 0.4)))
 
     def monodromy(t, y):
@@ -631,19 +662,15 @@ def test_list_oracle_guard_hits_and_blowup():
     """The guard-hitting start (stage states vetoed, steps halved) and the
     steep dive that ends in step underflow, plain and with the Jacobian."""
     flow = _Flow(make_cheap_spec())
-    omega = flow.spec.omega
-    res = _assert_bitwise(flow.f, 0.0, (0.001, -3.0), omega,
-                          lambda: flow.guard, **_shot_kwargs(flow, True))
+    res = _assert_fused_shot(flow, (0.001, -3.0), **_shot_kwargs(flow, True))
     assert res.guard_rejections > 0
-    for f, y0 in ((flow.f, (0.01, -10.0)),
-                  (flow.f_var, (0.01, -10.0, 1.0, 0.0, 0.0, 1.0))):
-        exc = _assert_bitwise(f, 0.0, y0, omega, lambda: flow.guard,
-                              norm_dims=2, **_shot_kwargs(flow))
+    for variational in (False, True):
+        exc = _assert_fused_shot(flow, (0.01, -10.0), variational,
+                                 **_shot_kwargs(flow))
         assert isinstance(exc, IntegrationBlowUp)
         assert "underflow" in str(exc) and exc.y[0] > flow.eps_min
-    exc = _assert_bitwise(flow.f, 0.0, (-1.0, 0.0), omega,
-                          lambda: flow.guard)
-    assert exc.t == 0.0 and "initial state" in str(exc)
+        exc = _assert_fused_shot(flow, (-1.0, 0.0), variational)
+        assert exc.t == 0.0 and "initial state" in str(exc)
 
 
 @pytest.mark.parametrize("stage", range(6))
@@ -689,26 +716,83 @@ def test_list_oracle_random_linear_systems(data, n, dense, rtol):
                     dense=dense, norm_dims=m)
 
 
+def _spec_with_mask(mask, values, amplitudes, rho1=1.5, rho2=1.3):
+    """A shooting problem whose coefficient k in (p, q, b, c, e) is the
+    constant values[k] where bit k of mask is set, and varies by
+    amplitudes[k] * cos(3t + k) around it where it is clear."""
+    coeffs = [pc(f"{v!r}") if mask >> k & 1 else
+              pc(f"{v!r} + {a!r}*cos(3*t + {k})")
+              for k, (v, a) in enumerate(zip(values, amplitudes))]
+    return ProblemSpec(*coeffs, rho1=rho1, rho2=rho2, omega=OMEGA)
+
+
+@pytest.mark.parametrize("mask", range(32))
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fused_shot_matches_list_oracle_for_every_mask(mask, data):
+    """Random shooting problems, for each of the 32 constant/varying masks
+    of (p, q, b, c, e): the fused shot, plain and variational, dense and
+    not, equals the list oracle run with the hand-written right-hand side
+    and guard bit for bit, blow-ups included."""
+    cents = lambda lo, hi: st.integers(lo, hi).map(lambda i: i / 100)
+    values = [data.draw(cents(-50, 50)), data.draw(cents(-100, 200)),
+              data.draw(cents(-100, 200)), data.draw(cents(10, 300)),
+              data.draw(cents(10, 300))]
+    # c and e must stay positive
+    amplitudes = [data.draw(cents(1, 50)) for _ in values[:3]] + [
+        data.draw(cents(1, 99)) * v for v in values[3:]]
+    rho1, rho2 = data.draw(cents(50, 250)), data.draw(cents(50, 250))
+    spec = _spec_with_mask(mask, values, amplitudes, rho1, rho2)
+    flow = _Flow(spec)
+    assert flow.field.mask == tuple(bool(mask >> k & 1) for k in range(5))
+    start = (data.draw(cents(5, 500)), data.draw(cents(-300, 300)))
+    rtol = 10.0 ** -data.draw(st.integers(6, 12))
+    for variational in (False, True):
+        for dense in (False, True):
+            _assert_fused_shot(flow, start, variational, rtol=rtol,
+                               atol=1e-2 * rtol, dense=dense)
+
+
 def test_step_loop_generated_once_per_shape(monkeypatch):
-    """A second integration of the same (n, norm_dims, dense) reuses the
-    compiled loop; another shape generates its own."""
+    """A second integration of the same (n, norm_dims, dense, field name,
+    field mask) reuses the compiled loop; any other key generates its own.
+    The shooting fields of two problems with the same constant mask share
+    their loops, whatever their coefficients."""
     import periorbit.ivp as ivp
 
     generated = []
     make = ivp._loop_source
 
-    def spy(*key):
-        generated.append(key)
-        return make(*key)
+    def spy(n, m, dense, field):
+        generated.append((n, m, dense, field.name, field.mask))
+        return make(n, m, dense, field)
 
     monkeypatch.setattr(ivp, "_LOOPS", {})
     monkeypatch.setattr(ivp, "_loop_source", spy)
     f = lambda t, y: (y[1], -y[0], y[2])
     for _ in range(2):
         solve_ivp_dp(f, 0.0, [1.0, 0.0, 1.0], 1.0, norm_dims=2, dense=True)
-    assert generated == [(3, 2, True)]
+    assert generated == [(3, 2, True, "generic", (False,))]
     solve_ivp_dp(f, 0.0, [1.0, 0.0, 1.0], 1.0, norm_dims=2)
-    assert generated == [(3, 2, True), (3, 2, False)]
+    solve_ivp_dp(f, 0.0, [1.0, 0.0, 1.0], 1.0, norm_dims=2,
+                 guard=lambda y: False)
+    assert generated[1:] == [(3, 2, False, "generic", (False,)),
+                             (3, 2, False, "generic", (True,))]
+
+    generated.clear()
+    e_varies = (True, True, True, True, False)
+    for spec in (make_cheap_spec(),
+                 _spec_with_mask(0b01111, [0.1, 2.0, 0.5, 1.0, 4.0],
+                                 [0.0] * 4 + [0.5]),
+                 make_constant_spec()):
+        flow = _Flow(spec)
+        for jacobian in (False, True, False):
+            flow.shoot(flow.scale, 0.0, 0.0, spec.omega, rtol=1e-8,
+                       jacobian=jacobian)
+    assert generated == [(2, 2, False, "shooting", e_varies),
+                         (6, 2, False, "variational", e_varies),
+                         (2, 2, False, "shooting", (True,) * 5),
+                         (6, 2, False, "variational", (True,) * 5)]
 
 
 def test_generated_loop_shows_in_tracebacks(monkeypatch):
@@ -727,5 +811,6 @@ def test_generated_loop_shows_in_tracebacks(monkeypatch):
     with pytest.raises(ArithmeticError) as exc:
         solve_ivp_dp(f, 0.0, [1.0, 0.0], 1.0)
     text = "".join(traceback.format_exception(exc.value))
-    assert 'File "<dp5 loop n=2 m=2 dense=False>"' in text
+    assert 'File "<dp5 loop n=2 m=2 dense=False field=generic mask=0>"' \
+        in text
     assert "= f(t + " in text
