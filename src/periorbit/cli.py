@@ -203,6 +203,24 @@ def _cmd_check(args) -> int:
 # greens
 
 
+def _kernel_cells(values: np.ndarray) -> tuple[list, str]:
+    """The rows of a kernel matrix as cells of the greens CSV, and the
+    %-conversion that writes a cell.  A closed-form kernel depends on t - s
+    only, so its values repeat: where at most half of the bit patterns are
+    distinct, each distinct one is formatted once and a cell is its string,
+    written by %s.  Otherwise a cell is its float, written by %.17g.
+    Keying on the bits keeps -0.0 apart from 0.0."""
+    bits = np.ascontiguousarray(values).view(np.int64)
+    ordered = np.sort(bits, axis=None)
+    new = ordered[1:] != ordered[:-1]
+    if 2 * (1 + np.count_nonzero(new)) > bits.size:
+        return values.tolist(), "%.17g"
+    uniq = np.concatenate((ordered[:1], ordered[1:][new]))
+    text = "%.17g\n" * uniq.size % tuple(uniq.view(np.float64).tolist())
+    strings = np.array(text.split("\n")[:-1], dtype=object)
+    return strings[np.searchsorted(uniq, bits)].tolist(), "%s"
+
+
 def _cmd_greens(args) -> int:
     problem = _resolve(args.file)
     spec = problem.spec
@@ -218,11 +236,14 @@ def _cmd_greens(args) -> int:
     # one %-format per row, whose "%.17g" is _g's format; the s column
     # reuses the t strings, formatted once
     ts = [_g(v) for v in gf.t.tolist()]
+    g_rows, g_conv = _kernel_cells(gf.G)
+    gt_rows, gt_conv = _kernel_cells(gf.Gt)
+    row = f",%s,{g_conv},{gt_conv}\n"
     cells = [""] * (3 * len(ts))
     cells[0::3] = ts
-    for ti, g_row, gt_row in zip(ts, gf.G.tolist(), gf.Gt.tolist()):
+    for ti, g_row, gt_row in zip(ts, g_rows, gt_rows):
         cells[1::3], cells[2::3] = g_row, gt_row
-        blocks.append((ti + ",%s,%.17g,%.17g\n") * len(ts) % tuple(cells))
+        blocks.append((ti + row) * len(ts) % tuple(cells))
     csv_text = "".join(blocks)
     out = _out_dir(args)
     _write(os.path.join(out, f"{_stem(problem)}.greens.csv"), csv_text)

@@ -216,7 +216,12 @@ def _exact_power(x: Fraction, n: int) -> Const:
 # one, and it frees each intermediate array as soon as it is consumed.  The
 # scalar build calls math.sin/cos/exp, the array build the numpy ufuncs.  A
 # subtree nested deeper than _MAX_NESTING is first assigned to a local:
-# Python's parser accepts at most 200 nested parentheses.
+# Python's parser accepts at most 200 nested parentheses.  So is a subtree
+# that the tree reaches along more than one path (a derivative reuses the
+# factors of a product), at the point where the walk first evaluates it;
+# later references read the local, where the walk would compute the same
+# value again.  The source then grows with the distinct nodes, not with
+# the paths.
 
 _MAX_NESTING = 100
 
@@ -272,6 +277,8 @@ _UFUNC = {Sin: "_sin", Cos: "_cos", Exp: "_exp"}
 def _compile(expr: Expr, array: bool):
     names = dict(_ARRAY_NAMES if array else _SCALAR_NAMES)
     spills: list[str] = []
+    shared = _shared_nodes(expr)
+    spilled: dict[int, str] = {}
 
     def spill(code: str, at: int | None = None) -> str:
         name = f"v{len(spills)}"
@@ -290,6 +297,8 @@ def _compile(expr: Expr, array: bool):
             name = f"_k{len(names)}"
             names[name] = e.value
             return name, 0
+        if id(e) in spilled:
+            return spilled[id(e)], 0
         if kind in (Add, Mul):
             a, da = emit(e.left)
             mark = len(spills)
@@ -316,6 +325,9 @@ def _compile(expr: Expr, array: bool):
                 code = f"{_UFUNC[kind]}({a})"
             else:
                 raise TypeError(f"unknown node {e!r}")
+        if id(e) in shared:
+            spilled[id(e)] = spill(code)
+            return spilled[id(e)], 0
         if depth + 1 < _MAX_NESTING:
             return code, depth + 1
         return spill(code), 0
@@ -326,6 +338,22 @@ def _compile(expr: Expr, array: bool):
     # taken out of its own globals, so that no reference cycle keeps a
     # dead function alive until the next full collection
     return names.pop("_f")
+
+
+def _shared_nodes(expr: Expr) -> set[int]:
+    """ids of the nodes that expr reaches along more than one path, as a
+    derivative's tree reaches the factors of a product."""
+    seen: set[int] = set()
+    shared: set[int] = set()
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        if id(e) in seen:
+            shared.add(id(e))
+        else:
+            seen.add(id(e))
+            stack += _children(e)
+    return shared
 
 
 def _children(e: Expr) -> tuple:

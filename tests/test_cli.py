@@ -274,11 +274,10 @@ def test_check_deep_tree_exit_2(tmp_path, capsys, key, value):
 
 
 def _a1_product(depth: int) -> str:
-    """A product of periodic factors whose tree is exactly depth deep; its
+    """A product of periodic factors whose tree is exactly depth deep: a
+    factor cos(3*t) is 3 levels deep and each further factor adds one.  Its
     derivative is about twice as deep."""
-    text = "cos(3*t)"
-    while tree_depth(parse_expression(text)) < depth:
-        text += "*cos(3*t)"
+    text = "*".join(["cos(3*t)"] * (depth - 2))
     assert tree_depth(parse_expression(text)) == depth
     return text
 

@@ -295,6 +295,65 @@ def test_deep_trees_compile():
         evaluate(late, 0.0)
 
 
+def _shared_uses(e, f):
+    """Trees that reach e along several paths, first on the left of f, on
+    its right, or under a unary node, and a derivative's own sharing."""
+    return (derivative(e), derivative(Mul(e, Mul(f, e))),
+            Mul(Add(e, f), Sin(e)), Add(f, Mul(e, Neg(e))),
+            Add(Exp(f), Pow(Add(e, Mul(f, e)), Fraction(1, 2))))
+
+
+def _one_nan(fn):
+    """fn with every NaN it returns made the default NaN.  Which NaN the
+    product of two NaNs is, IEEE 754 leaves open, and CPython's generic and
+    specialised float multiplications pick differently: a function called
+    eight times returns nan * -nan with the other sign from then on.  A
+    tree that reaches a NaN along two paths, one negated, meets this."""
+
+    def call(e, t):
+        v = fn(e, t)
+        if isinstance(v, np.ndarray):
+            return np.where(np.isnan(v), np.nan, v)
+        return type(v)(math.nan) if math.isnan(v) else v
+
+    return call
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(e=_trees, f=_trees)
+def test_shared_subtrees_match_tree_walk_bit_for_bit(e, f):
+    """A subtree reached along several paths is compiled once, yet gives
+    the walk's value bit for bit, NaNs aside, or its first error, wherever
+    it is first met."""
+    compiled_fn, walk_fn = _one_nan(evaluate), _one_nan(_walk_evaluate)
+    for tree in _shared_uses(e, f):
+        for t in _POINTS:
+            assert _outcome(compiled_fn, tree, t) == _outcome(walk_fn, tree, t)
+        ts = np.array(_POINTS)
+        assert _outcome(compiled_fn, tree, ts) == _outcome(walk_fn, tree, ts)
+
+
+def test_derivative_source_grows_linearly_in_factors(monkeypatch):
+    """The derivative of a product reuses each factor; written once each,
+    the compiled source of a k-factor product's derivative grows linearly
+    in k, where writing every reference grows as k squared."""
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(expressions, "compile", spy, raising=False)
+    lengths = {}
+    for k in (50, 200):
+        d = derivative(parse_expression("*".join(["(1+cos(3*t)/9)"] * k)))
+        for array in (False, True):
+            compiled(d, array=array)
+            lengths[k, array] = len(sources[-1])
+    for array in (False, True):
+        assert lengths[200, array] < 4.5 * lengths[50, array]
+
+
 # ---------------------------------------------------------------------------
 # derivatives
 

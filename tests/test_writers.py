@@ -4,6 +4,7 @@ replaced, which are kept here as oracles."""
 
 import argparse
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -108,7 +109,7 @@ def _per_point_render_panel(panel, width, height, y_off):
 # byte identity on the bundled instances
 
 
-@pytest.mark.parametrize("n", [1, 7, 200])
+@pytest.mark.parametrize("n", [1, 7, 200, 333])
 @pytest.mark.parametrize("name", BUNDLED + ["numeric"])
 def test_greens_csv_matches_per_cell_writer(tmp_path, capsys, name, n):
     if name == "numeric":
@@ -122,6 +123,16 @@ def test_greens_csv_matches_per_cell_writer(tmp_path, capsys, name, n):
     gf = kernel_for(spec.p, spec.l, spec.omega, n=n)
     written = (tmp_path / f"{cli._stem(problem)}.greens.csv").read_bytes()
     assert written == _per_cell_greens_csv(problem, gf).encode()
+
+
+def test_greens_kernels_take_each_format_path():
+    """At n = 7, example41's G repeats enough to be formatted once per
+    distinct value and its Gt does not, so the case [example41-7] above
+    writes one column of each kind."""
+    spec = cli._resolve("example41").spec
+    gf = kernel_for(spec.p, spec.l, spec.omega, n=7)
+    assert cli._kernel_cells(gf.G)[1] == "%s"
+    assert cli._kernel_cells(gf.Gt)[1] == "%.17g"
 
 
 @pytest.mark.parametrize("name", BUNDLED)
@@ -196,3 +207,54 @@ def test_array_pixels_equal_per_point_pixels(values, p0, span):
                 == _old_X(a, lo, hi, p0, p1).hex())
         assert (svgfig._to_pixels(a, lo, hi, p1, p0).hex()
                 == _old_Y(a, lo, hi, p0, p1).hex())
+
+
+# ---------------------------------------------------------------------------
+# kernel cells: each distinct bit pattern formatted once
+
+
+def _assert_cells_match_per_cell(values: np.ndarray) -> str:
+    """The cells of values, each written by its %-conversion, are the
+    per-cell strings; returns the conversion."""
+    rows, conv = cli._kernel_cells(values)
+    assert [[conv % c for c in row] for row in rows] == \
+        [[_g(v) for v in row] for row in values.tolist()]
+    return conv
+
+
+_any_float = st.floats(allow_nan=True, allow_infinity=True,
+                       allow_subnormal=True)
+
+
+@given(st.lists(_any_float, min_size=1, max_size=3), st.data())
+def test_repeating_kernel_cells_match_per_cell_writer(pool, data):
+    """At most three distinct values in at least six cells: each distinct
+    one is formatted once."""
+    shape = (data.draw(st.integers(2, 9)), data.draw(st.integers(3, 9)))
+    picks = data.draw(st.lists(st.sampled_from(pool),
+                               min_size=shape[0] * shape[1],
+                               max_size=shape[0] * shape[1]))
+    values = np.array(picks).reshape(shape)
+    assert _assert_cells_match_per_cell(values) == "%s"
+
+
+@given(st.integers(1, 9), st.integers(1, 9), st.data())
+def test_distinct_kernel_cells_match_per_cell_writer(rows, cols, data):
+    """No two cells share a bit pattern: every cell keeps its float."""
+    picks = data.draw(st.lists(_any_float, min_size=rows * cols,
+                               max_size=rows * cols,
+                               unique_by=lambda x: struct.pack("<d", x)))
+    values = np.array(picks).reshape(rows, cols)
+    assert _assert_cells_match_per_cell(values) == "%.17g"
+
+
+def test_kernel_cells_keep_signed_zeros_and_special_values():
+    """-0.0 and 0.0 compare equal as floats but are written differently;
+    nan, the infinities and subnormals keep their own strings too."""
+    edges = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+             -5e-324, 2.2250738585072009e-308, 1.5]
+    values = np.array(edges * 4 + [-0.0, 0.0]).reshape(6, 7)
+    assert _assert_cells_match_per_cell(values) == "%s"
+    assert _assert_cells_match_per_cell(values[:, ::-1]) == "%s"
+    assert _assert_cells_match_per_cell(np.array(edges).reshape(2, 5)) \
+        == "%.17g"
