@@ -427,6 +427,18 @@ def _cmd_reproduce(args) -> int:
 # entry points
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, not {text!r}")
+    return value
+
+
 def _add_common(parser, suppress: bool) -> None:
     # the same flags are accepted before and after the subcommand; the
     # after-subcommand copies use SUPPRESS so an absent flag never
@@ -458,7 +470,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_greens = sub.add_parser("greens", help="emit the periodic kernel grid")
     p_greens.add_argument("file")
-    p_greens.add_argument("--n", type=int, default=200,
+    p_greens.add_argument("--n", type=_positive_int, default=200,
                           help="grid intervals per axis (default 200)")
     _add_common(p_greens, suppress=True)
     p_greens.set_defaults(fn=_cmd_greens)

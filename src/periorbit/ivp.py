@@ -22,7 +22,10 @@ cost no call at all.  A loop is compiled on the first integration of
 each (dimension, error-norm width, dense, field name, field mask) and
 cached in _LOOPS; nothing is generated at import.  numpy appears only at
 the boundary, in IvpResult.y, IntegrationBlowUp.y and the dense
-coefficients.
+coefficients.  The loop's step-size clamps are conditional expressions,
+not min/max calls: a builtin min or max call per clamp cost about a fifth
+of a short shot, and each conditional returns exactly what min or max
+returns, ties and NaN included.
 
 Characteristics
 ---------------
@@ -195,6 +198,11 @@ def _generic(f, guard) -> Field:
 # counters do not depend on the dimension the loop was written for.  The
 # source is registered with linecache under the loop's filename, so
 # tracebacks and profiles through it show the generated lines.
+#
+# The loop reads the tableau, the step-control constants and sqrt as
+# locals: keyword-only parameters whose defaults are bound when the loop
+# is compiled.  A clamp min(a, b) is written b if b < a else a (or
+# `if b < a: a = b`), and max(a, b) b if b > a else a.
 
 # per stage s = 2..7: the time of its slope and the weights A[s] of the
 # earlier slopes in its state (None for a zero entry)
@@ -223,8 +231,9 @@ def _step_loop(n: int, m: int, dense: bool, field: Field):
         source = _loop_source(n, m, dense, field)
         linecache.cache[filename] = (len(source), None,
                                      source.splitlines(True), filename)
-        # the loop reads the tableau and IntegrationBlowUp from a copy of
-        # this module's namespace, and is taken out of it afterwards
+        # the loop is defined in a copy of this module's namespace, which
+        # its defaults and its IntegrationBlowUp are read from, and is
+        # taken out of it afterwards
         names = dict(globals())
         exec(compile(source, filename, "exec"), names)
         loop = _LOOPS[key] = names.pop("_loop")
@@ -249,10 +258,19 @@ def _loop_source(n: int, m: int, dense: bool, field: Field) -> str:
     def indented(block, depth: int) -> list:
         return [" " * depth + line for line in block]
 
+    def bound(group) -> str:
+        return " ".join(f"{name}={name}," for name in group if name)
+
     state = each("a_{i}")
     lines = [
         "def _loop(t, t1, h, hmin, max_step, rtol, atol, y, lefts, widths,",
-        f"          coefs, {', '.join(field.args)}):",
+        f"          coefs, {', '.join(field.args)}, *,",
+        f"          {bound(('_C2', '_C3', '_C4', '_C5'))}",
+        *(f"          {bound(weights)}" for _, weights in _STAGES),
+        *(f"          {bound(weights)}"
+          for weights in ((_ERROR, _DENSE) if dense else (_ERROR,))),
+        f"          {bound(('_MIN_FACTOR', '_MAX_FACTOR', '_SAFETY'))}",
+        "          _sqrt=math.sqrt):",
         f"    {state} = y",
     ]
     if field.veto:
@@ -267,7 +285,8 @@ def _loop_source(n: int, m: int, dense: bool, field: Field) -> str:
         "    nfev = 1",
         "    nsteps = rejected = guard_rejections = 0",
         "    while t < t1:",
-        "        h = min(h, t1 - t)",
+        "        if t1 - t < h:",
+        "            h = t1 - t",
         "        if h < hmin:",
         "            raise IntegrationBlowUp(",
         "                f\"step size underflow near t = {t:.12g}\", t,",
@@ -290,12 +309,14 @@ def _loop_source(n: int, m: int, dense: bool, field: Field) -> str:
     lines.append("        nfev += 6")
     for i in range(m):
         lines += [
+            f"        s0 = abs(a_{i})",
+            f"        s7 = abs(y7_{i})",
             f"        r = (h * ({combo(_ERROR, i)})",
-            f"             / (atol + rtol * max(abs(a_{i}), abs(y7_{i}))))",
+            "             / (atol + rtol * (s7 if s7 > s0 else s0)))",
             f"        err {'+' if i else ''}= r * r",
         ]
     lines += [
-        f"        err = math.sqrt(err / {m})",
+        f"        err = _sqrt(err / {m})",
         "        if err <= 1.0:",
     ]
     if dense:
@@ -319,12 +340,20 @@ def _loop_source(n: int, m: int, dense: bool, field: Field) -> str:
         f"            {state} = {each('y7_{i}')}",
         f"            {each('p1_{i}')} = {each('p7_{i}')}",
         "            nsteps += 1",
-        "            factor = _MAX_FACTOR if err == 0.0 else min(",
-        "                _MAX_FACTOR, _SAFETY * err ** -0.2)",
-        "            h = min(h * max(factor, _MIN_FACTOR), max_step)",
+        "            if err == 0.0:",
+        "                factor = _MAX_FACTOR",
+        "            else:",
+        "                g = _SAFETY * err ** -0.2",
+        "                factor = g if g < _MAX_FACTOR else _MAX_FACTOR",
+        "            if _MIN_FACTOR > factor:",
+        "                factor = _MIN_FACTOR",
+        "            h *= factor",
+        "            if max_step < h:",
+        "                h = max_step",
         "        else:",
         "            rejected += 1",
-        "            h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)",
+        "            g = _SAFETY * err ** -0.2",
+        "            h *= g if g > _MIN_FACTOR else _MIN_FACTOR",
         f"    return t, [{state}], nsteps, nfev, rejected, guard_rejections",
     ]
     return "\n".join(lines) + "\n"

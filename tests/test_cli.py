@@ -392,6 +392,25 @@ def test_cone_ratios_of_a_non_positive_kernel_print_na(tmp_path, capsys):
     assert "# sigma = 1.06" in header
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize("text", [None, ABOVE_HALF_PERIOD],
+                         ids=["closed-form", "numeric"])
+def test_greens_n_below_one_is_usage_error(tmp_path, capsys, text, n):
+    """--n counts grid intervals: 0 and -1 exit 2 as usage errors on both
+    kernel kinds, name the flag, and write no CSV."""
+    file = "example41"
+    if text:
+        file = str(tmp_path / "above.problem")
+        Path(file).write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["greens", file, "--n", n])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --n: must be a positive integer" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_greens_resonant_exit_1(tmp_path, capsys):
     res = tmp_path / "resonant.problem"
     res.write_text(RESONANT)

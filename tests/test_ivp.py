@@ -693,6 +693,93 @@ def test_veto_at_each_stage_counts_its_rhs_calls(stage):
     assert res.nfev == 1 + 6 * (res.nsteps + res.rejected) + stage
 
 
+def test_list_oracle_growth_at_the_cap_and_last_step_clipped():
+    """Constant slopes make the error estimate exactly zero, so each step
+    grows h by _MAX_FACTOR until the last one is clipped to t1.  On the
+    oscillator at a loose tolerance the first error is small but not zero,
+    and _SAFETY * err ** -0.2 is clamped down to _MAX_FACTOR."""
+    res = _assert_bitwise(lambda t, y: (1.0, -2.0), 0.0, (0.0, 1.0), 1.0,
+                          dense=True)
+    widths = res.dense.widths
+    assert res.rejected == 0 and res.t == 1.0
+    assert widths.tolist() == [0.01, 0.01 * 5.0, 0.01 * 5.0 * 5.0,
+                               1.0 - res.dense.lefts[-1]]
+    res = _assert_bitwise(lambda t, y: (y[1], -y[0]), 0.0, (1.0, 0.0), 1.0,
+                          rtol=1e-6, atol=1e-9, dense=True)
+    assert res.dense.widths[1] == 0.01 * 5.0
+
+
+def test_list_oracle_max_step_cap():
+    """Zero-error growth runs into max_step, which then bounds every step
+    but the clipped last one."""
+    res = _assert_bitwise(lambda t, y: (1.0, -2.0), 0.0, (0.0, 1.0), 1.0,
+                          dense=True, max_step=0.1)
+    widths = res.dense.widths.tolist()
+    assert widths[:3] == [0.01, 0.05, 0.1]
+    assert set(widths[2:-1]) == {0.1} and widths[-1] < 0.1
+
+
+def test_list_oracle_rejection_floor():
+    """y' = -1e6 y from the default first step h = span / 100: the first
+    trial's error is so large that _SAFETY * err ** -0.2 falls below
+    _MIN_FACTOR, and the rejection shrinks h by the floor instead."""
+    res = _assert_bitwise(lambda t, y: (-1e6 * y[0],), 0.0, (1.0,), 1e-3)
+    assert res.rejected > 0
+
+
+def test_list_oracle_slope_turning_nan():
+    """A slope that turns NaN makes every error NaN, so every step is
+    rejected by the floor until h underflows: the same message and state
+    as the oracle."""
+    def f(t, y):
+        return (y[1], -y[0]) if t < 0.5 else (math.nan, 1.0)
+
+    exc = _assert_bitwise(f, 0.0, (1.0, 0.0), 1.0)
+    assert isinstance(exc, IntegrationBlowUp)
+    assert "underflow" in str(exc) and exc.t < 0.5
+
+
+def test_list_oracle_negative_zero_state():
+    """A state holding -0.0, whose error scale abs(-0.0) ties with the
+    stage's 0.0, integrates as the oracle does, zero signs included."""
+    for dense in (False, True):
+        _assert_bitwise(lambda t, y: (-0.0, y[0] + 1.0), 0.0, (-0.0, -0.0),
+                        1.0, dense=dense)
+
+
+def test_generated_loops_call_no_min_or_max(monkeypatch):
+    """The loops of every shape the package builds (plain and Jacobian
+    shots, dense and not, and the dense 4-dimensional monodromy shot)
+    clamp their step sizes without a call to min or max."""
+    import ast
+
+    import periorbit.ivp as ivp
+    from periorbit.greens import numeric_periodic_green
+
+    sources = {}
+    make = ivp._loop_source
+
+    def spy(n, m, dense, field):
+        source = sources[n, m, dense, field.name] = make(n, m, dense, field)
+        return source
+
+    monkeypatch.setattr(ivp, "_LOOPS", {})
+    monkeypatch.setattr(ivp, "_loop_source", spy)
+    spec = make_example(1.3)
+    find_periodic(spec, tol=1e-8)
+    flow = _Flow(spec)
+    flow.shoot(flow.scale, 0.0, 0.0, spec.omega, rtol=1e-8)
+    numeric_periodic_green(spec.p, spec.l, spec.omega, n=8)
+    assert {(2, 2, False, "shooting"), (6, 2, False, "variational"),
+            (6, 2, True, "variational"),
+            (4, 4, True, "generic")} <= set(sources)
+    for source in sources.values():
+        called = {node.func.id for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)}
+        assert not called & {"min", "max"}
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data(), n=st.integers(1, 6), dense=st.booleans(),
        rtol=st.floats(1e-12, 1e-4))
