@@ -439,6 +439,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """argparse type of a finite number that must be above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite positive number, not {text!r}")
+    return value
+
+
 def _add_common(parser, suppress: bool) -> None:
     # the same flags are accepted before and after the subcommand; the
     # after-subcommand copies use SUPPRESS so an absent flag never
@@ -449,7 +461,7 @@ def _add_common(parser, suppress: bool) -> None:
                         **({"default": None} if not suppress else kw))
     parser.add_argument("--json", action="store_true",
                         help="print machine-readable JSON to stdout", **kw)
-    parser.add_argument("--tol", type=float,
+    parser.add_argument("--tol", type=_positive_float,
                         help="periodicity tolerance for orbit solving",
                         **({"default": None} if not suppress else kw))
 

@@ -14,8 +14,11 @@ M = Phi(omega) and B = (I - M)^-1,
     G(t,s) = [Phi(t) (B - I) Phi(s)^-1]_{12},  s >  t,
 
 which satisfies the homogeneous equation off the diagonal, is omega-periodic
-in t, and has a unit upward jump of dG/dt across the diagonal.  kernel_for
-picks between the two.
+in t, and has a unit upward jump of dG/dt across the diagonal.  Phi comes
+from the DP5 integrator of periorbit.ivp, with dense output: the
+first-order system Phi' = ((0, 1), (-l, -p)) Phi is a Field, written into
+the generated step loop as source, as the shooting system is.  kernel_for
+picks between the two constructions.
 
 On each branch the kernel has rank 2: G(t,s) = U(t).V(s) and
 dG/dt(t,s) = U'(t).V(s), with U = Phi(t)[0,:], U' = Phi(t)[1,:] and
@@ -82,8 +85,6 @@ class GreensFunction:
     delta: float
     positive: bool
     source: str
-    p_fn: object = field(repr=False)
-    l_fn: object = field(repr=False)
     _factors: object = field(repr=False)
 
     def kernel(self, t, s, branch: str = "auto"):
@@ -202,7 +203,7 @@ def _scanned_extremes(factors, tgrid, G, Gt):
     return -found[0], found[1], found[2]
 
 
-def _assemble(omega, n, factors, source, p_fn, l_fn, positive=None,
+def _assemble(omega, n, factors, source, positive=None,
               extremes=None) -> GreensFunction:
     tgrid = np.linspace(0.0, omega, n + 1)
     G, Gt = _evaluate(factors, tgrid, tgrid)
@@ -216,8 +217,7 @@ def _assemble(omega, n, factors, source, p_fn, l_fn, positive=None,
     return GreensFunction(omega=omega, n=n, t=tgrid, G=G, Gt=Gt,
                           g_max=g_max, g_min=g_min, gt_max=gt_max,
                           sigma=sigma, delta=delta, positive=positive,
-                          source=source, p_fn=p_fn, l_fn=l_fn,
-                          _factors=factors)
+                          source=source, _factors=factors)
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +255,7 @@ def closed_form_constant(xi: float, omega: float, n: int = DEFAULT_GRID
     peak = math.sin(half_angle) if half_angle <= 0.5 * math.pi else 1.0
     gt_max = abs(peak) / (2.0 * abs(s_half))
 
-    p_fn = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-    l_fn = lambda t: np.full_like(np.asarray(t, dtype=float), xi * xi)
-    return _assemble(omega, n, factors, "closed-form", p_fn, l_fn,
+    return _assemble(omega, n, factors, "closed-form",
                      positive=bool(xi < math.pi / omega),
                      extremes=(min(ends), max(ends), gt_max))
 
@@ -275,21 +273,32 @@ def numeric_periodic_green(p, l, omega: float, n: int = DEFAULT_GRID
     of +1 (the homogeneous problem has a periodic solution) or of -1 (the
     antiperiodic boundary case, where the kernel theory degenerates).
     """
-    from .ivp import solve_ivp_dp
+    from .ivp import Field, solve_ivp_dp
 
     p, l = (k if isinstance(k, PeriodicCoeff)
             else PeriodicCoeff(Const(float(k)), omega) for k in (p, l))
-    p_t, l_t = compiled(p.expr), compiled(l.expr)
+    # the fundamental matrix, row-major (u, w, u', w'), as DP5 loop
+    # source: a constant coefficient is read as a float, a varying one is
+    # called once per slope at the stage time, p before l, into a local
+    mask = tuple(type(k.expr) is Const for k in (p, l))
+    args, calls = {}, []
+    for name, k, constant in zip("pl", (p, l), mask):
+        args[f"_{name}"] = k.expr.value if constant else compiled(k.expr)
+        if not constant:
+            calls.append(f"{name}t = _{name}(ts)")
+    pt, lt = ("_p" if mask[0] else "pt"), ("_l" if mask[1] else "lt")
 
-    def rhs(t, y):
-        # y is the fundamental matrix, row-major: (u, w, u', w')
+    def slopes(k, y, when, first):
         u, w, du, dw = y
-        pv = p_t(t)
-        lv = l_t(t)
-        return du, dw, -lv * u - pv * du, -lv * w - pv * dw
+        return [*([f"ts = {when}"] if calls else []), *calls,
+                f"{k[0]} = {du}",
+                f"{k[1]} = {dw}",
+                f"{k[2]} = -{lt} * {u} - {pt} * {du}",
+                f"{k[3]} = -{lt} * {w} - {pt} * {dw}"]
 
-    res = solve_ivp_dp(rhs, 0.0, np.eye(2).ravel(), omega,
-                       rtol=_MONODROMY_RTOL, atol=_MONODROMY_ATOL, dense=True,
+    res = solve_ivp_dp(Field("monodromy", mask, slopes, None, args), 0.0,
+                       np.eye(2).ravel(), omega, rtol=_MONODROMY_RTOL,
+                       atol=_MONODROMY_ATOL, dense=True,
                        max_step=omega / 16.0)
     M = res.y.reshape(2, 2)
     eigs = np.linalg.eigvals(M)
@@ -319,7 +328,7 @@ def numeric_periodic_green(p, l, omega: float, n: int = DEFAULT_GRID
         col[:, 1] = Ps[:, 0, 0] / det
         return Pt[:, 0, :], Pt[:, 1, :], col @ B_low.T, col @ B_up.T
 
-    return _assemble(omega, n, factors, "numeric", p, l)
+    return _assemble(omega, n, factors, "numeric")
 
 
 def kernel_for(p: PeriodicCoeff, l: PeriodicCoeff, omega: float,

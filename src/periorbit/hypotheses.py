@@ -448,8 +448,8 @@ def certify(spec: ProblemSpec, a1: PeriodicCoeff | None = None
                            positive=False, computed=None, reported=None,
                            verdict=False, reason=f"resonance: {err}")
     if gf.source == "closed-form":
-        # the kernel's l is xi*xi, and sqrt recovers xi exactly
-        xi = math.sqrt(float(gf.l_fn(0.0)))
+        # kernel_for built the closed form from xi = sqrt(l)
+        xi = math.sqrt(l.constant_value())
         source = "closed-form"
         checks = [CriterionVerdict(
             criterion="CLOSED_FORM", holds=True, applicable=True,

@@ -2,8 +2,8 @@
 
 Embedded 4th-order error estimate drives step control; the free 4th-order
 interpolant of the pair provides dense output on accepted steps.  A guard
-predicate can veto states (stage values included): a vetoed step is halved
-rather than error-controlled, and step underflow raises IntegrationBlowUp
+can veto states (stage values included): a vetoed step is halved rather
+than error-controlled, and step underflow raises IntegrationBlowUp
 carrying the last valid state.
 
 The systems integrated here are small (the 2-dimensional shooting system,
@@ -14,18 +14,15 @@ and a list per stage.  So the step loop is generated: its source writes
 every stage, error and dense-output expression out for each component,
 on scalar local floats, and takes the right-hand side as a Field, the
 source of one slope evaluation and of its guard test on a stage's
-locals.  A plain callable f(t, y) with a guard(y) becomes the generic
-field, whose source calls them on a list of floats; a caller that can
-write its right-hand side as source (the shooting system of
-periorbit.solver) passes its own Field, and its slopes and guard then
-cost no call at all.  A loop is compiled on the first integration of
-each (dimension, error-norm width, dense, field name, field mask) and
-cached in _LOOPS; nothing is generated at import.  numpy appears only at
-the boundary, in IvpResult.y, IntegrationBlowUp.y and the dense
-coefficients.  The loop's step-size clamps are conditional expressions,
-not min/max calls: a builtin min or max call per clamp cost about a fifth
-of a short shot, and each conditional returns exactly what min or max
-returns, ties and NaN included.
+locals, so slopes and guard cost no call of their own.  A loop is
+compiled on the first integration of each (dimension, error-norm width,
+dense, field name, field mask) and cached in _LOOPS; nothing is
+generated at import.  numpy appears only at the boundary, in IvpResult.y,
+IntegrationBlowUp.y and the dense coefficients.  The loop's step-size
+clamps are conditional expressions, not min/max calls: a builtin min or
+max call per clamp cost about a fifth of a short shot, and each
+conditional returns exactly what min or max returns, ties and NaN
+included.
 
 Characteristics
 ---------------
@@ -96,9 +93,8 @@ class DenseSolution:
     coef: np.ndarray           # (nsteps, 5, dim)
 
     def __post_init__(self):
-        lo, hi = min(self.t0, self.t1), max(self.t0, self.t1)
-        slack = 1e-12 * (hi - lo + 1.0)
-        self._span = (lo - slack, hi + slack)
+        slack = 1e-12 * (self.t1 - self.t0 + 1.0)
+        self._span = (self.t0 - slack, self.t1 + slack)
         # searching the inner edges gives each query its step index,
         # already clamped to [0, nsteps - 1]
         self._inner = self.lefts[1:]
@@ -165,26 +161,6 @@ class Field:
     slopes: Callable[[list, list, str, bool], list]
     veto: Callable[[list], str] | None
     args: dict
-
-
-def _generic(f, guard) -> Field:
-    """The field of a callable f(t, y) and guard(y), both given the state
-    as a list of floats; f returns a sequence of the same length."""
-
-    def slopes(p, y, when, first):
-        call = f"f({when}, [{', '.join(y)}])"
-        if not first:
-            return [f"{', '.join(p)}, = {call}"]
-        n = len(p)
-        return [f"k1 = {call}",
-                f"if len(k1) != {n}:",
-                "    raise ValueError(f\"f returned {len(k1)} components "
-                f"for a state of {n}\")",
-                f"{', '.join(p)}, = k1"]
-
-    veto = None if guard is None else lambda y: f"guard([{', '.join(y)}])"
-    return Field("generic", (guard is not None,), slopes, veto,
-                 {"f": f, "guard": guard})
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +316,14 @@ def _loop_source(n: int, m: int, dense: bool, field: Field) -> str:
         f"            {state} = {each('y7_{i}')}",
         f"            {each('p1_{i}')} = {each('p7_{i}')}",
         "            nsteps += 1",
+        # no floor: an accepted step has err <= 1, so the factor
+        # _SAFETY * err ** -0.2 is at least 0.9 > _MIN_FACTOR, and
+        # err = 0 gives _MAX_FACTOR
         "            if err == 0.0:",
         "                factor = _MAX_FACTOR",
         "            else:",
         "                g = _SAFETY * err ** -0.2",
         "                factor = g if g < _MAX_FACTOR else _MAX_FACTOR",
-        "            if _MIN_FACTOR > factor:",
-        "                factor = _MIN_FACTOR",
         "            h *= factor",
         "            if max_step < h:",
         "                h = max_step",
@@ -359,19 +336,16 @@ def _loop_source(n: int, m: int, dense: bool, field: Field) -> str:
     return "\n".join(lines) + "\n"
 
 
-def solve_ivp_dp(f, t0: float, y0, t1: float, rtol: float = 1e-10,
-                 atol: float = 1e-12, guard=None, dense: bool = False,
-                 max_step: float = np.inf,
+def solve_ivp_dp(field: Field, t0: float, y0, t1: float,
+                 rtol: float = 1e-10, atol: float = 1e-12,
+                 dense: bool = False, max_step: float = np.inf,
                  norm_dims: int | None = None) -> IvpResult:
-    """Integrate y' = f(t, y) from t0 to t1 (t1 > t0).
+    """Integrate the field's y' = f(t, y) from t0 to t1, where t1 > t0.
 
-    f is a Field, which carries its own guard, or a callable f(t, y) that
-    gets the state as a list of floats and returns a sequence of the same
-    length; guard(y) -> bool, also given a list, then returns True when
-    the state is inadmissible.  Either way the right-hand side is only
-    ever evaluated on states that passed the guard, so it may safely
-    evaluate inverse powers of components the guard keeps positive.  A
-    start that fails the guard raises IntegrationBlowUp.
+    The right-hand side is only ever evaluated on states that passed the
+    field's guard, so it may safely evaluate inverse powers of components
+    the guard keeps positive.  A start that fails the guard raises
+    IntegrationBlowUp.
 
     The error norm runs over the first norm_dims components (default:
     all).  Components past them ride along uncontrolled: when they do not
@@ -379,20 +353,8 @@ def solve_ivp_dp(f, t0: float, y0, t1: float, rtol: float = 1e-10,
     the leading components and the step sequence are those of the leading
     system integrated alone, bit for bit.
     """
-    if t1 == t0:
-        y = np.asarray(y0, dtype=float).copy()
-        empty = DenseSolution(t0, t1, np.array([t0]), np.array([1.0]),
-                              np.zeros((1, 5, y.size))) if dense else None
-        if dense:
-            empty.coef[0, 0] = y
-            return IvpResult(t0, y, empty, 0, 0, 0, 0)
-        return IvpResult(t0, y, None, 0, 0, 0, 0)
-    if t1 < t0:
-        raise ValueError("backward integration is not supported")
-    if not isinstance(f, Field):
-        f = _generic(f, guard)
-    elif guard is not None:
-        raise ValueError("a Field carries its own guard")
+    if not t1 > t0:
+        raise ValueError(f"t1 = {t1!r} must exceed t0 = {t0!r}")
     y = np.asarray(y0, dtype=float).tolist()
     n = len(y)
     m = n if norm_dims is None else norm_dims
@@ -402,10 +364,10 @@ def solve_ivp_dp(f, t0: float, y0, t1: float, rtol: float = 1e-10,
     span = t1 - t0
     # per accepted step: y, dy, r3, r4, r5, packed as C doubles
     lefts, widths, coefs = [], [], array("d")
-    loop = _step_loop(n, m, dense, f)
+    loop = _step_loop(n, m, dense, field)
     t, y, nsteps, nfev, rejected, guard_rejections = loop(
         t0, t1, _initial_step(span, max_step), 1e-14 * span, max_step,
-        rtol, atol, y, lefts, widths, coefs, *f.args.values())
+        rtol, atol, y, lefts, widths, coefs, *field.args.values())
 
     sol = None
     if dense:

@@ -117,6 +117,9 @@ def parse_problem_text(text: str, name: str = "<string>") -> LoadedProblem:
         if key in raw:
             scalars[key] = _scalar(raw[key][0], key, raw[key][1])
 
+    if "tol" in scalars and not scalars["tol"] > 0.0:
+        raise ProblemFileError("tol must be positive", raw["tol"][1])
+
     lines = {key: lineno for key, (_, lineno) in raw.items()}
     try:
         spec = ProblemSpec(p=coeffs["p"], q=coeffs["q"], b=coeffs["b"],

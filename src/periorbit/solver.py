@@ -359,8 +359,11 @@ def find_periodic(spec: ProblemSpec, guess: State | None = None,
     no Jacobian shot of its own, and when it converges the orbit is
     packaged from it without shooting again.  When a start stopped on a
     failed shot and p, b or q/alpha leaves the float range, the search
-    ends in a ValidationError keyed to that coefficient.
+    ends in a ValidationError keyed to that coefficient.  tol must be a
+    finite positive number.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, not {tol!r}")
     flow = _Flow(spec)
     if guess is None:
         guess = State(t=0.0, x=flow.scale, v=0.0)

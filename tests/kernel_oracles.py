@@ -29,13 +29,15 @@ def solve_linear(gf, h, return_derivative: bool = False):
     return (u, up) if return_derivative else u
 
 
-def homogeneous_residual(gf) -> float:
+def homogeneous_residual(gf, p, l) -> float:
     """Max |G_tt + p G_t + l G| over grid rows at least two cells off the
-    diagonal, with G_tt and G_t from central differences down the columns."""
+    diagonal, with G_tt and G_t from central differences down the columns.
+    p and l are the kernel's coefficients: numbers, or functions of an
+    array of times."""
     dt = gf.t[1] - gf.t[0]
     G = gf.G
-    pv = np.asarray(gf.p_fn(gf.t), dtype=float)
-    lv = np.asarray(gf.l_fn(gf.t), dtype=float)
+    pv, lv = (np.broadcast_to(k(gf.t) if callable(k) else k, gf.t.shape)
+              for k in (p, l))
     worst = 0.0
     nn = gf.n
     for i in range(1, nn):

@@ -3,12 +3,28 @@
 periorbit.solver writes the force formula and the guard into the DP5
 step loop as source.  These closures are the same formula as functions
 of (t, y), in the same association order, on the coefficients' compiled
-scalar functions, so an integration run with them (through the generic
-field, or through a reference integrator) takes the fused loop's steps
-bit for bit.
+scalar functions, so an integration run with them (through
+callable_field, or through a reference integrator) takes the fused
+loop's steps bit for bit.
 """
 
 from periorbit.expressions import compiled
+from periorbit.ivp import Field
+
+
+def callable_field(f, guard=None):
+    """The Field of a callable f(t, y) and guard(y), both given the state
+    as a list of floats; f returns a sequence of the same length, and
+    guard(y) is true where the state is inadmissible.  Its loop source
+    calls them, so it takes the steps of the same right-hand side written
+    as source, bit for bit."""
+
+    def slopes(p, y, when, first):
+        return [f"{', '.join(p)}, = f({when}, [{', '.join(y)}])"]
+
+    veto = None if guard is None else lambda y: f"guard([{', '.join(y)}])"
+    return Field("generic", (guard is not None,), slopes, veto,
+                 {"f": f, "guard": guard})
 
 
 def vector_field(spec, variational=False):

@@ -78,7 +78,7 @@ def test_criterion_02_numeric_kernel_cross_check(report):
         float(np.max(np.abs(num.G - ref.G))),
         float(np.max(np.abs(num.Gt - ref.Gt))),
     )
-    homog = homogeneous_residual(num)
+    homog = homogeneous_residual(num, 0.0, XI * XI)
     period = periodicity_mismatch(num)
     rng = np.random.default_rng(20240817)
     jump = float(

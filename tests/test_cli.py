@@ -411,6 +411,37 @@ def test_greens_n_below_one_is_usage_error(tmp_path, capsys, text, n):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("global_flag", [False, True],
+                         ids=["after", "before"])
+def test_tol_not_finite_positive_is_usage_error(tmp_path, capsys, tol,
+                                                global_flag):
+    """--tol must be a finite positive number, before or after the
+    subcommand: anything else exits 2 as a usage error, solves nothing
+    and writes nothing."""
+    argv = (["--tol", tol, "solve", "example41"] if global_flag else
+            ["solve", "example41", "--tol", tol])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--out", str(tmp_path), *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --tol: must be a finite positive number" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_problem_file_tol_not_positive_exit_2(tmp_path, capsys, value):
+    bad = tmp_path / "bad_tol.problem"
+    bad.write_text(MERGED_NONNEG + f"tol = {value}\n")
+    line = MERGED_NONNEG.count("\n") + 1
+    code = cli.main(["--out", str(tmp_path), "solve", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {bad}: line {line}: tol must be positive\n"
+    assert list(tmp_path.iterdir()) == [bad]
+
+
 def test_greens_resonant_exit_1(tmp_path, capsys):
     res = tmp_path / "resonant.problem"
     res.write_text(RESONANT)

@@ -25,6 +25,7 @@ from periorbit.greens import (
     kernel_for,
     numeric_periodic_green,
 )
+from shooting_oracles import callable_field
 
 XI = 0.25  # sqrt(l) for the worked instance: l = (1/40)/alpha = 1/16
 
@@ -200,7 +201,7 @@ def test_numeric_matches_closed_form(gf_closed):
 def test_defining_properties(which, gf_closed, gf_numeric):
     gf = gf_closed if which == "closed" else gf_numeric
     # second-order ODE satisfied away from the diagonal
-    assert homogeneous_residual(gf) <= 1e-4
+    assert homogeneous_residual(gf, 0.0, XI * XI) <= 1e-4
     # rows at t = 0 and t = omega agree for interior source points
     assert periodicity_mismatch(gf) <= 1e-6
     # unit jump of dG/dt across the diagonal at 50 spread-out source points
@@ -282,7 +283,8 @@ def gf_varying():
 
 def test_varying_coefficients_properties(gf_varying):
     assert gf_varying.source == "numeric"
-    assert homogeneous_residual(gf_varying) <= 1e-4
+    assert homogeneous_residual(gf_varying, pc(P_VARYING),
+                                pc(L_VARYING)) <= 1e-4
     assert periodicity_mismatch(gf_varying) <= 1e-6
     rng = np.random.default_rng(7)
     s_vals = rng.uniform(0.05 * OMEGA, 0.95 * OMEGA, size=20)
@@ -296,17 +298,17 @@ def test_solve_linear_cross_checked_against_ivp(gf_varying):
 
     h = lambda s: 1.0 + 0.3 * np.sin(3.0 * s) + 0.1 * np.cos(6.0 * s)
     u, up = solve_linear(gf_varying, h, return_derivative=True)
-    p_fn, l_fn = gf_varying.p_fn, gf_varying.l_fn
+    p, l = pc(P_VARYING), pc(L_VARYING)
 
     def f(t, y):
         ta = np.array([t])
         return np.array([
             y[1],
-            float(h(ta)[0]) - float(p_fn(ta)[0]) * y[1] - float(l_fn(ta)[0]) * y[0],
+            float(h(ta)[0]) - float(p(ta)[0]) * y[1] - float(l(ta)[0]) * y[0],
         ])
 
-    res = solve_ivp_dp(f, 0.0, [u[0], up[0]], OMEGA, rtol=1e-12, atol=1e-14,
-                       dense=True)
+    res = solve_ivp_dp(callable_field(f), 0.0, [u[0], up[0]], OMEGA,
+                       rtol=1e-12, atol=1e-14, dense=True)
     vals = res.dense(gf_varying.t)
     scale = float(np.max(np.abs(u))) + 1.0
     assert np.max(np.abs(vals[:, 0] - u)) <= 1e-6 * scale

@@ -13,7 +13,12 @@ from periorbit import ProblemSpec, find_periodic
 from periorbit.expressions import compiled
 from periorbit.ivp import DenseSolution, IntegrationBlowUp, IvpResult, solve_ivp_dp
 from periorbit.solver import _SHOOT_RTOL, _Flow
-from shooting_oracles import positivity_guard, vector_field
+from shooting_oracles import callable_field, positivity_guard, vector_field
+
+
+def _solve(f, t0, y0, t1, guard=None, **kwargs):
+    """solve_ivp_dp on the field of a callable f(t, y) and guard(y)."""
+    return solve_ivp_dp(callable_field(f, guard), t0, y0, t1, **kwargs)
 
 
 def _harmonic(t, y):
@@ -21,8 +26,8 @@ def _harmonic(t, y):
 
 
 def test_harmonic_oscillator_endpoint():
-    res = solve_ivp_dp(_harmonic, 0.0, [1.0, 0.0], 2.0 * math.pi,
-                       rtol=1e-12, atol=1e-14)
+    res = _solve(_harmonic, 0.0, [1.0, 0.0], 2.0 * math.pi,
+                 rtol=1e-12, atol=1e-14)
     assert abs(res.t - 2.0 * math.pi) < 1e-14
     assert abs(res.y[0] - 1.0) < 1e-10
     assert abs(res.y[1]) < 1e-10
@@ -31,8 +36,8 @@ def test_harmonic_oscillator_endpoint():
 
 
 def test_dense_output_accuracy():
-    res = solve_ivp_dp(_harmonic, 0.0, [1.0, 0.0], 2.0 * math.pi,
-                       rtol=1e-12, atol=1e-14, dense=True)
+    res = _solve(_harmonic, 0.0, [1.0, 0.0], 2.0 * math.pi,
+                 rtol=1e-12, atol=1e-14, dense=True)
     ts = np.linspace(0.0, 2.0 * math.pi, 1001)
     vals = res.dense(ts)
     err = np.abs(vals - np.stack([np.cos(ts), -np.sin(ts)], axis=1))
@@ -43,7 +48,7 @@ def test_dense_output_accuracy():
 
 
 def test_dense_output_rejects_out_of_span():
-    res = solve_ivp_dp(_harmonic, 0.0, [1.0, 0.0], 1.0, dense=True)
+    res = _solve(_harmonic, 0.0, [1.0, 0.0], 1.0, dense=True)
     with pytest.raises(ValueError):
         res.dense(1.5)
     with pytest.raises(ValueError):
@@ -74,8 +79,8 @@ def test_dense_call_matches_reference_formula():
     """Random, endpoint, step-boundary and just-outside-but-tolerated
     queries give the reference formula's values bit for bit."""
     rng = np.random.default_rng(7)
-    res = solve_ivp_dp(lambda t, y: (y[2], y[3], -y[0], -y[1]), 0.5,
-                       [1.0, 0.0, 0.0, 1.0], 3.0, rtol=1e-9, dense=True)
+    res = _solve(lambda t, y: (y[2], y[3], -y[0], -y[1]), 0.5,
+                 [1.0, 0.0, 0.0, 1.0], 3.0, rtol=1e-9, dense=True)
     sol = res.dense
     edges = np.concatenate([sol.lefts, sol.lefts + sol.widths])
     slack = 0.5e-12 * (2.5 + 1.0)
@@ -111,9 +116,9 @@ def test_error_norm_over_leading_components():
         fx = -math.cos(x)
         return (v, -math.sin(x), du, dw, fx * u, fx * w)
 
-    plain = solve_ivp_dp(f, 0.0, [1.0, 0.0], 7.0, rtol=1e-10, atol=1e-12)
-    var = solve_ivp_dp(f_var, 0.0, [1.0, 0.0, 1.0, 0.0, 0.0, 1.0], 7.0,
-                       rtol=1e-10, atol=1e-12, norm_dims=2)
+    plain = _solve(f, 0.0, [1.0, 0.0], 7.0, rtol=1e-10, atol=1e-12)
+    var = _solve(f_var, 0.0, [1.0, 0.0, 1.0, 0.0, 0.0, 1.0], 7.0,
+                 rtol=1e-10, atol=1e-12, norm_dims=2)
     assert var.y[:2].tolist() == plain.y.tolist()
     assert (var.nsteps, var.nfev, var.rejected) == (plain.nsteps, plain.nfev,
                                                     plain.rejected)
@@ -122,8 +127,8 @@ def test_error_norm_over_leading_components():
     assert u * dw - w * du == pytest.approx(1.0, abs=1e-8)
     for bad in (0, 7):
         with pytest.raises(ValueError, match="norm_dims"):
-            solve_ivp_dp(f_var, 0.0, [1.0, 0.0, 1.0, 0.0, 0.0, 1.0], 1.0,
-                         norm_dims=bad)
+            _solve(f_var, 0.0, [1.0, 0.0, 1.0, 0.0, 0.0, 1.0], 1.0,
+                   norm_dims=bad)
 
 
 def test_against_scipy_reference():
@@ -133,7 +138,7 @@ def test_against_scipy_reference():
     def f(t, y):
         return np.array([y[1], -math.sin(y[0]) - 0.1 * y[1] + 0.3 * math.cos(2.0 * t)])
 
-    mine = solve_ivp_dp(f, 0.0, [1.0, 0.0], 10.0, rtol=1e-11, atol=1e-12)
+    mine = _solve(f, 0.0, [1.0, 0.0], 10.0, rtol=1e-11, atol=1e-12)
     ref = scipy_solve(f, (0.0, 10.0), [1.0, 0.0], method="DOP853",
                       rtol=1e-12, atol=1e-13)
     assert ref.success
@@ -159,7 +164,7 @@ def test_energy_drift_on_singular_oscillator():
         return 0.5 * v * v + potential
 
     y0 = np.array([400.0, 0.0])
-    res = solve_ivp_dp(f, 0.0, y0, 2.0 * math.pi / 3.0, rtol=1e-12, atol=1e-14)
+    res = _solve(f, 0.0, y0, 2.0 * math.pi / 3.0, rtol=1e-12, atol=1e-14)
     e0, e1 = energy(y0), energy(res.y)
     assert abs(e1 - e0) <= 1e-8 * abs(e0)
 
@@ -169,7 +174,7 @@ def test_guard_stops_integration():
         return np.array([-1.0])
 
     with pytest.raises(IntegrationBlowUp) as exc:
-        solve_ivp_dp(f, 0.0, [1.0], 2.0, guard=lambda y: y[0] < 0.5)
+        _solve(f, 0.0, [1.0], 2.0, guard=lambda y: y[0] < 0.5)
     err = exc.value
     # the last accepted state sits just above the guard line near t = 0.5
     assert err.y[0] >= 0.5
@@ -181,30 +186,24 @@ def test_guard_violated_at_start():
         return np.array([-1.0])
 
     with pytest.raises(IntegrationBlowUp) as exc:
-        solve_ivp_dp(f, 0.0, [0.1], 1.0, guard=lambda y: y[0] < 0.5)
+        _solve(f, 0.0, [0.1], 1.0, guard=lambda y: y[0] < 0.5)
     assert exc.value.t == 0.0
 
 
-def test_zero_span_returns_initial_state():
-    res = solve_ivp_dp(_harmonic, 1.0, [2.0, 3.0], 1.0, dense=True)
-    assert res.t == 1.0
-    assert np.array_equal(res.y, [2.0, 3.0])
-    assert res.nsteps == 0
-    assert np.allclose(res.dense(1.0), [2.0, 3.0])
-
-
 def test_backward_span_rejected():
-    with pytest.raises(ValueError):
-        solve_ivp_dp(_harmonic, 1.0, [1.0, 0.0], 0.0)
+    """A span that is backward or empty is refused: t1 must exceed t0."""
+    for t1 in (0.0, 1.0):
+        with pytest.raises(ValueError, match="must exceed t0"):
+            _solve(_harmonic, 1.0, [1.0, 0.0], t1)
 
 
 def test_max_step_honored():
-    res = solve_ivp_dp(_harmonic, 0.0, [1.0, 0.0], 1.0, max_step=0.01)
+    res = _solve(_harmonic, 0.0, [1.0, 0.0], 1.0, max_step=0.01)
     assert res.nsteps >= 100
 
 
 def test_counters_are_consistent():
-    res = solve_ivp_dp(_harmonic, 0.0, [1.0, 0.0], 6.0)
+    res = _solve(_harmonic, 0.0, [1.0, 0.0], 6.0)
     assert res.rejected >= 0
     assert res.guard_rejections == 0
     assert res.nfev >= 6 * (res.nsteps + res.rejected)
@@ -295,11 +294,9 @@ def _assert_same_run(f, y0, t1, guard=None, rtol=1e-12, atol=1e-14,
                      max_step=np.inf, field=None):
     """The loop and the numpy oracle take the same steps to within
     rounding; the loop runs field when given (it carries its own guard),
-    else f and guard."""
-    mine = (solve_ivp_dp(field, 0.0, y0, t1, rtol=rtol, atol=atol,
-                         dense=True, max_step=max_step) if field else
-            solve_ivp_dp(f, 0.0, y0, t1, rtol=rtol, atol=atol, guard=guard,
-                         dense=True, max_step=max_step))
+    else the field of f and guard."""
+    mine = solve_ivp_dp(field or callable_field(f, guard), 0.0, y0, t1,
+                        rtol=rtol, atol=atol, dense=True, max_step=max_step)
     ref = _numpy_solve_ivp_dp(f, 0.0, y0, t1, rtol=rtol, atol=atol,
                               guard=guard, dense=True, max_step=max_step)
     counts = lambda r: (r.nsteps, r.nfev, r.rejected, r.guard_rejections)
@@ -348,9 +345,9 @@ def test_oracle_return_map_shot_bundled(rho2):
     assert res.nsteps > 10
 
 
-def test_oracle_numeric_kernel_family_text():
+def test_oracle_numeric_kernel_family_text(monkeypatch):
     """A shot of the shooting system with varying coefficients, and the
-    4-dimensional fundamental-matrix system the numeric kernel integrates."""
+    4-dimensional fundamental-matrix field the numeric kernel integrates."""
     spec = _numeric_kernel_spec()
     flow = _Flow(spec)
     f, guard = _oracle_shot(flow)
@@ -363,8 +360,9 @@ def test_oracle_numeric_kernel_family_text():
         pv, lv = float(p(t)), float(l(t))
         return du, dw, -lv * u - pv * du, -lv * w - pv * dw
 
+    field = _kernel_fields(monkeypatch, p, l, spec.omega)[0]
     _assert_same_run(monodromy, np.eye(2).ravel(), spec.omega,
-                     max_step=spec.omega / 16.0)
+                     max_step=spec.omega / 16.0, field=field)
 
 
 def test_oracle_guard_hitting_start():
@@ -422,21 +420,9 @@ def test_state_and_slopes_are_floats_inside():
         seen.append(type(y))
         return False
 
-    res = solve_ivp_dp(f, 0.0, np.array([1.0, 0.0]), 1.0, guard=guard)
+    res = _solve(f, 0.0, np.array([1.0, 0.0]), 1.0, guard=guard)
     assert set(seen) == {list}
     assert isinstance(res.y, np.ndarray) and res.y.shape == (2,)
-
-
-def test_field_carries_its_own_guard():
-    flow = _Flow(make_cheap_spec())
-    with pytest.raises(ValueError, match="own guard"):
-        solve_ivp_dp(flow.field, 0.0, [1.0, 0.0], 1.0,
-                     guard=positivity_guard(flow.eps_min))
-
-
-def test_rhs_of_wrong_length_rejected():
-    with pytest.raises(ValueError, match="components"):
-        solve_ivp_dp(lambda t, y: (1.0,), 0.0, [1.0, 0.0], 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -569,11 +555,10 @@ def _list_solve_ivp_dp(f, t0, y0, t1, rtol=1e-10, atol=1e-12, guard=None,
                      rejected, guard_rejections)
 
 
-def _run(integrate, f, t0, y0, t1, make_guard=None, **kwargs):
+def _run(integrate, *args, **kwargs):
     """The result of one run, or the IntegrationBlowUp it raised."""
-    guard = make_guard() if make_guard else None
     try:
-        return integrate(f, t0, y0, t1, guard=guard, **kwargs)
+        return integrate(*args, **kwargs)
     except IntegrationBlowUp as exc:
         return exc
 
@@ -582,10 +567,11 @@ def _assert_bitwise(f, t0, y0, t1, make_guard=None, field=None, **kwargs):
     """The generated loop and the list oracle agree bit for bit.
     make_guard builds a fresh guard per run, so a stateful guard sees the
     same calls in both.  The loop runs field when given (it carries its
-    own guard), else f with the guard."""
-    mine = (_run(solve_ivp_dp, field, t0, y0, t1, **kwargs) if field else
-            _run(solve_ivp_dp, f, t0, y0, t1, make_guard, **kwargs))
-    ref = _run(_list_solve_ivp_dp, f, t0, y0, t1, make_guard, **kwargs)
+    own guard), else the field of f with the guard."""
+    guard = lambda: make_guard() if make_guard else None
+    mine = _run(solve_ivp_dp, field or callable_field(f, guard()), t0, y0,
+                t1, **kwargs)
+    ref = _run(_list_solve_ivp_dp, f, t0, y0, t1, guard=guard(), **kwargs)
     assert type(mine) is type(ref)
     assert mine.t == ref.t
     assert mine.y.dtype == ref.y.dtype == np.float64
@@ -636,26 +622,53 @@ def test_list_oracle_bundled_shots(rho2):
                            **_shot_kwargs(flow, dense=True))
 
 
-def test_list_oracle_numeric_family_and_monodromy():
+def _kernel_fields(monkeypatch, p, l, omega):
+    """The Field and the call numeric_periodic_green integrates the
+    fundamental matrix of u'' + p u' + l u with."""
+    import periorbit.ivp as ivp
+    from periorbit.greens import numeric_periodic_green
+
+    calls = []
+
+    def spy(field, *args, **kwargs):
+        calls.append((field, args, kwargs))
+        return solve_ivp_dp(field, *args, **kwargs)
+
+    monkeypatch.setattr(ivp, "solve_ivp_dp", spy)
+    numeric_periodic_green(p, l, omega, n=8)
+    (call,) = calls
+    return call
+
+
+def test_list_oracle_numeric_family_and_monodromy(monkeypatch):
     """A shot with varying coefficients, its 6-dimensional Jacobian shot
-    with dense output, and the 4-dimensional monodromy shot of the numeric
-    kernel with its max_step."""
+    with dense output, and the 4-dimensional monodromy field of the
+    numeric kernel, for each mask of a varying or constant p and l: the
+    field equals the list oracle run with the hand-written monodromy
+    system, bit for bit, in the kernel's own call and without dense
+    output."""
     spec = _numeric_kernel_spec()
     flow = _Flow(spec)
     _assert_fused_shot(flow, (flow.scale, 0.0), **_shot_kwargs(flow))
     _assert_fused_shot(flow, (flow.scale, 0.0), variational=True,
                        **_shot_kwargs(flow, dense=True))
-    p, l = (compiled(k.expr) for k in (spec.p, spec.q.scaled(1.0 / 0.4)))
+    p, l = spec.p, spec.q.scaled(1.0 / 0.4)
+    for p, l, mask in ((p, l, (False, False)),
+                       (pc("0"), pc("1/16"), (True, True)),
+                       (p, pc("0.07"), (False, True))):
+        field, args, kwargs = _kernel_fields(monkeypatch, p, l, spec.omega)
+        assert (field.name, field.mask) == ("monodromy", mask)
+        assert kwargs["dense"]
+        pf, lf = compiled(p.expr), compiled(l.expr)
 
-    def monodromy(t, y):
-        u, w, du, dw = y
-        pv, lv = p(t), l(t)
-        return du, dw, -lv * u - pv * du, -lv * w - pv * dw
+        def monodromy(t, y):
+            u, w, du, dw = y
+            pv, lv = pf(t), lf(t)
+            return du, dw, -lv * u - pv * du, -lv * w - pv * dw
 
-    for dense in (False, True):
-        _assert_bitwise(monodromy, 0.0, np.eye(2).ravel(), spec.omega,
-                        rtol=1e-12, atol=1e-14, dense=dense,
-                        max_step=spec.omega / 16.0)
+        for dense in (True, False):
+            _assert_bitwise(monodromy, *args, field=field,
+                            **{**kwargs, "dense": dense})
 
 
 def test_list_oracle_guard_hits_and_blowup():
@@ -772,7 +785,7 @@ def test_generated_loops_call_no_min_or_max(monkeypatch):
     numeric_periodic_green(spec.p, spec.l, spec.omega, n=8)
     assert {(2, 2, False, "shooting"), (6, 2, False, "variational"),
             (6, 2, True, "variational"),
-            (4, 4, True, "generic")} <= set(sources)
+            (4, 4, True, "monodromy")} <= set(sources)
     for source in sources.values():
         called = {node.func.id for node in ast.walk(ast.parse(source))
                   if isinstance(node, ast.Call)
@@ -858,11 +871,11 @@ def test_step_loop_generated_once_per_shape(monkeypatch):
     monkeypatch.setattr(ivp, "_loop_source", spy)
     f = lambda t, y: (y[1], -y[0], y[2])
     for _ in range(2):
-        solve_ivp_dp(f, 0.0, [1.0, 0.0, 1.0], 1.0, norm_dims=2, dense=True)
+        _solve(f, 0.0, [1.0, 0.0, 1.0], 1.0, norm_dims=2, dense=True)
     assert generated == [(3, 2, True, "generic", (False,))]
-    solve_ivp_dp(f, 0.0, [1.0, 0.0, 1.0], 1.0, norm_dims=2)
-    solve_ivp_dp(f, 0.0, [1.0, 0.0, 1.0], 1.0, norm_dims=2,
-                 guard=lambda y: False)
+    _solve(f, 0.0, [1.0, 0.0, 1.0], 1.0, norm_dims=2)
+    _solve(f, 0.0, [1.0, 0.0, 1.0], 1.0, norm_dims=2,
+           guard=lambda y: False)
     assert generated[1:] == [(3, 2, False, "generic", (False,)),
                              (3, 2, False, "generic", (True,))]
 
@@ -896,7 +909,7 @@ def test_generated_loop_shows_in_tracebacks(monkeypatch):
         return (y[1], -y[0])
 
     with pytest.raises(ArithmeticError) as exc:
-        solve_ivp_dp(f, 0.0, [1.0, 0.0], 1.0)
+        _solve(f, 0.0, [1.0, 0.0], 1.0)
     text = "".join(traceback.format_exception(exc.value))
     assert 'File "<dp5 loop n=2 m=2 dense=False field=generic mask=0>"' \
         in text

@@ -140,6 +140,12 @@ def test_integrate_zero_span_and_backward(spec41):
         integrate(spec41, 400.0, 0.0, t0=1.0, t1=0.0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_find_periodic_rejects_tol_not_finite_positive(tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        find_periodic(make_cheap_spec(), tol=tol)
+
+
 def test_find_periodic_constant_instance():
     spec = make_constant_spec()
     orbit = find_periodic(spec, tol=1e-10)
