@@ -439,16 +439,24 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
-    """argparse type of a finite number that must be above 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = 0.0
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"must be a finite positive number, not {text!r}")
-    return value
+def _float_type(test, what: str):
+    """argparse type of a number that passes test, named by what."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, not {text!r}")
+        return value
+
+    return parse
+
+
+_positive_float = _float_type(lambda v: 0.0 < v < math.inf,
+                              "a finite positive number")
+_finite_float = _float_type(math.isfinite, "a finite number")
 
 
 def _add_common(parser, suppress: bool) -> None:
@@ -489,9 +497,9 @@ def _parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="compute a periodic orbit")
     p_solve.add_argument("file")
-    p_solve.add_argument("--x0", type=float, default=None,
+    p_solve.add_argument("--x0", type=_finite_float, default=None,
                          help="initial position guess")
-    p_solve.add_argument("--v0", type=float, default=None,
+    p_solve.add_argument("--v0", type=_finite_float, default=None,
                          help="initial velocity guess")
     p_solve.add_argument("--svg", action="store_true",
                          help="also write phase and time-series SVG charts")

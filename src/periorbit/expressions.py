@@ -7,6 +7,11 @@ variable t, the constant pi and numeric literals.  Division lowers to a
 power with exponent -1 and subtraction to an added negation, so the node
 set above is closed under parsing and differentiation.
 
+Parsing folds every constant part to one Const (sin, cos and exp through
+math), so a parsed tree free of t is a single Const and
+PeriodicCoeff.constant reads constancy off the tree.  A constant power out
+of its domain, such as (-2)^(1/2) or 1/0, is a ParseError at its ^ or /.
+
 Rational exponents are stored as fractions.Fraction (integer pairs) rather
 than floats: exponent arithmetic in the calling code stays drift-free and
 the integer/fractional distinction drives the domain rule for powers
@@ -150,20 +155,28 @@ def _neg(a: Expr) -> Expr:
 
 
 def _pow(base: Expr, exponent: Fraction) -> Expr:
+    """base^exponent; a constant base outside the power's domain raises
+    EvalDomainError, as evaluating the power would."""
     if exponent == 0:
         return Const(1.0, Fraction(1))
     if exponent == 1:
         return base
-    if isinstance(base, Const):
-        if base.value > 0.0 or exponent.denominator == 1:
-            if base.exact is not None and exponent.denominator == 1:
-                if base.exact != 0 or exponent > 0:
-                    return _exact_power(base.exact, exponent.numerator)
-            try:
-                return Const(math.pow(base.value, float(exponent)))
-            except (ValueError, OverflowError):
-                pass
-    return Pow(base, exponent)
+    if type(base) is not Const:
+        return Pow(base, exponent)
+    x = base.value
+    if exponent.denominator == 1:
+        if base.exact is not None and (base.exact != 0 or exponent > 0):
+            return _exact_power(base.exact, exponent.numerator)
+        if x == 0.0 and exponent < 0:
+            raise EvalDomainError(f"zero base raised to power {exponent}")
+    elif x <= 0.0:
+        raise EvalDomainError(
+            f"fractional power {exponent} of a non-positive base")
+    try:
+        return Const(math.pow(x, float(exponent)))
+    except OverflowError:
+        odd = exponent.denominator == 1 and exponent.numerator % 2 == 1
+        return Const(-math.inf if x < 0.0 and odd else math.inf)
 
 
 # An exact power is computed only up to this many bits: past it, its float
@@ -369,17 +382,6 @@ def _children(e: Expr) -> tuple:
     raise TypeError(f"unknown node {e!r}")
 
 
-def contains_time(e: Expr) -> bool:
-    # a walk with an explicit stack: a long sum is as deep as it is long
-    stack = [e]
-    while stack:
-        e = stack.pop()
-        if type(e) is TimeVar:
-            return True
-        stack += _children(e)
-    return False
-
-
 # The deepest tree a problem file or PeriodicCoeff may be given (a sum or
 # product of n terms is about n deep).  _compile and derivative recurse
 # once per level, and a derivative is at most about twice as deep as its
@@ -403,7 +405,8 @@ def tree_depth(e: Expr) -> int:
 
 def derivative(e: Expr) -> Expr:
     kind = type(e)
-    if kind in (Const,):
+    # a built Pow of a Const (parsing folds one) may have no q - 1 power
+    if kind is Const or kind is Pow and type(e.base) is Const:
         return Const(0.0, Fraction(0))
     if kind is TimeVar:
         return Const(1.0, Fraction(1))
@@ -435,7 +438,8 @@ _TOKEN_RE = re.compile(
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^()]))")
 
-_FUNCTIONS = {"sin": Sin, "cos": Cos, "exp": Exp}
+_FUNCTIONS = {"sin": (Sin, math.sin), "cos": (Cos, math.cos),
+              "exp": (Exp, math.exp)}
 
 # Parentheses, function calls and exponents may nest this deep; the parser
 # recurses a few frames per level and stops well inside Python's limit.
@@ -527,7 +531,7 @@ class _Parser:
                 if tok.text == "*":
                     e = _mul(e, rhs)
                 else:
-                    e = _mul(e, _pow(rhs, Fraction(-1)))
+                    e = _mul(e, self.folded_pow(tok, rhs, Fraction(-1)))
             else:
                 return e
 
@@ -557,8 +561,16 @@ class _Parser:
                  else None)
             if q is None:
                 raise ParseError("exponent must be a rational constant", epos)
-            return _pow(base, q)
+            return self.folded_pow(tok, base, q)
         return base
+
+    def folded_pow(self, tok: _Token, base: Expr, q: Fraction) -> Expr:
+        """base^q, a constant base outside the power's domain reported at
+        the operator tok."""
+        try:
+            return _pow(base, q)
+        except EvalDomainError as err:
+            raise ParseError(str(err), tok.pos) from None
 
     def atom(self) -> Expr:
         tok = self.advance()
@@ -573,7 +585,15 @@ class _Parser:
                 self.expect_op("(")
                 arg = self.nest(tok, self.expression)
                 self.expect_op(")")
-                return _FUNCTIONS[tok.text](arg)
+                kind, fn = _FUNCTIONS[tok.text]
+                if type(arg) is not Const:
+                    return kind(arg)
+                try:
+                    return Const(fn(arg.value))
+                except OverflowError:  # exp past the float range
+                    return Const(math.inf)
+                except ValueError:  # sin or cos of +-inf, nan as in numpy
+                    return Const(math.nan)
             raise ParseError(f"unknown name {tok.text!r}", tok.pos)
         if tok.kind == "op" and tok.text == "(":
             e = self.nest(tok, self.expression)
@@ -676,6 +696,12 @@ class PeriodicCoeff:
 
     def __call__(self, t):
         return evaluate(self.expr, t)
+
+    @property
+    def constant(self) -> float | None:
+        """The value of a coefficient whose tree is a Const, else None.  A
+        parsed tree free of t is always one Const."""
+        return self.expr.value if type(self.expr) is Const else None
 
     def derivative(self) -> "PeriodicCoeff":
         return self._derived(derivative(self.expr))
@@ -790,21 +816,3 @@ class PeriodicCoeff:
                 total += self.integrate(lo, hi)
         return max(total, 0.0) / self.omega
 
-    # classification helpers used when choosing the kernel construction
-    def is_zero(self) -> bool:
-        """max |f| <= 1e-13 on a 257-point grid over one period."""
-        ts = np.linspace(0.0, self.omega, 257)
-        return float(np.max(np.abs(self(ts)))) <= 1e-13
-
-    def constant_value(self) -> float | None:
-        """The constant value of this coefficient, or None if it varies or
-        its 257-point mean or spread is not finite."""
-        ts = np.linspace(0.0, self.omega, 257)
-        vals = np.asarray(self(ts), dtype=float)
-        with np.errstate(over="ignore"):
-            mean = float(np.mean(vals))
-            spread = float(np.max(vals) - np.min(vals))
-        # a mean or spread past the float range says nothing of constancy
-        if math.isfinite(mean) and spread <= 1e-12 * (1.0 + abs(mean)):
-            return mean
-        return None

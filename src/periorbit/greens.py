@@ -18,7 +18,8 @@ in t, and has a unit upward jump of dG/dt across the diagonal.  Phi comes
 from the DP5 integrator of periorbit.ivp, with dense output: the
 first-order system Phi' = ((0, 1), (-l, -p)) Phi is a Field, written into
 the generated step loop as source, as the shooting system is.  kernel_for
-picks between the two constructions.
+picks between the two constructions from the coefficients' trees: the
+closed form needs p and l constant, that is, written without t.
 
 On each branch the kernel has rank 2: G(t,s) = U(t).V(s) and
 dG/dt(t,s) = U'(t).V(s), with U = Phi(t)[0,:], U' = Phi(t)[1,:] and
@@ -47,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expressions import Const, PeriodicCoeff, compiled
+from .expressions import PeriodicCoeff, compiled
 from .quadrature import integrate_adaptive
 
 DEFAULT_GRID = 200
@@ -275,16 +276,16 @@ def numeric_periodic_green(p, l, omega: float, n: int = DEFAULT_GRID
     """
     from .ivp import Field, solve_ivp_dp
 
-    p, l = (k if isinstance(k, PeriodicCoeff)
-            else PeriodicCoeff(Const(float(k)), omega) for k in (p, l))
     # the fundamental matrix, row-major (u, w, u', w'), as DP5 loop
-    # source: a constant coefficient is read as a float, a varying one is
-    # called once per slope at the stage time, p before l, into a local
-    mask = tuple(type(k.expr) is Const for k in (p, l))
+    # source: a number or constant coefficient is read as a float, a
+    # varying one called once per slope at the stage time, p before l
+    values = [k.constant if isinstance(k, PeriodicCoeff) else float(k)
+              for k in (p, l)]
+    mask = tuple(value is not None for value in values)
     args, calls = {}, []
-    for name, k, constant in zip("pl", (p, l), mask):
-        args[f"_{name}"] = k.expr.value if constant else compiled(k.expr)
-        if not constant:
+    for name, k, value in zip("pl", (p, l), values):
+        args[f"_{name}"] = compiled(k.expr) if value is None else value
+        if value is None:
             calls.append(f"{name}t = _{name}(ts)")
     pt, lt = ("_p" if mask[0] else "pt"), ("_l" if mask[1] else "lt")
 
@@ -333,11 +334,12 @@ def numeric_periodic_green(p, l, omega: float, n: int = DEFAULT_GRID
 
 def kernel_for(p: PeriodicCoeff, l: PeriodicCoeff, omega: float,
                n: int = DEFAULT_GRID) -> GreensFunction:
-    """The kernel of u'' + p u' + l u: the closed form when p vanishes and
-    l is a constant xi^2 with xi < pi/omega, where it is positive, and the
-    numeric construction otherwise."""
-    l_const = l.constant_value()
-    if p.is_zero() and l_const is not None and l_const > 0.0:
+    """The kernel of u'' + p u' + l u: the closed form when the trees of p
+    and l are the constants 0 and xi^2 with xi < pi/omega, where it is
+    positive, and the numeric construction otherwise, for any p or l in t
+    (PeriodicCoeff.constant), however small its variation."""
+    l_const = l.constant
+    if p.constant == 0.0 and l_const is not None and l_const > 0.0:
         xi = math.sqrt(l_const)
         if xi < math.pi / omega:
             return closed_form_constant(xi, omega, n=n)

@@ -449,7 +449,7 @@ def certify(spec: ProblemSpec, a1: PeriodicCoeff | None = None
                            verdict=False, reason=f"resonance: {err}")
     if gf.source == "closed-form":
         # kernel_for built the closed form from xi = sqrt(l)
-        xi = math.sqrt(l.constant_value())
+        xi = math.sqrt(l.constant)
         source = "closed-form"
         checks = [CriterionVerdict(
             criterion="CLOSED_FORM", holds=True, applicable=True,

@@ -260,8 +260,11 @@ def _loop_source(n: int, m: int, dense: bool, field: Field) -> str:
     lines += [
         "    nfev = 1",
         "    nsteps = rejected = guard_rejections = 0",
+        # a step ending within hmin of t1 ends on t1 exactly: t + h could
+        # round to a hair short of t1, where the next step underflows
         "    while t < t1:",
-        "        if t1 - t < h:",
+        "        last = t1 - t < h + hmin",
+        "        if last:",
         "            h = t1 - t",
         "        if h < hmin:",
         "            raise IntegrationBlowUp(",
@@ -312,7 +315,7 @@ def _loop_source(n: int, m: int, dense: bool, field: Field) -> str:
             "            widths.append(h)",
         ]
     lines += [
-        "            t += h",
+        "            t = t1 if last else t + h",
         f"            {state} = {each('y7_{i}')}",
         f"            {each('p1_{i}')} = {each('p7_{i}')}",
         "            nsteps += 1",

@@ -6,6 +6,11 @@ weight for the factorization positivity criterion), guess_x0, guess_v0
 the variable t for the coefficient keys and constant expressions (pi and
 arithmetic allowed, no t) for the scalar keys.  Blank lines and lines
 starting with '#' are ignored.  Errors carry the 1-based line number.
+
+Parsing folds the constant parts of a value, so a scalar's value is read
+off its tree and 1/0 is a parse error with its column.  A coefficient is
+constant exactly when its value has no t; only p = 0 with a constant q can
+select the closed-form kernel (greens.kernel_for).
 """
 
 from __future__ import annotations
@@ -15,9 +20,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from .expressions import (MAX_TREE_DEPTH, EvalDomainError, Expr,
-                          ParseError, PeriodicCoeff, contains_time, evaluate,
-                          parse_expression, tree_depth)
+from .expressions import Const, ParseError, PeriodicCoeff, parse_expression
 from .hypotheses import ProblemSpec, ValidationError
 
 _COEFF_KEYS = ("p", "q", "b", "c", "e", "a1")
@@ -44,32 +47,19 @@ class LoadedProblem:
     lines: dict             # each key's line in the text
 
 
-def _parsed(text: str, key: str, line: int, constant: bool = False) -> Expr:
-    """key's value, parsed; constant demands a tree free of t."""
+def _scalar(text: str, key: str, line: int) -> float:
+    """key's value, which must be free of t: parsing folds it to one
+    Const, whose value is read off the tree."""
     try:
         expr = parse_expression(text)
     except ParseError as err:
         raise ProblemFileError(f"{key}: {err}", line) from err
-    if constant and contains_time(expr):
+    if type(expr) is not Const:
         raise ProblemFileError(f"{key} must be a constant (found t)", line)
-    if tree_depth(expr) > MAX_TREE_DEPTH:
-        raise ProblemFileError(f"{key}: expression tree deeper than "
-                               f"{MAX_TREE_DEPTH} levels", line)
-    return expr
-
-
-def _scalar(text: str, key: str, line: int) -> float:
-    expr = _parsed(text, key, line, constant=True)
-    try:
-        value = float(evaluate(expr, 0.0))
-    except EvalDomainError as err:
-        raise ProblemFileError(f"{key}: {err}", line) from err
-    except OverflowError as err:
-        raise ProblemFileError(f"{key}: value is not finite ({err})",
-                               line) from err
-    if not math.isfinite(value):
-        raise ProblemFileError(f"{key}: value {value} is not finite", line)
-    return value
+    if not math.isfinite(expr.value):
+        raise ProblemFileError(f"{key}: value {expr.value} is not finite",
+                               line)
+    return expr.value
 
 
 def parse_problem_text(text: str, name: str = "<string>") -> LoadedProblem:
@@ -106,9 +96,8 @@ def parse_problem_text(text: str, name: str = "<string>") -> LoadedProblem:
         if key not in raw:
             continue
         value, lineno = raw[key]
-        expr = _parsed(value, key, lineno)
         try:
-            coeffs[key] = PeriodicCoeff(expr, omega)
+            coeffs[key] = PeriodicCoeff(parse_expression(value), omega)
         except Exception as err:
             raise ProblemFileError(f"{key}: {err}", lineno) from err
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import Const, compiled
+from .expressions import compiled
 from .greens import GreensFunction
 from .hypotheses import ProblemSpec, keyed
 from .ivp import Field, IntegrationBlowUp, solve_ivp_dp
@@ -41,8 +41,8 @@ from .transform import (ORIGINAL, TRANSFORMED, PositivityError, SampledPath,
                         TransformedSpec, residual, x_from_y)
 
 PATH_SAMPLES = 2049          # 2048 uniform intervals per period, endpoints kept
-_SHOOT_RTOL = 1e-12          # return-map integrations run tighter than the
-_SHOOT_ATOL_FLOOR = 1e-14    # Newton tolerance so map jitter stays below it
+_SHOOT_RTOL = 1e-12          # the tolerances of every shot, tighter than
+_SHOOT_ATOL = 1e-14          # Newton's; atol per unit of 1 + amplitude scale
 _START_FACTORS = (1.0, 0.5, 0.75, 1.5, 2.0)
 _MAX_NEWTON = 50
 _MAX_HALVINGS = 20           # line-search candidates per Newton step
@@ -159,11 +159,11 @@ def _field(spec: ProblemSpec, eps_min: float, variational: bool) -> Field:
     their compiled scalar functions.
     """
     coeffs = (spec.p, spec.q, spec.b, spec.c, spec.e)
-    mask = tuple(type(k.expr) is Const for k in coeffs)
+    mask = tuple(k.constant is not None for k in coeffs)
     args = {"_eps": eps_min, "_m1": -spec.rho1, "_m2": -spec.rho2}
     terms = []
     for name, k, constant in zip("pqbce", coeffs, mask):
-        args[f"_{name}"] = k.expr.value if constant else compiled(k.expr)
+        args[f"_{name}"] = k.constant if constant else compiled(k.expr)
         terms.append(f"_{name}" if constant else f"_{name}(ts)")
     P, Q, B, C, E = terms
     # a varying p or q is called once per slope, into a local: the
@@ -193,8 +193,8 @@ def _field(spec: ProblemSpec, eps_min: float, variational: bool) -> Field:
 
 
 class _Flow:
-    """The fields and tolerance rule for repeated shots of one problem;
-    counts the shots made."""
+    """The fields of repeated shots of one problem; counts the shots
+    made."""
 
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
@@ -204,46 +204,20 @@ class _Flow:
         self.field_var = _field(spec, self.eps_min, variational=True)
         self.shots = 0
 
-    def shoot(self, x0: float, v0: float, t0: float, t1: float,
-              rtol: float, dense: bool = False, jacobian: bool = False):
-        """Integrate from (x0, v0) at t0 to t1.  The absolute tolerance is
-        two orders below rtol, floored at _SHOOT_ATOL_FLOOR, in units of
-        1 + the amplitude scale.
+    def shoot(self, x0: float, v0: float, dense: bool = False,
+              jacobian: bool = False):
+        """Integrate from (x0, v0) at t = 0 over one period, at the
+        shooting tolerances.
 
-        jacobian=True also carries the fundamental matrix from Phi(t0) = I
+        jacobian=True also carries the fundamental matrix from Phi(0) = I
         as state components 2..5.  The error norm covers (x, v) alone, so
         the shot's (x, v) and steps equal the plain shot's bit for bit."""
         self.shots += 1
-        atol = max(_SHOOT_ATOL_FLOOR, rtol * 1e-2) * (1.0 + self.scale)
-        if jacobian:
-            return solve_ivp_dp(self.field_var, t0,
-                                (x0, v0, 1.0, 0.0, 0.0, 1.0), t1, rtol=rtol,
-                                atol=atol, dense=dense, norm_dims=2)
-        return solve_ivp_dp(self.field, t0, (x0, v0), t1, rtol=rtol,
-                            atol=atol, dense=dense)
-
-
-def _sampled(sol, t0: float, t1: float, samples: int) -> SampledPath:
-    """(x, v) of a shot's dense output on a uniform grid of the given
-    size."""
-    tgrid = np.linspace(t0, t1, samples)
-    vals = sol(tgrid)
-    return SampledPath(tgrid, vals[:, 0], vals[:, 1])
-
-
-def integrate(spec: ProblemSpec, x0: float, v0: float, t0: float = 0.0,
-              t1: float | None = None, tol: float = 1e-10,
-              samples: int = PATH_SAMPLES) -> SampledPath:
-    """Guarded adaptive integration over [t0, t1] (default one period),
-    sampled on a uniform grid via dense output."""
-    if t1 is None:
-        t1 = t0 + spec.omega
-    if t1 < t0:
-        raise ValueError("t1 must not precede t0")
-    if t1 == t0:
-        return SampledPath(np.array([t0]), np.array([x0]), np.array([v0]))
-    res = _Flow(spec).shoot(x0, v0, t0, t1, rtol=tol, dense=True)
-    return _sampled(res.dense, t0, t1, samples)
+        y0 = (x0, v0, 1.0, 0.0, 0.0, 1.0) if jacobian else (x0, v0)
+        return solve_ivp_dp(self.field_var if jacobian else self.field, 0.0,
+                            y0, self.spec.omega, rtol=_SHOOT_RTOL,
+                            atol=_SHOOT_ATOL * (1.0 + self.scale),
+                            dense=dense, norm_dims=2)
 
 
 def _return_map(flow: _Flow, x: float, v: float, jacobian: bool = False,
@@ -254,8 +228,7 @@ def _return_map(flow: _Flow, x: float, v: float, jacobian: bool = False,
     None).  None when the shot fails: guard floor hit, a right-hand side
     past the float range, or a defect that is not finite."""
     try:
-        res = flow.shoot(x, v, 0.0, flow.spec.omega, rtol=_SHOOT_RTOL,
-                         dense=dense, jacobian=jacobian)
+        res = flow.shoot(x, v, dense=dense, jacobian=jacobian)
     except (IntegrationBlowUp, OverflowError):
         # a coefficient or power in the right-hand side left the float range
         return None
@@ -360,10 +333,13 @@ def find_periodic(spec: ProblemSpec, guess: State | None = None,
     packaged from it without shooting again.  When a start stopped on a
     failed shot and p, b or q/alpha leaves the float range, the search
     ends in a ValidationError keyed to that coefficient.  tol must be a
-    finite positive number.
+    finite positive number, and a guess finite.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, not {tol!r}")
+    if guess is not None and not (math.isfinite(guess.x)
+                                  and math.isfinite(guess.v)):
+        raise ValueError(f"guess must be finite, not {guess!r}")
     flow = _Flow(spec)
     if guess is None:
         guess = State(t=0.0, x=flow.scale, v=0.0)
@@ -425,11 +401,12 @@ def _package(spec: ProblemSpec, flow: _Flow, x: float, v: float, fn: float,
     output) of its Phi-carrying dense shot when Newton made one; without
     it the point is shot once more."""
     if carried is None:
-        res = flow.shoot(x, v, 0.0, spec.omega, _SHOOT_RTOL, dense=True,
-                         jacobian=True)
+        res = flow.shoot(x, v, dense=True, jacobian=True)
         carried = res.y[2:].tolist(), res.dense
     M, sol = carried
-    path = _sampled(sol, 0.0, spec.omega, PATH_SAMPLES)
+    tgrid = np.linspace(0.0, spec.omega, PATH_SAMPLES)
+    vals = sol(tgrid)
+    path = SampledPath(tgrid, vals[:, 0], vals[:, 1])
     y_path = x_from_y(path, 1.0 / spec.alpha)
     return Orbit(
         initial=State(t=0.0, x=x, v=v),

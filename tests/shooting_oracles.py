@@ -5,11 +5,17 @@ step loop as source.  These closures are the same formula as functions
 of (t, y), in the same association order, on the coefficients' compiled
 scalar functions, so an integration run with them (through
 callable_field, or through a reference integrator) takes the fused
-loop's steps bit for bit.
+loop's steps bit for bit.  integrate runs the solver's own shooting field
+over any span at any tolerance, where every shot of the solver runs over
+one period at the shooting tolerance.
 """
 
+import numpy as np
+
 from periorbit.expressions import compiled
-from periorbit.ivp import Field
+from periorbit.ivp import Field, solve_ivp_dp
+from periorbit.solver import PATH_SAMPLES, _Flow
+from periorbit.transform import SampledPath
 
 
 def callable_field(f, guard=None):
@@ -67,3 +73,25 @@ def positivity_guard(eps_min):
         return not (y[0] > eps_min)
 
     return guard
+
+
+def integrate(spec, x0, v0, t0=0.0, t1=None, tol=1e-10,
+              samples=PATH_SAMPLES):
+    """Guarded adaptive integration of the shooting field over [t0, t1]
+    (default one period), sampled on a uniform grid via dense output.
+    The absolute tolerance is two orders below tol, floored at 1e-14, in
+    units of 1 + the amplitude scale: at the shooting rtol it is a
+    shot's."""
+    if t1 is None:
+        t1 = t0 + spec.omega
+    if t1 < t0:
+        raise ValueError("t1 must not precede t0")
+    if t1 == t0:
+        return SampledPath(np.array([t0]), np.array([x0]), np.array([v0]))
+    flow = _Flow(spec)
+    atol = max(1e-14, tol * 1e-2) * (1.0 + flow.scale)
+    res = solve_ivp_dp(flow.field, t0, (x0, v0), t1, rtol=tol, atol=atol,
+                       dense=True)
+    tgrid = np.linspace(t0, t1, samples)
+    vals = res.dense(tgrid)
+    return SampledPath(tgrid, vals[:, 0], vals[:, 1])

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import periorbit
-from periorbit import cli, parse_expression
+from periorbit import cli, load_problem, parse_expression
 from periorbit.expressions import MAX_TREE_DEPTH, tree_depth
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -135,7 +135,7 @@ def test_check_invalid_problem_exit_2(tmp_path, capsys):
 _NON_FINITE = [("c", "exp(1000)", 5), ("q", "1e400", 3), ("q", "10^400", 3),
                ("rho1", "10^400", 7), ("b", "1e308*10*cos(t)", 4),
                ("rho2", "1e400", 8), ("rho1", "exp(1000)", 7),
-               ("q", "3^(10^9)", 3)]
+               ("q", "3^(10^9)", 3), ("rho1", "sin(1e400)", 7)]
 
 
 @pytest.mark.parametrize("key,value,line", _NON_FINITE)
@@ -257,11 +257,20 @@ def test_solve_overflowing_power_is_a_failed_shot(tmp_path, capsys):
     assert err.startswith("no convergence: ") and "failed shot" in err
 
 
-# a sum, a difference and a right-deep product (_mul puts the constant
-# first) as deep as they are long: each once ended in a RecursionError
-_TOO_DEEP = [("rho2", "+".join(["sin(1)"] * 1500)),
-             ("p", "-".join(["t"] * 1500)),
+# a difference and a right-deep product (_mul puts the constant first) as
+# deep as they are long: each once ended in a RecursionError
+_TOO_DEEP = [("p", "-".join(["t"] * 1500)),
              ("p", "t" + "*2" * 1500)]
+
+
+def test_long_constant_scalar_sum_folds(tmp_path):
+    """A scalar sum of 1500 terms free of t, once rejected as too deep,
+    folds to one constant while it is parsed, left to right."""
+    path, _ = _example41_with("rho2", "+".join(["sin(1)"] * 1500), tmp_path)
+    total = 0.0
+    for _ in range(1500):
+        total += math.sin(1.0)
+    assert load_problem(path).spec.rho2 == total
 
 
 @pytest.mark.parametrize("key,value", _TOO_DEEP)
@@ -428,6 +437,39 @@ def test_tol_not_finite_positive_is_usage_error(tmp_path, capsys, tol,
     assert "argument --tol: must be a finite positive number" in err
     assert "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag", ["--x0", "--v0"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "x"])
+def test_start_not_finite_is_usage_error(tmp_path, capsys, flag, value):
+    """--x0 and --v0 must be finite numbers: anything else exits 2 as a
+    usage error and writes nothing.  A nan or infinite --v0 once solved
+    to an orbit from a start that was never shot."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--out", str(tmp_path), "solve", "example41",
+                  f"{flag}={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be a finite number, not {value!r}" in err
+    assert not list(tmp_path.iterdir())
+
+
+# x'' = -x + 1/x + 3, autonomous, at a period where the last step of a
+# shot, clipped to omega, rounded to a hair short of it: the step after it
+# underflowed, so every line-search candidate near the orbit failed
+AUTONOMOUS = ("omega = 0.2269912058272475\np = 0\nq = 1\nb = 0\nc = 1\n"
+              "e = 3\nrho1 = 1\nrho2 = 1\n")
+
+
+def test_solve_span_ending_short_of_the_period(tmp_path, capsys):
+    """The orbit is the equilibrium x = (3 + sqrt 13)/2."""
+    path = tmp_path / "autonomous.problem"
+    path.write_text(AUTONOMOUS)
+    assert cli.main(["--out", str(tmp_path), "--json", "solve",
+                     str(path)]) == 0
+    orbit = json.loads(capsys.readouterr().out)
+    assert orbit["x0"] == pytest.approx((3.0 + math.sqrt(13.0)) / 2.0,
+                                        rel=1e-12)
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

@@ -30,7 +30,6 @@ from periorbit.expressions import (
     Sin,
     TimeVar,
     compiled,
-    contains_time,
     derivative,
     evaluate,
     tree_depth,
@@ -506,9 +505,93 @@ def test_nesting_limit():
         parse_expression("-" * 1500)
 
 
-def test_contains_time_walks_long_sums():
-    assert contains_time(parse_expression("13/10" + "+t" * 5000))
-    assert not contains_time(parse_expression("+".join(["sin(1)"] * 5000)))
+def test_long_constant_sums_fold_to_one_const():
+    """A sum free of t folds to one Const however long it is, left to
+    right; one term in t keeps the tree."""
+    total = 0.0
+    for _ in range(5000):
+        total += math.sin(1.0)
+    assert parse_expression("+".join(["sin(1)"] * 5000)) == Const(total)
+    assert tree_depth(parse_expression("13/10" + "+t" * 5000)) == 5001
+
+
+@pytest.mark.parametrize("text,value", [
+    ("sin(1)", math.sin(1.0)),
+    ("cos(pi/3)", math.cos(math.pi / 3)),
+    ("exp(2)", math.exp(2.0)),
+    ("-exp(-sin(1/2))", -math.exp(-math.sin(0.5))),
+    ("exp(sin(1))^(1/2)", math.pow(math.exp(math.sin(1.0)), 0.5)),
+    ("2*cos(1)/3", 2.0 * math.cos(1.0) * math.pow(3.0, -1.0)),
+    ("exp(710)", math.inf),
+    ("-exp(1000)", -math.inf),
+    ("exp(-1000)", 0.0),
+    ("pi^1000", math.inf),
+    ("(-pi)^1001", -math.inf),
+    ("(-pi)^1000", math.inf),
+    ("exp(1)^(2001/2)", math.inf),
+])
+def test_functions_and_powers_of_constants_fold(text, value):
+    """sin, cos and exp of a constant fold through math; a power of an
+    inexact constant past the float range folds to +-inf, negative only
+    for a negative base under an odd exponent."""
+    folded = parse_expression(text)
+    assert type(folded) is Const
+    assert folded.value == value
+    assert math.copysign(1.0, folded.value) == math.copysign(1.0, value)
+
+
+def test_sin_of_an_infinite_constant_folds_to_nan():
+    assert math.isnan(parse_expression("sin(exp(1000))").value)
+    assert math.isnan(parse_expression("cos(-10^400)").value)
+
+
+@pytest.mark.parametrize("text,message,column", [
+    ("(-2)^(1/2)", "fractional power 1/2 of a non-positive base", 5),
+    ("0^(1/2)", "fractional power 1/2 of a non-positive base", 2),
+    ("0^(-1)", "zero base raised to power -1", 2),
+    ("1/0", "zero base raised to power -1", 2),
+    ("t + 1/0*0", "zero base raised to power -1", 6),
+    ("t*(1-1)^(-2)", "zero base raised to power -2", 8),
+    ("2 + sin(t) * (cos(1)-1)^(3/2)", "fractional power 3/2 of a "
+     "non-positive base", 24),
+])
+def test_constant_power_out_of_domain_is_a_parse_error(text, message,
+                                                       column):
+    """A constant power outside its domain cannot fold: the parser reports
+    the evaluation's message at the column of its ^ or /."""
+    with pytest.raises(ParseError) as err:
+        parse_expression(text)
+    assert str(err.value) == f"{message} (column {column})"
+    assert err.value.position == column - 1
+
+
+@st.composite
+def _constant_texts(draw, depth=3):
+    """Texts of expressions free of t over every grammar form."""
+    if depth == 0 or draw(st.booleans()):
+        return draw(st.sampled_from(["1", "2.5", "pi", "1/3", "0.1"]))
+    a = draw(_constant_texts(depth - 1))
+    form = draw(st.sampled_from(["neg", "+", "-", "*", "/", "^", "sin",
+                                 "cos", "exp"]))
+    if form == "neg":
+        return f"-({a})"
+    if form in ("sin", "cos", "exp"):
+        return f"{form}({a})"
+    if form == "^":
+        return f"({a})^{draw(st.sampled_from(['2', '(-1)', '3']))}"
+    b = draw(_constant_texts(depth - 1))
+    return f"({a}){form}({b})"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_constant_texts())
+def test_a_parsed_tree_free_of_t_is_one_const(text):
+    try:
+        folded = parse_expression(text)
+    except ParseError as err:
+        assert "zero base" in str(err)
+        return
+    assert type(folded) is Const
 
 
 def test_extrema_overflow_between_grid_points():
@@ -607,22 +690,30 @@ def test_mean_and_mean_positive_part():
     assert pc("cos(3*t)").mean_positive_part() == pytest.approx(1.0 / math.pi, abs=1e-9)
 
 
-def test_constant_value_and_is_zero():
-    assert pc("0").is_zero()
-    assert not pc("cos(3*t)").is_zero()
-    assert pc("1/40").constant_value() == pytest.approx(0.025, abs=0.0)
-    assert pc("10+cos(3*t)").constant_value() is None
+def test_constant_reads_the_tree():
+    """A coefficient is constant exactly when its tree is a Const: parsed
+    with no t, or scaled from such a one; a varying coefficient is not,
+    however small its variation."""
+    assert pc("0").constant == 0.0
+    assert pc("1/40").constant == 0.025
+    assert pc("sin(1)^2+cos(1)^2").constant == (math.pow(math.sin(1.0), 2.0)
+                                                + math.pow(math.cos(1.0), 2.0))
+    assert pc("1/40").scaled(2.5).constant == 2.5 * 0.025
+    # a zero factor folds its product away; nothing else is rewritten
+    assert pc("0*t+1").constant == 1.0
+    for text in ("cos(3*t)", "10+cos(3*t)", "1e-14*cos(3*t)", "t-t"):
+        assert pc(text).constant is None
 
 
-def test_constant_value_needs_a_finite_mean_and_spread():
-    """The 257-point mean of a varying coefficient near the float limit
-    overflows; that is no evidence that it is constant."""
+def test_constant_of_values_near_the_float_limit():
+    """The value is the tree's: no mean or spread is taken, so a constant
+    near the float limit reads exactly, and a varying one near it is not
+    constant."""
+    assert pc("1e308").constant == 1e308
+    assert pc("1e305").constant == 1e305
     varying = pc("1e308*(1.5+0.2*cos(3*t))")
     assert varying.extrema().max_value == pytest.approx(1.7e308)
-    assert varying.constant_value() is None
-    # so is a constant whose sum overflows: its mean would read inf
-    assert pc("1e308").constant_value() is None
-    assert pc("1e305").constant_value() == pytest.approx(1e305)
+    assert varying.constant is None
 
 
 def test_tree_depth_counts_the_longest_path():

@@ -197,6 +197,18 @@ def test_backward_span_rejected():
             _solve(_harmonic, 1.0, [1.0, 0.0], t1)
 
 
+def test_span_ends_on_t1():
+    """A zero slope grows each step by _MAX_FACTOR until the last one is
+    clipped to t1.  Clipped from below t1/2, t + h can round to a hair off
+    t1: short of it, the next step underflowed (t1 = 3.5237...), and past
+    it the integration ended 1 ulp beyond t1 (t1 = 3.2218...).  The last
+    step ends on t1 exactly."""
+    for t1 in (3.5237267579127782, 3.2218977859380833,
+               *np.linspace(0.1, 10.0, 199).tolist()):
+        res = _solve(lambda t, y: (0.0,), 0.0, [0.0], t1)
+        assert (res.t, res.nsteps) == (t1, 4)
+
+
 def test_max_step_honored():
     res = _solve(_harmonic, 0.0, [1.0, 0.0], 1.0, max_step=0.01)
     assert res.nsteps >= 100
@@ -245,7 +257,9 @@ def _numpy_solve_ivp_dp(f, t0, y0, t1, rtol=1e-10, atol=1e-12, guard=None,
     nsteps = rejected = guard_rejections = 0
     lefts, widths, coefs = [], [], []
     while t < t1:
-        h = min(h, t1 - t)
+        last = t1 - t < h + hmin
+        if last:
+            h = t1 - t
         if h < hmin:
             raise IntegrationBlowUp(
                 f"step size underflow near t = {t:.12g}", t, y)
@@ -274,7 +288,7 @@ def _numpy_solve_ivp_dp(f, t0, y0, t1, rtol=1e-10, atol=1e-12, guard=None,
                 coefs.append(np.stack([y, dy, r3, r4, r5]))
                 lefts.append(t)
                 widths.append(h)
-            t += h
+            t = t1 if last else t + h
             y = y_new
             k[0] = k[6]
             nsteps += 1
@@ -390,22 +404,22 @@ def test_oracle_guard_hitting_start():
 
 
 def test_shooting_tolerance_rule(monkeypatch):
-    """One rule gives the absolute tolerance of every shot: the floor at
-    the shooting rtol (Newton shots), two orders below a looser rtol
-    (integrate)."""
+    """One rule gives the tolerances of every shot, plain or carrying Phi:
+    each runs over one period at the shooting rtol, with the absolute
+    tolerance 1e-14 in units of 1 + the amplitude scale."""
     import periorbit.solver as solver
 
     flow = _Flow(make_cheap_spec())
     seen = []
 
-    def spy(*args, **kwargs):
-        seen.append(kwargs["atol"])
-        return solve_ivp_dp(*args, **kwargs)
+    def spy(field, t0, y0, t1, **kwargs):
+        seen.append((t0, t1, kwargs["rtol"], kwargs["atol"]))
+        return solve_ivp_dp(field, t0, y0, t1, **kwargs)
 
     monkeypatch.setattr(solver, "solve_ivp_dp", spy)
-    flow.shoot(2.0, 0.0, 0.0, OMEGA, rtol=_SHOOT_RTOL)
-    flow.shoot(2.0, 0.0, 0.0, OMEGA, rtol=1e-10)
-    assert seen == [1e-14 * (1.0 + flow.scale), 1e-12 * (1.0 + flow.scale)]
+    flow.shoot(2.0, 0.0)
+    flow.shoot(2.0, 0.0, dense=True, jacobian=True)
+    assert seen == [(0.0, OMEGA, _SHOOT_RTOL, 1e-14 * (1.0 + flow.scale))] * 2
     assert flow.shots == 2
 
 
@@ -504,7 +518,9 @@ def _list_solve_ivp_dp(f, t0, y0, t1, rtol=1e-10, atol=1e-12, guard=None,
     nsteps = rejected = guard_rejections = 0
     lefts, widths, coefs = [], [], []
     while t < t1:
-        h = min(h, t1 - t)
+        last = t1 - t < h + hmin
+        if last:
+            h = t1 - t
         if h < hmin:
             raise IntegrationBlowUp(
                 f"step size underflow near t = {t:.12g}", t, np.array(y))
@@ -538,7 +554,7 @@ def _list_solve_ivp_dp(f, t0, y0, t1, rtol=1e-10, atol=1e-12, guard=None,
                     coefs.extend(part)
                 lefts.append(t)
                 widths.append(h)
-            t += h
+            t = t1 if last else t + h
             y = y_new
             k1 = k7
             nsteps += 1
@@ -781,7 +797,7 @@ def test_generated_loops_call_no_min_or_max(monkeypatch):
     spec = make_example(1.3)
     find_periodic(spec, tol=1e-8)
     flow = _Flow(spec)
-    flow.shoot(flow.scale, 0.0, 0.0, spec.omega, rtol=1e-8)
+    flow.shoot(flow.scale, 0.0)
     numeric_periodic_green(spec.p, spec.l, spec.omega, n=8)
     assert {(2, 2, False, "shooting"), (6, 2, False, "variational"),
             (6, 2, True, "variational"),
@@ -887,8 +903,7 @@ def test_step_loop_generated_once_per_shape(monkeypatch):
                  make_constant_spec()):
         flow = _Flow(spec)
         for jacobian in (False, True, False):
-            flow.shoot(flow.scale, 0.0, 0.0, spec.omega, rtol=1e-8,
-                       jacobian=jacobian)
+            flow.shoot(flow.scale, 0.0, jacobian=jacobian)
     assert generated == [(2, 2, False, "shooting", e_varies),
                          (6, 2, False, "variational", e_varies),
                          (2, 2, False, "shooting", (True,) * 5),

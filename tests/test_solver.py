@@ -33,11 +33,10 @@ from periorbit.solver import (
     apply_T,
     cone_check,
     guard_floor,
-    integrate,
 )
 from periorbit.transform import (TRANSFORMED, PositivityError, SampledPath,
                                  residual, to_y_equation)
-from shooting_oracles import vector_field
+from shooting_oracles import integrate, vector_field
 
 XBAR = (3.0 + math.sqrt(13.0)) / 2.0  # positive root of x^2 - 3x - 1 = 0
 
@@ -126,7 +125,7 @@ def test_integrate_path_shape(spec41):
     assert path.t[0] == 0.0
     assert path.t[-1] == pytest.approx(OMEGA, abs=1e-14)
     # the dense end sample agrees with the terminal state of a plain shot
-    end = _Flow(spec41).shoot(400.0, 0.0, 0.0, OMEGA, rtol=1e-10).y
+    end = _Flow(spec41).shoot(400.0, 0.0).y
     assert path.x[-1] == pytest.approx(end[0], abs=1e-8)
     assert path.v[-1] == pytest.approx(end[1], abs=1e-8)
     small = integrate(spec41, 400.0, 0.0, samples=101)
@@ -144,6 +143,16 @@ def test_integrate_zero_span_and_backward(spec41):
 def test_find_periodic_rejects_tol_not_finite_positive(tol):
     with pytest.raises(ValueError, match="tol must be finite and positive"):
         find_periodic(make_cheap_spec(), tol=tol)
+
+
+@pytest.mark.parametrize("x,v", [(math.nan, 0.0), (math.inf, 0.0),
+                                 (2.0, math.nan), (2.0, -math.inf)])
+def test_find_periodic_rejects_a_guess_not_finite(x, v):
+    """A start that is not finite is refused before any shot: a nan
+    velocity once converged, and a nan or infinite position failed as a
+    guard-floor or convergence error."""
+    with pytest.raises(ValueError, match="guess must be finite"):
+        find_periodic(make_cheap_spec(), guess=State(t=0.0, x=x, v=v))
 
 
 def test_find_periodic_constant_instance():
@@ -483,8 +492,7 @@ def test_packaging_matches_a_fresh_shot(which, request):
     for mine, fresh in ((orbit.path.t, path.t), (orbit.path.x, path.x),
                         (orbit.path.v, path.v)):
         assert np.array_equal(mine, fresh)
-    M = _Flow(spec).shoot(x, v, 0.0, spec.omega, _SHOOT_RTOL,
-                          jacobian=True).y[2:].tolist()
+    M = _Flow(spec).shoot(x, v, jacobian=True).y[2:].tolist()
     assert orbit.multipliers == _floquet(M)
     assert orbit.det_M_minus_I == (M[0] - 1.0) * (M[3] - 1.0) - M[1] * M[2]
     assert orbit.ode_residual_y == residual(spec, orbit.y_path, TRANSFORMED)
@@ -533,10 +541,8 @@ def test_jacobian_shot_keeps_the_plain_state(which, spec41, spec_numeric_p):
     plain shot's steps and ends in its state, bit for bit."""
     spec = spec41 if which == "example41" else spec_numeric_p
     flow = _Flow(spec)
-    plain = flow.shoot(flow.scale, 0.0, 0.0, spec.omega, _SHOOT_RTOL,
-                       dense=True)
-    var = flow.shoot(flow.scale, 0.0, 0.0, spec.omega, _SHOOT_RTOL,
-                     dense=True, jacobian=True)
+    plain = flow.shoot(flow.scale, 0.0, dense=True)
+    var = flow.shoot(flow.scale, 0.0, dense=True, jacobian=True)
     assert var.y.shape == (6,)
     assert var.y[:2].tolist() == plain.y.tolist()
     counts = lambda r: (r.t, r.nsteps, r.nfev, r.rejected,
