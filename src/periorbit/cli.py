@@ -111,11 +111,6 @@ def _out_dir(args) -> str:
     return out
 
 
-def _stem(problem: LoadedProblem) -> str:
-    base = os.path.basename(problem.name)
-    return base[:-8] if base.endswith(".problem") else base
-
-
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -132,7 +127,7 @@ def _json_text(obj) -> str:
 def _certificate_report(problem: LoadedProblem, cert: Certificate) -> str:
     spec = problem.spec
     lines = [
-        f"instance: {_stem(problem)}",
+        f"instance: {problem.name}",
         f"sha256: {problem.sha256}",
         f"omega = {_g(spec.omega)}  rho1 = {_g(spec.rho1)}  "
         f"rho2 = {_g(spec.rho2)}  alpha = {_g(cert.alpha)}",
@@ -186,11 +181,11 @@ def _cmd_check(args) -> int:
     with _located(args.file, problem):
         cert = certify(problem.spec, a1=problem.a1)
     doc = cert.to_dict()
-    doc["instance"] = {"name": _stem(problem), "sha256": problem.sha256,
+    doc["instance"] = {"name": problem.name, "sha256": problem.sha256,
                        "omega": problem.spec.omega,
                        "rho1": problem.spec.rho1, "rho2": problem.spec.rho2}
     out = _out_dir(args)
-    _write(os.path.join(out, f"{_stem(problem)}.certificate.json"),
+    _write(os.path.join(out, f"{problem.name}.certificate.json"),
            _json_text(doc))
     if args.json:
         sys.stdout.write(_json_text(doc))
@@ -226,7 +221,7 @@ def _cmd_greens(args) -> int:
     spec = problem.spec
     with _located(args.file, problem), keyed("q", "q/alpha "):
         gf = kernel_for(spec.p, spec.l, spec.omega, n=args.n)
-    lines = [f"# instance = {_stem(problem)}",
+    lines = [f"# instance = {problem.name}",
              f"# sha256 = {problem.sha256}",
              f"# source = {gf.source}",
              f"# n = {gf.n}"]
@@ -246,7 +241,7 @@ def _cmd_greens(args) -> int:
         blocks.append((ti + row) * len(ts) % tuple(cells))
     csv_text = "".join(blocks)
     out = _out_dir(args)
-    _write(os.path.join(out, f"{_stem(problem)}.greens.csv"), csv_text)
+    _write(os.path.join(out, f"{problem.name}.greens.csv"), csv_text)
     shown = gf.constants()
     shown["sigma"], shown["delta"] = _cone_ratios(gf.sigma, gf.delta,
                                                   gf.positive)
@@ -262,7 +257,7 @@ def _cmd_greens(args) -> int:
 
 
 def _orbit_csv(problem: LoadedProblem, orbit: Orbit) -> str:
-    lines = [f"# instance = {_stem(problem)}",
+    lines = [f"# instance = {problem.name}",
              f"# sha256 = {problem.sha256}",
              f"# omega = {_g(orbit.omega)}",
              f"# rho1 = {_g(problem.spec.rho1)}",
@@ -300,7 +295,7 @@ def _cmd_solve(args) -> int:
         sys.stderr.write(f"singularity: {err}\n")
         return 1
     out = _out_dir(args)
-    stem = _stem(problem)
+    stem = problem.name
     _write(os.path.join(out, f"{stem}.orbit.csv"), _orbit_csv(problem, orbit))
     if args.svg:
         _write(os.path.join(out, f"{stem}.phase.svg"),

@@ -792,8 +792,10 @@ class PeriodicCoeff:
         fn = compiled(self.expr)
         cuts = [0.0]
         # cells whose ends have strictly opposite signs; a zero end gives a
-        # zero product and no cut
-        for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+        # zero product and no cut, and an overflowing one keeps its sign
+        with np.errstate(over="ignore"):
+            changes = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+        for i in changes:
             a, fa = float(ts[i]), float(vals[i])
             b, fb = float(ts[i + 1]), float(vals[i + 1])
             for _ in range(80):

@@ -1,13 +1,14 @@
 """Periodic Green's functions for u'' + p(t) u' + l(t) u = h(t).
 
-Two constructions are provided.  When p vanishes and l is a positive
-constant xi^2 the kernel has the two-branch cosine closed form
+Two constructions are provided.  When p vanishes and l is a constant
+xi^2 with 0 < xi < pi/omega the kernel has the two-branch cosine closed form
 
     G(t,s) = cos(xi*(t - s - omega/2)) / (2 xi sin(xi omega/2)),  s <= t,
     G(t,s) = cos(xi*(t - s + omega/2)) / (2 xi sin(xi omega/2)),  s >  t,
 
-positive exactly when xi < pi/omega.  Otherwise the kernel is assembled
-from the fundamental matrix Phi of the first-order system: with monodromy
+which is positive exactly there, the only range where it is built.  For
+every other p and l, a larger xi included, the kernel is assembled from
+the fundamental matrix Phi of the first-order system: with monodromy
 M = Phi(omega) and B = (I - M)^-1,
 
     G(t,s) = [Phi(t) B Phi(s)^-1]_{12},        s <= t,
@@ -19,7 +20,8 @@ from the DP5 integrator of periorbit.ivp, with dense output: the
 first-order system Phi' = ((0, 1), (-l, -p)) Phi is a Field, written into
 the generated step loop as source, as the shooting system is.  kernel_for
 picks between the two constructions from the coefficients' trees: the
-closed form needs p and l constant, that is, written without t.
+closed form needs p and l constant, that is, written without t, and xi
+below pi/omega.
 
 On each branch the kernel has rank 2: G(t,s) = U(t).V(s) and
 dG/dt(t,s) = U'(t).V(s), with U = Phi(t)[0,:], U' = Phi(t)[1,:] and
@@ -35,10 +37,11 @@ largest slope gt_max = max |dG/dt| (diagonal counted one-sided on both
 branches), the cone floor ratio sigma = g_min/(g_max + gt_max), and the
 slope-to-value bound delta = gt_max/g_min.  Every kernel value, on the grid
 or anywhere else, is built from the rank-2 factors.  The closed form's
-g_max, g_min and gt_max are analytic: on each branch the cosine's argument
-runs exactly over [-xi omega/2, xi omega/2].  A numeric kernel's are
-estimates: each is the best value a refining scan finds, seeded at the grid
-cell where its surface is extreme; they are not outward-rounded enclosures.
+g_max, g_min and gt_max are a few float operations: on each branch the
+cosine's argument runs exactly over [-xi omega/2, xi omega/2], inside
+(-pi/2, pi/2).  A numeric kernel's are estimates: each is the best value
+a refining scan finds, seeded at the grid cell where its surface is
+extreme; they are not outward-rounded enclosures.
 """
 
 from __future__ import annotations
@@ -227,16 +230,13 @@ def _assemble(omega, n, factors, source, positive=None,
 
 def closed_form_constant(xi: float, omega: float, n: int = DEFAULT_GRID
                          ) -> GreensFunction:
-    """Kernel for p = 0, l = xi^2 from the two-branch cosine formula."""
-    if xi <= 0.0 or omega <= 0.0:
-        raise ValueError("xi and omega must be positive")
+    """Kernel for p = 0, l = xi^2 from the two-branch cosine formula, built
+    where it is positive: 0 < xi < pi/omega, else ValueError."""
+    if not (omega > 0.0 and 0.0 < xi < math.pi / omega):
+        raise ValueError("the closed form needs omega > 0 and "
+                         "0 < xi < pi/omega")
     half_angle = 0.5 * xi * omega
-    s_half = math.sin(half_angle)
-    if abs(s_half) < 1e-12:
-        raise ResonanceError(
-            f"sin(xi*omega/2) = {s_half:.3e} vanishes: the homogeneous "
-            "problem admits a periodic solution and the kernel is undefined")
-    den = 2.0 * xi * s_half
+    den = 2.0 * xi * math.sin(half_angle)
 
     # cos(xi (t - s -+ omega/2)) expanded by the addition theorem
     def factors(tarr, sarr):
@@ -249,16 +249,11 @@ def closed_form_constant(xi: float, omega: float, n: int = DEFAULT_GRID
                 np.column_stack((np.cos(up), np.sin(up))))
 
     # On each closed branch the cosine's argument u runs exactly over
-    # [-xi omega/2, xi omega/2], so G = cos(u)/den and |dG/dt| =
-    # |sin(u)|/(2 |sin(xi omega/2)|) have their extremes in closed form.
-    cos_low = math.cos(half_angle) if half_angle <= math.pi else -1.0
-    ends = (cos_low / den, 1.0 / den)
-    peak = math.sin(half_angle) if half_angle <= 0.5 * math.pi else 1.0
-    gt_max = abs(peak) / (2.0 * abs(s_half))
-
-    return _assemble(omega, n, factors, "closed-form",
-                     positive=bool(xi < math.pi / omega),
-                     extremes=(min(ends), max(ends), gt_max))
+    # [-xi omega/2, xi omega/2], inside (-pi/2, pi/2): G = cos(u)/den
+    # ranges over [cos(xi omega/2)/den, 1/den], and |dG/dt| =
+    # |sin(u)|/(2 sin(xi omega/2)) peaks at 1/2
+    return _assemble(omega, n, factors, "closed-form", positive=True,
+                     extremes=(math.cos(half_angle) / den, 1.0 / den, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +284,7 @@ def numeric_periodic_green(p, l, omega: float, n: int = DEFAULT_GRID
             calls.append(f"{name}t = _{name}(ts)")
     pt, lt = ("_p" if mask[0] else "pt"), ("_l" if mask[1] else "lt")
 
-    def slopes(k, y, when, first):
+    def slopes(k, y, when):
         u, w, du, dw = y
         return [*([f"ts = {when}"] if calls else []), *calls,
                 f"{k[0]} = {du}",

@@ -180,13 +180,22 @@ class ValueCheck:
     ok: bool
 
 
+def _pow(base: float, exponent: float) -> float:
+    """base ** exponent, or +inf where it overflows the float range: an
+    inequality with an overflowing side then fails instead of raising."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
+
+
 def _small_radius_floor(numerator: float, e_min: float, sigma: float,
                         alpha: float) -> float:
     """(1/sigma) * (numerator/e_min)^(1/(1-alpha)), or 0 when the forcing
     minimum already makes the lower bound vacuous (numerator <= 0)."""
     if numerator <= 0.0:
         return 0.0
-    return (numerator / e_min) ** (1.0 / (1.0 - alpha)) / sigma
+    return _pow(numerator / e_min, 1.0 / (1.0 - alpha)) / sigma
 
 
 def check_H1(k: HypothesisConstants) -> IntervalCheck:
@@ -195,8 +204,8 @@ def check_H1(k: HypothesisConstants) -> IntervalCheck:
     a = k.alpha
     ec = 1.0 - a - a * k.rho2
     r_lo = _small_radius_floor(-k.b_min, k.e_min, k.sigma, a)
-    r_hi = (k.g_min * k.c_min * k.omega * k.sigma ** ec / a) ** (
-        1.0 / (a + a * k.rho2))
+    r_hi = _pow(k.g_min * k.c_min * k.omega * _pow(k.sigma, ec) / a,
+                1.0 / (a + a * k.rho2))
     return IntervalCheck("H1", r_lo, r_hi,
                          ok=bool(r_lo <= r_hi and r_hi > 0.0))
 
@@ -205,7 +214,7 @@ def check_H2(k: HypothesisConstants) -> ValueCheck:
     """Contraction margin of the gradient term:
     (1 - alpha)(g_max + delta g_min) delta^2 omega / sigma < 1."""
     value = ((1.0 - k.alpha) * (k.g_max + k.delta * k.g_min)
-             * k.delta ** 2 * k.omega / k.sigma)
+             * _pow(k.delta, 2) * k.omega / k.sigma)
     return ValueCheck("H2", value, 1.0, ok=bool(value < 1.0))
 
 
@@ -214,7 +223,7 @@ def check_H3(k: HypothesisConstants) -> IntervalCheck:
     same floor as H1 but the sharper upper bound needs no sigma weight."""
     a = k.alpha
     r_lo = _small_radius_floor(-k.b_min, k.e_min, k.sigma, a)
-    r_hi = (k.g_min * k.c_min * k.omega / a) ** (1.0 / (a + a * k.rho2))
+    r_hi = _pow(k.g_min * k.c_min * k.omega / a, 1.0 / (a + a * k.rho2))
     return IntervalCheck("H3", r_lo, r_hi, ok=bool(r_lo <= r_hi))
 
 
@@ -234,7 +243,8 @@ def case_one_interval(k: HypothesisConstants) -> IntervalCheck:
     omega/alpha)^(1/alpha)] works, the forcing floor alone carries the
     lower fixed-point estimate."""
     a = k.alpha
-    r_hi = (k.g_min * k.e_min * k.sigma ** (1.0 - a) * k.omega / a) ** (1.0 / a)
+    r_hi = _pow(k.g_min * k.e_min * _pow(k.sigma, 1.0 - a) * k.omega / a,
+                1.0 / a)
     return IntervalCheck("CASE_I", 0.0, r_hi, ok=bool(r_hi > 0.0),
                          strict_lower=True,
                          note="no extra condition: lower bound vacuous")
@@ -264,16 +274,15 @@ def step3_lhs(k: HypothesisConstants, case: str, R: float) -> float:
     a = k.alpha
     ec = 1.0 - a - a * k.rho2
     front = (k.g_max + k.delta * k.g_min) * k.omega
-    grad = (1.0 - a) * k.delta ** 2 / k.sigma * R
+    grad = (1.0 - a) * _pow(k.delta, 2) / k.sigma * R
+    forcing = k.e_max / a * _pow(R, 1.0 - a)
     if case in ("T3.3-I", "T3.3-II"):
-        inner = (k.e_max / a * R ** (1.0 - a) + grad
-                 + (k.b_max + k.c_max) / a)
+        inner = forcing + grad + (k.b_max + k.c_max) / a
     elif case == "T3.2":
-        inner = (k.c_max * k.sigma ** ec / a * R ** ec
-                 + k.e_max / a * R ** (1.0 - a) + grad + k.b_max / a)
+        inner = (k.c_max * _pow(k.sigma, ec) / a * _pow(R, ec)
+                 + forcing + grad + k.b_max / a)
     else:
-        inner = (k.c_max / a * R ** ec
-                 + k.e_max / a * R ** (1.0 - a) + grad + k.b_max / a)
+        inner = (k.c_max / a * _pow(R, ec) + forcing + grad + k.b_max / a)
     return front * inner
 
 

@@ -100,10 +100,8 @@ class DenseSolution:
         self._inner = self.lefts[1:]
 
     def __call__(self, t):
+        """The interpolant at the 1-D array t, one row per query."""
         tq = np.asarray(t, dtype=float)
-        scalar = tq.ndim == 0
-        if scalar:
-            tq = tq.reshape(1)
         lo, hi = self._span
         if tq.size and (tq.min() < lo or tq.max() > hi):
             raise ValueError("dense evaluation outside the integrated span")
@@ -124,7 +122,7 @@ class DenseSolution:
         out += c[:, 1]
         out *= theta
         out += c[:, 0]
-        return out[0] if scalar else out
+        return out
 
 
 @dataclass
@@ -146,19 +144,18 @@ def _initial_step(span: float, max_step: float) -> float:
 class Field:
     """A right-hand side y' = f(t, y) as step-loop source.
 
-    slopes(p, y, when, first) returns the source lines that set the slope
-    names p from the state names y at time `when`, an expression; first
-    marks the slope at the initial state.  veto(y) returns an expression
-    that is true where the guard rejects the state y, or None when no
-    state is rejected: slopes are only ever taken on states that passed
-    it.  Every other name the source reads is a key of args, and the
-    loop takes args' values as its trailing arguments.  name and mask
-    identify the source: fields that share them write the same lines for
-    the same names."""
+    slopes(p, y, when) returns the source lines that set the slope names p
+    from the state names y at time `when`, an expression.  veto(y) returns
+    an expression that is true where the guard rejects the state y, or
+    None when no state is rejected: slopes are only ever taken on states
+    that passed it.  Every other name the source reads is a key of args,
+    and the loop takes args' values as its trailing arguments.  name and
+    mask identify the source: fields that share them write the same lines
+    for the same names."""
 
     name: str
     mask: tuple
-    slopes: Callable[[list, list, str, bool], list]
+    slopes: Callable[[list, list, str], list]
     veto: Callable[[list], str] | None
     args: dict
 
@@ -256,7 +253,7 @@ def _loop_source(n: int, m: int, dense: bool, field: Field) -> str:
             "guard\",",
             f"                                t, np.array([{state}]))",
         ]
-    lines += indented(field.slopes(names("p1"), names("a"), "t", True), 4)
+    lines += indented(field.slopes(names("p1"), names("a"), "t"), 4)
     lines += [
         "    nfev = 1",
         "    nsteps = rejected = guard_rejections = 0",
@@ -283,8 +280,8 @@ def _loop_source(n: int, m: int, dense: bool, field: Field) -> str:
                 "            guard_rejections += 1",
                 "            continue",
             ]
-        lines += indented(field.slopes(names(f"p{s}"), names(f"y{s}"),
-                                       when, False), 8)
+        lines += indented(field.slopes(names(f"p{s}"), names(f"y{s}"), when),
+                          8)
     lines.append("        nfev += 6")
     for i in range(m):
         lines += [

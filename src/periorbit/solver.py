@@ -170,7 +170,7 @@ def _field(spec: ProblemSpec, eps_min: float, variational: bool) -> Field:
     # variational slope reads each three times
     pt, qt = ("_p" if mask[0] else "pt"), ("_q" if mask[1] else "qt")
 
-    def slopes(p, y, when, first):
+    def slopes(p, y, when):
         x, v = y[:2]
         lines = [] if all(mask) else [f"ts = {when}"]
         lines += [f"{local} = {term}" for local, term in ((pt, P), (qt, Q))

@@ -25,7 +25,7 @@ def callable_field(f, guard=None):
     calls them, so it takes the steps of the same right-hand side written
     as source, bit for bit."""
 
-    def slopes(p, y, when, first):
+    def slopes(p, y, when):
         return [f"{', '.join(p)}, = f({when}, [{', '.join(y)}])"]
 
     veto = None if guard is None else lambda y: f"guard([{', '.join(y)}])"

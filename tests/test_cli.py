@@ -28,6 +28,17 @@ rho1 = 3/2
 rho2 = 13/10
 """
 
+HUGE_NEGATIVE_B = """\
+omega = 2*pi/3
+p = 0
+q = 1/40
+b = -1e200 + cos(3*t)
+c = 1
+e = 1
+rho1 = 3/2
+rho2 = 1
+"""
+
 BAD_C = """\
 omega = 2*pi/3
 p = 0
@@ -192,6 +203,33 @@ def test_check_overflow_in_certificate_extrema_exit_2(tmp_path, capsys):
     overflow is still reported on b's line."""
     bad, line = _example41_with("b", _OVERFLOW_BETWEEN_GRID_POINTS, tmp_path)
     _exits_2_on_line(["check", str(bad)], bad, line, "b", capsys)
+
+
+def test_check_overflowing_radius_power_is_a_failed_radius(tmp_path,
+                                                           capsys):
+    """With rho2 = 1262 the repulsive term R^(1 - a - a rho2) of the
+    large-radius inequality overflows at small R: those radii fail the
+    inequality, and a larger one is the witness."""
+    path, _ = _example41_with("rho2", "1262", tmp_path)
+    assert cli.main(["check", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "theorem: T3.2" in out
+    assert out.endswith("verdict: TRUE\n")
+
+
+def test_check_overflowing_floor_power_empties_the_window(tmp_path, capsys):
+    """min b = -1e200 puts the H1 floor (-b_min/e_min)^(1/(1-a)) / sigma
+    past the float range: the floor reads inf and the window is empty."""
+    path = tmp_path / "huge_b.problem"
+    path.write_text(HUGE_NEGATIVE_B)
+    assert cli.main(["check", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "theorem: T3.1" in out
+    assert out.endswith("verdict: FALSE  (H1 window empty)\n")
+    assert cli.main(["check", "--json", str(path)]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] is False and doc["reason"] == "H1 window empty"
+    assert doc["computed"]["checks"]["H1"]["lower"] == math.inf
 
 
 def test_solve_mean_past_float_range_exit_2(tmp_path, capsys):

@@ -77,6 +77,14 @@ def test_parse_error_position_is_reported():
         parse_expression("1 + * 2")
     assert exc.value.position == 4
     assert "column 5" in str(exc.value)
+    # a character no token starts with, and a token left over after a
+    # whole expression
+    for text, message in (("1 $ 2", "unexpected character '$'"),
+                          ("t t", "unexpected 't'")):
+        with pytest.raises(ParseError) as exc:
+            parse_expression(text)
+        assert str(exc.value) == f"{message} (column 3)"
+        assert exc.value.position == 2
 
 
 def test_parse_error_unknown_name():

@@ -152,13 +152,13 @@ def test_numeric_constants_against_dense_oracle():
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(omega=st.floats(0.5, 5.0), half=st.floats(0.01, 6.0))
+@given(omega=st.floats(0.5, 5.0), half=st.floats(0.01, math.pi / 2))
 def test_closed_form_constants_match_dense_cosine_scan(omega, half):
     """The analytic constants against a direct-cosine scan of both branches,
-    for half angles xi omega/2 on both sides of pi/2 (the positivity edge
-    xi = pi/omega) and past pi, at least 1e-6 from resonance at pi."""
-    assume(abs(half - math.pi) >= 1e-6)
+    for half angles xi omega/2 up to pi/2, the positivity edge xi = pi/omega
+    where the closed form stops."""
     xi = 2.0 * half / omega
+    assume(xi < math.pi / omega)
     gf = closed_form_constant(xi, omega, n=8)
     den = 2.0 * xi * math.sin(half)
     tau = np.linspace(0.0, omega, 1_000_001)
@@ -318,12 +318,6 @@ def test_solve_linear_cross_checked_against_ivp(gf_varying):
     assert abs(res.y[1] - up[0]) <= 1e-6 * scale
 
 
-def test_resonance_periodic_closed_form():
-    # xi*omega = 2*pi: the homogeneous problem itself is omega-periodic
-    with pytest.raises(ResonanceError):
-        closed_form_constant(3.0, OMEGA)
-
-
 def test_resonance_periodic_numeric():
     with pytest.raises(ResonanceError):
         numeric_periodic_green(0.0, 9.0, OMEGA)
@@ -336,18 +330,15 @@ def test_resonance_antiperiodic_numeric():
         numeric_periodic_green(0.0, 2.25, OMEGA)
 
 
-def test_positivity_boundary():
-    # xi < pi/omega = 1.5 is the sharp positivity threshold
-    assert closed_form_constant(1.49, OMEGA).positive is True
-    assert closed_form_constant(1.5, OMEGA).positive is False
-    assert closed_form_constant(2.0, OMEGA).positive is False
-
-
 def test_invalid_arguments():
-    with pytest.raises(ValueError):
-        closed_form_constant(-1.0, OMEGA)
-    with pytest.raises(ValueError):
-        closed_form_constant(0.25, 0.0)
+    # the closed form is built only where it is positive, xi < pi/omega =
+    # 1.5: at the edge, past it and at resonance (xi*omega = 2*pi, where
+    # the homogeneous problem itself is omega-periodic) it refuses
+    assert closed_form_constant(1.49, OMEGA).positive is True
+    for xi, omega in ((-1.0, OMEGA), (0.25, 0.0), (1.5, OMEGA),
+                      (2.0, OMEGA), (3.0, OMEGA)):
+        with pytest.raises(ValueError):
+            closed_form_constant(xi, omega)
 
 
 def test_kernel_branch_selection(gf_closed):

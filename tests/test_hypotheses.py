@@ -17,6 +17,7 @@ from periorbit import cli
 from periorbit.greens import closed_form_constant
 from periorbit.hypotheses import (
     HypothesisConstants,
+    RSearch,
     ValidationError,
     ValueCheck,
     case_one_interval,
@@ -24,6 +25,7 @@ from periorbit.hypotheses import (
     check_H2,
     check_H3,
     check_H4,
+    _evaluate_case,
     constants_from,
     find_R,
     step3_lhs,
@@ -305,6 +307,43 @@ def test_find_R_walks_down_from_satisfied_seed():
     assert rs.boundary_bracketed is False
     assert rs.R == 2.0  # first grid point, floor at r_lo stops the walk-down
     assert rs.lhs_at_R < 1e-10
+
+
+def test_find_R_walks_down_to_a_bracket():
+    """Seeded at 1 (r_lo = 0) above the fixed point, the walk-down halves
+    until the inequality fails and then bisects that bracket; the fixed
+    point is the single-term analytic one, (2 * 0.09 / 0.4)^2.5."""
+    k = _synthetic(alpha=0.4, rho1=1.5, rho2=1.3, delta=0.0, gt_max=0.0,
+                   b_max=0.0, c_max=0.0, e_max=0.09, g_max=2.0, omega=1.0)
+    rs = find_R(k, "T3.1", 0.0)
+    assert rs.found is True
+    assert rs.boundary_bracketed is True
+    assert rs.R == pytest.approx(0.45 ** 2.5, rel=1e-5)
+    assert rs.lhs_at_R <= rs.R
+
+
+def test_evaluate_case_names_the_failing_link(monkeypatch):
+    """An empty window, no large radius below the cap and a witness that
+    does not clear the small-radius floor each fail the verdict with their
+    own reason."""
+    empty = _evaluate_case(_synthetic(b_min=-100.0), "T3.1", True)
+    no_radius = _evaluate_case(_synthetic(b_max=1e20), "T3.1", True)
+    # find_R always searches above 2 r_lo, so only a witness put at the
+    # floor reaches the last check
+    import periorbit.hypotheses as hypotheses
+    monkeypatch.setattr(hypotheses, "find_R", lambda k, case, r_lo: RSearch(
+        r_lo, True, True, r_lo, 1))
+    at_floor = _evaluate_case(_synthetic(), "T3.1", True)
+    for ev, reason in ((empty, "H1 window empty"),
+                       (no_radius, "no large radius below the search cap"),
+                       (at_floor, "large radius does not exceed the "
+                                  "small-radius floor")):
+        assert ev.verdict is False
+        assert ev.reason == reason
+    assert empty.r_interval is None
+    assert no_radius.checks["H1"].ok and no_radius.checks["H2"].ok
+    assert no_radius.r_witness.found is False
+    assert at_floor.checks["H1"].ok and at_floor.checks["H2"].ok
 
 
 def test_small_radius_floor_monotone_in_forcing(k41):

@@ -42,24 +42,22 @@ def test_dense_output_accuracy():
     vals = res.dense(ts)
     err = np.abs(vals - np.stack([np.cos(ts), -np.sin(ts)], axis=1))
     assert np.max(err) < 1e-9
-    # scalar evaluation agrees with the vector path
-    mid = res.dense(1.2345)
-    assert np.allclose(mid, res.dense(np.array([1.2345]))[0])
+    # a one-element query agrees with the same point of a longer one
+    assert np.array_equal(res.dense(ts[[617]]), vals[[617]])
 
 
 def test_dense_output_rejects_out_of_span():
     res = _solve(_harmonic, 0.0, [1.0, 0.0], 1.0, dense=True)
     with pytest.raises(ValueError):
-        res.dense(1.5)
+        res.dense(np.array([1.5]))
     with pytest.raises(ValueError):
-        res.dense(-0.5)
+        res.dense(np.array([-0.5]))
 
 
 def _reference_dense(sol, t):
     """The dense evaluation as first written: two range checks, a clipped
     step index, a clipped theta and one expression for the quartic."""
-    scalar = np.ndim(t) == 0
-    tq = np.atleast_1d(np.asarray(t, dtype=float))
+    tq = np.asarray(t, dtype=float)
     lo, hi = min(sol.t0, sol.t1), max(sol.t0, sol.t1)
     if np.any(tq < lo - 1e-12 * (hi - lo + 1.0)) or \
             np.any(tq > hi + 1e-12 * (hi - lo + 1.0)):
@@ -72,7 +70,7 @@ def _reference_dense(sol, t):
     one = 1.0 - theta
     out = c[:, 0] + theta * (c[:, 1] + one * (c[:, 2] + theta * (
         c[:, 3] + one * c[:, 4])))
-    return out[0] if scalar else out
+    return out
 
 
 def test_dense_call_matches_reference_formula():
@@ -97,7 +95,8 @@ def test_dense_call_matches_reference_formula():
         assert mine.shape == (tq.size, 4)
         assert np.array_equal(mine, _reference_dense(sol, tq))
     for t in (0.5, 3.0, float(sol.lefts[3]), 1.2345):
-        assert np.array_equal(sol(t), _reference_dense(sol, t))
+        tq = np.array([t])
+        assert np.array_equal(sol(tq), _reference_dense(sol, tq))
     for bad in (0.5 - 4 * slack, 3.0 + 4 * slack):
         with pytest.raises(ValueError):
             sol(np.array([1.0, bad]))

@@ -25,8 +25,11 @@ from periorbit.solver import (
     _MAX_NEWTON,
     _SHOOT_RTOL,
     _START_FACTORS,
+    STOP_CAP,
     STOP_FLOOR,
     STOP_LINE_SEARCH,
+    STOP_SINGULAR,
+    STOP_STAGNANT,
     _Flow,
     _floquet,
     _return_map,
@@ -458,6 +461,82 @@ def test_shot_budget(monkeypatch, spec41, spec42, spec43):
     with pytest.raises(NoConvergenceError):
         find_periodic(_no_orbit_spec(), tol=1e-8)
     assert len(integrations) <= 1000
+
+
+def _stops(spec):
+    """The stop of every start of a search that does not converge."""
+    with pytest.raises(NoConvergenceError) as exc:
+        find_periodic(spec, tol=1e-8)
+    return exc.value.stops
+
+
+def test_newton_cap_stops_every_start(monkeypatch, spec41):
+    import periorbit.solver as solver
+
+    monkeypatch.setattr(solver, "_MAX_NEWTON", 0)
+    assert _stops(spec41) == (STOP_CAP,) * len(_START_FACTORS)
+
+
+def _fixed_return_map(M):
+    """A stand-in for _return_map: every shot gives the defect (1, 0), and
+    a Jacobian shot the monodromy matrix M."""
+    def shot(flow, x, v, jacobian=False, dense=False):
+        return 1.0, 0.0, list(M) if jacobian else None, None
+    return shot
+
+
+@pytest.mark.parametrize("M", [
+    (1.0, 0.0, 0.0, 1.0),        # M - I = 0: zero determinant
+    (1.0, 1e-310, 1e-10, 1.0),   # subnormal determinant: the step overflows
+], ids=["zero-det", "overflowing-step"])
+def test_singular_jacobian_stops_every_start(monkeypatch, spec41, M):
+    import periorbit.solver as solver
+
+    monkeypatch.setattr(solver, "_return_map", _fixed_return_map(M))
+    assert _stops(spec41) == (STOP_SINGULAR,) * len(_START_FACTORS)
+
+
+def test_stagnation_stops_every_start(monkeypatch, spec41):
+    """A defect that no step decreases: each Newton step backtracks through
+    every candidate, and the start stops after _MAX_STAGNANT such steps."""
+    import periorbit.solver as solver
+
+    monkeypatch.setattr(solver, "_MAX_STAGNANT", 2)
+    monkeypatch.setattr(solver, "_return_map",
+                        _fixed_return_map((2.0, 0.0, 0.0, 2.0)))
+    with pytest.raises(NoConvergenceError) as exc:
+        find_periodic(spec41, tol=1e-8)
+    assert exc.value.stops == (STOP_STAGNANT,) * len(_START_FACTORS)
+    assert exc.value.newton_steps == 2 * len(_START_FACTORS)
+
+
+@pytest.mark.parametrize("M", [
+    (2.0, 1.0, 1.0, 3.0),        # distinct real multipliers
+    (-3.0, 0.5, 2.0, 0.25),      # real, of opposite signs
+    (0.0, 1.0, 0.0, 0.0),        # nilpotent: both multipliers 0
+])
+def test_floquet_real_multipliers(M):
+    mine = _floquet(M)
+    ref = np.linalg.eigvals(np.array(M).reshape(2, 2))
+    assert all(m.imag == 0.0 for m in mine)
+    assert abs(mine[0]) >= abs(mine[1])
+    assert np.allclose(sorted(m.real for m in mine), np.sort(ref.real),
+                       rtol=1e-14, atol=0.0)
+
+
+def test_package_reshoots_a_point_that_needs_no_step(spec41, orbit41):
+    """A guess already on the orbit converges before any Newton step, so no
+    carried shot exists and the orbit is packaged from a fresh one: the
+    same orbit as Newton's, bit for bit."""
+    orbit = find_periodic(spec41, guess=State(0.0, orbit41.initial.x,
+                                              orbit41.initial.v))
+    assert orbit.newton_steps == 0
+    for field in ("t", "x", "v"):
+        assert np.array_equal(getattr(orbit.path, field),
+                              getattr(orbit41.path, field))
+    for name in ("multipliers", "periodicity_residual", "ode_residual",
+                 "ode_residual_y", "det_M_minus_I"):
+        assert getattr(orbit, name) == getattr(orbit41, name)
 
 
 def _residual_y_oracle(spec, path):

@@ -24,7 +24,7 @@ BUNDLED = ["example41", "example42", "example43"]
 
 
 def _per_cell_greens_csv(problem, gf) -> str:
-    lines = [f"# instance = {cli._stem(problem)}",
+    lines = [f"# instance = {problem.name}",
              f"# sha256 = {problem.sha256}",
              f"# source = {gf.source}",
              f"# n = {gf.n}"]
@@ -39,7 +39,7 @@ def _per_cell_greens_csv(problem, gf) -> str:
 
 
 def _per_point_orbit_csv(problem, orbit) -> str:
-    lines = [f"# instance = {cli._stem(problem)}",
+    lines = [f"# instance = {problem.name}",
              f"# sha256 = {problem.sha256}",
              f"# omega = {_g(orbit.omega)}",
              f"# rho1 = {_g(problem.spec.rho1)}",
@@ -121,7 +121,7 @@ def test_greens_csv_matches_per_cell_writer(tmp_path, capsys, name, n):
     problem = cli._resolve(name)
     spec = problem.spec
     gf = kernel_for(spec.p, spec.l, spec.omega, n=n)
-    written = (tmp_path / f"{cli._stem(problem)}.greens.csv").read_bytes()
+    written = (tmp_path / f"{problem.name}.greens.csv").read_bytes()
     assert written == _per_cell_greens_csv(problem, gf).encode()
 
 
