@@ -330,15 +330,35 @@ def test_resonance_antiperiodic_numeric():
         numeric_periodic_green(0.0, 2.25, OMEGA)
 
 
-def test_invalid_arguments():
-    # the closed form is built only where it is positive, xi < pi/omega =
-    # 1.5: at the edge, past it and at resonance (xi*omega = 2*pi, where
-    # the homogeneous problem itself is omega-periodic) it refuses
+def test_resonance_periodic_closed_form():
+    # xi*omega = 2*pi: the homogeneous problem itself is omega-periodic; the
+    # closed form refuses it and kernel_for's numeric construction reports it
+    with pytest.raises(ValueError):
+        closed_form_constant(3.0, OMEGA)
+    with pytest.raises(ResonanceError):
+        kernel_for(pc("0"), pc("9"), OMEGA)
+
+
+def test_positivity_boundary():
+    # xi < pi/omega = 1.5 is the sharp positivity threshold: the closed form
+    # is built only below it, the edge is antiperiodic resonance, and past it
+    # kernel_for's numeric kernel is not positive
     assert closed_form_constant(1.49, OMEGA).positive is True
-    for xi, omega in ((-1.0, OMEGA), (0.25, 0.0), (1.5, OMEGA),
-                      (2.0, OMEGA), (3.0, OMEGA)):
+    for xi in (1.5, 2.0):
         with pytest.raises(ValueError):
-            closed_form_constant(xi, omega)
+            closed_form_constant(xi, OMEGA)
+    with pytest.raises(ResonanceError):
+        kernel_for(pc("0"), pc("2.25"), OMEGA)
+    gf = kernel_for(pc("0"), pc("4"), OMEGA)
+    assert gf.source == "numeric"
+    assert gf.positive is False
+
+
+def test_invalid_arguments():
+    with pytest.raises(ValueError):
+        closed_form_constant(-1.0, OMEGA)
+    with pytest.raises(ValueError):
+        closed_form_constant(0.25, 0.0)
 
 
 def test_kernel_branch_selection(gf_closed):
