@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
 from importlib import resources
 
 import numpy as np
@@ -33,8 +32,7 @@ from .expressions import EvalDomainError
 # bench/spans.py rebinds them under these names
 from .greens import (ResonanceError, closed_form_constant, kernel_for,
                      numeric_periodic_green)
-from .hypotheses import (Certificate, ProblemSpec, ValidationError, certify,
-                         keyed)
+from .hypotheses import Certificate, ProblemSpec, ValidationError, certify
 from .ivp import IntegrationBlowUp
 from .problemfile import LoadedProblem, ProblemFileError, load_problem, \
     parse_problem_text
@@ -76,33 +74,28 @@ class _CliError(Exception):
 
 
 def _resolve(fileref: str) -> LoadedProblem:
-    if os.path.exists(fileref):
-        try:
-            return load_problem(fileref)
-        except ProblemFileError as err:
-            raise _CliError(f"{fileref}: {err}", 2) from err
+    """The problem that fileref names, parsed and with its float ranges
+    checked (ProblemSpec.check_ranges): an error in either is reported
+    with the key's line, exit 2."""
     stem = fileref[:-8] if fileref.endswith(".problem") else fileref
-    if stem in _BUNDLED:
-        text = (resources.files("periorbit") / "problems"
-                / f"{stem}.problem").read_text(encoding="utf-8")
-        try:
-            return parse_problem_text(text, name=stem)
-        except ProblemFileError as err:  # pragma: no cover - bundled files parse
-            raise _CliError(f"{stem}: {err}", 2) from err
-    raise _CliError(
-        f"{fileref}: no such file and not a bundled instance "
-        f"(bundled: {', '.join(_BUNDLED)})", 2)
-
-
-@contextmanager
-def _located(fileref: str, problem: LoadedProblem):
-    """A ValidationError against a key of problem, raised after parsing,
-    reported as the parser reports one: with the key's line, exit 2."""
     try:
-        yield
+        if os.path.exists(fileref):
+            problem = load_problem(fileref)
+        elif stem in _BUNDLED:
+            text = (resources.files("periorbit") / "problems"
+                    / f"{stem}.problem").read_text(encoding="utf-8")
+            problem = parse_problem_text(text, name=stem)
+        else:
+            raise _CliError(
+                f"{fileref}: no such file and not a bundled instance "
+                f"(bundled: {', '.join(_BUNDLED)})", 2)
+        problem.spec.check_ranges()
+    except ProblemFileError as err:
+        raise _CliError(f"{fileref}: {err}", 2) from err
     except ValidationError as err:
         located = ProblemFileError(str(err), problem.lines.get(err.key))
         raise _CliError(f"{fileref}: {located}", 2) from err
+    return problem
 
 
 def _out_dir(args) -> str:
@@ -178,8 +171,7 @@ def _certificate_report(problem: LoadedProblem, cert: Certificate) -> str:
 
 def _cmd_check(args) -> int:
     problem = _resolve(args.file)
-    with _located(args.file, problem):
-        cert = certify(problem.spec, a1=problem.a1)
+    cert = certify(problem.spec, a1=problem.a1)
     doc = cert.to_dict()
     doc["instance"] = {"name": problem.name, "sha256": problem.sha256,
                        "omega": problem.spec.omega,
@@ -219,8 +211,7 @@ def _kernel_cells(values: np.ndarray) -> tuple[list, str]:
 def _cmd_greens(args) -> int:
     problem = _resolve(args.file)
     spec = problem.spec
-    with _located(args.file, problem), keyed("q", "q/alpha "):
-        gf = kernel_for(spec.p, spec.l, spec.omega, n=args.n)
+    gf = kernel_for(spec.p, spec.l, spec.omega, n=args.n)
     lines = [f"# instance = {problem.name}",
              f"# sha256 = {problem.sha256}",
              f"# source = {gf.source}",
@@ -286,8 +277,7 @@ def _solve_problem(problem: LoadedProblem, args) -> Orbit:
 def _cmd_solve(args) -> int:
     problem = _resolve(args.file)
     try:
-        with _located(args.file, problem):
-            orbit = _solve_problem(problem, args)
+        orbit = _solve_problem(problem, args)
     except NoConvergenceError as err:
         sys.stderr.write(f"no convergence: {err}\n")
         return 1

@@ -728,6 +728,10 @@ class PeriodicCoeff:
         return found
 
     def _locate_extrema(self) -> Extrema:
+        # a constant is its own extrema, at t = 0, which the scan returns
+        value = self.constant
+        if value is not None:
+            return Extrema(value, value, 0.0, 0.0)
         ts = np.linspace(0.0, self.omega, _EXTREMA_SAMPLES + 1)
         with np.errstate(over="ignore", invalid="ignore"):
             vals = self(ts)
@@ -764,17 +768,15 @@ class PeriodicCoeff:
     def integrate(self, t0: float, t1: float) -> float:
         if t1 < t0:
             raise ValueError("integration bounds must satisfy t0 <= t1")
-        return integrate_adaptive(lambda s: self(s), t0, t1)
+        # a sum past the float range raises QuadratureError, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return integrate_adaptive(lambda s: self(s), t0, t1)
 
     def mean(self) -> float:
         """Mean over one period, computed on the first call and kept on the
         coefficient."""
-        return self._kept("_mean", self._integrate_mean)
-
-    def _integrate_mean(self) -> float:
-        # a sum past the float range raises QuadratureError, not a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self.integrate(0.0, self.omega) / self.omega
+        return self._kept("_mean", lambda: self.integrate(0.0, self.omega)
+                          / self.omega)
 
     def mean_positive_part(self) -> float:
         """Mean of max(f, 0) over one period, computed on the first call and

@@ -267,9 +267,11 @@ def numeric_periodic_green(p, l, omega: float, n: int = DEFAULT_GRID
     p and l are PeriodicCoeff or numbers, taken as constants.  Raises
     ResonanceError when the monodromy matrix has an eigenvalue within 1e-8
     of +1 (the homogeneous problem has a periodic solution) or of -1 (the
-    antiperiodic boundary case, where the kernel theory degenerates).
+    antiperiodic boundary case, where the kernel theory degenerates), and
+    when the integration of the fundamental matrix fails (its step size
+    underflows, as for p or l near the float range).
     """
-    from .ivp import Field, solve_ivp_dp
+    from .ivp import Field, IntegrationBlowUp, solve_ivp_dp
 
     # the fundamental matrix, row-major (u, w, u', w'), as DP5 loop
     # source: a number or constant coefficient is read as a float, a
@@ -292,10 +294,14 @@ def numeric_periodic_green(p, l, omega: float, n: int = DEFAULT_GRID
                 f"{k[2]} = -{lt} * {u} - {pt} * {du}",
                 f"{k[3]} = -{lt} * {w} - {pt} * {dw}"]
 
-    res = solve_ivp_dp(Field("monodromy", mask, slopes, None, args), 0.0,
-                       np.eye(2).ravel(), omega, rtol=_MONODROMY_RTOL,
-                       atol=_MONODROMY_ATOL, dense=True,
-                       max_step=omega / 16.0)
+    try:
+        res = solve_ivp_dp(Field("monodromy", mask, slopes, None, args), 0.0,
+                           np.eye(2).ravel(), omega, rtol=_MONODROMY_RTOL,
+                           atol=_MONODROMY_ATOL, dense=True,
+                           max_step=omega / 16.0)
+    except IntegrationBlowUp as err:
+        raise ResonanceError(
+            f"the fundamental-matrix integration failed: {err}") from err
     M = res.y.reshape(2, 2)
     eigs = np.linalg.eigvals(M)
     if np.min(np.abs(eigs - 1.0)) < _RESONANCE_TOL:
@@ -332,15 +338,14 @@ def kernel_for(p: PeriodicCoeff, l: PeriodicCoeff, omega: float,
     """The kernel of u'' + p u' + l u: the closed form when the trees of p
     and l are the constants 0 and xi^2 with xi < pi/omega, where it is
     positive, and the numeric construction otherwise, for any p or l in t
-    (PeriodicCoeff.constant), however small its variation."""
+    (PeriodicCoeff.constant), however small its variation.  p and l are
+    taken to be finite over the period, as ProblemSpec.check_ranges
+    checks them."""
     l_const = l.constant
     if p.constant == 0.0 and l_const is not None and l_const > 0.0:
         xi = math.sqrt(l_const)
         if xi < math.pi / omega:
             return closed_form_constant(xi, omega, n=n)
-    # the numeric construction integrates l: where l leaves the float
-    # range between grid points, its extrema raise EvalDomainError first
-    l.extrema()
     return numeric_periodic_green(p, l, omega, n=n)
 
 

@@ -93,6 +93,20 @@ class ProblemSpec:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "l", l)
 
+    def check_ranges(self) -> None:
+        """Raise ValidationError, keyed to the coefficient, unless the
+        extrema of p, b and l = q/alpha and the means of q, e and b's
+        positive part are finite.  Parsing checks values on the period grid
+        only; these are found between its points and kept on the
+        coefficients.  Validation leaves them out: they cost more than
+        parsing."""
+        for key, what, value in (
+                ("p", "", self.p.extrema), ("b", "", self.b.extrema),
+                ("q", "q/alpha ", self.l.extrema), ("q", "", self.q.mean),
+                ("e", "", self.e.mean), ("b", "", self.b.mean_positive_part)):
+            with keyed(key, what):
+                value()
+
 
 @contextmanager
 def keyed(key: str, what: str = ""):
@@ -289,9 +303,10 @@ def step3_lhs(k: HypothesisConstants, case: str, R: float) -> float:
 def find_R(k: HypothesisConstants, case: str, r_lo: float,
            cap: float = R_SEARCH_CAP) -> RSearch:
     """Smallest radius R with step3_lhs(R) <= R, located on the geometric
-    grid {2 r_lo 2^j} (seeded at 1 when r_lo = 0) and refined by bisection
-    to six significant digits.  Returns found=False when no grid point up
-    to the cap satisfies the inequality."""
+    grid {2 r_lo 2^j} (seeded at 1, and walked down, when r_lo = 0) and
+    refined by bisection to six significant digits; a satisfying seed
+    2 r_lo is returned unbracketed.  Returns found=False when no grid
+    point up to the cap satisfies the inequality."""
     evals = 0
 
     def ok(R: float) -> bool:
@@ -299,8 +314,8 @@ def find_R(k: HypothesisConstants, case: str, r_lo: float,
         evals += 1
         return step3_lhs(k, case, R) <= R
 
-    base = 2.0 * r_lo if r_lo > 0.0 else 1.0
-    R = base
+    from_floor = r_lo > 0.0
+    R = 2.0 * r_lo if from_floor else 1.0
     prev = None
     hit = None
     while R <= cap * (1.0 + 1e-9):
@@ -313,22 +328,17 @@ def find_R(k: HypothesisConstants, case: str, r_lo: float,
         return RSearch(None, False, False, None, evals)
 
     if prev is None:
-        # the very first grid point already satisfies: walk down for a
-        # violating bracket end, within the admissible range R > r_lo
+        # the very first grid point already satisfies: the witness, when
+        # it is 2 r_lo, as R must exceed r_lo; from 1, walk down to 1e-12
+        # for a violating bracket end
         lo = hit / 2.0
-        bracketed = False
-        floor = max(r_lo, hit * 1e-12)
-        for _ in range(60):
-            if lo <= floor:
-                break
+        while not from_floor and lo > 1e-12:
             if not ok(lo):
-                bracketed = True
+                prev = lo
                 break
-            hit = lo
-            lo /= 2.0
-        if not bracketed:
+            hit, lo = lo, lo / 2.0
+        if prev is None:
             return RSearch(hit, True, False, step3_lhs(k, case, hit), evals)
-        prev = lo
 
     lo, hi = prev, hit
     while hi / lo > 1.0 + 1e-7:
@@ -412,8 +422,7 @@ def _evaluate_case(k: HypothesisConstants, case: str, positive: bool
 
     rs = find_R(k, case, window.lower)
     interval = (window.lower, window.upper) if window.ok else None
-    verdict = bool(window.ok and h2.ok and rs.found
-                   and rs.R is not None and rs.R > window.lower)
+    verdict = bool(window.ok and h2.ok and rs.found and rs.R > window.lower)
     reason = ""
     if not window.ok:
         reason = f"{window.name} window empty"
@@ -439,18 +448,18 @@ def certify(spec: ProblemSpec, a1: PeriodicCoeff | None = None
     alternative sin(xi*omega/2), kept for comparison against previously
     published constant tables.  The headline verdict is the computed one.
 
-    A value of b or of l = q/alpha past the float range, found by their
-    extrema between the grid points that parsing checks, raises
-    ValidationError keyed to b or q.
+    spec.check_ranges() runs first: a coefficient value or mean past the
+    float range raises ValidationError keyed to its coefficient.  A kernel
+    with no usable periodic form (resonance, or a fundamental-matrix
+    integration that fails) gives the NONE certificate.
     """
+    spec.check_ranges()
     l = spec.l
-    with keyed("b"):
-        b_min = spec.b.extrema().min_value
-    case = theorem_for(spec.rho1, spec.rho2, b_min + spec.c.extrema().min_value)
+    case = theorem_for(spec.rho1, spec.rho2,
+                       spec.b.extrema().min_value + spec.c.extrema().min_value)
 
     try:
-        with keyed("q", "q/alpha "):
-            gf = kernel_for(spec.p, l, spec.omega)
+        gf = kernel_for(spec.p, l, spec.omega)
     except ResonanceError as err:
         return Certificate(theorem="NONE", alpha=spec.alpha,
                            positivity_source=None, positivity_checks=[],

@@ -35,7 +35,7 @@ import numpy as np
 
 from .expressions import compiled
 from .greens import GreensFunction
-from .hypotheses import ProblemSpec, keyed
+from .hypotheses import ProblemSpec
 from .ivp import Field, IntegrationBlowUp, solve_ivp_dp
 from .transform import (ORIGINAL, TRANSFORMED, PositivityError, SampledPath,
                         TransformedSpec, residual, x_from_y)
@@ -128,12 +128,10 @@ class Orbit:
 def _amplitude_scale(spec: ProblemSpec) -> float:
     """Natural trajectory amplitude: the mean balance q x ~ e gives
     x ~ mean(e)/mean(q); fall back to a unit scale when the linear
-    coefficient has no positive mean to balance against.  A mean that
-    cannot be integrated raises ValidationError keyed to q or e."""
-    with keyed("q"):
-        qm = spec.q.mean()
-    with keyed("e"):
-        em = spec.e.mean()
+    coefficient has no positive mean to balance against.  Both means are
+    those that ProblemSpec.check_ranges found finite."""
+    qm = spec.q.mean()
+    em = spec.e.mean()
     if qm > 1e-12 and em > 0.0:
         return em / qm
     return max(1.0, abs(em))
@@ -330,16 +328,17 @@ def find_periodic(spec: ProblemSpec, guess: State | None = None,
     accepted at full length, the full-length candidate carries the
     variational equations and dense output: when it is accepted it needs
     no Jacobian shot of its own, and when it converges the orbit is
-    packaged from it without shooting again.  When a start stopped on a
-    failed shot and p, b or q/alpha leaves the float range, the search
-    ends in a ValidationError keyed to that coefficient.  tol must be a
-    finite positive number, and a guess finite.
+    packaged from it without shooting again.  tol must be a finite
+    positive number, and a guess finite; spec.check_ranges() then runs
+    before any shot, so a coefficient value or mean past the float range
+    raises ValidationError keyed to its coefficient.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, not {tol!r}")
     if guess is not None and not (math.isfinite(guess.x)
                                   and math.isfinite(guess.v)):
         raise ValueError(f"guess must be finite, not {guess!r}")
+    spec.check_ranges()
     flow = _Flow(spec)
     if guess is None:
         guess = State(t=0.0, x=flow.scale, v=0.0)
@@ -361,14 +360,6 @@ def find_periodic(spec: ProblemSpec, guess: State | None = None,
         newton_steps += steps
         stops.append(stop)
 
-    if STOP_SHOT in stops:
-        # a shot fails where p, b or q leave the float range (ProblemSpec
-        # checks c and e): their extrema, kept on the coefficients, raise
-        # a ValidationError that names the key
-        for key, coeff, what in (("p", spec.p, ""), ("b", spec.b, ""),
-                                 ("q", spec.l, "q/alpha ")):
-            with keyed(key, what):
-                coeff.extrema()
     if all(stop == STOP_FLOOR for stop in stops):
         raise SingularityError(
             f"every starting point {starts} lies at or below the "

@@ -199,7 +199,7 @@ def _exits_2_on_line(argv, bad, line, key, capsys):
 
 
 def test_check_overflow_in_certificate_extrema_exit_2(tmp_path, capsys):
-    """b's extrema are first taken by the certificate, after parsing: the
+    """b's extrema are first taken after parsing, by the range check: the
     overflow is still reported on b's line."""
     bad, line = _example41_with("b", _OVERFLOW_BETWEEN_GRID_POINTS, tmp_path)
     _exits_2_on_line(["check", str(bad)], bad, line, "b", capsys)
@@ -233,10 +233,14 @@ def test_check_overflowing_floor_power_empties_the_window(tmp_path, capsys):
 
 
 def test_solve_mean_past_float_range_exit_2(tmp_path, capsys):
-    """The mean of e, which sets the solver's amplitude scale, overflows:
-    the solve stops on e's line, not in a quadrature traceback."""
-    bad, line = _example41_with("e", "1e308 + cos(3*t)", tmp_path)
-    _exits_2_on_line(["solve", str(bad)], bad, line, "e", capsys)
+    """The mean of b's positive part, which bounds the H4 window, and the
+    mean of e, which sets the solver's amplitude scale, overflow: every
+    command stops on the key's line, not in a quadrature traceback or a
+    failed search."""
+    for key in ("b", "e"):
+        bad, line = _example41_with(key, "1e308 + cos(3*t)", tmp_path)
+        for command in ("check", "greens", "solve"):
+            _exits_2_on_line([command, str(bad)], bad, line, key, capsys)
 
 
 @pytest.mark.parametrize("command", ["check", "greens", "solve"])
@@ -246,11 +250,12 @@ def test_q_over_alpha_past_float_range_exit_2(tmp_path, capsys, command):
     _exits_2_on_line([command, str(bad)], bad, line, "q", capsys)
 
 
-@pytest.mark.parametrize("command", ["check", "greens"])
+@pytest.mark.parametrize("command", ["check", "greens", "solve"])
 def test_q_over_alpha_overflow_between_grid_points_exit_2(tmp_path, capsys,
                                                           command):
     """q peaks at exp(709), finite, and l = 2.5 q overflows there; on the
-    grid l stays finite, so the kernel build meets it first."""
+    grid l stays finite, so the range check meets it first, before any
+    kernel build or shot."""
     bad, line = _example41_with("q", "exp(709*cos(3*t - pi/256)^8)",
                                 tmp_path)
     _exits_2_on_line([command, str(bad)], bad, line, "q", capsys)
@@ -274,15 +279,44 @@ def test_check_deep_nesting_exit_2(tmp_path, capsys, key, value, message):
 
 
 @pytest.mark.parametrize("key,value", [
-    ("b", _OVERFLOW_BETWEEN_GRID_POINTS),
-    ("q", "exp(709*cos(3*t - pi/256)^8)")])
+    ("p", _OVERFLOW_BETWEEN_GRID_POINTS),
+    ("b", _OVERFLOW_BETWEEN_GRID_POINTS)])
 def test_solve_overflow_in_shooting_coefficients_exit_2(tmp_path, capsys,
                                                         key, value):
-    """b overflows between grid points, and q peaks at exp(709) where
-    l = q/alpha overflows: solve stops on the key's line, as check does,
-    not in an OverflowError from the shooting right-hand side."""
+    """p or b overflows between grid points: every command stops on the
+    key's line, before any kernel build or shot."""
     bad, line = _example41_with(key, value, tmp_path)
-    _exits_2_on_line(["solve", str(bad)], bad, line, key, capsys)
+    for command in ("check", "greens", "solve"):
+        _exits_2_on_line([command, str(bad)], bad, line, key, capsys)
+
+
+# p or l = q/alpha is finite but so large that the step size of the
+# fundamental-matrix integration underflows: no usable periodic kernel
+_KERNEL_BLOW_UP = [("p", "1e308 + cos(3*t)"), ("q", "1e300 + cos(3*t)")]
+
+
+@pytest.mark.parametrize("key,value", _KERNEL_BLOW_UP)
+def test_check_failed_kernel_integration_is_no_certificate(tmp_path, capsys,
+                                                           key, value):
+    path, _ = _example41_with(key, value, tmp_path)
+    assert cli.main(["check", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "theorem: NONE" in out
+    assert out.endswith("verdict: FALSE  (resonance: the fundamental-matrix "
+                        "integration failed: step size underflow near "
+                        "t = 0)\n")
+
+
+@pytest.mark.parametrize("key,value", _KERNEL_BLOW_UP)
+def test_greens_failed_kernel_integration_exit_1(tmp_path, capsys, key,
+                                                 value):
+    path, _ = _example41_with(key, value, tmp_path)
+    assert cli.main(["greens", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("resonance: the fundamental-matrix integration "
+                          "failed: ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_solve_overflowing_power_is_a_failed_shot(tmp_path, capsys):

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import OMEGA, make_example, pc
-from periorbit import (Certificate, ProblemSpec, certify, parse_problem_text,
-                       theorem_for)
+from periorbit import (Certificate, ProblemSpec, certify, find_periodic,
+                       parse_problem_text, theorem_for)
 from periorbit import cli
 from periorbit.greens import closed_form_constant
 from periorbit.hypotheses import (
@@ -301,11 +301,15 @@ def test_find_R_respects_cap(k41):
 
 
 def test_find_R_walks_down_from_satisfied_seed():
+    """Seeded at 2 r_lo > 0, a satisfying first grid point is the witness:
+    the grid's next point down, r_lo, is not admissible, so the search
+    makes no other evaluation."""
     k = _synthetic(b_max=1e-20, c_max=1e-20, e_max=1e-20, delta=0.0, gt_max=0.0)
     rs = find_R(k, "T3.1", 1.0)
     assert rs.found is True
     assert rs.boundary_bracketed is False
-    assert rs.R == 2.0  # first grid point, floor at r_lo stops the walk-down
+    assert rs.R == 2.0
+    assert rs.evaluations == 1
     assert rs.lhs_at_R < 1e-10
 
 
@@ -501,6 +505,35 @@ def test_problem_spec_validation():
     with pytest.raises(ValidationError, match="period"):
         ProblemSpec(p=pc("0"), q=pc("1/40"), b=pc("1", omega=2.0 * math.pi),
                     c=pc("1"), e=pc("1"), rho1=1.5, rho2=1.3, omega=OMEGA)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("p", "exp(710*cos(3*t - pi/256)^8)"),
+    ("q", "exp(709*cos(3*t - pi/256)^8)"),
+    ("b", "1e308 + cos(3*t)"),
+    ("e", "1e308 + cos(3*t)")])
+def test_certify_and_find_periodic_check_ranges_first(monkeypatch, key,
+                                                      value):
+    """p, or l = q/alpha, leaves the float range between grid points, or
+    the mean of b's positive part or of e overflows: certify and
+    find_periodic raise ValidationError keyed to the coefficient before
+    any kernel build or shot."""
+    import periorbit.hypotheses as hypotheses
+    import periorbit.solver as solver
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran past the range check")
+
+    monkeypatch.setattr(hypotheses, "kernel_for", unreachable)
+    monkeypatch.setattr(solver, "solve_ivp_dp", unreachable)
+    coeffs = {"p": "0", "q": "1/40", "b": "1+2*cos(3*t)",
+              "c": "exp(2*sin(3*t))", "e": "10+cos(3*t)", key: value}
+    for run in (certify, find_periodic):
+        spec = ProblemSpec(**{k: pc(v) for k, v in coeffs.items()},
+                           rho1=1.5, rho2=1.3, omega=OMEGA)
+        with pytest.raises(ValidationError) as info:
+            run(spec)
+        assert info.value.key == key
 
 
 def test_certificate_to_dict_serializes(cert41):
