@@ -75,8 +75,8 @@ class _CliError(Exception):
 
 def _resolve(fileref: str) -> LoadedProblem:
     """The problem that fileref names, parsed and with its float ranges
-    checked (ProblemSpec.check_ranges): an error in either is reported
-    with the key's line, exit 2."""
+    checked (ProblemSpec.check_ranges, a1's included): an error in either
+    is reported with the key's line, exit 2."""
     stem = fileref[:-8] if fileref.endswith(".problem") else fileref
     try:
         if os.path.exists(fileref):
@@ -89,7 +89,7 @@ def _resolve(fileref: str) -> LoadedProblem:
             raise _CliError(
                 f"{fileref}: no such file and not a bundled instance "
                 f"(bundled: {', '.join(_BUNDLED)})", 2)
-        problem.spec.check_ranges()
+        problem.spec.check_ranges(problem.a1)
     except ProblemFileError as err:
         raise _CliError(f"{fileref}: {err}", 2) from err
     except ValidationError as err:

@@ -669,15 +669,15 @@ class PeriodicCoeff:
                 f"at t = {ts[worst]:.6f}")
 
     def _finite_samples(self):
-        """The period grid and the values on it; a ValueError names the
-        first value that is not finite."""
+        """The period grid and the values on it; an EvalDomainError (a
+        ValueError) names the first value that is not finite."""
         ts = np.linspace(0.0, self.omega, _PERIOD_GRID, endpoint=False)
         with np.errstate(over="ignore", invalid="ignore"):
             f0 = evaluate(self.expr, ts)
         if not np.all(np.isfinite(f0)):
             bad = int(np.argmin(np.isfinite(f0)))
-            raise ValueError(f"value {f0[bad]} at t = {ts[bad]:.6f} "
-                             f"is not finite")
+            raise EvalDomainError(f"value {f0[bad]} at t = {ts[bad]:.6f} "
+                                  f"is not finite")
         return ts, f0
 
     def _derived(self, expr: Expr) -> "PeriodicCoeff":

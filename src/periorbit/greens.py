@@ -41,7 +41,12 @@ g_max, g_min and gt_max are a few float operations: on each branch the
 cosine's argument runs exactly over [-xi omega/2, xi omega/2], inside
 (-pi/2, pi/2).  A numeric kernel's are estimates: each is the best value
 a refining scan finds, seeded at the grid cell where its surface is
-extreme; they are not outward-rounded enclosures.
+extreme and at that cell's periodic images; they are not outward-rounded
+enclosures.  The scan refines all its windows, of the three surfaces
+and their images, in lockstep: each level takes one factors call for
+every window's abscissae and evaluates the windows by stacked matrix
+products, the BLAS products the grid itself is evaluated with, so each
+window finds the values it would find scanned alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -164,26 +169,6 @@ def _slope(tau, G, Gt):
 _SURFACES = (lambda tau, G, Gt: -G, lambda tau, G, Gt: G, _slope)
 
 
-def _scan_max(factors, surface, omega, tc, sc, width):
-    """Largest value of the surface near (tc, sc).
-
-    Each level scans a _SCAN_POINTS^2 window of half-width `width`, clipped
-    to the square, then recentres on its argmax at 1/8 the width.
-    """
-    best = -np.inf
-    for _ in range(_SCAN_LEVELS):
-        ts = np.linspace(max(0.0, tc - width), min(omega, tc + width),
-                         _SCAN_POINTS)
-        ss = np.linspace(max(0.0, sc - width), min(omega, sc + width),
-                         _SCAN_POINTS)
-        vals = surface(ts[:, None] - ss[None, :], *_evaluate(factors, ts, ss))
-        i, j = np.unravel_index(np.argmax(vals), vals.shape)
-        best = max(best, float(vals[i, j]))
-        tc, sc = ts[i], ss[j]
-        width /= 8.0
-    return best
-
-
 def _periodic_images(i, j, n):
     """Grid cell (i, j) and, since the kernel is omega-periodic in t and in
     s, its images on the opposite edges when it lies on an edge."""
@@ -194,16 +179,47 @@ def _periodic_images(i, j, n):
 def _scanned_extremes(factors, tgrid, G, Gt):
     """(g_min, g_max, gt_max) of a numeric kernel.  Each surface is scanned
     from its grid argmax and that cell's periodic images, so the constants
-    are estimates, not enclosures."""
-    omega, n, step = tgrid[-1], len(tgrid) - 1, tgrid[1] - tgrid[0]
+    are estimates, not enclosures.
+
+    All windows are refined in lockstep.  Each level scans a
+    _SCAN_POINTS^2 window of half-width `width` around every centre,
+    clipped to the square, then recentres each on its argmax at 1/8 the
+    width.  The windows' products stay np.matmul, as the grid's are:
+    written out by hand they round differently where BLAS fuses.
+    """
+    omega, n, width = tgrid[-1], len(tgrid) - 1, tgrid[1] - tgrid[0]
     tau = tgrid[:, None] - tgrid[None, :]
-    found = []
+    centres, spans = [], []
     for surface in _SURFACES:
         vals = surface(tau, G, Gt)
         i, j = np.unravel_index(np.argmax(vals), vals.shape)
-        found.append(max(_scan_max(factors, surface, omega, tgrid[a],
-                                   tgrid[b], step)
-                         for a, b in _periodic_images(i, j, n)))
+        images = _periodic_images(i, j, n)
+        spans.append(slice(len(centres), len(centres) + len(images)))
+        centres += [(tgrid[a], tgrid[b]) for a, b in images]
+    tc, sc = np.array(centres).T
+    windows = np.arange(len(centres))
+    best = np.full(len(centres), -np.inf)
+    for _ in range(_SCAN_LEVELS):
+        ts, ss = (np.linspace(np.maximum(0.0, c - width),
+                              np.minimum(omega, c + width), _SCAN_POINTS,
+                              axis=-1) for c in (tc, sc))
+        U, dU, V_lo, V_up = (f.reshape(len(centres), _SCAN_POINTS, 2)
+                             for f in factors(ts.ravel(), ss.ravel()))
+        V_lo, V_up = V_lo.transpose(0, 2, 1), V_up.transpose(0, 2, 1)
+        lower = ts[:, :, None] >= ss[:, None, :]
+        g = np.where(lower, U @ V_lo, U @ V_up)
+        gt = np.where(lower, dU @ V_lo, dU @ V_up)
+        lag = ts[:, :, None] - ss[:, None, :]
+        vals = np.concatenate([surface(lag[k], g[k], gt[k])
+                               for surface, k in zip(_SURFACES, spans)])
+        flat = vals.reshape(len(centres), -1)
+        peak = np.argmax(flat, axis=1)
+        top = flat[windows, peak]
+        best = np.where(top > best, top, best)
+        i, j = np.divmod(peak, _SCAN_POINTS)
+        tc, sc = ts[windows, i], ss[windows, j]
+        width /= 8.0
+    found = [max(best[k].tolist()) for k in spans]
     return -found[0], found[1], found[2]
 
 
@@ -271,28 +287,35 @@ def numeric_periodic_green(p, l, omega: float, n: int = DEFAULT_GRID
     when the integration of the fundamental matrix fails (its step size
     underflows, as for p or l near the float range).
     """
-    from .ivp import Field, IntegrationBlowUp, solve_ivp_dp
+    from .ivp import Field, IntegrationBlowUp, solve_ivp_dp, source_sum
 
     # the fundamental matrix, row-major (u, w, u', w'), as DP5 loop
-    # source: a number or constant coefficient is read as a float, a
-    # varying one called once per slope at the stage time, p before l
+    # source: a number or constant coefficient is read as a float, the
+    # constant 0 writes no term, and a varying one is called once per
+    # slope at the stage time, p before l.  The mask holds, per
+    # coefficient, 0 where it varies, 1 for a constant and 2 for a zero.
     values = [k.constant if isinstance(k, PeriodicCoeff) else float(k)
               for k in (p, l)]
-    mask = tuple(value is not None for value in values)
-    args, calls = {}, []
-    for name, k, value in zip("pl", (p, l), values):
-        args[f"_{name}"] = compiled(k.expr) if value is None else value
-        if value is None:
+    mask = tuple(0 if value is None else 2 if value == 0.0 else 1
+                 for value in values)
+    args, calls, reads = {}, [], []
+    for name, k, value, state in zip("pl", (p, l), values, mask):
+        if state < 2:
+            args[f"_{name}"] = value if state else compiled(k.expr)
+        if state == 0:
             calls.append(f"{name}t = _{name}(ts)")
-    pt, lt = ("_p" if mask[0] else "pt"), ("_l" if mask[1] else "lt")
+        reads.append((f"{name}t", f"_{name}", None)[state])
+    pt, lt = reads
 
     def slopes(k, y, when):
         u, w, du, dw = y
         return [*([f"ts = {when}"] if calls else []), *calls,
                 f"{k[0]} = {du}",
                 f"{k[1]} = {dw}",
-                f"{k[2]} = -{lt} * {u} - {pt} * {du}",
-                f"{k[3]} = -{lt} * {w} - {pt} * {dw}"]
+                f"{k[2]} = " + source_sum(("-", lt and f"{lt} * {u}"),
+                                          ("-", pt and f"{pt} * {du}")),
+                f"{k[3]} = " + source_sum(("-", lt and f"{lt} * {w}"),
+                                          ("-", pt and f"{pt} * {dw}"))]
 
     try:
         res = solve_ivp_dp(Field("monodromy", mask, slopes, None, args), 0.0,

@@ -93,17 +93,22 @@ class ProblemSpec:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "l", l)
 
-    def check_ranges(self) -> None:
+    def check_ranges(self, a1: PeriodicCoeff | None = None) -> None:
         """Raise ValidationError, keyed to the coefficient, unless the
         extrema of p, b and l = q/alpha and the means of q, e and b's
-        positive part are finite.  Parsing checks values on the period grid
-        only; these are found between its points and kept on the
-        coefficients.  Validation leaves them out: they cost more than
-        parsing."""
-        for key, what, value in (
-                ("p", "", self.p.extrema), ("b", "", self.b.extrema),
-                ("q", "q/alpha ", self.l.extrema), ("q", "", self.q.mean),
-                ("e", "", self.e.mean), ("b", "", self.b.mean_positive_part)):
+        positive part are finite, and, when the factor a1 of criterion A1
+        is given, the extrema of a1 and a1' and the mean of a1.  Parsing
+        checks values on the period grid only; these are found between its
+        points and kept on the coefficients.  Validation leaves them out:
+        they cost more than parsing."""
+        checks = [("p", "", self.p.extrema), ("b", "", self.b.extrema),
+                  ("q", "q/alpha ", self.l.extrema), ("q", "", self.q.mean),
+                  ("e", "", self.e.mean),
+                  ("b", "mean of max(b, 0): ", self.b.mean_positive_part)]
+        if a1 is not None:
+            checks += [("a1", "", a1.extrema), ("a1", "", a1.mean),
+                       ("a1", "a1' ", lambda: a1.derivative().extrema())]
+        for key, what, value in checks:
             with keyed(key, what):
                 value()
 
@@ -448,12 +453,12 @@ def certify(spec: ProblemSpec, a1: PeriodicCoeff | None = None
     alternative sin(xi*omega/2), kept for comparison against previously
     published constant tables.  The headline verdict is the computed one.
 
-    spec.check_ranges() runs first: a coefficient value or mean past the
-    float range raises ValidationError keyed to its coefficient.  A kernel
-    with no usable periodic form (resonance, or a fundamental-matrix
-    integration that fails) gives the NONE certificate.
+    spec.check_ranges(a1) runs first: a coefficient value or mean past the
+    float range, a1's included, raises ValidationError keyed to its
+    coefficient.  A kernel with no usable periodic form (resonance, or a
+    fundamental-matrix integration that fails) gives the NONE certificate.
     """
-    spec.check_ranges()
+    spec.check_ranges(a1)
     l = spec.l
     case = theorem_for(spec.rho1, spec.rho2,
                        spec.b.extrema().min_value + spec.c.extrema().min_value)

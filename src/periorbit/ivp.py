@@ -18,11 +18,13 @@ locals, so slopes and guard cost no call of their own.  A loop is
 compiled on the first integration of each (dimension, error-norm width,
 dense, field name, field mask) and cached in _LOOPS; nothing is
 generated at import.  numpy appears only at the boundary, in IvpResult.y,
-IntegrationBlowUp.y and the dense coefficients.  The loop's step-size
-clamps are conditional expressions, not min/max calls: a builtin min or
-max call per clamp cost about a fifth of a short shot, and each
-conditional returns exactly what min or max returns, ties and NaN
-included.
+IntegrationBlowUp.y and the dense coefficients.  Neither the step-size
+clamps nor the error scales call a builtin: a min or max call per clamp
+cost about a fifth of a short shot.  Each clamp is a conditional
+expression that returns exactly what min or max returns, ties and NaN
+included, and each error scale |a| is written a if a > 0.0 else -a,
+which is abs(a) up to the sign of a zero that atol + rtol * |a| does
+not see.
 
 Characteristics
 ---------------
@@ -151,13 +153,28 @@ class Field:
     that passed it.  Every other name the source reads is a key of args,
     and the loop takes args' values as its trailing arguments.  name and
     mask identify the source: fields that share them write the same lines
-    for the same names."""
+    for the same names.  The solver's and the kernel's fields hold in
+    mask, per coefficient, 0 where it varies in t, 1 where it is a
+    constant read as a float, and 2 where it is the constant 0 and writes
+    no term."""
 
     name: str
     mask: tuple
     slopes: Callable[[list, list, str], list]
     veto: Callable[[list], str] | None
     args: dict
+
+
+def source_sum(*terms) -> str:
+    """The source of a sum of signed terms, left to right: each term is a
+    pair of a sign, "+" or "-", and an expression, or of a sign and None
+    (or "") for a term that is left out.  "0.0" when every term is."""
+    kept = [(sign, term) for sign, term in terms if term]
+    if not kept:
+        return "0.0"
+    (sign, head), rest = kept[0], kept[1:]
+    return ("-" if sign == "-" else "") + head + "".join(
+        f" {sign} {term}" for sign, term in rest)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +192,8 @@ class Field:
 # The loop reads the tableau, the step-control constants and sqrt as
 # locals: keyword-only parameters whose defaults are bound when the loop
 # is compiled.  A clamp min(a, b) is written b if b < a else a (or
-# `if b < a: a = b`), and max(a, b) b if b > a else a.
+# `if b < a: a = b`), max(a, b) b if b > a else a, and abs(a)
+# a if a > 0.0 else -a.
 
 # per stage s = 2..7: the time of its slope and the weights A[s] of the
 # earlier slopes in its state (None for a zero entry)
@@ -237,7 +255,7 @@ def _loop_source(n: int, m: int, dense: bool, field: Field) -> str:
     state = each("a_{i}")
     lines = [
         "def _loop(t, t1, h, hmin, max_step, rtol, atol, y, lefts, widths,",
-        f"          coefs, {', '.join(field.args)}, *,",
+        f"          {', '.join(('coefs', *field.args))}, *,",
         f"          {bound(('_C2', '_C3', '_C4', '_C5'))}",
         *(f"          {bound(weights)}" for _, weights in _STAGES),
         *(f"          {bound(weights)}"
@@ -285,8 +303,8 @@ def _loop_source(n: int, m: int, dense: bool, field: Field) -> str:
     lines.append("        nfev += 6")
     for i in range(m):
         lines += [
-            f"        s0 = abs(a_{i})",
-            f"        s7 = abs(y7_{i})",
+            f"        s0 = a_{i} if a_{i} > 0.0 else -a_{i}",
+            f"        s7 = y7_{i} if y7_{i} > 0.0 else -y7_{i}",
             f"        r = (h * ({combo(_ERROR, i)})",
             "             / (atol + rtol * (s7 if s7 > s0 else s0)))",
             f"        err {'+' if i else ''}= r * r",

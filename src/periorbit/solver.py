@@ -8,7 +8,8 @@ damped Newton iteration to the return-map defect F(s) = flow(s) - s.  The
 force formula and the guard are written into the integrator's generated
 step loop as source (see _field), so a stage costs no Python call beyond
 the coefficients that vary in time: a coefficient whose expression tree
-is a constant is folded into the loop as a float argument.  The
+is a constant is folded into the loop as a float argument, and a p, q or
+b whose tree is the constant 0 writes no term at all.  The
 Jacobian of F is M - I, where the monodromy matrix M is the fundamental
 matrix of the variational equations, integrated in the same shot as the
 state.  Such a shot takes the plain shot's steps and ends in its state, so
@@ -36,7 +37,7 @@ import numpy as np
 from .expressions import compiled
 from .greens import GreensFunction
 from .hypotheses import ProblemSpec
-from .ivp import Field, IntegrationBlowUp, solve_ivp_dp
+from .ivp import Field, IntegrationBlowUp, solve_ivp_dp, source_sum
 from .transform import (ORIGINAL, TRANSFORMED, PositivityError, SampledPath,
                         TransformedSpec, residual, x_from_y)
 
@@ -154,36 +155,52 @@ def _field(spec: ProblemSpec, eps_min: float, variational: bool) -> Field:
     force, m1 = -rho1 and m2 = -rho2.  Its (x', v') are the plain field's,
     operation for operation.  A coefficient whose tree is a constant is
     read as a float; the others are called at the stage time through
-    their compiled scalar functions.
+    their compiled scalar functions.  A p, q or b whose tree is the
+    constant 0 writes no term: each term it drops is a zero, so a sum
+    changes at most in the sign of an exact zero, and b's power x^m1 is
+    not taken, so an x whose power overflows no longer fails the shot.
+    The mask holds, per coefficient of (p, q, b, c, e), 0 where it varies,
+    1 where it is a constant and 2 where it is a dropped zero.
     """
     coeffs = (spec.p, spec.q, spec.b, spec.c, spec.e)
-    mask = tuple(k.constant is not None for k in coeffs)
+    mask = tuple(0 if k.constant is None else
+                 2 if k.constant == 0.0 and name in "pqb" else 1
+                 for name, k in zip("pqbce", coeffs))
     args = {"_eps": eps_min, "_m1": -spec.rho1, "_m2": -spec.rho2}
     terms = []
-    for name, k, constant in zip("pqbce", coeffs, mask):
-        args[f"_{name}"] = k.constant if constant else compiled(k.expr)
-        terms.append(f"_{name}" if constant else f"_{name}(ts)")
+    for name, k, state in zip("pqbce", coeffs, mask):
+        if state < 2:
+            args[f"_{name}"] = k.constant if state else compiled(k.expr)
+        terms.append((f"_{name}(ts)", f"_{name}", None)[state])
     P, Q, B, C, E = terms
     # a varying p or q is called once per slope, into a local: the
     # variational slope reads each three times
-    pt, qt = ("_p" if mask[0] else "pt"), ("_q" if mask[1] else "qt")
+    pt = "pt" if mask[0] == 0 else P
+    qt = "qt" if mask[1] == 0 else Q
 
     def slopes(p, y, when):
         x, v = y[:2]
         lines = [] if all(mask) else [f"ts = {when}"]
         lines += [f"{local} = {term}" for local, term in ((pt, P), (qt, Q))
                   if local != term]
-        lines += [f"bx = {B} * {x} ** _m1",
-                  f"cx = {C} * {x} ** _m2",
+        if B:
+            lines.append(f"bx = {B} * {x} ** _m1")
+        lines += [f"cx = {C} * {x} ** _m2",
                   f"{p[0]} = {v}",
-                  f"{p[1]} = -{pt} * {v} - {qt} * {x} + bx + cx + {E}"]
+                  f"{p[1]} = " + source_sum(
+                      ("-", pt and f"{pt} * {v}"), ("-", qt and f"{qt} * {x}"),
+                      ("+", B and "bx"), ("+", "cx"), ("+", E))]
         if variational:
             u, w, du, dw = y[2:]
-            lines += [f"fx = (_m1 * bx + _m2 * cx) / {x} - {qt}",
+            powers = source_sum(("+", B and "_m1 * bx"), ("+", "_m2 * cx"))
+            lines += ["fx = " + source_sum(("+", f"({powers}) / {x}"),
+                                            ("-", qt)),
                       f"{p[2]} = {du}",
                       f"{p[3]} = {dw}",
-                      f"{p[4]} = fx * {u} - {pt} * {du}",
-                      f"{p[5]} = fx * {w} - {pt} * {dw}"]
+                      f"{p[4]} = " + source_sum(
+                          ("+", f"fx * {u}"), ("-", pt and f"{pt} * {du}")),
+                      f"{p[5]} = " + source_sum(
+                          ("+", f"fx * {w}"), ("-", pt and f"{pt} * {dw}"))]
         return lines
 
     return Field("variational" if variational else "shooting", mask, slopes,

@@ -3,12 +3,14 @@
 Only the tests use these: each checks a kernel built by periorbit.greens
 against a property of the periodic Green's function (the homogeneous
 equation off the diagonal, periodicity in t, the unit jump of dG/dt across
-the diagonal) or applies it as an integral operator.
+the diagonal), applies it as an integral operator, or scans its extremes
+one window at a time, as the batched scan of periorbit.greens must.
 """
 
 import numpy as np
 
-from periorbit.greens import _evaluate
+from periorbit.greens import (_SCAN_LEVELS, _SCAN_POINTS, _SURFACES,
+                             _evaluate, _periodic_images)
 from periorbit.quadrature import _gauss_nodes
 
 _JUMP_STEP = 1e-4        # diagonal_jump_error's difference step, in omega units
@@ -77,3 +79,40 @@ def diagonal_jump_error(gf, s_values) -> np.ndarray:
         slope_plus = (-3 * Gl[0, 0] + 4 * Gl[1, 0] - Gl[2, 0]) / (2 * h)
         out[idx] = abs((slope_plus - slope_minus) - 1.0)
     return out
+
+
+def scanned_extremes(factors, tgrid, G, Gt):
+    """(g_min, g_max, gt_max) of a numeric kernel as the scan was first
+    written: one window at a time, each seeded at a surface's grid argmax
+    or one of that cell's periodic images and refined level by level on
+    its own (_scan_max), the best of a surface's windows kept."""
+    omega, n, step = tgrid[-1], len(tgrid) - 1, tgrid[1] - tgrid[0]
+    tau = tgrid[:, None] - tgrid[None, :]
+    found = []
+    for surface in _SURFACES:
+        vals = surface(tau, G, Gt)
+        i, j = np.unravel_index(np.argmax(vals), vals.shape)
+        found.append(max(_scan_max(factors, surface, omega, tgrid[a],
+                                   tgrid[b], step)
+                         for a, b in _periodic_images(i, j, n)))
+    return -found[0], found[1], found[2]
+
+
+def _scan_max(factors, surface, omega, tc, sc, width):
+    """Largest value of the surface near (tc, sc).
+
+    Each level scans a _SCAN_POINTS^2 window of half-width `width`, clipped
+    to the square, then recentres on its argmax at 1/8 the width.
+    """
+    best = -np.inf
+    for _ in range(_SCAN_LEVELS):
+        ts = np.linspace(max(0.0, tc - width), min(omega, tc + width),
+                         _SCAN_POINTS)
+        ss = np.linspace(max(0.0, sc - width), min(omega, sc + width),
+                         _SCAN_POINTS)
+        vals = surface(ts[:, None] - ss[None, :], *_evaluate(factors, ts, ss))
+        i, j = np.unravel_index(np.argmax(vals), vals.shape)
+        best = max(best, float(vals[i, j]))
+        tc, sc = ts[i], ss[j]
+        width /= 8.0
+    return best

@@ -190,11 +190,11 @@ def test_check_overflow_between_grid_points_exit_2(tmp_path, capsys):
     assert "not finite" in err and err.count("\n") == 1
 
 
-def _exits_2_on_line(argv, bad, line, key, capsys):
+def _exits_2_on_line(argv, bad, line, key, capsys, what=""):
     code = cli.main(argv)
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith(f"error: {bad}: line {line}: {key}: ")
+    assert err.startswith(f"error: {bad}: line {line}: {key}: {what}")
     assert "not finite" in err and err.count("\n") == 1
 
 
@@ -236,11 +236,51 @@ def test_solve_mean_past_float_range_exit_2(tmp_path, capsys):
     """The mean of b's positive part, which bounds the H4 window, and the
     mean of e, which sets the solver's amplitude scale, overflow: every
     command stops on the key's line, not in a quadrature traceback or a
-    failed search."""
-    for key in ("b", "e"):
+    failed search, and b's error names the positive part."""
+    for key, what in (("b", "mean of max(b, 0): integral on "),
+                      ("e", "integral on ")):
         bad, line = _example41_with(key, "1e308 + cos(3*t)", tmp_path)
         for command in ("check", "greens", "solve"):
-            _exits_2_on_line([command, str(bad)], bad, line, key, capsys)
+            _exits_2_on_line([command, str(bad)], bad, line, key, capsys,
+                             what)
+
+
+# the numeric-kernel text of test_certify_with_holding_factorisation
+_A1_TEXT = """omega = 2*pi/3
+p = 2+1/10*sin(3*t)
+q = (2/5)*(1+1/10*sin(3*t)+3/10*cos(3*t))
+b = 0
+c = 1
+e = 1
+rho1 = 1.5
+rho2 = 1.3
+a1 = {}
+"""
+
+
+def _a1_exits_2_on_its_line(value, tmp_path, capsys, monkeypatch):
+    """check, and reproduce of an instance read from the text, exit 2 on
+    a1's line."""
+    bad = tmp_path / "a1.problem"
+    bad.write_text(_A1_TEXT.format(value))
+    monkeypatch.setitem(cli._REPRO["4.1"], "file", str(bad))
+    for argv in (["check", str(bad)], ["reproduce", "4.1"]):
+        _exits_2_on_line(argv, bad, 9, "a1", capsys)
+
+
+def test_a1_overflow_between_grid_points_exit_2(tmp_path, capsys,
+                                                monkeypatch):
+    """a1 leaves the float range between grid points: a ValueError
+    traceback from a1's derivative once."""
+    _a1_exits_2_on_its_line("exp(710*cos(3*t - pi/256)^8)", tmp_path,
+                            capsys, monkeypatch)
+
+
+def test_a1_mean_past_float_range_exit_2(tmp_path, capsys, monkeypatch):
+    """a1's mean overflows: a QuadratureError traceback from its integral
+    once."""
+    _a1_exits_2_on_its_line("1e308 + cos(3*t)", tmp_path, capsys,
+                            monkeypatch)
 
 
 @pytest.mark.parametrize("command", ["check", "greens", "solve"])

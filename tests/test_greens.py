@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import OMEGA, pc
@@ -13,11 +13,14 @@ from kernel_oracles import (
     diagonal_jump_error,
     homogeneous_residual,
     periodicity_mismatch,
+    scanned_extremes,
     solve_linear,
 )
 from periorbit import parse_problem_text
 from periorbit.greens import (
+    _SURFACES,
     ResonanceError,
+    _periodic_images,
     check_A1,
     check_A2,
     check_chu,
@@ -149,6 +152,58 @@ def test_numeric_constants_against_dense_oracle():
     assert gf.g_min <= g_min * (1.0 + 1e-13)
     assert gf.g_max >= g_max * (1.0 - 1e-13)
     assert gf.gt_max >= gt_max * (1.0 - 1e-13)
+
+
+def _grid_argmax_images(gf):
+    """How many windows the scan of each surface starts from: its grid
+    argmax and that cell's periodic images."""
+    tau = gf.t[:, None] - gf.t[None, :]
+    counts = []
+    for surface in _SURFACES:
+        vals = surface(tau, gf.G, gf.Gt)
+        i, j = np.unravel_index(np.argmax(vals), vals.shape)
+        counts.append(len(_periodic_images(i, j, gf.n)))
+    return counts
+
+
+_hundredths = lambda lo, hi: st.integers(lo, hi).map(lambda i: i / 100)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.sampled_from([8, 50, 200]), p0=_hundredths(-100, 200),
+       pa=_hundredths(0, 50), l0=_hundredths(-100, 400),
+       la=_hundredths(0, 100), phase=_hundredths(0, 628))
+# grid argmaxes on the grid edge, so that two or four windows of a
+# surface are scanned (test_scan_examples_reach_the_periodic_images)
+@example(n=8, p0=0.0, pa=0.0, l0=-0.5, la=0.0, phase=0.0)
+@example(n=50, p0=0.0, pa=0.0, l0=-0.5, la=0.0, phase=0.0)
+@example(n=200, p0=0.05, pa=0.0, l0=-0.5, la=0.0, phase=0.0)
+@example(n=200, p0=0.3, pa=0.2, l0=2.0, la=0.0, phase=0.0)
+def test_batched_scan_matches_window_by_window_oracle(n, p0, pa, l0, la,
+                                                      phase):
+    """Random numeric kernels: the lockstep scan of every window returns
+    the bits of (g_min, g_max, gt_max) that scanning one window at a time
+    returns, periodic images on the grid edge included."""
+    p = pc(f"{p0!r} + {pa!r}*cos(3*t + {phase!r})")
+    l = pc(f"{l0!r} + {la!r}*sin(3*t)")
+    try:
+        gf = numeric_periodic_green(p, l, OMEGA, n=n)
+    except ResonanceError:
+        assume(False)
+    found = np.array([gf.g_min, gf.g_max, gf.gt_max])
+    oracle = np.array(scanned_extremes(gf._factors, gf.t, gf.G, gf.Gt))
+    assert found.tobytes() == oracle.tobytes()
+
+
+def test_scan_examples_reach_the_periodic_images():
+    """The explicit examples of the oracle test above seed windows on the
+    grid edge, so their comparison covers the periodic images."""
+    for n, p, l, counts in ((8, "0", "-0.5", [4, 2, 4]),
+                            (50, "0", "-0.5", [4, 2, 1]),
+                            (200, "0.05", "-0.5", [1, 2, 4]),
+                            (200, "0.3 + 0.2*cos(3*t)", "2", [1, 1, 4])):
+        gf = numeric_periodic_green(pc(p), pc(l), OMEGA, n=n)
+        assert _grid_argmax_images(gf) == counts
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -321,6 +376,10 @@ def test_solve_linear_cross_checked_against_ivp(gf_varying):
 def test_resonance_periodic_numeric():
     with pytest.raises(ResonanceError):
         numeric_periodic_green(0.0, 9.0, OMEGA)
+    # p = l = 0 writes no term at all: u'' = 0, whose constants are
+    # periodic
+    with pytest.raises(ResonanceError, match="eigenvalue 1"):
+        numeric_periodic_green(pc("0"), 0.0, OMEGA)
 
 
 def test_resonance_antiperiodic_numeric():

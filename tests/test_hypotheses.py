@@ -536,6 +536,29 @@ def test_certify_and_find_periodic_check_ranges_first(monkeypatch, key,
         assert info.value.key == key
 
 
+@pytest.mark.parametrize("a1", [
+    "exp(710*cos(3*t - pi/256)^8)",   # a1 overflows between grid points
+    "1e308 + cos(3*t)",               # its mean overflows
+    "exp(709*cos(3*t)^8)"])           # a1 is finite, a1' is not
+def test_certify_checks_the_range_of_a1_first(monkeypatch, a1):
+    """The factor a1 of criterion A1 is range-checked with the problem's
+    coefficients, before any kernel build: certify raises ValidationError
+    keyed to a1."""
+    import periorbit.hypotheses as hypotheses
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran past the range check")
+
+    monkeypatch.setattr(hypotheses, "kernel_for", unreachable)
+    spec = ProblemSpec(
+        p=pc("2+1/10*sin(3*t)"),
+        q=pc("(2/5)*(1+1/10*sin(3*t)+3/10*cos(3*t))"),
+        b=pc("0"), c=pc("1"), e=pc("1"), rho1=1.5, rho2=1.3, omega=OMEGA)
+    with pytest.raises(ValidationError, match="^a1: .*not finite") as info:
+        certify(spec, a1=pc(a1))
+    assert info.value.key == "a1"
+
+
 def test_certificate_to_dict_serializes(cert41):
     d = cert41.to_dict()
     assert set(d) == {"theorem", "alpha", "positivity_source",

@@ -11,6 +11,7 @@ from conftest import (OMEGA, make_cheap_spec, make_constant_spec,
                       make_example, pc)
 from periorbit import ProblemSpec, find_periodic
 from periorbit.expressions import compiled
+from periorbit.greens import ResonanceError
 from periorbit.ivp import DenseSolution, IntegrationBlowUp, IvpResult, solve_ivp_dp
 from periorbit.solver import _SHOOT_RTOL, _Flow
 from shooting_oracles import callable_field, positivity_guard, vector_field
@@ -658,19 +659,18 @@ def _kernel_fields(monkeypatch, p, l, omega):
 def test_list_oracle_numeric_family_and_monodromy(monkeypatch):
     """A shot with varying coefficients, its 6-dimensional Jacobian shot
     with dense output, and the 4-dimensional monodromy field of the
-    numeric kernel, for each mask of a varying or constant p and l: the
-    field equals the list oracle run with the hand-written monodromy
-    system, bit for bit, in the kernel's own call and without dense
-    output."""
+    numeric kernel, for varying, constant and zero p and l (a zero p
+    writes no term): the field equals the list oracle run with the
+    hand-written monodromy system, bit for bit, in the kernel's own call
+    and without dense output."""
     spec = _numeric_kernel_spec()
     flow = _Flow(spec)
     _assert_fused_shot(flow, (flow.scale, 0.0), **_shot_kwargs(flow))
     _assert_fused_shot(flow, (flow.scale, 0.0), variational=True,
                        **_shot_kwargs(flow, dense=True))
     p, l = spec.p, spec.q.scaled(1.0 / 0.4)
-    for p, l, mask in ((p, l, (False, False)),
-                       (pc("0"), pc("1/16"), (True, True)),
-                       (p, pc("0.07"), (False, True))):
+    for p, l, mask in ((p, l, (0, 0)), (pc("0"), pc("1/16"), (2, 1)),
+                       (pc("0"), l, (2, 0)), (p, pc("0.07"), (0, 1))):
         field, args, kwargs = _kernel_fields(monkeypatch, p, l, spec.omega)
         assert (field.name, field.mask) == ("monodromy", mask)
         assert kwargs["dense"]
@@ -778,7 +778,9 @@ def test_list_oracle_negative_zero_state():
 def test_generated_loops_call_no_min_or_max(monkeypatch):
     """The loops of every shape the package builds (plain and Jacobian
     shots, dense and not, and the dense 4-dimensional monodromy shot)
-    clamp their step sizes without a call to min or max."""
+    clamp their step sizes and take their error scales without a call to
+    min, max or abs, and a coefficient that is the constant 0 leaves no
+    name in its field's loop: neither its argument nor a local."""
     import ast
 
     import periorbit.ivp as ivp
@@ -788,24 +790,75 @@ def test_generated_loops_call_no_min_or_max(monkeypatch):
     make = ivp._loop_source
 
     def spy(n, m, dense, field):
-        source = sources[n, m, dense, field.name] = make(n, m, dense, field)
+        source = make(n, m, dense, field)
+        sources[n, m, dense, field.name, field.mask] = source
         return source
 
     monkeypatch.setattr(ivp, "_LOOPS", {})
     monkeypatch.setattr(ivp, "_loop_source", spy)
     spec = make_example(1.3)
     find_periodic(spec, tol=1e-8)
-    flow = _Flow(spec)
-    flow.shoot(flow.scale, 0.0)
-    numeric_periodic_green(spec.p, spec.l, spec.omega, n=8)
+    zero_q = ProblemSpec(p=pc("0.1"), q=pc("0"), b=pc("0"), c=pc("1"),
+                         e=pc("3 + cos(3*t)"), rho1=1.0, rho2=1.0,
+                         omega=OMEGA)
+    for shooting in (spec, make_cheap_spec(), zero_q):
+        flow = _Flow(shooting)
+        flow.shoot(flow.scale, 0.0)
+        flow.shoot(flow.scale, 0.0, dense=True, jacobian=True)
+    for p, l in ((spec.p, spec.l), (spec.p, pc("2 + cos(3*t)")),
+                 (_numeric_kernel_spec().p, pc("0"))):
+        try:
+            numeric_periodic_green(p, l, spec.omega, n=8)
+        except ResonanceError:
+            assert l.constant == 0.0
+    shapes = {key[:4] for key in sources}
     assert {(2, 2, False, "shooting"), (6, 2, False, "variational"),
-            (6, 2, True, "variational"),
-            (4, 4, True, "monodromy")} <= set(sources)
-    for source in sources.values():
-        called = {node.func.id for node in ast.walk(ast.parse(source))
+            (6, 2, True, "variational"), (4, 4, True, "monodromy")} <= shapes
+    zeros = {"shooting": "pqb", "variational": "pqb", "monodromy": "pl"}
+    dropped = set()
+    for (*_, name, mask), source in sources.items():
+        tree = ast.parse(source)
+        called = {node.func.id for node in ast.walk(tree)
                   if isinstance(node, ast.Call)
                   and isinstance(node.func, ast.Name)}
-        assert not called & {"min", "max"}
+        assert not called & {"min", "max", "abs"}
+        names = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name)}
+        names |= {node.arg for node in ast.walk(tree)
+                  if isinstance(node, ast.arg)}
+        for k, coeff in zip(mask, zeros[name]):
+            if k == 2:
+                dropped.add((name, coeff))
+                assert not {f"_{coeff}", f"{coeff}t"} & names
+    assert dropped == {(name, coeff) for name in zeros
+                       for coeff in zeros[name]}
+
+
+@pytest.mark.parametrize("zeros", range(8))
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fused_shot_with_zero_coefficients_matches_list_oracle(zeros, data):
+    """For each subset of (p, q, b) that is the constant 0, the others
+    varying, the fused shot writes no term for the zeros, and still equals
+    the list oracle, which adds their zero terms, bit for bit: plain and
+    variational, dense and not."""
+    cents = lambda lo, hi: st.integers(lo, hi).map(lambda i: i / 100)
+    values = [0.0 if zeros >> k & 1 else data.draw(cents(-100, 200))
+              for k in range(3)] + [data.draw(cents(10, 300))
+                                    for _ in range(2)]
+    amplitudes = [data.draw(cents(1, 50)) for _ in range(3)] + [
+        data.draw(cents(1, 99)) * v for v in values[3:]]
+    rho1, rho2 = data.draw(cents(50, 250)), data.draw(cents(50, 250))
+    spec = _spec_with_mask(zeros, values, amplitudes, rho1, rho2)
+    flow = _Flow(spec)
+    assert flow.field.mask == tuple(2 if zeros >> k & 1 else 0
+                                    for k in range(5))
+    start = (data.draw(cents(5, 500)), data.draw(cents(-300, 300)))
+    rtol = 10.0 ** -data.draw(st.integers(6, 12))
+    for variational in (False, True):
+        for dense in (False, True):
+            _assert_fused_shot(flow, start, variational, rtol=rtol,
+                               atol=1e-2 * rtol, dense=dense)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -859,7 +912,9 @@ def test_fused_shot_matches_list_oracle_for_every_mask(mask, data):
     rho1, rho2 = data.draw(cents(50, 250)), data.draw(cents(50, 250))
     spec = _spec_with_mask(mask, values, amplitudes, rho1, rho2)
     flow = _Flow(spec)
-    assert flow.field.mask == tuple(bool(mask >> k & 1) for k in range(5))
+    assert flow.field.mask == tuple(
+        0 if not mask >> k & 1 else 2 if k < 3 and values[k] == 0.0 else 1
+        for k in range(5))
     start = (data.draw(cents(5, 500)), data.draw(cents(-300, 300)))
     rtol = 10.0 ** -data.draw(st.integers(6, 12))
     for variational in (False, True):
@@ -871,8 +926,9 @@ def test_fused_shot_matches_list_oracle_for_every_mask(mask, data):
 def test_step_loop_generated_once_per_shape(monkeypatch):
     """A second integration of the same (n, norm_dims, dense, field name,
     field mask) reuses the compiled loop; any other key generates its own.
-    The shooting fields of two problems with the same constant mask share
-    their loops, whatever their coefficients."""
+    The shooting fields of two problems with the same mask share their
+    loops, whatever their coefficients, and a constant p or b that is 0
+    gives a mask, and loops, of its own."""
     import periorbit.ivp as ivp
 
     generated = []
@@ -895,18 +951,22 @@ def test_step_loop_generated_once_per_shape(monkeypatch):
                              (3, 2, False, "generic", (True,))]
 
     generated.clear()
-    e_varies = (True, True, True, True, False)
+    zeros_e_varies, e_varies = (2, 1, 2, 1, 0), (1, 1, 1, 1, 0)
     for spec in (make_cheap_spec(),
+                 _spec_with_mask(0b01111, [0.0, 2.0, 0.0, 1.0, 4.0],
+                                 [0.0] * 4 + [0.5]),
                  _spec_with_mask(0b01111, [0.1, 2.0, 0.5, 1.0, 4.0],
                                  [0.0] * 4 + [0.5]),
                  make_constant_spec()):
         flow = _Flow(spec)
         for jacobian in (False, True, False):
             flow.shoot(flow.scale, 0.0, jacobian=jacobian)
-    assert generated == [(2, 2, False, "shooting", e_varies),
+    assert generated == [(2, 2, False, "shooting", zeros_e_varies),
+                         (6, 2, False, "variational", zeros_e_varies),
+                         (2, 2, False, "shooting", e_varies),
                          (6, 2, False, "variational", e_varies),
-                         (2, 2, False, "shooting", (True,) * 5),
-                         (6, 2, False, "variational", (True,) * 5)]
+                         (2, 2, False, "shooting", (2, 1, 2, 1, 1)),
+                         (6, 2, False, "variational", (2, 1, 2, 1, 1))]
 
 
 def test_generated_loop_shows_in_tracebacks(monkeypatch):

@@ -404,6 +404,24 @@ def test_integration_blowup_near_attractive_singularity():
     assert exc.value.y[0] > 0.0  # last accepted state still above the floor
 
 
+def test_zero_b_takes_no_power_near_the_floor():
+    """b = 0 writes no b x^-rho1 term into the shooting fields, so a shot
+    from just above the guard floor with rho1 = 100, where x^-rho1 is past
+    the float range, integrates.  The term's 0.0 * x ** -100 would raise
+    OverflowError and fail the shot."""
+    spec = ProblemSpec(p=pc("0"), q=pc("1"), b=pc("0"), c=pc("1"),
+                       e=pc("3 + cos(3*t)"), rho1=100.0, rho2=1.0,
+                       omega=OMEGA)
+    flow = _Flow(spec)
+    x0 = 2.0 * flow.eps_min
+    with pytest.raises(OverflowError):
+        x0 ** -spec.rho1
+    for jacobian in (False, True):
+        shot = _return_map(flow, x0, 0.0, jacobian=jacobian)
+        assert shot is not None
+        assert all(math.isfinite(value) for value in shot[:2])
+
+
 def test_find_periodic_rejects_subfloor_starts(spec41):
     with pytest.raises(SingularityError, match="positivity floor"):
         find_periodic(spec41, guess=State(t=0.0, x=1e-9, v=0.0))
