@@ -73,18 +73,20 @@ class _CliError(Exception):
         self.code = code
 
 
-def _resolve(fileref: str) -> LoadedProblem:
-    """The problem that fileref names, parsed and with its float ranges
-    checked (ProblemSpec.check_ranges, a1's included): an error in either
-    is reported with the key's line, exit 2."""
+def _resolve(fileref: str, bundled_first: bool = False) -> LoadedProblem:
+    """The problem in the file at path fileref, else (or, with
+    bundled_first, before it) the bundled instance of that name, parsed
+    and with its float ranges checked (ProblemSpec.check_ranges, a1's
+    included): an error in either is reported with the key's line, exit 2."""
     stem = fileref[:-8] if fileref.endswith(".problem") else fileref
     try:
-        if os.path.exists(fileref):
-            problem = load_problem(fileref)
-        elif stem in _BUNDLED:
+        if stem in _BUNDLED and (bundled_first
+                                 or not os.path.exists(fileref)):
             text = (resources.files("periorbit") / "problems"
                     / f"{stem}.problem").read_text(encoding="utf-8")
             problem = parse_problem_text(text, name=stem)
+        elif os.path.exists(fileref):
+            problem = load_problem(fileref)
         else:
             raise _CliError(
                 f"{fileref}: no such file and not a bundled instance "
@@ -316,7 +318,7 @@ def _fixed_point_error(spec: ProblemSpec, cert: Certificate,
 
 def _reproduce_one(key: str, args, report: list) -> dict:
     ref = _REPRO[key]
-    problem = _resolve(ref["file"])
+    problem = _resolve(ref["file"], bundled_first=True)
     spec = problem.spec
 
     def line(text: str) -> None:

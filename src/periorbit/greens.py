@@ -15,10 +15,10 @@ M = Phi(omega) and B = (I - M)^-1,
     G(t,s) = [Phi(t) (B - I) Phi(s)^-1]_{12},  s >  t,
 
 which satisfies the homogeneous equation off the diagonal, is omega-periodic
-in t, and has a unit upward jump of dG/dt across the diagonal.  Phi comes
-from the DP5 integrator of periorbit.ivp, with dense output: the
-first-order system Phi' = ((0, 1), (-l, -p)) Phi is a Field, written into
-the generated step loop as source, as the shooting system is.  kernel_for
+in t, and has a unit upward jump of dG/dt across the diagonal.  Phi is
+integrated by periorbit.ivp with dense output, under the same source
+writer as the solver's variational system.  B is formed by Cramer's rule,
+and resonance is read off the eigenvalues of M - I and M + I.  kernel_for
 picks between the two constructions from the coefficients' trees: the
 closed form needs p and l constant, that is, written without t, and xi
 below pi/omega.
@@ -56,7 +56,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expressions import PeriodicCoeff, compiled
+from .expressions import PeriodicCoeff
+from .ivp import (IntegrationBlowUp, coefficient_field, eigvals_2x2,
+                  phi_slopes)
 from .quadrature import integrate_adaptive
 
 DEFAULT_GRID = 200
@@ -276,72 +278,51 @@ def closed_form_constant(xi: float, omega: float, n: int = DEFAULT_GRID
 # numeric construction via the fundamental matrix
 
 
+def _periodic_resolvent(m0, m1, m2, m3) -> np.ndarray:
+    """(I - M)^-1 of the monodromy matrix M = ((m0, m1), (m2, m3)), or
+    ResonanceError, as numeric_periodic_green describes."""
+    near = lambda shift: min(map(abs, eigvals_2x2(
+        (m0 - shift, m1, m2, m3 - shift)))) < _RESONANCE_TOL
+    if near(1.0):
+        raise ResonanceError(
+            "monodromy matrix has eigenvalue 1: the homogeneous problem "
+            "admits a periodic solution, no unique periodic response")
+    if near(-1.0):
+        raise ResonanceError(
+            "monodromy matrix has eigenvalue -1: antiperiodic boundary "
+            "case, the periodic kernel construction degenerates")
+    return (np.array([[1.0 - m3, m1], [m2, 1.0 - m0]])
+            / ((m0 - 1.0) * (m3 - 1.0) - m1 * m2))
+
+
 def numeric_periodic_green(p, l, omega: float, n: int = DEFAULT_GRID
                            ) -> GreensFunction:
     """Kernel for general continuous periodic p, l via the monodromy matrix.
 
     p and l are PeriodicCoeff or numbers, taken as constants.  Raises
-    ResonanceError when the monodromy matrix has an eigenvalue within 1e-8
-    of +1 (the homogeneous problem has a periodic solution) or of -1 (the
-    antiperiodic boundary case, where the kernel theory degenerates), and
-    when the integration of the fundamental matrix fails (its step size
-    underflows, as for p or l near the float range).
+    ResonanceError when the monodromy matrix M has an eigenvalue within
+    1e-8 of +1 (the homogeneous problem has a periodic solution) or of -1
+    (the antiperiodic boundary case), read off the eigenvalues of M - I
+    and M + I formed from M's entries, and when the integration of Phi
+    fails (as for p or l near the float range).  B = (I - M)^-1 is formed
+    by Cramer's rule on det(M - I).
     """
-    from .ivp import Field, IntegrationBlowUp, solve_ivp_dp, source_sum
+    # looked up at call time, where bench/spans.py rebinds it
+    from .ivp import solve_ivp_dp
 
-    # the fundamental matrix, row-major (u, w, u', w'), as DP5 loop
-    # source: a number or constant coefficient is read as a float, the
-    # constant 0 writes no term, and a varying one is called once per
-    # slope at the stage time, p before l.  The mask holds, per
-    # coefficient, 0 where it varies, 1 for a constant and 2 for a zero.
-    values = [k.constant if isinstance(k, PeriodicCoeff) else float(k)
-              for k in (p, l)]
-    mask = tuple(0 if value is None else 2 if value == 0.0 else 1
-                 for value in values)
-    args, calls, reads = {}, [], []
-    for name, k, value, state in zip("pl", (p, l), values, mask):
-        if state < 2:
-            args[f"_{name}"] = value if state else compiled(k.expr)
-        if state == 0:
-            calls.append(f"{name}t = _{name}(ts)")
-        reads.append((f"{name}t", f"_{name}", None)[state])
-    pt, lt = reads
-
-    def slopes(k, y, when):
-        u, w, du, dw = y
-        return [*([f"ts = {when}"] if calls else []), *calls,
-                f"{k[0]} = {du}",
-                f"{k[1]} = {dw}",
-                f"{k[2]} = " + source_sum(("-", lt and f"{lt} * {u}"),
-                                          ("-", pt and f"{pt} * {du}")),
-                f"{k[3]} = " + source_sum(("-", lt and f"{lt} * {w}"),
-                                          ("-", pt and f"{pt} * {dw}"))]
-
+    field = coefficient_field(
+        "monodromy", {"p": p, "l": l},
+        lambda k, y, pt, lt: phi_slopes(k, y, ("-", lt), pt))
     try:
-        res = solve_ivp_dp(Field("monodromy", mask, slopes, None, args), 0.0,
-                           np.eye(2).ravel(), omega, rtol=_MONODROMY_RTOL,
-                           atol=_MONODROMY_ATOL, dense=True,
-                           max_step=omega / 16.0)
+        res = solve_ivp_dp(field, 0.0, np.eye(2).ravel(), omega,
+                           rtol=_MONODROMY_RTOL, atol=_MONODROMY_ATOL,
+                           dense=True, max_step=omega / 16.0)
     except IntegrationBlowUp as err:
         raise ResonanceError(
             f"the fundamental-matrix integration failed: {err}") from err
-    M = res.y.reshape(2, 2)
-    eigs = np.linalg.eigvals(M)
-    if np.min(np.abs(eigs - 1.0)) < _RESONANCE_TOL:
-        raise ResonanceError(
-            "monodromy matrix has eigenvalue 1: the homogeneous problem "
-            "admits a periodic solution, no unique periodic response")
-    if np.min(np.abs(eigs + 1.0)) < _RESONANCE_TOL:
-        raise ResonanceError(
-            "monodromy matrix has eigenvalue -1: antiperiodic boundary "
-            "case, the periodic kernel construction degenerates")
-
-    B_low = np.linalg.inv(np.eye(2) - M)
+    B_low = _periodic_resolvent(*res.y.tolist())
     B_up = B_low - np.eye(2)
-    dense = res.dense
-
-    def phi(tarr):
-        return dense(tarr).reshape(-1, 2, 2)
+    phi = lambda tarr: res.dense(tarr).reshape(-1, 2, 2)
 
     def factors(tarr, sarr):
         Pt = phi(tarr)
@@ -396,7 +377,9 @@ def check_A1(p: PeriodicCoeff, l: PeriodicCoeff, a1: PeriodicCoeff
     a2 = p._derived(p.expr + (-a1.expr))
     a1p = a1.derivative()
     ts = np.linspace(0.0, omega, 1025)
-    residual = float(np.max(np.abs(a1p(ts) + a1(ts) * a2(ts) - l(ts))))
+    # an a1 a2 that overflows gives an inf or nan residual: A1 fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.max(np.abs(a1p(ts) + a1(ts) * a2(ts) - l(ts))))
     int_a1 = a1.integrate(0.0, omega)
     int_a2 = a2.integrate(0.0, omega)
     holds = residual <= 1e-8 and int_a1 > 0.0 and int_a2 > 0.0

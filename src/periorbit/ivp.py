@@ -50,6 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .expressions import PeriodicCoeff, compiled
+
 
 class IntegrationBlowUp(RuntimeError):
     """Step size underflowed; .t and .y hold the last accepted state."""
@@ -153,10 +155,7 @@ class Field:
     that passed it.  Every other name the source reads is a key of args,
     and the loop takes args' values as its trailing arguments.  name and
     mask identify the source: fields that share them write the same lines
-    for the same names.  The solver's and the kernel's fields hold in
-    mask, per coefficient, 0 where it varies in t, 1 where it is a
-    constant read as a float, and 2 where it is the constant 0 and writes
-    no term."""
+    for the same names."""
 
     name: str
     mask: tuple
@@ -175,6 +174,63 @@ def source_sum(*terms) -> str:
     (sign, head), rest = kept[0], kept[1:]
     return ("-" if sign == "-" else "") + head + "".join(
         f" {sign} {term}" for sign, term in rest)
+
+
+def coefficient_field(name: str, coeffs: dict, write, veto=None,
+                      **floats) -> Field:
+    """The Field `name` of the coefficients coeffs, a dict from a name k
+    to a PeriodicCoeff or a number, and the float arguments floats.
+
+    write(p, y, *reads) returns the lines that set the slope names p from
+    the state names y, reads holding what each coefficient's terms read.
+    The mask holds per coefficient 0 where it varies in t: the loop takes
+    its compiled scalar function as _k and calls it once per slope into
+    the local kt, its read; 1 where it is a nonzero constant, the float
+    argument and read _k; and 2 where it is the constant 0, which reads
+    None, so each term it scales is a zero left out (source_sum)."""
+    mask, args, reads = [], dict(floats), []
+    for k, coeff in coeffs.items():
+        value = (coeff.constant if isinstance(coeff, PeriodicCoeff)
+                 else float(coeff))
+        mask.append(0 if value is None else 2 if value == 0.0 else 1)
+        if value != 0.0:
+            args[f"_{k}"] = compiled(coeff.expr) if value is None else value
+        reads.append(f"{k}t" if value is None else f"_{k}" if value else None)
+    calls = [f"{k}t = _{k}(ts)" for k, bit in zip(coeffs, mask) if bit == 0]
+
+    def slopes(p, y, when):
+        head = [f"ts = {when}", *calls] if calls else []
+        return head + write(p, y, *reads)
+
+    return Field(name, tuple(mask), slopes, veto, args)
+
+
+def phi_slopes(k: list, phi: list, a: tuple, p: str | None) -> list:
+    """The lines that set the slope names k of a fundamental matrix
+    Phi = ((u, w), (u', w')), stored row-major in the names phi, under
+    Phi' = ((0, 1), (a, -p)) Phi.  a is a signed term, (sign, expression),
+    and p an expression, each left out where None (source_sum)."""
+    u, w, du, dw = phi
+    sign, a = a
+    row = lambda z, dz: source_sum((sign, a and f"{a} * {z}"),
+                                   ("-", p and f"{p} * {dz}"))
+    return [f"{k[0]} = {du}", f"{k[1]} = {dw}",
+            f"{k[2]} = {row(u, du)}", f"{k[3]} = {row(w, dw)}"]
+
+
+def eigvals_2x2(m) -> tuple[complex, complex]:
+    """The eigenvalues of the row-major 2x2 matrix m, the larger-modulus
+    one first up to rounding; their product is det m.  Taken of M - I or
+    M + I, formed from M's entries, they keep their digits where M's own
+    eigenvalues, near 1 or -1, would lose half of them to cancellation."""
+    half = 0.5 * (m[0] + m[3])
+    det = m[0] * m[3] - m[1] * m[2]
+    disc = half * half - det
+    if disc < 0.0:
+        root = math.sqrt(-disc)
+        return complex(half, root), complex(half, -root)
+    big = half + math.copysign(math.sqrt(disc), half)
+    return complex(big), complex(det / big if big else 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,7 @@ side is never evaluated at or below the singularity floor), and applies
 damped Newton iteration to the return-map defect F(s) = flow(s) - s.  The
 force formula and the guard are written into the integrator's generated
 step loop as source (see _field), so a stage costs no Python call beyond
-the coefficients that vary in time: a coefficient whose expression tree
-is a constant is folded into the loop as a float argument, and a p, q or
-b whose tree is the constant 0 writes no term at all.  The
-Jacobian of F is M - I, where the monodromy matrix M is the fundamental
+the coefficients that vary in time.  The Jacobian of F is M - I, where the monodromy matrix M is the fundamental
 matrix of the variational equations, integrated in the same shot as the
 state.  Such a shot takes the plain shot's steps and ends in its state, so
 while Newton takes full steps its lam = 1 candidate is shot that way, with
@@ -34,10 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import compiled
 from .greens import GreensFunction
 from .hypotheses import ProblemSpec
-from .ivp import Field, IntegrationBlowUp, solve_ivp_dp, source_sum
+from .ivp import (Field, IntegrationBlowUp, coefficient_field, eigvals_2x2,
+                  phi_slopes, solve_ivp_dp, source_sum)
 from .transform import (ORIGINAL, TRANSFORMED, PositivityError, SampledPath,
                         TransformedSpec, residual, x_from_y)
 
@@ -153,58 +150,31 @@ def _field(spec: ProblemSpec, eps_min: float, variational: bool) -> Field:
     after x and v: Phi' = ((0, 1), (f_x, -p)) Phi, where
     f_x = -q + (m1 b x^m1 + m2 c x^m2) / x is the x-derivative of the
     force, m1 = -rho1 and m2 = -rho2.  Its (x', v') are the plain field's,
-    operation for operation.  A coefficient whose tree is a constant is
-    read as a float; the others are called at the stage time through
-    their compiled scalar functions.  A p, q or b whose tree is the
-    constant 0 writes no term: each term it drops is a zero, so a sum
-    changes at most in the sign of an exact zero, and b's power x^m1 is
-    not taken, so an x whose power overflows no longer fails the shot.
-    The mask holds, per coefficient of (p, q, b, c, e), 0 where it varies,
-    1 where it is a constant and 2 where it is a dropped zero.
+    operation for operation.  A p, q or b that is the constant 0 writes
+    no term (coefficient_field): an x whose power x^m1 would overflow no
+    longer fails the shot.
     """
-    coeffs = (spec.p, spec.q, spec.b, spec.c, spec.e)
-    mask = tuple(0 if k.constant is None else
-                 2 if k.constant == 0.0 and name in "pqb" else 1
-                 for name, k in zip("pqbce", coeffs))
-    args = {"_eps": eps_min, "_m1": -spec.rho1, "_m2": -spec.rho2}
-    terms = []
-    for name, k, state in zip("pqbce", coeffs, mask):
-        if state < 2:
-            args[f"_{name}"] = k.constant if state else compiled(k.expr)
-        terms.append((f"_{name}(ts)", f"_{name}", None)[state])
-    P, Q, B, C, E = terms
-    # a varying p or q is called once per slope, into a local: the
-    # variational slope reads each three times
-    pt = "pt" if mask[0] == 0 else P
-    qt = "qt" if mask[1] == 0 else Q
 
-    def slopes(p, y, when):
+    def write(p, y, P, Q, B, C, E):
         x, v = y[:2]
-        lines = [] if all(mask) else [f"ts = {when}"]
-        lines += [f"{local} = {term}" for local, term in ((pt, P), (qt, Q))
-                  if local != term]
-        if B:
-            lines.append(f"bx = {B} * {x} ** _m1")
+        lines = [f"bx = {B} * {x} ** _m1"] if B else []
         lines += [f"cx = {C} * {x} ** _m2",
                   f"{p[0]} = {v}",
                   f"{p[1]} = " + source_sum(
-                      ("-", pt and f"{pt} * {v}"), ("-", qt and f"{qt} * {x}"),
+                      ("-", P and f"{P} * {v}"), ("-", Q and f"{Q} * {x}"),
                       ("+", B and "bx"), ("+", "cx"), ("+", E))]
         if variational:
-            u, w, du, dw = y[2:]
             powers = source_sum(("+", B and "_m1 * bx"), ("+", "_m2 * cx"))
-            lines += ["fx = " + source_sum(("+", f"({powers}) / {x}"),
-                                            ("-", qt)),
-                      f"{p[2]} = {du}",
-                      f"{p[3]} = {dw}",
-                      f"{p[4]} = " + source_sum(
-                          ("+", f"fx * {u}"), ("-", pt and f"{pt} * {du}")),
-                      f"{p[5]} = " + source_sum(
-                          ("+", f"fx * {w}"), ("-", pt and f"{pt} * {dw}"))]
+            lines.append("fx = " + source_sum(("+", f"({powers}) / {x}"),
+                                               ("-", Q)))
+            lines += phi_slopes(p[2:], y[2:], ("+", "fx"), P)
         return lines
 
-    return Field("variational" if variational else "shooting", mask, slopes,
-                 lambda y: f"not ({y[0]} > _eps)", args)
+    return coefficient_field(
+        "variational" if variational else "shooting",
+        {"p": spec.p, "q": spec.q, "b": spec.b, "c": spec.c, "e": spec.e},
+        write, lambda y: f"not ({y[0]} > _eps)",
+        _eps=eps_min, _m1=-spec.rho1, _m2=-spec.rho2)
 
 
 class _Flow:
@@ -390,19 +360,6 @@ def find_periodic(spec: ProblemSpec, guess: State | None = None,
         best, flow.shots, newton_steps, tuple(stops))
 
 
-def _floquet(M) -> tuple[complex, complex]:
-    """Eigenvalues of the row-major 2x2 matrix M, the larger-modulus one
-    first; their product is det M."""
-    half = 0.5 * (M[0] + M[3])
-    det = M[0] * M[3] - M[1] * M[2]
-    disc = half * half - det
-    if disc < 0.0:
-        root = math.sqrt(-disc)
-        return complex(half, root), complex(half, -root)
-    big = half + math.copysign(math.sqrt(disc), half)
-    return complex(big), complex(det / big if big else 0.0)
-
-
 def _package(spec: ProblemSpec, flow: _Flow, x: float, v: float, fn: float,
              steps: int, factor: float, tol: float, carried) -> Orbit:
     """The orbit through the converged point (x, v).  carried is (M, dense
@@ -429,7 +386,7 @@ def _package(spec: ProblemSpec, flow: _Flow, x: float, v: float, fn: float,
         newton_steps=steps,
         start_factor=factor,
         tol=tol,
-        multipliers=_floquet(M),
+        multipliers=eigvals_2x2(M),
         det_M_minus_I=(M[0] - 1.0) * (M[3] - 1.0) - M[1] * M[2],
     )
 

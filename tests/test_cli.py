@@ -283,6 +283,18 @@ def test_a1_mean_past_float_range_exit_2(tmp_path, capsys, monkeypatch):
                             monkeypatch)
 
 
+def test_check_a1_product_overflow_fails_without_a_warning(tmp_path,
+                                                          capsys):
+    """a1 = -8e307 is finite, and so are a1' and both means, but a1 a2
+    overflows on the grid: the factorisation residual is inf and A1
+    fails, with no RuntimeWarning (an error under the test filter)."""
+    path = tmp_path / "a1.problem"
+    path.write_text(_A1_TEXT.format("-8e307"))
+    assert cli.main(["check", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "positivity A1: fails  factorisation_residual = inf" in out
+
+
 @pytest.mark.parametrize("command", ["check", "greens", "solve"])
 def test_q_over_alpha_past_float_range_exit_2(tmp_path, capsys, command):
     """q = 1e308 is finite, but l = q/alpha = 2.5e308 is not."""
@@ -676,6 +688,22 @@ def test_reproduce_all_prints_both_slope_constants(tmp_path, capsys):
     doc = json.loads((tmp_path / "reproduce.json").read_text())
     assert set(doc) == {"4.1", "4.2", "4.3"}
     assert all(doc[k]["pass"] for k in doc)
+
+
+def test_reproduce_ignores_a_file_named_like_a_bundled_instance(tmp_path,
+                                                                capsys):
+    """A file named example41 that holds example42's text: check reads the
+    file, a path coming first, but reproduce 4.1 replays the bundled
+    instance."""
+    (tmp_path / "example41").write_text(
+        (ROOT / "src" / "periorbit" / "problems"
+         / "example42.problem").read_text())
+    assert cli.main(["check", "example41"]) == 0
+    assert "theorem: T3.2" in capsys.readouterr().out
+    assert cli.main(["reproduce", "4.1"]) == 0
+    out = capsys.readouterr().out
+    assert "[4.1] theorem T3.1 (reference T3.1)" in out
+    assert "[4.1] PASS" in out
 
 
 def test_reproduce_rejects_unknown_id():

@@ -17,10 +17,12 @@ from kernel_oracles import (
     solve_linear,
 )
 from periorbit import parse_problem_text
+from periorbit.ivp import eigvals_2x2
 from periorbit.greens import (
     _SURFACES,
     ResonanceError,
     _periodic_images,
+    _periodic_resolvent,
     check_A1,
     check_A2,
     check_chu,
@@ -387,6 +389,55 @@ def test_resonance_antiperiodic_numeric():
     # refuses rather than returning a sign-degenerate kernel
     with pytest.raises(ResonanceError):
         numeric_periodic_green(0.0, 2.25, OMEGA)
+
+
+@pytest.mark.parametrize("turns, match", [(1.0, "eigenvalue 1"),
+                                          (0.5, "eigenvalue -1")])
+def test_resonance_edges(turns, match):
+    """p = 0, l = xi^2: M's eigenvalues are exp(+-i xi omega), within
+    2 pi turns rel of 1 (turns = 1) or of -1 (turns = 1/2) when
+    xi omega = 2 pi turns (1 + rel).  rel = 1e-10 is resonant on either
+    side of the edge, and rel = 1e-6 is not."""
+    for sign in (1.0, -1.0):
+        for rel, resonant in ((1e-10, True), (1e-6, False)):
+            xi = 2.0 * math.pi * turns * (1.0 + sign * rel) / OMEGA
+            if resonant:
+                with pytest.raises(ResonanceError, match=match):
+                    numeric_periodic_green(0.0, xi * xi, OMEGA, n=8)
+            else:
+                numeric_periodic_green(0.0, xi * xi, OMEGA, n=8)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(m=st.lists(st.floats(-4.0, 4.0), min_size=4, max_size=4))
+@example(m=[1.0, 0.0, 0.0, 1.0])
+@example(m=[-1.0, 1.0, 0.0, -1.0])
+@example(m=[1.0, 1e-9, -1e-9, 1.0])
+@example(m=[0.0, 1.0, 0.0, 0.0])
+@example(m=[2.0, 1.0, 1.0, 3.0])
+def test_monodromy_algebra_matches_linalg(m):
+    """The eigenvalues of M - I and M + I, formed from M's entries, are
+    numpy.linalg's eigenvalues of M shifted by -1 and +1, and
+    _periodic_resolvent raises ResonanceError where either comes within
+    1e-8 of 0, else returns numpy.linalg's (I - M)^-1.  An eigenvalue of
+    a nearly defective M moves by about sqrt(eps) |M| under rounding,
+    which bounds how far the two may differ."""
+    M = np.array(m).reshape(2, 2)
+    ref = np.linalg.eigvals(M)
+    nearest = []
+    for shift in (1.0, -1.0):
+        mine = sorted(map(abs, eigvals_2x2((m[0] - shift, m[1], m[2],
+                                            m[3] - shift))))
+        assert np.allclose(mine, np.sort(np.abs(ref - shift)), rtol=1e-12,
+                           atol=1e-7)
+        nearest.append(mine[0])
+    if min(nearest) < 1e-8:
+        with pytest.raises(ResonanceError):
+            _periodic_resolvent(*m)
+        return
+    B, ref_B = _periodic_resolvent(*m), np.linalg.inv(np.eye(2) - M)
+    bound = 64 * np.finfo(float).eps * np.linalg.cond(np.eye(2) - M)
+    assert np.max(np.abs(B - ref_B)) <= bound * np.max(np.abs(ref_B))
 
 
 def test_resonance_periodic_closed_form():

@@ -2,6 +2,7 @@
 command line rely on, and no more.  Everything else is reached through
 its submodule and is internal."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -50,3 +51,20 @@ def test_readme_library_use_runs_verbatim(monkeypatch, capsys):
     assert len(lines) == 2
     assert lines[0].startswith("T3.1 True (")
     assert abs(float(lines[1].split()[0]) - 399.93) < 0.5
+
+
+def test_src_needs_no_numpy_linalg():
+    """The package takes its 2x2 eigenvalues and inverses from matrix
+    entries: no source file names numpy.linalg or imports linalg."""
+    sources = sorted((ROOT / "src" / "periorbit").glob("*.py"))
+    assert len(sources) > 5
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "linalg", (path.name, node.lineno)
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+                assert not any("linalg" in n for n in names), path.name
+            elif isinstance(node, ast.Import):
+                assert not any("linalg" in a.name for a in node.names), \
+                    path.name

@@ -20,7 +20,7 @@ from periorbit import (
     parse_problem_text,
 )
 from periorbit.greens import closed_form_constant, numeric_periodic_green
-from periorbit.ivp import IntegrationBlowUp
+from periorbit.ivp import IntegrationBlowUp, eigvals_2x2
 from periorbit.solver import (
     _MAX_NEWTON,
     _SHOOT_RTOL,
@@ -31,7 +31,6 @@ from periorbit.solver import (
     STOP_SINGULAR,
     STOP_STAGNANT,
     _Flow,
-    _floquet,
     _return_map,
     apply_T,
     cone_check,
@@ -534,7 +533,7 @@ def test_stagnation_stops_every_start(monkeypatch, spec41):
     (0.0, 1.0, 0.0, 0.0),        # nilpotent: both multipliers 0
 ])
 def test_floquet_real_multipliers(M):
-    mine = _floquet(M)
+    mine = eigvals_2x2(M)
     ref = np.linalg.eigvals(np.array(M).reshape(2, 2))
     assert all(m.imag == 0.0 for m in mine)
     assert abs(mine[0]) >= abs(mine[1])
@@ -590,7 +589,7 @@ def test_packaging_matches_a_fresh_shot(which, request):
                         (orbit.path.v, path.v)):
         assert np.array_equal(mine, fresh)
     M = _Flow(spec).shoot(x, v, jacobian=True).y[2:].tolist()
-    assert orbit.multipliers == _floquet(M)
+    assert orbit.multipliers == eigvals_2x2(M)
     assert orbit.det_M_minus_I == (M[0] - 1.0) * (M[3] - 1.0) - M[1] * M[2]
     assert orbit.ode_residual_y == residual(spec, orbit.y_path, TRANSFORMED)
     assert orbit.ode_residual_y == _residual_y_oracle(spec, orbit.y_path)
