@@ -141,6 +141,30 @@ def test_check_invalid_problem_exit_2(tmp_path, capsys):
     assert "c must be positive" in err
 
 
+# c dips below 0 only in a narrow well at t = pi + pi/4096, halfway between
+# two samples; the lowest sample reads 5e-7 at t = 0
+NARROW_WELL_C = """\
+omega = 2*pi
+p = 0
+q = 1
+b = 0
+c = 1.0000005 - cos(t) - 2.000001*exp(-1000*(1 + cos(t - 0.0007669903939428206)))
+e = 1
+rho1 = 3/2
+rho2 = 13/10
+"""
+
+
+def test_check_c_negative_in_a_narrow_well_exit_2(tmp_path, capsys):
+    bad = tmp_path / "well.problem"
+    bad.write_text(NARROW_WELL_C)
+    code = cli.main(["check", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (f"error: {bad}: line 5: c must be positive over a full "
+                   f"period (min -7.94284e-07 at t = 3.14236)\n")
+
+
 # each value is out of the float range or evaluates to inf or nan on the
 # period grid; (key, value, line of the key in the text below)
 _NON_FINITE = [("c", "exp(1000)", 5), ("q", "1e400", 3), ("q", "10^400", 3),

@@ -1,11 +1,18 @@
 """Expression parsing, evaluation, calculus helpers, and periodic coefficients."""
 
+import builtins
+import dataclasses
 import decimal
+import json
 import math
+import os
 import pickle
 import struct
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,12 +275,34 @@ def test_compiled_function_is_built_once():
     assert compiled(e) is not compiled(e, array=True)
 
 
+def test_scalar_and_array_builds_compile_the_source_once(monkeypatch):
+    """The scalar and the array function bind one code object, so a tree
+    used both ways is compiled once; its non-finite constants are bound
+    with it."""
+    sources = []
+    real_compile = builtins.compile
+
+    def spy(source, filename, *args, **kwargs):
+        if filename == "<periorbit expression>":
+            sources.append(source)
+        return real_compile(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", spy)
+    e = Add(Mul(Const(math.inf), Cos(TimeVar())), Const(2.0))
+    assert evaluate(e, 0.0) == math.inf
+    assert list(evaluate(e, np.array([0.0, math.pi]))) == [math.inf,
+                                                           -math.inf]
+    assert len(sources) == 1
+
+
 def test_evaluated_expression_still_pickles():
     e = parse_expression("(2+cos(3*t))^(3/2)")
     evaluate(e, 0.4)
     evaluate(e, np.array([0.4]))
+    assert {"_code", "_scalar_fn", "_array_fn"} <= set(vars(e))
     back = pickle.loads(pickle.dumps(e))
     assert back == e
+    assert not {"_code", "_scalar_fn", "_array_fn"} & set(vars(back))
     assert evaluate(back, 0.4) == evaluate(e, 0.4)
 
 
@@ -623,6 +652,47 @@ def test_extrema_frozen_examples():
     assert kx.min_value == 10.0 and kx.max_value == 10.0
 
 
+# a narrow well at t = pi + pi/4096, halfway between two samples, deeper
+# than the lowest sample (-1 at t = 0); both samples at its edges read
+# about -0.9994
+NARROW_WELL = ("-cos(t) - 2.000001*exp(-1000*(1 + cos(t - "
+               "0.0007669903939428206)))")
+
+
+def test_extrema_find_a_narrow_deeper_well():
+    """Every sampled local minimum is refined, not only the lowest
+    sample's basin."""
+    ex = pc(NARROW_WELL, 2.0 * math.pi).extrema()
+    assert ex.min_value == pytest.approx(-1.0000012942843701, abs=1e-15)
+    assert ex.t_min == pytest.approx(3.14236, abs=1e-5)
+
+
+def test_tied_extrema_are_read_at_their_first_sample():
+    """2 + cos(128t) reads 1 and 3 exactly at 128 sampled minima and 129
+    sampled maxima; numpy's default sort of those seeds puts a later tie
+    first on an AVX-512 CPU."""
+    ex = pc("2+cos(128*t)", 2.0 * math.pi).extrema()
+    assert (ex.min_value, ex.max_value) == (1.0, 3.0)
+    assert (ex.t_min, ex.t_max) == (math.pi / 128, 0.0)
+
+
+def test_extrema_refine_at_most_eight_seeds(monkeypatch):
+    """A family-solve b0 + b1*cos(3t) has one sampled minimum and a maximum
+    at each end: at most 8 golden-section searches in all."""
+    calls = []
+    real = expressions.golden_min
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(expressions, "golden_min", counted)
+    ex = pc("0.7091+0.2147*cos(3*t)").extrema()
+    assert ex.min_value == 0.7091 - 0.2147 and ex.max_value == 0.9238
+    assert (ex.t_min, ex.t_max) == (OMEGA / 2, 0.0)
+    assert 0 < len(calls) <= 8
+
+
 def test_extrema_cached_on_the_coefficient(monkeypatch):
     coeff = pc("1+2*cos(3*t)")
     first = coeff.extrema()
@@ -815,7 +885,7 @@ def _old_extrema(coeff):
 
     def refine(sign):
         signed = sign * vals
-        order = np.argsort(signed)[:8]
+        order = np.argsort(signed, kind="stable")[:8]
         best_t = float(ts[order[0]])
         best_v = float(signed[order[0]])
         for idx in order:
@@ -865,28 +935,33 @@ def _old_mean_positive_part(coeff):
     return max(total, 0.0) / coeff.omega
 
 
-def _generated_coefficients(monkeypatch):
-    """The coefficients of the family-solve and solve-failure benchmark
-    texts of two seeds and of example41-43, with their derivatives."""
-    from pathlib import Path
+ROOT = Path(__file__).resolve().parents[1]
 
+
+def _coefficients_of(texts):
+    """The coefficients of the problem texts, with their derivatives."""
     from periorbit import parse_problem_text
 
-    root = Path(__file__).resolve().parents[1]
-    monkeypatch.syspath_prepend(str(root / "bench"))
-    import workloads
-
-    texts = [path.read_text() for path in
-             sorted((root / "src" / "periorbit" / "problems").glob("*.problem"))]
-    for seed in (41, 42):
-        for kind in (workloads.FamilySolve, workloads.SolveFailure):
-            texts += kind(seed, "", "").texts
     coeffs = []
     for text in texts:
         spec = parse_problem_text(text).spec
         for k in (spec.p, spec.q, spec.b, spec.c, spec.e):
             coeffs += [k, k.derivative()]
     return coeffs
+
+
+def _generated_coefficients(monkeypatch):
+    """The coefficients of the family-solve and solve-failure benchmark
+    texts of two seeds and of example41-43, with their derivatives."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import workloads
+
+    texts = [path.read_text() for path in
+             sorted((ROOT / "src" / "periorbit" / "problems").glob("*.problem"))]
+    for seed in (41, 42):
+        for kind in (workloads.FamilySolve, workloads.SolveFailure):
+            texts += kind(seed, "", "").texts
+    return _coefficients_of(texts)
 
 
 def test_coefficient_analysis_matches_list_oracle(monkeypatch):
@@ -907,3 +982,66 @@ def test_coefficient_analysis_matches_list_oracle(monkeypatch):
         constant += ext.min_value == ext.max_value
     # sign-changing b of T3.3-II and derivatives; p = 0 and constant q
     assert changing > 20 and constant > 20
+
+
+def _bits(values):
+    return [struct.pack("<d", v).hex() for v in values]
+
+
+# seed 41's family-solve coefficients and 2 + cos(3t), whose maximum 3 is
+# read at both ends of the period: each with its extrema and the list
+# oracle's, as hex bits
+_SIMD_SCRIPT = """
+import dataclasses, json, workloads
+from conftest import pc
+from test_expressions import _bits, _coefficients_of, _old_extrema
+coeffs = _coefficients_of(workloads.FamilySolve(41, "", "").texts)
+coeffs.append(pc("2+cos(3*t)"))
+print(json.dumps([(_bits(dataclasses.astuple(k.extrema())),
+                   _bits(_old_extrema(k))) for k in coeffs]))
+"""
+
+
+def _has_exp(e) -> bool:
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if type(node) is Exp:
+            return True
+        stack += expressions._children(node)
+    return False
+
+
+def test_extremum_locations_do_not_depend_on_numpy_simd_dispatch(
+        monkeypatch):
+    """numpy's default argsort orders tied samples by its SIMD dispatch;
+    the seeds are sorted stably.  With every SIMD feature numpy dispatches
+    to on this CPU switched off (the "found" list of numpy.show_runtime()),
+    the extrema still match the list oracle bit for bit, 2 + cos(3t) still
+    reads its maximum at t = 0, and every coefficient free of exp, whose
+    grid values do not follow the dispatch, has the extrema found here."""
+    from numpy._core._multiarray_umath import (
+        __cpu_dispatch__,
+        __cpu_features__,
+    )
+
+    found = [f for f in __cpu_dispatch__ if __cpu_features__[f]]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(found),
+               PYTHONPATH=os.pathsep.join(
+                   str(ROOT / d) for d in ("src", "bench", "tests")))
+    run = subprocess.run([sys.executable, "-c", _SIMD_SCRIPT], env=env,
+                         capture_output=True, text=True, cwd=ROOT)
+    assert run.returncode == 0, run.stderr
+    rows = json.loads(run.stdout)
+    assert all(got == oracle for got, oracle in rows)
+    assert rows[-1][0][3] == _bits([0.0])[0]
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import workloads
+
+    here = _coefficients_of(workloads.FamilySolve(41, "", "").texts)
+    here.append(pc("2+cos(3*t)"))
+    assert len(here) == len(rows)
+    free = [(got, _bits(dataclasses.astuple(k.extrema())))
+            for (got, _), k in zip(rows, here) if not _has_exp(k.expr)]
+    assert len(free) > len(rows) // 2
+    assert all(there == local for there, local in free)
