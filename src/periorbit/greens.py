@@ -35,18 +35,26 @@ O(n) time and memory instead of an (n+1)^2 kernel matrix.
 Constants attached to a kernel: the extreme values g_max and g_min, the
 largest slope gt_max = max |dG/dt| (diagonal counted one-sided on both
 branches), the cone floor ratio sigma = g_min/(g_max + gt_max), and the
-slope-to-value bound delta = gt_max/g_min.  Every kernel value, on the grid
-or anywhere else, is built from the rank-2 factors.  The closed form's
-g_max, g_min and gt_max are a few float operations: on each branch the
-cosine's argument runs exactly over [-xi omega/2, xi omega/2], inside
-(-pi/2, pi/2).  A numeric kernel's are estimates: each is the best value
-a refining scan finds, seeded at the grid cell where its surface is
-extreme and at that cell's periodic images; they are not outward-rounded
-enclosures.  The scan refines all its windows, of the three surfaces
-and their images, in lockstep: each level takes one factors call for
-every window's abscissae and evaluates the windows by stacked matrix
-products, the BLAS products the grid itself is evaluated with, so each
-window finds the values it would find scanned alone, bit for bit.
+slope-to-value bound delta = gt_max/g_min.  Every kernel value, on the
+grid or anywhere else, is built from the rank-2 factors; a numeric
+kernel's factors evaluate the dense Phi once a call, on both abscissa
+arrays together.  The closed form's g_max, g_min and gt_max are a few
+float operations: on each branch the cosine's argument runs exactly over
+[-xi omega/2, xi omega/2], inside (-pi/2, pi/2).  They need no grid, and
+its kernel grid is evaluated only when read, as the greens command reads
+it.  A numeric kernel's are estimates: each is the best value a refining
+scan finds, seeded at the grid cell where its surface is extreme (the
+grid's argmin and argmax of G, and the argmax of |dG/dt| with both
+one-sided slopes on the diagonal) and at that cell's periodic images; they
+are not outward-rounded enclosures.  The scan refines all its windows, of
+the three surfaces and their images, in lockstep: each level takes one
+factors call for every window's abscissae and evaluates the windows by
+stacked matrix products, the BLAS products the grid itself is evaluated
+with, so each window finds the values it would find scanned alone, bit for
+bit.
+
+The CHU criterion samples p, its exponential weights and l over one
+period; the window integrals over [t, t + omega] follow from periodicity.
 """
 
 from __future__ import annotations
@@ -67,6 +75,7 @@ _MONODROMY_RTOL = 1e-12
 _MONODROMY_ATOL = 1e-14
 _SCAN_POINTS = 17        # per axis of each extremum-scan level
 _SCAN_LEVELS = 5         # each level cuts the scan's shortfall ~60-fold
+_RAMP = np.arange(float(_SCAN_POINTS))  # a scan window's point indices
 
 
 class ResonanceError(RuntimeError):
@@ -75,20 +84,23 @@ class ResonanceError(RuntimeError):
 
 @dataclass
 class GreensFunction:
-    """Kernel grid plus constants; treat as immutable after construction.
+    """Kernel constants and factors; treat as immutable after construction.
 
-    G and Gt hold G(t_i, s_j) and dG/dt(t_i, s_j) on the (n+1)^2 grid; the
-    diagonal carries the s <= t branch.  source is "closed-form" or
-    "numeric".  _factors(t, s) returns the rank-2 factors (U(t), U'(t),
-    V_lower(s), V_upper(s)), each of shape (len, 2), with
-    G = U.V_branch and dG/dt = U'.V_branch on each branch.
+    G and Gt hold G(t_i, s_j) and dG/dt(t_i, s_j) on the (n+1)^2 grid t;
+    the diagonal carries the s <= t branch.  The first read of either
+    evaluates both from the factors in one call, and they are kept.  A
+    numeric kernel's build evaluates that grid anyway, for its positivity
+    test and scan seeds, and hands it over; a closed-form kernel evaluates
+    it only when read, as the greens command reads it, and certify never
+    does.  source is "closed-form" or "numeric".  _factors(t, s) returns
+    the rank-2 factors (U(t), U'(t), V_lower(s), V_upper(s)), each of
+    shape (len, 2), with G = U.V_branch and dG/dt = U'.V_branch on each
+    branch.
     """
 
     omega: float
     n: int
     t: np.ndarray
-    G: np.ndarray
-    Gt: np.ndarray
     g_max: float
     g_min: float
     gt_max: float
@@ -97,6 +109,20 @@ class GreensFunction:
     positive: bool
     source: str
     _factors: object = field(repr=False)
+    _grid: tuple | None = field(default=None, repr=False)
+
+    @property
+    def G(self) -> np.ndarray:
+        return self._kernel_grid()[0]
+
+    @property
+    def Gt(self) -> np.ndarray:
+        return self._kernel_grid()[1]
+
+    def _kernel_grid(self):
+        if self._grid is None:
+            self._grid = _evaluate(self._factors, self.t, self.t)
+        return self._grid
 
     def kernel(self, t, s, branch: str = "auto"):
         """Evaluate (G, Gt) on the outer product of abscissa arrays.
@@ -178,6 +204,20 @@ def _periodic_images(i, j, n):
     return [(a, b) for a in alt(i) for b in alt(j)]
 
 
+def _window_abscissae(centres, width, omega):
+    """np.linspace(max(0, c - width), min(omega, c + width), _SCAN_POINTS,
+    axis=-1) for every centre c, bit for bit: numpy's own formula, lo plus
+    _RAMP times (hi - lo)/(_SCAN_POINTS - 1), with the last point set to
+    hi.  The centres lie in [0, omega] and width <= omega, so every window
+    has hi - lo >= width > 0 and numpy's branch for a zero step never
+    applies."""
+    lo = np.maximum(0.0, centres - width)
+    hi = np.minimum(omega, centres + width)
+    x = lo[:, None] + _RAMP * ((hi - lo) / (_SCAN_POINTS - 1))[:, None]
+    x[:, -1] = hi
+    return x
+
+
 def _scanned_extremes(factors, tgrid, G, Gt):
     """(g_min, g_max, gt_max) of a numeric kernel.  Each surface is scanned
     from its grid argmax and that cell's periodic images, so the constants
@@ -190,11 +230,16 @@ def _scanned_extremes(factors, tgrid, G, Gt):
     written out by hand they round differently where BLAS fuses.
     """
     omega, n, width = tgrid[-1], len(tgrid) - 1, tgrid[1] - tgrid[0]
-    tau = tgrid[:, None] - tgrid[None, :]
+    # _slope on the grid: the grid increases strictly, so tau = 0 exactly
+    # on its diagonal.  argmin(G) picks argmax(-G)'s cell, ties and NaN
+    # included.
+    slope = np.abs(Gt)
+    diag = np.arange(n + 1)
+    slope[diag, diag] = np.maximum(slope[diag, diag],
+                                   np.abs(Gt[diag, diag] - 1.0))
     centres, spans = [], []
-    for surface in _SURFACES:
-        vals = surface(tau, G, Gt)
-        i, j = np.unravel_index(np.argmax(vals), vals.shape)
+    for flat in (np.argmin(G), np.argmax(G), np.argmax(slope)):
+        i, j = np.unravel_index(flat, G.shape)
         images = _periodic_images(i, j, n)
         spans.append(slice(len(centres), len(centres) + len(images)))
         centres += [(tgrid[a], tgrid[b]) for a, b in images]
@@ -202,9 +247,7 @@ def _scanned_extremes(factors, tgrid, G, Gt):
     windows = np.arange(len(centres))
     best = np.full(len(centres), -np.inf)
     for _ in range(_SCAN_LEVELS):
-        ts, ss = (np.linspace(np.maximum(0.0, c - width),
-                              np.minimum(omega, c + width), _SCAN_POINTS,
-                              axis=-1) for c in (tc, sc))
+        ts, ss = (_window_abscissae(c, width, omega) for c in (tc, sc))
         U, dU, V_lo, V_up = (f.reshape(len(centres), _SCAN_POINTS, 2)
                              for f in factors(ts.ravel(), ss.ravel()))
         V_lo, V_up = V_lo.transpose(0, 2, 1), V_up.transpose(0, 2, 1)
@@ -225,21 +268,24 @@ def _scanned_extremes(factors, tgrid, G, Gt):
     return -found[0], found[1], found[2]
 
 
-def _assemble(omega, n, factors, source, positive=None,
-              extremes=None) -> GreensFunction:
+def _assemble(omega, n, factors, source, extremes=None) -> GreensFunction:
+    """The kernel from its factors.  A closed-form kernel passes its
+    extremes and is positive where it is built; a numeric one evaluates
+    the grid here, for its positivity test and the scan's seeds, and
+    hands it to the GreensFunction."""
     tgrid = np.linspace(0.0, omega, n + 1)
-    G, Gt = _evaluate(factors, tgrid, tgrid)
+    grid, positive = None, True
     if extremes is None:
-        extremes = _scanned_extremes(factors, tgrid, G, Gt)
+        grid = _evaluate(factors, tgrid, tgrid)
+        extremes = _scanned_extremes(factors, tgrid, *grid)
+        positive = bool(grid[0].min() > 0.0 and extremes[0] > 0.0)
     g_min, g_max, gt_max = extremes
-    if positive is None:
-        positive = bool(G.min() > 0.0 and g_min > 0.0)
     sigma = g_min / (g_max + gt_max)
     delta = gt_max / g_min
-    return GreensFunction(omega=omega, n=n, t=tgrid, G=G, Gt=Gt,
-                          g_max=g_max, g_min=g_min, gt_max=gt_max,
-                          sigma=sigma, delta=delta, positive=positive,
-                          source=source, _factors=factors)
+    return GreensFunction(omega=omega, n=n, t=tgrid, g_max=g_max,
+                          g_min=g_min, gt_max=gt_max, sigma=sigma,
+                          delta=delta, positive=positive, source=source,
+                          _factors=factors, _grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +316,7 @@ def closed_form_constant(xi: float, omega: float, n: int = DEFAULT_GRID
     # [-xi omega/2, xi omega/2], inside (-pi/2, pi/2): G = cos(u)/den
     # ranges over [cos(xi omega/2)/den, 1/den], and |dG/dt| =
     # |sin(u)|/(2 sin(xi omega/2)) peaks at 1/2
-    return _assemble(omega, n, factors, "closed-form", positive=True,
+    return _assemble(omega, n, factors, "closed-form",
                      extremes=(math.cos(half_angle) / den, 1.0 / den, 0.5))
 
 
@@ -322,11 +368,12 @@ def numeric_periodic_green(p, l, omega: float, n: int = DEFAULT_GRID
             f"the fundamental-matrix integration failed: {err}") from err
     B_low = _periodic_resolvent(*res.y.tolist())
     B_up = B_low - np.eye(2)
-    phi = lambda tarr: res.dense(tarr).reshape(-1, 2, 2)
 
     def factors(tarr, sarr):
-        Pt = phi(tarr)
-        Ps = phi(sarr)
+        # one dense evaluation for both arrays; it is elementwise, so each
+        # point gets the bits it would get alone
+        P = res.dense(np.concatenate((tarr, sarr))).reshape(-1, 2, 2)
+        Pt, Ps = P[:len(tarr)], P[len(tarr):]
         det = Ps[:, 0, 0] * Ps[:, 1, 1] - Ps[:, 0, 1] * Ps[:, 1, 0]
         # second column of Ps^-1: ( -b, a ) / det
         col = np.empty((len(sarr), 2))
@@ -421,6 +468,17 @@ def check_chu(p: PeriodicCoeff, l: PeriodicCoeff) -> CriterionVerdict:
     max(l, 0) varsigma(p) <= 4 (sup over a 512-point t-grid), and l not
     identically zero.
 
+    p, the weights and l are sampled on [0, omega] only.  Since p is
+    omega-periodic, int_0^{omega+t} p = int_0^omega p + int_0^t p, so each
+    running integral C of a weight times a periodic factor continues past
+    the period as C(omega + t) = C(omega) + varsigma(+-p)(omega) C(t),
+    which gives the window integrals C(omega + t) - C(t).
+
+    A weight or a product of them past the float range makes the
+    criterion fail: no warning is raised, a quantity that is not finite
+    reads on its failing side (first_integral -inf, window_sup +inf), and
+    the notes say so.
+
     Both terms of sigma1 integrate the exponential weight.  The form in
     which the first term integrates the coefficient itself is unsound: it
     holds for omega = 3, p = 1.268 + 0.031 cos(2 pi t/3),
@@ -429,11 +487,9 @@ def check_chu(p: PeriodicCoeff, l: PeriodicCoeff) -> CriterionVerdict:
     from .quadrature import cumulative_integral
 
     omega = p.omega
-    half = 4096  # grid cells per period
-    grid = np.linspace(0.0, 2.0 * omega, 2 * half + 1)
+    cells = 4096  # grid cells over the period
+    grid = np.linspace(0.0, omega, cells + 1)
     P = cumulative_integral(lambda s: p(s), grid)
-    vs_p = np.exp(P)           # varsigma(p)
-    vs_mp = np.exp(-P)         # varsigma(-p)
     lv = np.asarray(l(grid), dtype=float)
     dt = grid[1] - grid[0]
 
@@ -443,18 +499,26 @@ def check_chu(p: PeriodicCoeff, l: PeriodicCoeff) -> CriterionVerdict:
         np.cumsum(0.5 * dt * (vals[1:] + vals[:-1]), out=out[1:])
         return out
 
-    C_mp = cumtrapz(vs_mp)
-    # sigma1(-p) on [0, omega]: vs_mp(omega) int_0^t vs_mp + int_t^omega vs_mp
-    sig1_mp = vs_mp[half] * C_mp[:half + 1] + (C_mp[half] - C_mp[:half + 1])
-    first = float(np.trapezoid(
-        lv[:half + 1] * vs_p[:half + 1] * sig1_mp, dx=dt))
+    idx = np.arange(512) * (cells // 512)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vs_p = np.exp(P)           # varsigma(p)
+        vs_mp = np.exp(-P)         # varsigma(-p)
+        C_mp = cumtrapz(vs_mp)
+        # sigma1(-p): vs_mp(omega) int_0^t vs_mp + int_t^omega vs_mp
+        sig1_mp = vs_mp[-1] * C_mp + (C_mp[-1] - C_mp)
+        first = float(np.trapezoid(lv * vs_p * sig1_mp, dx=dt))
+        C_lp = cumtrapz(np.maximum(lv, 0.0) * vs_p)
+        w1 = (C_mp[-1] + vs_mp[-1] * C_mp[idx]) - C_mp[idx]
+        w2 = (C_lp[-1] + vs_p[-1] * C_lp[idx]) - C_lp[idx]
+        window_sup = float(np.max(w1 * w2))
 
-    C_lp = cumtrapz(np.maximum(lv, 0.0) * vs_p)
-    idx = np.arange(512) * (half // 512)
-    w1 = C_mp[idx + half] - C_mp[idx]
-    w2 = C_lp[idx + half] - C_lp[idx]
-    window_sup = float(np.max(w1 * w2))
-
+    notes = ("sigma1 weight: both terms integrate the exponential "
+             "weight varsigma(-p)")
+    if not (math.isfinite(first) and math.isfinite(window_sup)):
+        first = first if math.isfinite(first) else -math.inf
+        window_sup = window_sup if math.isfinite(window_sup) else math.inf
+        notes += ("; the weights exp(+-int_0^t p) or their products leave "
+                  "the float range: CHU fails")
     l_scale = float(np.max(np.abs(lv)))
     nonzero = l_scale > 1e-12
     holds = bool(first >= 0.0 and window_sup <= 4.0 and nonzero)
@@ -462,5 +526,4 @@ def check_chu(p: PeriodicCoeff, l: PeriodicCoeff) -> CriterionVerdict:
         criterion="CHU", holds=holds, applicable=True,
         quantities={"first_integral": first, "window_sup": window_sup,
                     "l_max_abs": l_scale},
-        notes="sigma1 weight: both terms integrate the exponential "
-              "weight varsigma(-p)")
+        notes=notes)

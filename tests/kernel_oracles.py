@@ -5,13 +5,15 @@ against a property of the periodic Green's function (the homogeneous
 equation off the diagonal, periodicity in t, the unit jump of dG/dt across
 the diagonal), applies it as an integral operator, or scans its extremes
 one window at a time, as the batched scan of periorbit.greens must.
+chu_two_periods evaluates the CHU criterion as it was first written, with
+its window integrals sampled over two periods.
 """
 
 import numpy as np
 
 from periorbit.greens import (_SCAN_LEVELS, _SCAN_POINTS, _SURFACES,
-                             _evaluate, _periodic_images)
-from periorbit.quadrature import _gauss_nodes
+                             CriterionVerdict, _evaluate, _periodic_images)
+from periorbit.quadrature import _gauss_nodes, cumulative_integral
 
 _JUMP_STEP = 1e-4        # diagonal_jump_error's difference step, in omega units
 
@@ -116,3 +118,43 @@ def _scan_max(factors, surface, omega, tc, sc, width):
         tc, sc = ts[i], ss[j]
         width /= 8.0
     return best
+
+
+def chu_two_periods(p, l) -> CriterionVerdict:
+    """periorbit.greens.check_chu with p, the weights and l sampled on
+    [0, 2 omega], so that each window integral over [t, t + omega] is a
+    difference of running integrals along the grid itself."""
+    omega = p.omega
+    half = 4096  # grid cells per period
+    grid = np.linspace(0.0, 2.0 * omega, 2 * half + 1)
+    P = cumulative_integral(lambda s: p(s), grid)
+    vs_p = np.exp(P)           # varsigma(p)
+    vs_mp = np.exp(-P)         # varsigma(-p)
+    lv = np.asarray(l(grid), dtype=float)
+    dt = grid[1] - grid[0]
+
+    def cumtrapz(vals):
+        out = np.empty_like(vals)
+        out[0] = 0.0
+        np.cumsum(0.5 * dt * (vals[1:] + vals[:-1]), out=out[1:])
+        return out
+
+    C_mp = cumtrapz(vs_mp)
+    # sigma1(-p) on [0, omega]: vs_mp(omega) int_0^t vs_mp + int_t^omega vs_mp
+    sig1_mp = vs_mp[half] * C_mp[:half + 1] + (C_mp[half] - C_mp[:half + 1])
+    first = float(np.trapezoid(
+        lv[:half + 1] * vs_p[:half + 1] * sig1_mp, dx=dt))
+
+    C_lp = cumtrapz(np.maximum(lv, 0.0) * vs_p)
+    idx = np.arange(512) * (half // 512)
+    w1 = C_mp[idx + half] - C_mp[idx]
+    w2 = C_lp[idx + half] - C_lp[idx]
+    window_sup = float(np.max(w1 * w2))
+
+    l_scale = float(np.max(np.abs(lv)))
+    nonzero = l_scale > 1e-12
+    holds = bool(first >= 0.0 and window_sup <= 4.0 and nonzero)
+    return CriterionVerdict(
+        criterion="CHU", holds=holds, applicable=True,
+        quantities={"first_integral": first, "window_sup": window_sup,
+                    "l_max_abs": l_scale})

@@ -319,6 +319,32 @@ def test_check_a1_product_overflow_fails_without_a_warning(tmp_path,
     assert "positivity A1: fails  factorisation_residual = inf" in out
 
 
+@pytest.mark.parametrize("p", ["200", "400"])
+def test_chu_weights_past_float_range_fail_without_a_warning(tmp_path,
+                                                            capsys, p):
+    """exp(int_0^t p) reaches exp(419) at p = 200, and its square leaves
+    the float range; at p = 400 the weight itself does.  CHU fails with
+    no RuntimeWarning (an error under the test filter) and no NaN: each
+    quantity past the range reads on its failing side.  A2 decides as
+    before; the kernel is not positive either way, so the exit code is 1."""
+    path = tmp_path / "steep.problem"
+    path.write_text(f"omega = 2*pi/3\np = {p}\nq = 1\nb = 1\nc = 1\n"
+                    "e = 1\nrho1 = 3/2\nrho2 = 1\n")
+    assert cli.main(["check", "--json", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "NaN" not in out
+    a2, chu = json.loads(out)["positivity_checks"]
+    assert a2["criterion"] == "A2" and a2["holds"] is True
+    assert chu["criterion"] == "CHU" and chu["holds"] is False
+    assert "float range" in chu["notes"]
+    assert chu["quantities"]["window_sup"] == math.inf
+    first = chu["quantities"]["first_integral"]
+    if p == "400":
+        assert first == -math.inf
+    else:
+        assert math.isfinite(first)
+
+
 @pytest.mark.parametrize("command", ["check", "greens", "solve"])
 def test_q_over_alpha_past_float_range_exit_2(tmp_path, capsys, command):
     """q = 1e308 is finite, but l = q/alpha = 2.5e308 is not."""

@@ -2,6 +2,7 @@
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,19 +11,23 @@ from hypothesis import strategies as st
 
 from conftest import OMEGA, pc
 from kernel_oracles import (
+    chu_two_periods,
     diagonal_jump_error,
     homogeneous_residual,
     periodicity_mismatch,
     scanned_extremes,
     solve_linear,
 )
-from periorbit import parse_problem_text
+from periorbit import certify, cli, greens, ivp, parse_problem_text
 from periorbit.ivp import eigvals_2x2
 from periorbit.greens import (
+    _SCAN_LEVELS,
+    _SCAN_POINTS,
     _SURFACES,
     ResonanceError,
     _periodic_images,
     _periodic_resolvent,
+    _window_abscissae,
     check_A1,
     check_A2,
     check_chu,
@@ -206,6 +211,97 @@ def test_scan_examples_reach_the_periodic_images():
                             (200, "0.3 + 0.2*cos(3*t)", "2", [1, 1, 4])):
         gf = numeric_periodic_green(pc(p), pc(l), OMEGA, n=n)
         assert _grid_argmax_images(gf) == counts
+
+
+def test_window_abscissae_match_linspace():
+    """The scan's window abscissae are np.linspace's, bit for bit, at every
+    width the scan uses on grids of 8, 50 and 200 cells: random centres,
+    and the centres 0, width/2, omega - width/2 and omega, whose windows
+    are clipped at 0 or at omega."""
+    rng = np.random.default_rng(23)
+    for omega in (2.0 * math.pi / 3.0, 0.05, 3.0, *rng.uniform(0.01, 50.0, 5)):
+        for n in (8, 50, 200):
+            width = omega / n
+            for _ in range(_SCAN_LEVELS):
+                centres = np.concatenate((
+                    [0.0, 0.5 * width, omega - 0.5 * width, omega],
+                    rng.uniform(0.0, omega, 60)))
+                ref = np.linspace(np.maximum(0.0, centres - width),
+                                  np.minimum(omega, centres + width),
+                                  _SCAN_POINTS, axis=-1)
+                found = _window_abscissae(centres, width, omega)
+                assert found.shape == ref.shape
+                assert found.tobytes() == ref.tobytes()
+                width /= 8.0
+
+
+def _count_grid_evaluations(monkeypatch):
+    """Record every (G, Gt) pair greens._evaluate returns."""
+    calls = []
+    evaluate = greens._evaluate
+
+    def counted(factors, t, s, branch="auto"):
+        calls.append(evaluate(factors, t, s, branch))
+        return calls[-1]
+
+    monkeypatch.setattr(greens, "_evaluate", counted)
+    return calls
+
+
+def test_certify_builds_no_closed_form_kernel_grid(monkeypatch, spec41):
+    calls = _count_grid_evaluations(monkeypatch)
+    cert = certify(spec41)
+    assert cert.greens.source == "closed-form" and cert.verdict
+    assert calls == []
+
+
+def test_greens_command_evaluates_the_grid_once(monkeypatch, tmp_path,
+                                                capsys):
+    monkeypatch.setenv("PERIORBIT_OUT", str(tmp_path))
+    calls = _count_grid_evaluations(monkeypatch)
+    built = []
+    kernel = cli.kernel_for
+
+    def recorded(*args, **kwargs):
+        built.append(kernel(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "kernel_for", recorded)
+    assert cli.main(["greens", "example41"]) == 0
+    assert "rows = 40401" in capsys.readouterr().out
+    assert len(calls) == 1 and len(built) == 1
+    assert built[0].G is calls[0][0] and built[0].Gt is calls[0][1]
+
+
+def test_numeric_factors_evaluate_phi_once_a_call(monkeypatch):
+    """A numeric kernel's build evaluates its grid once, for the positivity
+    test and the scan seeds, and hands it over; every factors call, the
+    grid's and each scan level's, makes one dense evaluation of Phi."""
+    grid_calls = _count_grid_evaluations(monkeypatch)
+    factor_sizes, dense_sizes = [], []
+    dense = ivp.DenseSolution.__call__
+    assemble = greens._assemble
+
+    def counted_dense(self, t):
+        dense_sizes.append(len(t))
+        return dense(self, t)
+
+    def counted_assemble(omega, n, factors, source, extremes=None):
+        def counted_factors(t, s):
+            factor_sizes.append(len(t) + len(s))
+            return factors(t, s)
+        return assemble(omega, n, counted_factors, source, extremes)
+
+    monkeypatch.setattr(ivp.DenseSolution, "__call__", counted_dense)
+    monkeypatch.setattr(greens, "_assemble", counted_assemble)
+    gf = numeric_periodic_green(pc(P_VARYING), pc(L_VARYING), OMEGA, n=60)
+    assert len(factor_sizes) == 1 + _SCAN_LEVELS
+    # reading the grid evaluates nothing more
+    assert gf.G is grid_calls[0][0] and gf.Gt is grid_calls[0][1]
+    assert len(grid_calls) == 1
+    gf.kernel(np.linspace(0.0, OMEGA, 7), np.linspace(0.0, OMEGA, 5))
+    assert len(factor_sizes) == 2 + _SCAN_LEVELS
+    assert dense_sizes == factor_sizes
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -535,6 +631,46 @@ def test_chu_rejects_a_negative_kernel():
     v = check_chu(p, l)
     assert v.holds is False
     assert v.quantities["first_integral"] == pytest.approx(-0.968, abs=1e-3)
+
+
+def _chu_oracle_cases(monkeypatch):
+    """(p, l) of the numeric family-solve texts and the solve-failure texts
+    of benchmark seeds 41 and 42, and of the negative-kernel instance."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "bench"))
+    import workloads
+
+    texts = []
+    for seed in (41, 42):
+        family = workloads.FamilySolve(seed, "", "")
+        texts += [it.text for it in family.items if it.kernel == "numeric"]
+        texts += workloads.SolveFailure(seed, "", "").texts
+    specs = [parse_problem_text(text).spec for text in texts]
+    cases = [(spec.p, spec.l) for spec in specs]
+    cases.append((pc("1.268 + 0.031*cos(2*pi*t/3)", 3.0),
+                  pc("-0.420 + 0.293*sin(2*pi*t/3)", 3.0)))
+    return cases
+
+
+def test_chu_matches_two_period_oracle(monkeypatch):
+    """CHU over one period against its two-period form: the first integral
+    is bit for bit the same, the window integrals continue through the
+    period by the periodicity identity instead of being sampled, and
+    l_max_abs reads l over one period instead of two."""
+    cases = _chu_oracle_cases(monkeypatch)
+    assert len(cases) == 2 * (8 + 3) + 1
+    verdicts = set()
+    for p, l in cases:
+        new, old = check_chu(p, l), chu_two_periods(p, l)
+        q, r = new.quantities, old.quantities
+        assert q["first_integral"].hex() == r["first_integral"].hex()
+        assert q["window_sup"] == pytest.approx(r["window_sup"], rel=1e-13,
+                                                abs=0.0)
+        assert abs(q["l_max_abs"] - r["l_max_abs"]) <= np.spacing(
+            r["l_max_abs"])
+        assert new.holds == old.holds
+        verdicts.add(new.holds)
+    assert verdicts == {True, False}
 
 
 def test_chu_fails_for_large_l():
