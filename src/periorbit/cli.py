@@ -19,6 +19,7 @@ negatively (verdict false, resonance, no convergence, guard violation);
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -446,43 +447,43 @@ _positive_float = _float_type(lambda v: 0.0 < v < math.inf,
 _finite_float = _float_type(math.isfinite, "a finite number")
 
 
-def _add_common(parser, suppress: bool) -> None:
-    # the same flags are accepted before and after the subcommand; the
-    # after-subcommand copies use SUPPRESS so an absent flag never
-    # overwrites a value parsed in the global position
-    kw = {"default": argparse.SUPPRESS} if suppress else {}
-    parser.add_argument("--out", help="output directory for sidecar files "
-                        "(default: $PERIORBIT_OUT or '.')",
-                        **({"default": None} if not suppress else kw))
-    parser.add_argument("--json", action="store_true",
-                        help="print machine-readable JSON to stdout", **kw)
-    parser.add_argument("--tol", type=_positive_float,
-                        help="periodicity tolerance for orbit solving",
-                        **({"default": None} if not suppress else kw))
-
-
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    # --out, --json and --tol are accepted before and after the
+    # subcommand: each parser takes them from `common`, whose SUPPRESS
+    # default leaves an absent flag unset, so it never overwrites one
+    # given in the other position; main passes their defaults
+    common = argparse.ArgumentParser(add_help=False,
+                                     argument_default=argparse.SUPPRESS)
+    common.add_argument("--out", help="output directory for sidecar files "
+                        "(default: $PERIORBIT_OUT or '.')")
+    common.add_argument("--json", action="store_true",
+                        help="print machine-readable JSON to stdout")
+    common.add_argument("--tol", type=_positive_float,
+                        help="periodicity tolerance for orbit solving")
     ap = argparse.ArgumentParser(
-        prog="periorbit",
+        prog="periorbit", parents=[common],
         description="Existence certificates and periodic orbits for "
                     "second-order equations with inverse-power "
                     "nonlinearities.")
-    _add_common(ap, suppress=False)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p_check = sub.add_parser("check", help="evaluate the existence certificate")
-    p_check.add_argument("file")
-    _add_common(p_check, suppress=True)
-    p_check.set_defaults(fn=_cmd_check)
+    def command(name, help, fn):
+        parser = sub.add_parser(name, help=help, parents=[common])
+        parser.set_defaults(fn=fn)
+        return parser
 
-    p_greens = sub.add_parser("greens", help="emit the periodic kernel grid")
+    p_check = command("check", "evaluate the existence certificate",
+                      _cmd_check)
+    p_check.add_argument("file")
+
+    p_greens = command("greens", "emit the periodic kernel grid",
+                       _cmd_greens)
     p_greens.add_argument("file")
     p_greens.add_argument("--n", type=_positive_int, default=200,
                           help="grid intervals per axis (default 200)")
-    _add_common(p_greens, suppress=True)
-    p_greens.set_defaults(fn=_cmd_greens)
 
-    p_solve = sub.add_parser("solve", help="compute a periodic orbit")
+    p_solve = command("solve", "compute a periodic orbit", _cmd_solve)
     p_solve.add_argument("file")
     p_solve.add_argument("--x0", type=_finite_float, default=None,
                          help="initial position guess")
@@ -490,19 +491,17 @@ def _parser() -> argparse.ArgumentParser:
                          help="initial velocity guess")
     p_solve.add_argument("--svg", action="store_true",
                          help="also write phase and time-series SVG charts")
-    _add_common(p_solve, suppress=True)
-    p_solve.set_defaults(fn=_cmd_solve)
 
-    p_rep = sub.add_parser(
-        "reproduce", help="re-run bundled instances against reference results")
+    p_rep = command("reproduce",
+                    "re-run bundled instances against reference results",
+                    _cmd_reproduce)
     p_rep.add_argument("id", choices=["4.1", "4.2", "4.3", "all"])
-    _add_common(p_rep, suppress=True)
-    p_rep.set_defaults(fn=_cmd_reproduce)
     return ap
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(
+        argv, argparse.Namespace(out=None, json=False, tol=None))
     try:
         return args.fn(args)
     except _CliError as err:

@@ -47,11 +47,10 @@ scan finds, seeded at the grid cell where its surface is extreme (the
 grid's argmin and argmax of G, and the argmax of |dG/dt| with both
 one-sided slopes on the diagonal) and at that cell's periodic images; they
 are not outward-rounded enclosures.  The scan refines all its windows, of
-the three surfaces and their images, in lockstep: each level takes one
-factors call for every window's abscissae and evaluates the windows by
-stacked matrix products, the BLAS products the grid itself is evaluated
-with, so each window finds the values it would find scanned alone, bit for
-bit.
+the three surfaces and their images, in lockstep: each level hands every
+window's abscissae to the grid's own evaluator, _evaluate, in one call, so
+each window finds the values it would find scanned alone, bit for bit.
+_evaluate is the one place where factors become kernel values.
 
 The CHU criterion samples p, its exponential weights and l over one
 period; the window integrals over [t, t + omega] follow from periodicity.
@@ -124,15 +123,13 @@ class GreensFunction:
             self._grid = _evaluate(self._factors, self.t, self.t)
         return self._grid
 
-    def kernel(self, t, s, branch: str = "auto"):
-        """Evaluate (G, Gt) on the outer product of abscissa arrays.
-
-        branch "lower" forces the s <= t formula, "upper" the s > t one;
-        "auto" selects by comparison with the diagonal assigned to lower.
-        """
+    def kernel(self, t, s):
+        """(G, Gt) on the outer product of abscissa arrays, each value on
+        the branch its t and s select, the diagonal on the lower one.  No
+        caller in the package: the tests read kernel values through it."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        return _evaluate(self._factors, t, s, branch)
+        return _evaluate(self._factors, t, s)
 
     def _integrate(self, t, nodes, weights, values):
         """(int_0^omega G(t_i, s) f(s) ds, the same with dG/dt) at every
@@ -172,17 +169,20 @@ class GreensFunction:
 # kernel values and their extremes
 
 
-def _evaluate(factors, t, s, branch: str = "auto"):
-    """(G, dG/dt) on the outer product of the arrays t and s from the rank-2
-    factors; branch as in GreensFunction.kernel."""
-    U, dU, V_lo, V_up = factors(t, s)
-    if branch == "lower":
-        return U @ V_lo.T, dU @ V_lo.T
-    if branch == "upper":
-        return U @ V_up.T, dU @ V_up.T
-    lower = t[:, None] >= s[None, :]
-    return (np.where(lower, U @ V_lo.T, U @ V_up.T),
-            np.where(lower, dU @ V_lo.T, dU @ V_up.T))
+def _evaluate(factors, t, s):
+    """(G, dG/dt) from the rank-2 factors on the outer product of t and s
+    over their last axis, each value on the branch its t and s select, the
+    diagonal on the lower one.  t and s are 1-D, for the grid and
+    GreensFunction.kernel, or share leading axes, one index a scan window:
+    one factors call serves them all, and the stacked products evaluate
+    each window as a 1-D call would, bit for bit."""
+    U, dU, V_lo, V_up = factors(t.ravel(), s.ravel())
+    U, dU = (f.reshape(t.shape + (2,)) for f in (U, dU))
+    V_lo, V_up = (f.reshape(s.shape + (2,)).swapaxes(-1, -2)
+                  for f in (V_lo, V_up))
+    lower = t[..., :, None] >= s[..., None, :]
+    return (np.where(lower, U @ V_lo, U @ V_up),
+            np.where(lower, dU @ V_lo, dU @ V_up))
 
 
 def _slope(tau, G, Gt):
@@ -226,8 +226,8 @@ def _scanned_extremes(factors, tgrid, G, Gt):
     All windows are refined in lockstep.  Each level scans a
     _SCAN_POINTS^2 window of half-width `width` around every centre,
     clipped to the square, then recentres each on its argmax at 1/8 the
-    width.  The windows' products stay np.matmul, as the grid's are:
-    written out by hand they round differently where BLAS fuses.
+    width.  A level's windows go through the grid's evaluator in one
+    stacked call, so each window finds what it would find scanned alone.
     """
     omega, n, width = tgrid[-1], len(tgrid) - 1, tgrid[1] - tgrid[0]
     # _slope on the grid: the grid increases strictly, so tau = 0 exactly
@@ -248,12 +248,7 @@ def _scanned_extremes(factors, tgrid, G, Gt):
     best = np.full(len(centres), -np.inf)
     for _ in range(_SCAN_LEVELS):
         ts, ss = (_window_abscissae(c, width, omega) for c in (tc, sc))
-        U, dU, V_lo, V_up = (f.reshape(len(centres), _SCAN_POINTS, 2)
-                             for f in factors(ts.ravel(), ss.ravel()))
-        V_lo, V_up = V_lo.transpose(0, 2, 1), V_up.transpose(0, 2, 1)
-        lower = ts[:, :, None] >= ss[:, None, :]
-        g = np.where(lower, U @ V_lo, U @ V_up)
-        gt = np.where(lower, dU @ V_lo, dU @ V_up)
+        g, gt = _evaluate(factors, ts, ss)
         lag = ts[:, :, None] - ss[:, None, :]
         vals = np.concatenate([surface(lag[k], g[k], gt[k])
                                for surface, k in zip(_SURFACES, spans)])
@@ -341,17 +336,17 @@ def _periodic_resolvent(m0, m1, m2, m3) -> np.ndarray:
             / ((m0 - 1.0) * (m3 - 1.0) - m1 * m2))
 
 
-def numeric_periodic_green(p, l, omega: float, n: int = DEFAULT_GRID
+def numeric_periodic_green(p: PeriodicCoeff, l: PeriodicCoeff,
+                           omega: float, n: int = DEFAULT_GRID
                            ) -> GreensFunction:
     """Kernel for general continuous periodic p, l via the monodromy matrix.
 
-    p and l are PeriodicCoeff or numbers, taken as constants.  Raises
-    ResonanceError when the monodromy matrix M has an eigenvalue within
-    1e-8 of +1 (the homogeneous problem has a periodic solution) or of -1
-    (the antiperiodic boundary case), read off the eigenvalues of M - I
-    and M + I formed from M's entries, and when the integration of Phi
-    fails (as for p or l near the float range).  B = (I - M)^-1 is formed
-    by Cramer's rule on det(M - I).
+    Raises ResonanceError when the monodromy matrix M has an eigenvalue
+    within 1e-8 of +1 (the homogeneous problem has a periodic solution) or
+    of -1 (the antiperiodic boundary case), read off the eigenvalues of
+    M - I and M + I formed from M's entries, and when the integration of
+    Phi fails (as for p or l near the float range).  B = (I - M)^-1 is
+    formed by Cramer's rule on det(M - I).
     """
     # looked up at call time, where bench/spans.py rebinds it
     from .ivp import solve_ivp_dp
@@ -375,11 +370,14 @@ def numeric_periodic_green(p, l, omega: float, n: int = DEFAULT_GRID
         P = res.dense(np.concatenate((tarr, sarr))).reshape(-1, 2, 2)
         Pt, Ps = P[:len(tarr)], P[len(tarr):]
         det = Ps[:, 0, 0] * Ps[:, 1, 1] - Ps[:, 0, 1] * Ps[:, 1, 0]
-        # second column of Ps^-1: ( -b, a ) / det
+        # second column of Ps^-1: ( -b, a ) / det.  For a large p,
+        # det Phi(s) = exp(-int_0^s p) can cancel to 0, and the values
+        # then come out inf or nan, without a warning
         col = np.empty((len(sarr), 2))
-        col[:, 0] = -Ps[:, 0, 1] / det
-        col[:, 1] = Ps[:, 0, 0] / det
-        return Pt[:, 0, :], Pt[:, 1, :], col @ B_low.T, col @ B_up.T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            col[:, 0] = -Ps[:, 0, 1] / det
+            col[:, 1] = Ps[:, 0, 0] / det
+            return Pt[:, 0, :], Pt[:, 1, :], col @ B_low.T, col @ B_up.T
 
     return _assemble(omega, n, factors, "numeric")
 

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import PeriodicCoeff, compiled
+from .expressions import compiled
 
 
 class IntegrationBlowUp(RuntimeError):
@@ -179,7 +179,7 @@ def source_sum(*terms) -> str:
 def coefficient_field(name: str, coeffs: dict, write, veto=None,
                       **floats) -> Field:
     """The Field `name` of the coefficients coeffs, a dict from a name k
-    to a PeriodicCoeff or a number, and the float arguments floats.
+    to a PeriodicCoeff, and the float arguments floats.
 
     write(p, y, *reads) returns the lines that set the slope names p from
     the state names y, reads holding what each coefficient's terms read.
@@ -190,8 +190,7 @@ def coefficient_field(name: str, coeffs: dict, write, veto=None,
     None, so each term it scales is a zero left out (source_sum)."""
     mask, args, reads = [], dict(floats), []
     for k, coeff in coeffs.items():
-        value = (coeff.constant if isinstance(coeff, PeriodicCoeff)
-                 else float(coeff))
+        value = coeff.constant
         mask.append(0 if value is None else 2 if value == 0.0 else 1)
         if value != 0.0:
             args[f"_{k}"] = compiled(coeff.expr) if value is None else value

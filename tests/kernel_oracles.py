@@ -3,8 +3,9 @@
 Only the tests use these: each checks a kernel built by periorbit.greens
 against a property of the periodic Green's function (the homogeneous
 equation off the diagonal, periodicity in t, the unit jump of dG/dt across
-the diagonal), applies it as an integral operator, or scans its extremes
-one window at a time, as the batched scan of periorbit.greens must.
+the diagonal), applies it as an integral operator, evaluates one branch's
+formula wherever t and s lie, or scans its extremes one window at a time,
+as the batched scan of periorbit.greens must.
 chu_two_periods evaluates the CHU criterion as it was first written, with
 its window integrals sampled over two periods.
 """
@@ -16,6 +17,15 @@ from periorbit.greens import (_SCAN_LEVELS, _SCAN_POINTS, _SURFACES,
 from periorbit.quadrature import _gauss_nodes, cumulative_integral
 
 _JUMP_STEP = 1e-4        # diagonal_jump_error's difference step, in omega units
+
+
+def branch_kernel(gf, t, s, branch):
+    """(G, dG/dt) on the outer product of the arrays t and s, all on one
+    branch whatever the order of t and s: the s <= t formula U.V_lower for
+    branch "lower", the s > t one U.V_upper for "upper"."""
+    U, dU, V_lo, V_up = gf._factors(t, s)
+    V = V_lo if branch == "lower" else V_up
+    return U @ V.T, dU @ V.T
 
 
 def solve_linear(gf, h, return_derivative: bool = False):
@@ -75,8 +85,8 @@ def diagonal_jump_error(gf, s_values) -> np.ndarray:
         sa = np.array([s])
         up_nodes = np.array([s - 2 * h, s - h, s])
         lo_nodes = np.array([s, s + h, s + 2 * h])
-        Gu, _ = _evaluate(gf._factors, up_nodes, sa, "upper")
-        Gl, _ = _evaluate(gf._factors, lo_nodes, sa, "lower")
+        Gu, _ = branch_kernel(gf, up_nodes, sa, "upper")
+        Gl, _ = branch_kernel(gf, lo_nodes, sa, "lower")
         slope_minus = (3 * Gu[2, 0] - 4 * Gu[1, 0] + Gu[0, 0]) / (2 * h)
         slope_plus = (-3 * Gl[0, 0] + 4 * Gl[1, 0] - Gl[2, 0]) / (2 * h)
         out[idx] = abs((slope_plus - slope_minus) - 1.0)

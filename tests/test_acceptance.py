@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import OMEGA, make_example
+from conftest import OMEGA, make_example, pc
 from kernel_oracles import (
     diagonal_jump_error,
     homogeneous_residual,
@@ -72,7 +72,7 @@ def test_criterion_01_closed_form_kernel_constants(report):
 
 def test_criterion_02_numeric_kernel_cross_check(report):
     start = time.perf_counter()
-    num = numeric_periodic_green(0.0, XI * XI, OMEGA, n=100)
+    num = numeric_periodic_green(pc("0"), pc(repr(XI * XI)), OMEGA, n=100)
     ref = closed_form_constant(XI, OMEGA, n=100)
     gap = max(
         float(np.max(np.abs(num.G - ref.G))),

@@ -125,6 +125,15 @@ def test_check_json_flag_both_positions(tmp_path, capsys):
     assert (tmp_path / "d2" / "example42.certificate.json").exists()
 
 
+def test_flags_do_not_leak_between_calls(tmp_path, capsys):
+    """The parser is built once a process: a flag given to one call is not
+    a default of the next."""
+    assert cli.main(["check", "example41", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["theorem"] == "T3.1"
+    assert cli.main(["check", "example41"]) == 0
+    assert capsys.readouterr().out.startswith("instance: example41\n")
+
+
 def test_check_missing_file_exit_2(capsys):
     code = cli.main(["check", "no_such_instance"])
     err = capsys.readouterr().err

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import OMEGA, pc
 from kernel_oracles import (
+    branch_kernel,
     chu_two_periods,
     diagonal_jump_error,
     homogeneous_residual,
@@ -55,7 +56,7 @@ def gf_closed():
 
 @pytest.fixture(scope="module")
 def gf_numeric():
-    return numeric_periodic_green(0.0, XI * XI, OMEGA)
+    return numeric_periodic_green(pc("0"), pc(repr(XI * XI)), OMEGA)
 
 
 def test_closed_form_constants_match_radicals(gf_closed):
@@ -114,7 +115,7 @@ def _dense_extremes(gf):
     65^2 points, each 1/16 the width of the last and recentred on its best
     point."""
     def surfaces(t, s):
-        (G_lo, Gt_lo), (G_up, Gt_up) = (gf.kernel(t, s, branch=b)
+        (G_lo, Gt_lo), (G_up, Gt_up) = (branch_kernel(gf, t, s, b)
                                         for b in ("lower", "upper"))
         tau = t[:, None] - s[None, :]
         both = lambda lo, up: np.maximum(np.where(tau >= 0.0, lo, -np.inf),
@@ -235,14 +236,20 @@ def test_window_abscissae_match_linspace():
                 width /= 8.0
 
 
-def _count_grid_evaluations(monkeypatch):
-    """Record every (G, Gt) pair greens._evaluate returns."""
+def _count_grid_evaluations(monkeypatch, every=None):
+    """Record the (G, Gt) pair of every grid call of greens._evaluate, one
+    on 1-D abscissae; append every call's pair, the scan's stacked windows
+    included, to the list every if one is given."""
     calls = []
     evaluate = greens._evaluate
 
-    def counted(factors, t, s, branch="auto"):
-        calls.append(evaluate(factors, t, s, branch))
-        return calls[-1]
+    def counted(factors, t, s):
+        pair = evaluate(factors, t, s)
+        if t.ndim == 1:
+            calls.append(pair)
+        if every is not None:
+            every.append(pair)
+        return pair
 
     monkeypatch.setattr(greens, "_evaluate", counted)
     return calls
@@ -275,9 +282,11 @@ def test_greens_command_evaluates_the_grid_once(monkeypatch, tmp_path,
 
 def test_numeric_factors_evaluate_phi_once_a_call(monkeypatch):
     """A numeric kernel's build evaluates its grid once, for the positivity
-    test and the scan seeds, and hands it over; every factors call, the
-    grid's and each scan level's, makes one dense evaluation of Phi."""
-    grid_calls = _count_grid_evaluations(monkeypatch)
+    test and the scan seeds, and hands it over; each scan level makes one
+    more evaluator call, and every factors call, the grid's and each scan
+    level's, makes one dense evaluation of Phi."""
+    every = []
+    grid_calls = _count_grid_evaluations(monkeypatch, every)
     factor_sizes, dense_sizes = [], []
     dense = ivp.DenseSolution.__call__
     assemble = greens._assemble
@@ -295,7 +304,7 @@ def test_numeric_factors_evaluate_phi_once_a_call(monkeypatch):
     monkeypatch.setattr(ivp.DenseSolution, "__call__", counted_dense)
     monkeypatch.setattr(greens, "_assemble", counted_assemble)
     gf = numeric_periodic_green(pc(P_VARYING), pc(L_VARYING), OMEGA, n=60)
-    assert len(factor_sizes) == 1 + _SCAN_LEVELS
+    assert len(factor_sizes) == len(every) == 1 + _SCAN_LEVELS
     # reading the grid evaluates nothing more
     assert gf.G is grid_calls[0][0] and gf.Gt is grid_calls[0][1]
     assert len(grid_calls) == 1
@@ -334,7 +343,7 @@ def test_kernel_positive_on_dense_grid(gf_closed):
 
 def test_numeric_matches_closed_form(gf_closed):
     start = time.perf_counter()
-    num = numeric_periodic_green(0.0, XI * XI, OMEGA, n=100)
+    num = numeric_periodic_green(pc("0"), pc(repr(XI * XI)), OMEGA, n=100)
     ref = closed_form_constant(XI, OMEGA, n=100)
     gap_G = float(np.max(np.abs(num.G - ref.G)))
     gap_Gt = float(np.max(np.abs(num.Gt - ref.Gt)))
@@ -407,11 +416,15 @@ def test_factors_reproduce_both_branches(gf_closed, gf_numeric, gf_varying,
     t = np.linspace(0.0, OMEGA, 37)
     s = np.linspace(0.0, OMEGA, 23)
     U, dU, V_lo, V_up = gf._factors(t, s)
-    for branch, V in (("lower", V_lo), ("upper", V_up)):
+    G_auto, Gt_auto = gf.kernel(t, s)
+    lower = t[:, None] >= s[None, :]
+    for branch, V, cells in (("lower", V_lo, lower), ("upper", V_up, ~lower)):
         G, Gt = _direct_kernel(which, t, s, branch)
         assert np.max(np.abs(U @ V.T - G)) <= tol * np.max(np.abs(G))
         assert np.max(np.abs(dU @ V.T - Gt)) <= tol * np.max(np.abs(Gt))
-        assert np.array_equal(gf.kernel(t, s, branch=branch)[0], U @ V.T)
+        # the kernel takes each cell's branch, bit for bit
+        assert np.array_equal(G_auto[cells], (U @ V.T)[cells])
+        assert np.array_equal(Gt_auto[cells], (dU @ V.T)[cells])
 
 
 def test_solve_linear_constant_forcing(gf_closed):
@@ -473,18 +486,18 @@ def test_solve_linear_cross_checked_against_ivp(gf_varying):
 
 def test_resonance_periodic_numeric():
     with pytest.raises(ResonanceError):
-        numeric_periodic_green(0.0, 9.0, OMEGA)
+        numeric_periodic_green(pc("0"), pc("9"), OMEGA)
     # p = l = 0 writes no term at all: u'' = 0, whose constants are
     # periodic
     with pytest.raises(ResonanceError, match="eigenvalue 1"):
-        numeric_periodic_green(pc("0"), 0.0, OMEGA)
+        numeric_periodic_green(pc("0"), pc("0"), OMEGA)
 
 
 def test_resonance_antiperiodic_numeric():
     # xi*omega = pi: monodromy eigenvalue -1; the numeric construction
     # refuses rather than returning a sign-degenerate kernel
     with pytest.raises(ResonanceError):
-        numeric_periodic_green(0.0, 2.25, OMEGA)
+        numeric_periodic_green(pc("0"), pc("2.25"), OMEGA)
 
 
 @pytest.mark.parametrize("turns, match", [(1.0, "eigenvalue 1"),
@@ -499,9 +512,11 @@ def test_resonance_edges(turns, match):
             xi = 2.0 * math.pi * turns * (1.0 + sign * rel) / OMEGA
             if resonant:
                 with pytest.raises(ResonanceError, match=match):
-                    numeric_periodic_green(0.0, xi * xi, OMEGA, n=8)
+                    numeric_periodic_green(pc("0"), pc(repr(xi * xi)),
+                                           OMEGA, n=8)
             else:
-                numeric_periodic_green(0.0, xi * xi, OMEGA, n=8)
+                numeric_periodic_green(pc("0"), pc(repr(xi * xi)), OMEGA,
+                                       n=8)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -560,6 +575,27 @@ def test_positivity_boundary():
     assert gf.positive is False
 
 
+@pytest.mark.parametrize("damping", [20, 50, 200, 400])
+def test_strong_damping_is_not_positive_and_warns_nothing(damping, tmp_path,
+                                                         monkeypatch, capsys):
+    """A large constant p: det Phi(s) = exp(-p s) cancels in the numeric
+    factors, to 0 at p = 50 in a scan window, whose division and products
+    once warned.  Under the suite's error::RuntimeWarning filter certify
+    and check warn nothing, the certificate reads the kernel as not
+    positive, and check exits 1."""
+    text = (f"omega = 2*pi/3\np = {damping}\nq = 1\nb = 1\nc = 1\ne = 1\n"
+            "rho1 = 1.5\nrho2 = 1\n")
+    cert = certify(parse_problem_text(text).spec)
+    assert cert.greens.source == "numeric"
+    assert not cert.greens.positive and not cert.verdict
+    assert cert.reason == "kernel not positive"
+    path = tmp_path / "damped.problem"
+    path.write_text(text)
+    monkeypatch.setenv("PERIORBIT_OUT", str(tmp_path))
+    assert cli.main(["check", str(path)]) == 1
+    assert "verdict: FALSE  (kernel not positive)" in capsys.readouterr().out
+
+
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         closed_form_constant(-1.0, OMEGA)
@@ -569,8 +605,8 @@ def test_invalid_arguments():
 
 def test_kernel_branch_selection(gf_closed):
     s = np.array([0.7])
-    Gl, Gtl = gf_closed.kernel(s, s, branch="lower")
-    Gu, Gtu = gf_closed.kernel(s, s, branch="upper")
+    Gl, Gtl = branch_kernel(gf_closed, s, s, "lower")
+    Gu, Gtu = branch_kernel(gf_closed, s, s, "upper")
     # G itself is continuous across the diagonal; dG/dt jumps by exactly 1
     assert Gl[0, 0] != pytest.approx(Gu[0, 0], abs=1e-15) or True
     assert (Gtl[0, 0] - Gtu[0, 0]) == pytest.approx(1.0, abs=1e-10)

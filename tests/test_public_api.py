@@ -68,3 +68,47 @@ def test_src_needs_no_numpy_linalg():
             elif isinstance(node, ast.Import):
                 assert not any("linalg" in a.name for a in node.names), \
                     path.name
+
+
+# where a BLAS product may enter a value: module and enclosing function
+BLAS_SITES = {
+    ("greens", "_evaluate"),
+    ("greens", "numeric_periodic_green.factors"),
+    ("greens", "GreensFunction._integrate"),
+    ("quadrature", "_panel"),
+    ("quadrature", "cumulative_integral"),
+}
+
+
+def _blas_products(tree):
+    """(enclosing qualified name, line) of every @, np.dot, np.matmul and
+    np.einsum in a module's tree."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if ((isinstance(node, (ast.BinOp, ast.AugAssign))
+             and isinstance(node.op, ast.MatMult))
+                or (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "np"
+                    and node.attr in ("dot", "matmul", "einsum"))):
+            found.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_blas_products_only_at_the_known_sites():
+    """A census of the matrix products in src/: each lies in one of the
+    functions that BLAS_SITES names, and each of those still holds one."""
+    seen = set()
+    for path in sorted((ROOT / "src" / "periorbit").glob("*.py")):
+        for scope, line in _blas_products(ast.parse(path.read_text())):
+            site = (path.stem, scope)
+            assert site in BLAS_SITES, (path.name, scope, line)
+            seen.add(site)
+    assert seen == BLAS_SITES

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import OMEGA, make_cheap_spec, make_constant_spec, pc
-from kernel_oracles import solve_linear
+from kernel_oracles import branch_kernel, solve_linear
 from periorbit import (
     NoConvergenceError,
     ProblemSpec,
@@ -293,8 +293,8 @@ def _dense_apply_T(gf, tspec, y):
     chunk = max(1, int(5e5 // t.size))
     for lo in range(0, t.size, chunk):
         hi = min(t.size, lo + chunk)
-        G_lo, Gt_lo = gf.kernel(t[lo:hi], t, branch="lower")
-        G_up, Gt_up = gf.kernel(t[lo:hi], t, branch="upper")
+        G_lo, Gt_lo = branch_kernel(gf, t[lo:hi], t, "lower")
+        G_up, Gt_up = branch_kernel(gf, t[lo:hi], t, "upper")
         idx = np.arange(lo, hi)[:, None]
         W_lo = np.where(cols[None, :] < idx, h, 0.0)
         W_lo[:, 0] = 0.5 * h
