@@ -112,8 +112,21 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _finite_json(obj):
+    """obj with each float that is not finite replaced by its _g string,
+    "inf", "-inf" or "nan": JSON has no literal for them."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else _g(obj)
+    if isinstance(obj, dict):
+        return {key: _finite_json(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_json(val) for val in obj]
+    return obj
+
+
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(_finite_json(obj), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------

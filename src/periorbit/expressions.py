@@ -20,6 +20,7 @@ the integer/fractional distinction drives the domain rule for powers
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -223,22 +224,25 @@ def _exact_power(x: Fraction, n: int) -> Const:
 # ---------------------------------------------------------------------------
 # evaluation
 #
-# Each tree is compiled once into the code of a Python function whose body
-# is the tree as one fully parenthesised expression.  It performs the same
+# Each tree is compiled into the code of a Python function whose body is
+# the tree as one fully parenthesised expression.  It performs the same
 # operations in the same order as a recursive walk, so its values are
 # bit-identical to one, and it frees each intermediate array as soon as it
 # is consumed.  The code names its functions (_sin, _cos, _exp and the
-# rational powers) and its non-finite constants (_k0, _k1, ...) as globals,
-# so the one code object is bound twice: to math.sin/cos/exp for floats and
-# to the numpy ufuncs for arrays.  A subtree nested deeper than _MAX_NESTING
-# is first assigned to a local: Python's parser accepts at most 200 nested
-# parentheses.  So is a subtree that the tree reaches along more than one
-# path (a derivative reuses the factors of a product), at the point where
-# the walk first evaluates it; later references read the local, where the
-# walk would compute the same value again.  The source then grows with the
-# distinct nodes, not with the paths.
+# rational powers) and every constant (_k0, _k1, ...) as globals, so its
+# source depends only on the tree's shape: one code object serves every
+# tree of that shape, from a bounded cache keyed by the source, and each
+# tree binds it twice with its own constants, to math.sin/cos/exp for
+# floats and to the numpy ufuncs for arrays.  A subtree nested deeper than
+# _MAX_NESTING is first assigned to a local: Python's parser accepts at
+# most 200 nested parentheses.  So is a subtree that the tree reaches along
+# more than one path (a derivative reuses the factors of a product), at the
+# point where the walk first evaluates it; later references read the local,
+# where the walk would compute the same value again.  The source then grows
+# with the distinct nodes, not with the paths.
 
 _MAX_NESTING = 100
+_CODE_CACHE = 512  # code objects kept, one per tree shape
 
 
 def evaluate(expr: Expr, t):
@@ -255,8 +259,8 @@ def compiled(expr: Expr, array: bool = False):
     """The function t -> value of expr, built on first use and cached on
     the tree's root node: for a float t, or (array=True) elementwise for a
     numpy array t, where a subtree free of t still yields a scalar.  Both
-    bind the same code, compiled on first use and kept on the root as
-    _code with its non-finite constants."""
+    bind the same code, that of the tree's shape, kept on the root as
+    _code with the tree's constants."""
     slot = "_array_fn" if array else "_scalar_fn"
     fn = getattr(expr, slot, None)
     if fn is None:
@@ -299,8 +303,8 @@ _UFUNC = {Sin: "_sin", Cos: "_cos", Exp: "_exp"}
 
 
 def _compile(expr: Expr):
-    """The code object that defines _f(t), and the non-finite constants it
-    reads by name."""
+    """The code object that defines _f(t), shared by every tree of expr's
+    shape, and the constants it reads by name."""
     constants: dict[str, float] = {}
     spills: list[str] = []
     shared = _shared_nodes(expr)
@@ -318,8 +322,6 @@ def _compile(expr: Expr):
         if kind is TimeVar:
             return "t", 0
         if kind is Const:
-            if math.isfinite(e.value):
-                return f"({e.value!r})", 1
             name = f"_k{len(constants)}"
             constants[name] = e.value
             return name, 0
@@ -360,7 +362,12 @@ def _compile(expr: Expr):
 
     body, _ = emit(expr)
     source = "def _f(t):\n" + "".join(spills) + f"    return {body}\n"
-    return compile(source, "<periorbit expression>", "exec"), constants
+    return _shape_code(source), constants
+
+
+@functools.lru_cache(maxsize=_CODE_CACHE)
+def _shape_code(source: str):
+    return compile(source, "<periorbit expression>", "exec")
 
 
 def _shared_nodes(expr: Expr) -> set[int]:
@@ -757,7 +764,8 @@ class PeriodicCoeff:
         step = self.omega / _EXTREMA_SAMPLES
         fn = compiled(self.expr)
 
-        def refine(sign: float) -> tuple[float, float]:
+        def refine(sign: float, objective) -> tuple[float, float]:
+            """The extremum of sign * f, with objective(u) = sign * f(u)."""
             signed = sign * vals
             # a sample no larger than its neighbours (one neighbour at an
             # end) is a sampled minimum; it and its neighbours are seeds,
@@ -775,8 +783,8 @@ class PeriodicCoeff:
                 lo = max(0.0, seed - step)
                 hi = min(self.omega, seed + step)
                 try:
-                    tm, vm = golden_min(lambda u: sign * float(fn(u)), lo,
-                                        hi, tol=1e-12 * max(1.0, self.omega))
+                    tm, vm = golden_min(objective, lo, hi,
+                                        tol=1e-12 * max(1.0, self.omega))
                 except OverflowError:
                     tm, vm = seed, math.inf
                 if not math.isfinite(vm):
@@ -785,8 +793,8 @@ class PeriodicCoeff:
                     best_t, best_v = tm, vm
             return best_t, sign * best_v
 
-        t_min, v_min = refine(1.0)
-        t_max, v_max = refine(-1.0)
+        t_min, v_min = refine(1.0, fn)
+        t_max, v_max = refine(-1.0, lambda u: -fn(u))
         return Extrema(v_min, v_max, t_min, t_max)
 
     def integrate(self, t0: float, t1: float) -> float:

@@ -181,8 +181,11 @@ def _evaluate(factors, t, s):
     V_lo, V_up = (f.reshape(s.shape + (2,)).swapaxes(-1, -2)
                   for f in (V_lo, V_up))
     lower = t[..., :, None] >= s[..., None, :]
-    return (np.where(lower, U @ V_lo, U @ V_up),
-            np.where(lower, dU @ V_lo, dU @ V_up))
+    # factors that are not finite (see the numeric factors) give inf or
+    # nan values, which fail the positivity test, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (np.where(lower, U @ V_lo, U @ V_up),
+                np.where(lower, dU @ V_lo, dU @ V_up))
 
 
 def _slope(tau, G, Gt):
@@ -369,12 +372,13 @@ def numeric_periodic_green(p: PeriodicCoeff, l: PeriodicCoeff,
         # point gets the bits it would get alone
         P = res.dense(np.concatenate((tarr, sarr))).reshape(-1, 2, 2)
         Pt, Ps = P[:len(tarr)], P[len(tarr):]
-        det = Ps[:, 0, 0] * Ps[:, 1, 1] - Ps[:, 0, 1] * Ps[:, 1, 0]
         # second column of Ps^-1: ( -b, a ) / det.  For a large p,
-        # det Phi(s) = exp(-int_0^s p) can cancel to 0, and the values
-        # then come out inf or nan, without a warning
+        # det Phi(s) = exp(-int_0^s p) can cancel to 0, and for a growing
+        # Phi its products can overflow; the values then come out inf or
+        # nan, without a warning
         col = np.empty((len(sarr), 2))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            det = Ps[:, 0, 0] * Ps[:, 1, 1] - Ps[:, 0, 1] * Ps[:, 1, 0]
             col[:, 0] = -Ps[:, 0, 1] / det
             col[:, 1] = Ps[:, 0, 0] / det
             return Pt[:, 0, :], Pt[:, 1, :], col @ B_low.T, col @ B_up.T

@@ -1,10 +1,11 @@
 """Adaptive explicit Runge-Kutta integration, Dormand-Prince 5(4) pair.
 
 Embedded 4th-order error estimate drives step control; the free 4th-order
-interpolant of the pair provides dense output on accepted steps.  A guard
-can veto states (stage values included): a vetoed step is halved rather
-than error-controlled, and step underflow raises IntegrationBlowUp
-carrying the last valid state.
+interpolant of the pair provides dense output on accepted steps, for the
+error-controlled components (the first norm_dims) only.  A guard can
+veto states (stage values included): a vetoed step is halved rather than
+error-controlled, and step underflow raises IntegrationBlowUp carrying
+the last valid state.
 
 The systems integrated here are small (the 2-dimensional shooting system,
 the 6-dimensional shooting system with its variational equations, the
@@ -13,11 +14,11 @@ tiny arrays costs more than the arithmetic, and so does a Python call
 and a list per stage.  So the step loop is generated: its source writes
 every stage, error and dense-output expression out for each component,
 on scalar local floats, and takes the right-hand side as a Field, the
-source of one slope evaluation and of its guard test on a stage's
-locals, so slopes and guard cost no call of their own.  A loop is
-compiled on the first integration of each (dimension, error-norm width,
-dense, field name, field mask) and cached in _LOOPS; nothing is
-generated at import.  numpy appears only at the boundary, in IvpResult.y,
+source of one slope evaluation, of the coefficient reads it takes from
+the stage time and of its guard test on a stage's locals, so slopes and
+guard cost no call of their own.  A loop is compiled on the first
+integration of each (dimension, error-norm width, dense, field name,
+field mask) and cached in _LOOPS; nothing is generated at import.  numpy appears only at the boundary, in IvpResult.y,
 IntegrationBlowUp.y and the dense coefficients.  Neither the step-size
 clamps nor the error scales call a builtin: a min or max call per clamp
 cost about a fifth of a short shot.  Each clamp is a conditional
@@ -94,7 +95,7 @@ class DenseSolution:
     t1: float
     lefts: np.ndarray          # (nsteps,) left edge of each step
     widths: np.ndarray         # (nsteps,)
-    coef: np.ndarray           # (nsteps, 5, dim)
+    coef: np.ndarray           # (nsteps, 5, norm_dims)
 
     def __post_init__(self):
         slack = 1e-12 * (self.t1 - self.t0 + 1.0)
@@ -149,10 +150,15 @@ class Field:
     """A right-hand side y' = f(t, y) as step-loop source.
 
     slopes(p, y, when) returns the source lines that set the slope names p
-    from the state names y at time `when`, an expression.  veto(y) returns
-    an expression that is true where the guard rejects the state y, or
-    None when no state is rejected: slopes are only ever taken on states
-    that passed it.  Every other name the source reads is a key of args,
+    from the state names y at time `when`, an expression.  reads(when)
+    returns the lines (none by default), written before them, that read
+    what the slopes take from that time (the coefficient values).  The
+    loop writes them once per distinct stage time: stage 7 is taken at
+    t + h as stage 6 is (c6 = c7 = 1), so its slopes use stage 6's reads,
+    though they still get their own stage's time.  veto(y) returns an
+    expression that is true where the guard rejects the state y, or None
+    when no state is rejected: slopes are only ever taken on states that
+    passed it.  Every other name the source reads is a key of args,
     and the loop takes args' values as its trailing arguments.  name and
     mask identify the source: fields that share them write the same lines
     for the same names."""
@@ -162,6 +168,7 @@ class Field:
     slopes: Callable[[list, list, str], list]
     veto: Callable[[list], str] | None
     args: dict
+    reads: Callable[[str], list] = lambda when: []
 
 
 def source_sum(*terms) -> str:
@@ -184,10 +191,10 @@ def coefficient_field(name: str, coeffs: dict, write, veto=None,
     write(p, y, *reads) returns the lines that set the slope names p from
     the state names y, reads holding what each coefficient's terms read.
     The mask holds per coefficient 0 where it varies in t: the loop takes
-    its compiled scalar function as _k and calls it once per slope into
-    the local kt, its read; 1 where it is a nonzero constant, the float
-    argument and read _k; and 2 where it is the constant 0, which reads
-    None, so each term it scales is a zero left out (source_sum)."""
+    its compiled scalar function as _k and calls it once per stage time
+    into the local kt, its read; 1 where it is a nonzero constant, the
+    float argument and read _k; and 2 where it is the constant 0, which
+    reads None, so each term it scales is a zero left out (source_sum)."""
     mask, args, reads = [], dict(floats), []
     for k, coeff in coeffs.items():
         value = coeff.constant
@@ -197,11 +204,11 @@ def coefficient_field(name: str, coeffs: dict, write, veto=None,
         reads.append(f"{k}t" if value is None else f"_{k}" if value else None)
     calls = [f"{k}t = _{k}(ts)" for k, bit in zip(coeffs, mask) if bit == 0]
 
-    def slopes(p, y, when):
-        head = [f"ts = {when}", *calls] if calls else []
-        return head + write(p, y, *reads)
+    def read_at(when):
+        return [f"ts = {when}", *calls] if calls else []
 
-    return Field(name, tuple(mask), slopes, veto, args)
+    return Field(name, tuple(mask), lambda p, y, when: write(p, y, *reads),
+                 veto, args, read_at)
 
 
 def phi_slopes(k: list, phi: list, a: tuple, p: str | None) -> list:
@@ -289,10 +296,10 @@ def _step_loop(n: int, m: int, dense: bool, field: Field):
 def _loop_source(n: int, m: int, dense: bool, field: Field) -> str:
     comps = range(n)
 
-    def each(fmt: str) -> str:
-        """fmt filled in for every component, each followed by a comma, so
-        that one component still makes a tuple."""
-        return " ".join(fmt.format(i=i) + "," for i in comps)
+    def each(fmt: str, count: int = n) -> str:
+        """fmt filled in for the first count components, each followed by a
+        comma, so that one component still makes a tuple."""
+        return " ".join(fmt.format(i=i) + "," for i in range(count))
 
     def combo(weights, i: int) -> str:
         return " + ".join(f"{w} * p{j}_{i}"
@@ -326,7 +333,8 @@ def _loop_source(n: int, m: int, dense: bool, field: Field) -> str:
             "guard\",",
             f"                                t, np.array([{state}]))",
         ]
-    lines += indented(field.slopes(names("p1"), names("a"), "t"), 4)
+    lines += indented(field.reads("t") + field.slopes(names("p1"),
+                                                      names("a"), "t"), 4)
     lines += [
         "    nfev = 1",
         "    nsteps = rejected = guard_rejections = 0",
@@ -341,6 +349,7 @@ def _loop_source(n: int, m: int, dense: bool, field: Field) -> str:
         "                f\"step size underflow near t = {t:.12g}\", t,",
         f"                np.array([{state}]))",
     ]
+    read_when = None
     for s, (when, weights) in enumerate(_STAGES, 2):
         lines += [f"        y{s}_{i} = a_{i} + h * ({combo(weights, i)})"
                   for i in comps]
@@ -353,8 +362,11 @@ def _loop_source(n: int, m: int, dense: bool, field: Field) -> str:
                 "            guard_rejections += 1",
                 "            continue",
             ]
-        lines += indented(field.slopes(names(f"p{s}"), names(f"y{s}"), when),
-                          8)
+        # stage 7 shares stage 6's time, and so its reads
+        reads = [] if when == read_when else field.reads(when)
+        read_when = when
+        lines += indented(reads + field.slopes(names(f"p{s}"),
+                                               names(f"y{s}"), when), 8)
     lines.append("        nfev += 6")
     for i in range(m):
         lines += [
@@ -369,7 +381,7 @@ def _loop_source(n: int, m: int, dense: bool, field: Field) -> str:
         "        if err <= 1.0:",
     ]
     if dense:
-        for i in comps:
+        for i in range(m):
             lines += [
                 f"            dy_{i} = y7_{i} - a_{i}",
                 f"            r3_{i} = h * p1_{i} - dy_{i}",
@@ -378,7 +390,7 @@ def _loop_source(n: int, m: int, dense: bool, field: Field) -> str:
             ]
         lines += [
             "            coefs.extend((",
-            *(f"                {each(part + '_{i}')}"
+            *(f"                {each(part + '_{i}', m)}"
               for part in ("a", "dy", "r3", "r4", "r5")),
             "            ))",
             "            lefts.append(t)",
@@ -424,7 +436,9 @@ def solve_ivp_dp(field: Field, t0: float, y0, t1: float,
     all).  Components past them ride along uncontrolled: when they do not
     feed back into the leading ones, as a variational system does not,
     the leading components and the step sequence are those of the leading
-    system integrated alone, bit for bit.
+    system integrated alone, bit for bit.  Dense output, too, covers the
+    first norm_dims components only: the interpolant of a variational
+    shot is that of its leading system.
     """
     if not t1 > t0:
         raise ValueError(f"t1 = {t1!r} must exceed t0 = {t0!r}")
@@ -435,7 +449,8 @@ def solve_ivp_dp(field: Field, t0: float, y0, t1: float,
         raise ValueError(f"norm_dims must lie in [1, {n}], not {norm_dims}")
 
     span = t1 - t0
-    # per accepted step: y, dy, r3, r4, r5, packed as C doubles
+    # per accepted step: y, dy, r3, r4, r5 of the first m components,
+    # packed as C doubles
     lefts, widths, coefs = [], [], array("d")
     loop = _step_loop(n, m, dense, field)
     t, y, nsteps, nfev, rejected, guard_rejections = loop(
@@ -445,6 +460,6 @@ def solve_ivp_dp(field: Field, t0: float, y0, t1: float,
     sol = None
     if dense:
         sol = DenseSolution(t0, t1, np.asarray(lefts), np.asarray(widths),
-                            np.array(coefs).reshape(nsteps, 5, n))
+                            np.array(coefs).reshape(nsteps, 5, m))
     return IvpResult(t, np.array(y, dtype=float), sol, nsteps, nfev,
                      rejected, guard_rejections)

@@ -372,15 +372,21 @@ def _package(spec: ProblemSpec, flow: _Flow, x: float, v: float, fn: float,
     tgrid = np.linspace(0.0, spec.omega, PATH_SAMPLES)
     vals = sol(tgrid)
     path = SampledPath(tgrid, vals[:, 0], vals[:, 1])
-    y_path = x_from_y(path, 1.0 / spec.alpha)
+    # y = x^(1/alpha) and the residuals' powers and products can pass the
+    # float range (a large rho1 makes 1/alpha large): the diagnostics then
+    # read inf or nan, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_path = x_from_y(path, 1.0 / spec.alpha)
+        ode_residual = residual(spec, path, ORIGINAL)
+        ode_residual_y = residual(spec, y_path, TRANSFORMED)
     return Orbit(
         initial=State(t=0.0, x=x, v=v),
         path=path,
         y_path=y_path,
         omega=spec.omega,
         periodicity_residual=fn,
-        ode_residual=residual(spec, path, ORIGINAL),
-        ode_residual_y=residual(spec, y_path, TRANSFORMED),
+        ode_residual=ode_residual,
+        ode_residual_y=ode_residual_y,
         min_x=float(np.min(path.x)),
         norm_y=y_path.sup_norm(),
         newton_steps=steps,

@@ -4,7 +4,9 @@ Installing and removing each probe here makes a rename or deletion of a
 patched name fail the test suite rather than a traced benchmark run."""
 
 import importlib
+import json
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,8 @@ import periorbit
 from periorbit.expressions import PeriodicCoeff
 from periorbit.greens import GreensFunction
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 
 @pytest.fixture
@@ -45,3 +48,17 @@ def test_install_then_remove_restores_every_original(spans, probe):
         assert now.keys() == names.keys(), owner.__name__
         for name, value in names.items():
             assert now[name] is value, f"{owner.__name__}.{name}"
+
+
+def test_ci_smoke_loops_run_every_declared_workload():
+    """Both benchmark smoke loops of the CI workflow, plain and traced, run
+    exactly the workloads BENCHMARK.json declares, in its order: a workload
+    added, renamed or dropped on one side fails here."""
+    declared = [w["name"] for w in
+                json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    loops = re.findall(r"^\s*for w in ([^;]*); do$", workflow, re.MULTILINE)
+    assert len(loops) == 2
+    for loop in loops:
+        assert loop.split() == declared
+    assert workflow.count('bench/run.py --workload "$w"') == 2

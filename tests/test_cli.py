@@ -252,7 +252,8 @@ def test_check_overflowing_radius_power_is_a_failed_radius(tmp_path,
 
 def test_check_overflowing_floor_power_empties_the_window(tmp_path, capsys):
     """min b = -1e200 puts the H1 floor (-b_min/e_min)^(1/(1-a)) / sigma
-    past the float range: the floor reads inf and the window is empty."""
+    past the float range: the floor reads inf, written "inf" in JSON, and
+    the window is empty."""
     path = tmp_path / "huge_b.problem"
     path.write_text(HUGE_NEGATIVE_B)
     assert cli.main(["check", str(path)]) == 1
@@ -262,7 +263,7 @@ def test_check_overflowing_floor_power_empties_the_window(tmp_path, capsys):
     assert cli.main(["check", "--json", str(path)]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] is False and doc["reason"] == "H1 window empty"
-    assert doc["computed"]["checks"]["H1"]["lower"] == math.inf
+    assert doc["computed"]["checks"]["H1"]["lower"] == "inf"
 
 
 def test_solve_mean_past_float_range_exit_2(tmp_path, capsys):
@@ -334,8 +335,9 @@ def test_chu_weights_past_float_range_fail_without_a_warning(tmp_path,
     """exp(int_0^t p) reaches exp(419) at p = 200, and its square leaves
     the float range; at p = 400 the weight itself does.  CHU fails with
     no RuntimeWarning (an error under the test filter) and no NaN: each
-    quantity past the range reads on its failing side.  A2 decides as
-    before; the kernel is not positive either way, so the exit code is 1."""
+    quantity past the range reads on its failing side, written "inf" or
+    "-inf" in JSON.  A2 decides as before; the kernel is not positive
+    either way, so the exit code is 1."""
     path = tmp_path / "steep.problem"
     path.write_text(f"omega = 2*pi/3\np = {p}\nq = 1\nb = 1\nc = 1\n"
                     "e = 1\nrho1 = 3/2\nrho2 = 1\n")
@@ -346,12 +348,72 @@ def test_chu_weights_past_float_range_fail_without_a_warning(tmp_path,
     assert a2["criterion"] == "A2" and a2["holds"] is True
     assert chu["criterion"] == "CHU" and chu["holds"] is False
     assert "float range" in chu["notes"]
-    assert chu["quantities"]["window_sup"] == math.inf
+    assert chu["quantities"]["window_sup"] == "inf"
     first = chu["quantities"]["first_integral"]
     if p == "400":
-        assert first == -math.inf
+        assert first == "-inf"
     else:
         assert math.isfinite(first)
+
+
+def _strict_json(text: str):
+    """text parsed as RFC 8259 JSON, which has no Infinity or NaN."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+# rho1 = 30 makes 1/alpha = 31: y = x^31 of the orbit leaves the float
+# range, so norm_y is inf and ode_residual_y nan
+_Y_PAST_RANGE = ("omega = 1\np = 3\nq = 1e-9\nb = -5\nc = 1e8\n"
+                 "e = 1e9\nrho1 = 30\nrho2 = 1.5\n")
+
+
+def test_json_writes_non_finite_floats_as_strings(tmp_path, capsys):
+    """check --json and its sidecar, and solve --json, write a float that
+    is not finite as "inf", "-inf" or "nan", as _g spells it, and so are
+    valid JSON."""
+    steep = tmp_path / "steep.problem"
+    steep.write_text("omega = 2*pi/3\np = 400\nq = 1\nb = 1\nc = 1\n"
+                     "e = 1\nrho1 = 1.5\nrho2 = 1\n")
+    assert cli.main(["check", "--json", str(steep)]) == 1
+    doc = _strict_json(capsys.readouterr().out)
+    sidecar = (tmp_path / "steep.certificate.json").read_text()
+    assert _strict_json(sidecar) == doc
+    chu = doc["positivity_checks"][1]["quantities"]
+    assert (chu["first_integral"], chu["window_sup"]) == ("-inf", "inf")
+
+    far = tmp_path / "far.problem"
+    far.write_text(_Y_PAST_RANGE)
+    assert cli.main(["solve", "--json", str(far)]) == 0
+    orbit = _strict_json(capsys.readouterr().out)
+    assert (orbit["norm_y"], orbit["ode_residual_y"]) == ("inf", "nan")
+    assert math.isfinite(orbit["x0"])
+
+
+@pytest.mark.parametrize("command,text,code", [
+    ("solve", _Y_PAST_RANGE, 0),
+    ("solve", "omega = 1\np = 0.01*sin(2*pi*t)\nq = 2+sin(2*pi*t)\nb = 0\n"
+              "c = 1e-8\ne = 1e9\nrho1 = 30\nrho2 = 2\n", 0),
+    ("check", "omega = 100\np = 0.01*sin(2*pi*t/100)\nq = -1\nb = -5\n"
+              "c = 1\ne = 1\nrho1 = 30\nrho2 = 1.5\n", 1),
+    ("check", "omega = 100\np = 3\nq = -1\nb = -5\nc = 1e-8\ne = 1e-8\n"
+              "rho1 = 1e-3\nrho2 = 50\n", 1),
+], ids=["solve-y-power", "solve-y-product", "check-det", "check-matmul"])
+def test_values_past_float_range_warn_nothing(tmp_path, capsys, command,
+                                              text, code):
+    """Orbits whose y = x^(1/alpha) diagnostics leave the float range, and
+    numeric kernels whose factors' products or grid products do: under the
+    suite's error::RuntimeWarning filter each command runs through, the
+    solves exit 0 and the checks exit 1 on a kernel that is not
+    positive."""
+    path = tmp_path / "far.problem"
+    path.write_text(text)
+    assert cli.main([command, str(path)]) == code
+    if command == "check":
+        assert capsys.readouterr().out.endswith(
+            "verdict: FALSE  (kernel not positive)\n")
 
 
 @pytest.mark.parametrize("command", ["check", "greens", "solve"])

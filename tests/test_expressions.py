@@ -277,8 +277,8 @@ def test_compiled_function_is_built_once():
 
 def test_scalar_and_array_builds_compile_the_source_once(monkeypatch):
     """The scalar and the array function bind one code object, so a tree
-    used both ways is compiled once; its non-finite constants are bound
-    with it."""
+    used both ways is compiled once; its constants are bound with it."""
+    expressions._shape_code.cache_clear()
     sources = []
     real_compile = builtins.compile
 
@@ -293,6 +293,150 @@ def test_scalar_and_array_builds_compile_the_source_once(monkeypatch):
     assert list(evaluate(e, np.array([0.0, math.pi]))) == [math.inf,
                                                            -math.inf]
     assert len(sources) == 1
+
+
+def _literal_compile(expr):
+    """The code of expr as it was emitted with its finite constants written
+    as literals, and the non-finite constants it names: the oracle that
+    naming every constant must reproduce bit for bit."""
+    constants = {}
+    spills = []
+    shared = expressions._shared_nodes(expr)
+    spilled = {}
+
+    def spill(code, at=None):
+        name = f"v{len(spills)}"
+        spills.insert(len(spills) if at is None else at,
+                      f"    {name} = {code}\n")
+        return name
+
+    def emit(e):
+        kind = type(e)
+        if kind is TimeVar:
+            return "t", 0
+        if kind is Const:
+            if math.isfinite(e.value):
+                return f"({e.value!r})", 1
+            name = f"_k{len(constants)}"
+            constants[name] = e.value
+            return name, 0
+        if id(e) in spilled:
+            return spilled[id(e)], 0
+        if kind in (Add, Mul):
+            a, da = emit(e.left)
+            mark = len(spills)
+            b, db = emit(e.right)
+            if len(spills) > mark and da > 0:
+                a, da = spill(a, at=mark), 0
+            code = f"({a} {'+' if kind is Add else '*'} {b})"
+            depth = max(da, db)
+        elif kind is Pow:
+            a, depth = emit(e.base)
+            q = e.exponent
+            if q.denominator != 1:
+                code = f"_fpow({a}, {float(q)!r}, {str(q)!r})"
+            elif q < 0:
+                code = f"_npow({a}, {float(q)!r}, {str(q)!r})"
+            else:
+                code = f"({a} ** {float(q)!r})"
+        else:
+            a, depth = emit(e.arg)
+            code = f"(-{a})" if kind is Neg else \
+                f"{expressions._UFUNC[kind]}({a})"
+        if id(e) in shared:
+            spilled[id(e)] = spill(code)
+            return spilled[id(e)], 0
+        if depth + 1 < expressions._MAX_NESTING:
+            return code, depth + 1
+        return spill(code), 0
+
+    body, _ = emit(expr)
+    source = "def _f(t):\n" + "".join(spills) + f"    return {body}\n"
+    return compile(source, "<literal oracle>", "exec"), constants
+
+
+def _literal_evaluate(expr, t):
+    """evaluate(expr, t) through the literal-constant oracle's code."""
+    code, constants = _literal_compile(expr)
+    array = isinstance(t, np.ndarray)
+    names = {**(expressions._ARRAY_NAMES if array
+                else expressions._SCALAR_NAMES), **constants}
+    exec(code, names)
+    result = names["_f"](t)
+    if array and np.ndim(result) == 0:
+        return np.full(t.shape, float(result))
+    return result
+
+
+_EDGE_CONSTANTS = [-0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf,
+                   -math.inf, math.nan]
+_edge_trees = st.recursive(
+    st.one_of(_leaves, st.builds(Const, st.sampled_from(_EDGE_CONSTANTS))),
+    lambda sub: st.one_of(
+        st.builds(Neg, sub), st.builds(Add, sub, sub),
+        st.builds(Mul, sub, sub), st.builds(Pow, sub, _exponents),
+        st.builds(Sin, sub), st.builds(Cos, sub), st.builds(Exp, sub)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(e=_edge_trees)
+def test_named_constants_match_literal_constants_bit_for_bit(e):
+    """Every constant read by name gives the values, or the error, of the
+    same constant written as a literal, on scalar and array inputs: among
+    them -0.0, the smallest subnormal, 1e308 and the infinities, alone and
+    inside shared subtrees.  NaNs are compared as one NaN (_one_nan): the
+    sign of a product of two NaNs follows CPython's specialisation of the
+    code object, which all trees of a shape now share, not the constants."""
+    mine, oracle = _one_nan(evaluate), _one_nan(_literal_evaluate)
+    for tree in (e, *_shared_uses(e, Const(-0.0))):
+        for t in _POINTS:
+            assert _outcome(mine, tree, t) == _outcome(oracle, tree, t)
+        for ts in (np.array(_POINTS), np.zeros(0)):
+            assert _outcome(mine, tree, ts) == _outcome(oracle, tree, ts)
+
+
+def _shaped(k0, k1, k2, k3):
+    """One tree shape, over a power, a product, a shared subtree and every
+    function, with the constants k0..k3."""
+    inner = Add(Mul(Const(k1), TimeVar()), Const(k2))
+    return derivative(Mul(Add(Const(k0), Cos(inner)),
+                          Exp(Mul(Const(k3), Sin(Pow(Add(Const(2.0), inner),
+                                                     Fraction(1, 2)))))))
+
+
+def test_trees_of_one_shape_share_one_code_object(monkeypatch):
+    """Trees that differ only in their constants compile one source, once,
+    into a bounded cache, and their functions share its code object, each
+    reading its own constants: the values match the literal-constant
+    oracle bit for bit."""
+    expressions._shape_code.cache_clear()
+    sources = []
+    real_compile = builtins.compile
+
+    def spy(source, filename, *args, **kwargs):
+        if filename == "<periorbit expression>":
+            sources.append(source)
+        return real_compile(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", spy)
+    trees = [_shaped(*ks) for ks in ((1.5, 3.0, 0.25, -0.5),
+                                     (-0.0, 5e-324, 1e308, 2.0),
+                                     (math.inf, -1.0, -0.0, -math.inf))]
+    functions = [compiled(e, array=array) for e in trees
+                 for array in (False, True)]
+    assert len(sources) == 1
+    assert len({fn.__code__ for fn in functions}) == 1
+    assert len({id(e._code[0]) for e in trees}) == 1
+    for e in trees:
+        for t in (0.0, 0.3, -1.7):
+            assert _outcome(evaluate, e, t) == \
+                _outcome(_literal_evaluate, e, t)
+        ts = np.array([0.0, 0.3, -1.7])
+        assert _outcome(evaluate, e, ts) == _outcome(_literal_evaluate, e, ts)
+    # the cache of code objects is bounded
+    assert expressions._shape_code.cache_info().maxsize == \
+        expressions._CODE_CACHE
 
 
 def test_evaluated_expression_still_pickles():
@@ -380,6 +524,7 @@ def test_derivative_source_grows_linearly_in_factors(monkeypatch):
         return compile(source, *args)
 
     monkeypatch.setattr(expressions, "compile", spy, raising=False)
+    expressions._shape_code.cache_clear()
     lengths = {}
     for k in (50, 200):
         d = derivative(parse_expression("*".join(["(1+cos(3*t)/9)"] * k)))

@@ -1,5 +1,6 @@
 """Adaptive Runge-Kutta integrator: accuracy, dense output, guards, errors."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -565,8 +566,9 @@ def _list_solve_ivp_dp(f, t0, y0, t1, rtol=1e-10, atol=1e-12, guard=None,
             h *= max(0.2, 0.9 * err ** -0.2)
     sol = None
     if dense:
+        # dense output keeps the error-controlled components only
         sol = DenseSolution(t0, t1, np.asarray(lefts), np.asarray(widths),
-                            np.array(coefs).reshape(nsteps, 5, n))
+                            np.array(coefs).reshape(nsteps, 5, n)[:, :, :m])
     return IvpResult(t, np.array(y, dtype=float), sol, nsteps, nfev,
                      rejected, guard_rejections)
 
@@ -684,6 +686,49 @@ def test_list_oracle_numeric_family_and_monodromy(monkeypatch):
         for dense in (True, False):
             _assert_bitwise(monodromy, *args, field=field,
                             **{**kwargs, "dense": dense})
+
+
+@pytest.mark.parametrize("variational", [False, True])
+def test_varying_coefficients_are_read_once_per_stage_time(variational):
+    """Stage 7 is taken at t + h, as stage 6 is (c6 = c7 = 1), so a varying
+    coefficient is read once at the start and 5 times per attempted step,
+    not 6, while the steps, the slope count nfev, the rejections and the
+    end state are the list oracle's, which calls the right-hand side 6
+    times a step."""
+    spec = _numeric_kernel_spec()
+    flow = _Flow(spec)
+    field = flow.field_var if variational else flow.field
+    assert field.mask[:2] == (0, 0)
+    read, calls = field.args["_p"], []
+
+    def counted(t):
+        calls.append(t)
+        return read(t)
+
+    counting = dataclasses.replace(field, args={**field.args, "_p": counted})
+    f, guard = _oracle_shot(flow, variational)
+    y0 = (0.5 * flow.scale, 3.0, 1.0, 0.0, 0.0, 1.0)[:6 if variational else 2]
+    res = _assert_bitwise(f, 0.0, y0, spec.omega, lambda: guard,
+                          field=counting, norm_dims=2, rtol=1e-9,
+                          atol=1e-11 * (1.0 + flow.scale))
+    attempted = res.nsteps + res.rejected
+    assert res.rejected > 0 and res.guard_rejections == 0
+    assert res.nfev == 1 + 6 * attempted
+    assert len(calls) == 1 + 5 * attempted
+
+
+def test_jacobian_shot_keeps_dense_output_of_x_and_v_only():
+    """A dense 6-component shot with norm_dims=2 records the interpolant of
+    (x, v) alone, shape (nsteps, 5, 2), bit-equal to the plain shot's."""
+    for spec in (make_example(1.3), _numeric_kernel_spec()):
+        flow = _Flow(spec)
+        plain = flow.shoot(flow.scale, 0.0, dense=True)
+        carried = flow.shoot(flow.scale, 0.0, dense=True, jacobian=True)
+        assert carried.y.shape == (6,)
+        assert carried.dense.coef.shape == (carried.nsteps, 5, 2)
+        for part in ("lefts", "widths", "coef"):
+            a, b = getattr(carried.dense, part), getattr(plain.dense, part)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_list_oracle_guard_hits_and_blowup():
