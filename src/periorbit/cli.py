@@ -13,7 +13,8 @@ diagnostics to stderr.  Sidecar files (JSON / CSV / SVG) are written to
 
 Exit codes: 0 success / verdict true; 1 a well-posed run answered
 negatively (verdict false, resonance, no convergence, guard violation);
-2 usage, parse, or validation errors.
+2 usage (an unusable output directory included), parse, or validation
+errors.
 """
 
 from __future__ import annotations
@@ -102,8 +103,14 @@ def _resolve(fileref: str, bundled_first: bool = False) -> LoadedProblem:
 
 
 def _out_dir(args) -> str:
+    """The directory for sidecar files, made if missing, before a command
+    computes anything; a path that cannot be one, such as a file, exits 2."""
     out = args.out or os.environ.get("PERIORBIT_OUT") or "."
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as err:
+        raise _CliError(f"{out}: not a usable output directory "
+                        f"({err.strerror})", 2) from err
     return out
 
 
@@ -187,12 +194,12 @@ def _certificate_report(problem: LoadedProblem, cert: Certificate) -> str:
 
 def _cmd_check(args) -> int:
     problem = _resolve(args.file)
+    out = _out_dir(args)
     cert = certify(problem.spec, a1=problem.a1)
     doc = cert.to_dict()
     doc["instance"] = {"name": problem.name, "sha256": problem.sha256,
                        "omega": problem.spec.omega,
                        "rho1": problem.spec.rho1, "rho2": problem.spec.rho2}
-    out = _out_dir(args)
     _write(os.path.join(out, f"{problem.name}.certificate.json"),
            _json_text(doc))
     if args.json:
@@ -226,6 +233,7 @@ def _kernel_cells(values: np.ndarray) -> tuple[list, str]:
 
 def _cmd_greens(args) -> int:
     problem = _resolve(args.file)
+    out = _out_dir(args)
     spec = problem.spec
     gf = kernel_for(spec.p, spec.l, spec.omega, n=args.n)
     lines = [f"# instance = {problem.name}",
@@ -247,7 +255,6 @@ def _cmd_greens(args) -> int:
         cells[1::3], cells[2::3] = g_row, gt_row
         blocks.append((ti + row) * len(ts) % tuple(cells))
     csv_text = "".join(blocks)
-    out = _out_dir(args)
     _write(os.path.join(out, f"{problem.name}.greens.csv"), csv_text)
     shown = gf.constants()
     shown["sigma"], shown["delta"] = _cone_ratios(gf.sigma, gf.delta,
@@ -292,6 +299,7 @@ def _solve_problem(problem: LoadedProblem, args) -> Orbit:
 
 def _cmd_solve(args) -> int:
     problem = _resolve(args.file)
+    out = _out_dir(args)
     try:
         orbit = _solve_problem(problem, args)
     except NoConvergenceError as err:
@@ -300,7 +308,6 @@ def _cmd_solve(args) -> int:
     except (SingularityError, IntegrationBlowUp) as err:
         sys.stderr.write(f"singularity: {err}\n")
         return 1
-    out = _out_dir(args)
     stem = problem.name
     _write(os.path.join(out, f"{stem}.orbit.csv"), _orbit_csv(problem, orbit))
     if args.svg:
@@ -411,12 +418,12 @@ def _reproduce_one(key: str, args, report: list) -> dict:
 
 
 def _cmd_reproduce(args) -> int:
+    out = _out_dir(args)
     keys = list(_REPRO) if args.id == "all" else [args.id]
     report: list[str] = []
     results = {}
     for key in keys:
         results[key] = _reproduce_one(key, args, report)
-    out = _out_dir(args)
     _write(os.path.join(out, "reproduce.json"), _json_text(results))
     sys.stdout.write("\n".join(report) + "\n")
     all_ok = all(r["pass"] for r in results.values())

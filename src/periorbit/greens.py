@@ -45,11 +45,13 @@ its kernel grid is evaluated only when read, as the greens command reads
 it.  A numeric kernel's are estimates: each is the best value a refining
 scan finds, seeded at the grid cell where its surface is extreme (the
 grid's argmin and argmax of G, and the argmax of |dG/dt| with both
-one-sided slopes on the diagonal) and at that cell's periodic images; they
-are not outward-rounded enclosures.  The scan refines all its windows, of
-the three surfaces and their images, in lockstep: each level hands every
-window's abscissae to the grid's own evaluator, _evaluate, in one call, so
-each window finds the values it would find scanned alone, bit for bit.
+one-sided slopes on the diagonal); they are not outward-rounded
+enclosures.  G and dG/dt are omega-periodic in t and in s, so a scan
+window that crosses an edge of the square wraps around to the opposite
+one.  The scan refines its three windows, one a surface, in lockstep:
+each level hands every window's abscissae to the grid's own evaluator,
+_evaluate, in one call, so each window finds the values it would find
+scanned alone, bit for bit.
 _evaluate is the one place where factors become kernel values.
 
 The CHU criterion samples p, its exponential weights and l over one
@@ -74,7 +76,8 @@ _MONODROMY_RTOL = 1e-12
 _MONODROMY_ATOL = 1e-14
 _SCAN_POINTS = 17        # per axis of each extremum-scan level
 _SCAN_LEVELS = 5         # each level cuts the scan's shortfall ~60-fold
-_RAMP = np.arange(float(_SCAN_POINTS))  # a scan window's point indices
+# a scan window's offsets from its centre, in steps of 1/8 its half-width
+_RAMP = np.arange(_SCAN_POINTS) - _SCAN_POINTS // 2.0
 
 
 class ResonanceError(RuntimeError):
@@ -131,23 +134,20 @@ class GreensFunction:
         s = np.atleast_1d(np.asarray(s, dtype=float))
         return _evaluate(self._factors, t, s)
 
-    def _integrate(self, t, nodes, weights, values):
+    def _integrate(self, t, f):
         """(int_0^omega G(t_i, s) f(s) ds, the same with dG/dt) at every
-        point t_i of an increasing grid t_0 = 0 < ... < t_n = omega.
-
-        Cell k = [t_k, t_{k+1}] carries a quadrature rule: nodes, weights
-        and the values of f at the nodes, each of shape (n, m).  Cells left
+        point t_i of a uniform grid t_0 = 0 < ... < t_n = omega, from the
+        samples f = f(t_i) by the trapezoid rule on each cell.  Cells left
         of t_i take the lower branch and cells right of it the upper one,
         so the derivative's diagonal jump never falls inside a cell.  The
-        rank-2 factors turn the sum over cells into a prefix sum of the
-        lower-branch cell integrals of V f and a suffix sum of the
-        upper-branch ones: O(n m) time and memory.
+        rank-2 factors, evaluated once a sample, turn the sum over cells
+        into a prefix sum of the lower-branch cell integrals of V f and a
+        suffix sum of the upper-branch ones: O(n) time and memory.
         """
-        U, dU, V_lo, V_up = self._factors(t, nodes.ravel())
-        wf = (weights * values).reshape(-1, 1)
-        shape = nodes.shape + (2,)
-        lower = (V_lo * wf).reshape(shape).sum(axis=1)
-        upper = (V_up * wf).reshape(shape).sum(axis=1)
+        U, dU, V_lo, V_up = self._factors(t, t)
+        wf = (0.5 * (t[1] - t[0]) * f)[:, None]
+        lower = V_lo[:-1] * wf[:-1] + V_lo[1:] * wf[1:]
+        upper = V_up[:-1] * wf[:-1] + V_up[1:] * wf[1:]
         acc = np.zeros((len(t), 2))
         np.cumsum(lower, axis=0, out=acc[1:])
         acc[:-1] += np.cumsum(upper[::-1], axis=0)[::-1]
@@ -200,37 +200,22 @@ def _slope(tau, G, Gt):
 _SURFACES = (lambda tau, G, Gt: -G, lambda tau, G, Gt: G, _slope)
 
 
-def _periodic_images(i, j, n):
-    """Grid cell (i, j) and, since the kernel is omega-periodic in t and in
-    s, its images on the opposite edges when it lies on an edge."""
-    alt = lambda k: (k, n - k) if k in (0, n) else (k,)
-    return [(a, b) for a in alt(i) for b in alt(j)]
-
-
 def _window_abscissae(centres, width, omega):
-    """np.linspace(max(0, c - width), min(omega, c + width), _SCAN_POINTS,
-    axis=-1) for every centre c, bit for bit: numpy's own formula, lo plus
-    _RAMP times (hi - lo)/(_SCAN_POINTS - 1), with the last point set to
-    hi.  The centres lie in [0, omega] and width <= omega, so every window
-    has hi - lo >= width > 0 and numpy's branch for a zero step never
-    applies."""
-    lo = np.maximum(0.0, centres - width)
-    hi = np.minimum(omega, centres + width)
-    x = lo[:, None] + _RAMP * ((hi - lo) / (_SCAN_POINTS - 1))[:, None]
-    x[:, -1] = hi
-    return x
+    """_SCAN_POINTS abscissae a step of width/8 apart around each centre,
+    out to width on either side, wrapped into [0, omega]: the kernel is
+    omega-periodic in t and in s, and _evaluate picks the branch from the
+    wrapped abscissae."""
+    return (centres[:, None] + _RAMP * (width / 8.0)) % omega
 
 
 def _scanned_extremes(factors, tgrid, G, Gt):
-    """(g_min, g_max, gt_max) of a numeric kernel.  Each surface is scanned
-    from its grid argmax and that cell's periodic images, so the constants
-    are estimates, not enclosures.
-
-    All windows are refined in lockstep.  Each level scans a
-    _SCAN_POINTS^2 window of half-width `width` around every centre,
-    clipped to the square, then recentres each on its argmax at 1/8 the
-    width.  A level's windows go through the grid's evaluator in one
-    stacked call, so each window finds what it would find scanned alone.
+    """(g_min, g_max, gt_max) of a numeric kernel, each scanned from its
+    surface's grid argmax: estimates, not enclosures.  The three windows
+    are refined in lockstep.  Each level scans a _SCAN_POINTS^2 window of
+    half-width `width` around every centre, wrapped around the period,
+    then recentres each on its argmax at 1/8 the width.  A level's windows
+    go through the grid's evaluator in one stacked call, so each window
+    finds what it would find scanned alone.
     """
     omega, n, width = tgrid[-1], len(tgrid) - 1, tgrid[1] - tgrid[0]
     # _slope on the grid: the grid increases strictly, so tau = 0 exactly
@@ -240,30 +225,24 @@ def _scanned_extremes(factors, tgrid, G, Gt):
     diag = np.arange(n + 1)
     slope[diag, diag] = np.maximum(slope[diag, diag],
                                    np.abs(Gt[diag, diag] - 1.0))
-    centres, spans = [], []
-    for flat in (np.argmin(G), np.argmax(G), np.argmax(slope)):
-        i, j = np.unravel_index(flat, G.shape)
-        images = _periodic_images(i, j, n)
-        spans.append(slice(len(centres), len(centres) + len(images)))
-        centres += [(tgrid[a], tgrid[b]) for a, b in images]
-    tc, sc = np.array(centres).T
-    windows = np.arange(len(centres))
-    best = np.full(len(centres), -np.inf)
+    i, j = np.unravel_index([np.argmin(G), np.argmax(G), np.argmax(slope)],
+                            G.shape)
+    tc, sc = tgrid[i], tgrid[j]
+    windows = np.arange(len(_SURFACES))
+    best = np.full(len(_SURFACES), -np.inf)
     for _ in range(_SCAN_LEVELS):
         ts, ss = (_window_abscissae(c, width, omega) for c in (tc, sc))
         g, gt = _evaluate(factors, ts, ss)
         lag = ts[:, :, None] - ss[:, None, :]
-        vals = np.concatenate([surface(lag[k], g[k], gt[k])
-                               for surface, k in zip(_SURFACES, spans)])
-        flat = vals.reshape(len(centres), -1)
+        flat = np.stack([surface(*args).ravel() for surface, *args
+                         in zip(_SURFACES, lag, g, gt)])
         peak = np.argmax(flat, axis=1)
         top = flat[windows, peak]
         best = np.where(top > best, top, best)
         i, j = np.divmod(peak, _SCAN_POINTS)
         tc, sc = ts[windows, i], ss[windows, j]
         width /= 8.0
-    found = [max(best[k].tolist()) for k in spans]
-    return -found[0], found[1], found[2]
+    return (-best[0].item(), *best[1:].tolist())
 
 
 def _assemble(omega, n, factors, source, extremes=None) -> GreensFunction:

@@ -211,10 +211,13 @@ def _pow(base: float, exponent: float) -> float:
 def _small_radius_floor(numerator: float, e_min: float, sigma: float,
                         alpha: float) -> float:
     """(1/sigma) * (numerator/e_min)^(1/(1-alpha)), or 0 when the forcing
-    minimum already makes the lower bound vacuous (numerator <= 0)."""
+    minimum already makes the lower bound vacuous (numerator <= 0).  An
+    alpha that rounds to 1 (rho1 below about 1.1e-16) takes the limit
+    exponent +inf."""
     if numerator <= 0.0:
         return 0.0
-    return _pow(numerator / e_min, 1.0 / (1.0 - alpha)) / sigma
+    exponent = 1.0 / (1.0 - alpha) if alpha < 1.0 else math.inf
+    return _pow(numerator / e_min, exponent) / sigma
 
 
 def check_H1(k: HypothesisConstants) -> IntervalCheck:
@@ -305,13 +308,12 @@ def step3_lhs(k: HypothesisConstants, case: str, R: float) -> float:
     return front * inner
 
 
-def find_R(k: HypothesisConstants, case: str, r_lo: float,
-           cap: float = R_SEARCH_CAP) -> RSearch:
+def find_R(k: HypothesisConstants, case: str, r_lo: float) -> RSearch:
     """Smallest radius R with step3_lhs(R) <= R, located on the geometric
     grid {2 r_lo 2^j} (seeded at 1, and walked down, when r_lo = 0) and
     refined by bisection to six significant digits; a satisfying seed
     2 r_lo is returned unbracketed.  Returns found=False when no grid
-    point up to the cap satisfies the inequality."""
+    point up to R_SEARCH_CAP satisfies the inequality."""
     evals = 0
 
     def ok(R: float) -> bool:
@@ -323,7 +325,7 @@ def find_R(k: HypothesisConstants, case: str, r_lo: float,
     R = 2.0 * r_lo if from_floor else 1.0
     prev = None
     hit = None
-    while R <= cap * (1.0 + 1e-9):
+    while R <= R_SEARCH_CAP * (1.0 + 1e-9):
         if ok(R):
             hit = R
             break

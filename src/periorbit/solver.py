@@ -409,17 +409,17 @@ def apply_T(gf: GreensFunction, tspec: TransformedSpec,
                      + (e/a) y^(1-a) + (1-a) y'^2 / y + b/a ](s) ds
 
     together with its derivative through dG/dt, on the sample grid of y.
-    Quadrature is the trapezoid rule on each sample cell, the cells left of
-    t_i taking the kernel's lower branch and those right of it the upper
-    one.  Both branches have rank 2, G(t,s) = U(t).V(s), so the rule runs
-    as one prefix and one suffix sum over the cells: O(n) time and memory,
-    no kernel matrix.
+    The integrand is sampled once on that grid, and GreensFunction._integrate
+    applies the trapezoid rule on each sample cell, the cells left of t_i
+    taking the kernel's lower branch and those right of it the upper one.
+    Both branches have rank 2, G(t,s) = U(t).V(s), so the rule runs as one
+    prefix and one suffix sum over the cells: O(n) time and memory, no
+    kernel matrix.
     """
     if not np.all(y.x > 0.0):
         raise PositivityError("operator input must be strictly positive")
     t = y.t
-    n = t.size - 1
-    if n < 2 or abs(t[0]) > 1e-12 * gf.omega \
+    if t.size < 3 or abs(t[0]) > 1e-12 * gf.omega \
             or abs(t[-1] - gf.omega) > 1e-9 * gf.omega:
         raise ValueError("operator input must sample [0, omega] uniformly")
     spec, k = tspec.spec, tspec.k
@@ -427,10 +427,7 @@ def apply_T(gf: GreensFunction, tspec: TransformedSpec,
          + k * spec.e(t) * y.x ** tspec.exponent_e
          + tspec.gradient_factor * y.v * y.v / y.x
          + k * spec.b(t))
-    ends = lambda a: np.column_stack((a[:-1], a[1:]))
-    Ty, Typ = gf._integrate(t, ends(t), np.full((n, 2), 0.5 * y.step),
-                            ends(F))
-    return SampledPath(t, Ty, Typ)
+    return SampledPath(t, *gf._integrate(t, F))
 
 
 @dataclass(frozen=True)

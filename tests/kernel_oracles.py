@@ -3,9 +3,11 @@
 Only the tests use these: each checks a kernel built by periorbit.greens
 against a property of the periodic Green's function (the homogeneous
 equation off the diagonal, periodicity in t, the unit jump of dG/dt across
-the diagonal), applies it as an integral operator, evaluates one branch's
-formula wherever t and s lie, or scans its extremes one window at a time,
-as the batched scan of periorbit.greens must.
+the diagonal), applies it as an integral operator with a Gauss rule on
+every grid cell (solve_linear; the package's operator takes samples and
+the trapezoid rule), evaluates one branch's formula wherever t and s lie,
+or scans its extremes one window at a time, each window wrapped around
+the period, as the batched scan of periorbit.greens must.
 chu_two_periods evaluates the CHU criterion as it was first written, with
 its window integrals sampled over two periods.
 """
@@ -13,7 +15,7 @@ its window integrals sampled over two periods.
 import numpy as np
 
 from periorbit.greens import (_SCAN_LEVELS, _SCAN_POINTS, _SURFACES,
-                             CriterionVerdict, _evaluate, _periodic_images)
+                             CriterionVerdict, _evaluate)
 from periorbit.quadrature import _gauss_nodes, cumulative_integral
 
 _JUMP_STEP = 1e-4        # diagonal_jump_error's difference step, in omega units
@@ -33,13 +35,24 @@ def solve_linear(gf, h, return_derivative: bool = False):
 
     Every grid cell carries a 10-point Gauss rule, so no cell straddles
     the diagonal; node placement depends only on the grid, making the
-    map exactly linear in h.
+    map exactly linear in h.  The cells left of t_i take the lower branch
+    and those right of it the upper one, summed through the rank-2
+    factors as a prefix and a suffix sum, as GreensFunction._integrate
+    sums its trapezoid cells.
     """
     x10, w10 = _gauss_nodes(10)
     half = 0.5 * np.diff(gf.t)[:, None]
     nodes = 0.5 * (gf.t[:-1] + gf.t[1:])[:, None] + half * x10
     hv = np.asarray(h(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    u, up = gf._integrate(gf.t, nodes, half * w10, hv)
+    U, dU, V_lo, V_up = gf._factors(gf.t, nodes.ravel())
+    wf = (half * w10 * hv).reshape(-1, 1)
+    shape = nodes.shape + (2,)
+    lower = (V_lo * wf).reshape(shape).sum(axis=1)
+    upper = (V_up * wf).reshape(shape).sum(axis=1)
+    acc = np.zeros((len(gf.t), 2))
+    np.cumsum(lower, axis=0, out=acc[1:])
+    acc[:-1] += np.cumsum(upper[::-1], axis=0)[::-1]
+    u, up = (U * acc).sum(axis=1), (dU * acc).sum(axis=1)
     return (u, up) if return_derivative else u
 
 
@@ -94,34 +107,32 @@ def diagonal_jump_error(gf, s_values) -> np.ndarray:
 
 
 def scanned_extremes(factors, tgrid, G, Gt):
-    """(g_min, g_max, gt_max) of a numeric kernel as the scan was first
-    written: one window at a time, each seeded at a surface's grid argmax
-    or one of that cell's periodic images and refined level by level on
-    its own (_scan_max), the best of a surface's windows kept."""
-    omega, n, step = tgrid[-1], len(tgrid) - 1, tgrid[1] - tgrid[0]
+    """(g_min, g_max, gt_max) of a numeric kernel scanned one window at a
+    time, each seeded at a surface's grid argmax and refined level by
+    level on its own (_scan_max)."""
+    omega, step = tgrid[-1], tgrid[1] - tgrid[0]
     tau = tgrid[:, None] - tgrid[None, :]
     found = []
     for surface in _SURFACES:
         vals = surface(tau, G, Gt)
         i, j = np.unravel_index(np.argmax(vals), vals.shape)
-        found.append(max(_scan_max(factors, surface, omega, tgrid[a],
-                                   tgrid[b], step)
-                         for a, b in _periodic_images(i, j, n)))
+        found.append(_scan_max(factors, surface, omega, tgrid[i], tgrid[j],
+                               step))
     return -found[0], found[1], found[2]
 
 
 def _scan_max(factors, surface, omega, tc, sc, width):
     """Largest value of the surface near (tc, sc).
 
-    Each level scans a _SCAN_POINTS^2 window of half-width `width`, clipped
-    to the square, then recentres on its argmax at 1/8 the width.
+    Each level scans a _SCAN_POINTS^2 window of half-width `width`, its
+    abscissae a step of width/8 apart and wrapped into [0, omega], then
+    recentres on its argmax at 1/8 the width.
     """
+    offsets = np.arange(-(_SCAN_POINTS // 2), _SCAN_POINTS // 2 + 1.0)
     best = -np.inf
     for _ in range(_SCAN_LEVELS):
-        ts = np.linspace(max(0.0, tc - width), min(omega, tc + width),
-                         _SCAN_POINTS)
-        ss = np.linspace(max(0.0, sc - width), min(omega, sc + width),
-                         _SCAN_POINTS)
+        ts = (tc + offsets * (width / 8.0)) % omega
+        ss = (sc + offsets * (width / 8.0)) % omega
         vals = surface(ts[:, None] - ss[None, :], *_evaluate(factors, ts, ss))
         i, j = np.unravel_index(np.argmax(vals), vals.shape)
         best = max(best, float(vals[i, j]))

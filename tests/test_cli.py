@@ -827,6 +827,61 @@ def test_reproduce_ignores_a_file_named_like_a_bundled_instance(tmp_path,
     assert "[4.1] PASS" in out
 
 
+def test_reproduce_reports_a_failed_orbit(tmp_path, capsys, monkeypatch):
+    """A bundled instance whose orbit search fails is reported line by
+    line, fails reproduce with exit 1, and has no orbit in
+    reproduce.json."""
+    solve = cli._solve_problem
+
+    def failing(problem, args):
+        if problem.name == "example41":
+            raise periorbit.NoConvergenceError("no start converged", 1.0)
+        return solve(problem, args)
+
+    monkeypatch.setattr(cli, "_solve_problem", failing)
+    code = cli.main(["reproduce", "all"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert "[4.1] orbit: FAILED (no start converged)" in lines
+    assert "[4.1] FAIL (orbit)" in lines
+    assert "[4.2] PASS" in lines and "[4.3] PASS" in lines
+    assert lines[-1] == "FAILURES PRESENT"
+    doc = json.loads((tmp_path / "reproduce.json").read_text())
+    assert doc["4.1"]["pass"] is False
+    assert doc["4.1"]["checks"]["orbit"] is False
+    assert "orbit" not in doc["4.1"]
+    assert doc["4.2"]["pass"] is True and "orbit" in doc["4.2"]
+
+
+@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+@pytest.mark.parametrize("argv", [["check", "example41"],
+                                  ["greens", "example41"],
+                                  ["solve", "example41"],
+                                  ["reproduce", "4.1"]],
+                         ids=lambda argv: argv[0])
+def test_out_naming_a_file_is_usage_error(tmp_path, capsys, monkeypatch,
+                                          argv, via_env):
+    """An --out, or a PERIORBIT_OUT, that names an existing regular file
+    exits 2 with an error naming the path, before any computation."""
+    target = tmp_path / "taken"
+    target.write_text("")
+
+    def computed(*args, **kwargs):
+        raise AssertionError("computed before the output directory")
+
+    for name in ("certify", "kernel_for", "find_periodic"):
+        monkeypatch.setattr(cli, name, computed)
+    if via_env:
+        monkeypatch.setenv("PERIORBIT_OUT", str(target))
+    else:
+        argv = ["--out", str(target), *argv]
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {target}: not a usable output directory")
+    assert target.read_text() == ""
+
+
 def test_reproduce_rejects_unknown_id():
     with pytest.raises(SystemExit) as exc:
         cli.main(["reproduce", "9.9"])

@@ -24,9 +24,7 @@ from periorbit.ivp import eigvals_2x2
 from periorbit.greens import (
     _SCAN_LEVELS,
     _SCAN_POINTS,
-    _SURFACES,
     ResonanceError,
-    _periodic_images,
     _periodic_resolvent,
     _window_abscissae,
     check_A1,
@@ -162,16 +160,10 @@ def test_numeric_constants_against_dense_oracle():
     assert gf.gt_max >= gt_max * (1.0 - 1e-13)
 
 
-def _grid_argmax_images(gf):
-    """How many windows the scan of each surface starts from: its grid
-    argmax and that cell's periodic images."""
-    tau = gf.t[:, None] - gf.t[None, :]
-    counts = []
-    for surface in _SURFACES:
-        vals = surface(tau, gf.G, gf.Gt)
-        i, j = np.unravel_index(np.argmax(vals), vals.shape)
-        counts.append(len(_periodic_images(i, j, gf.n)))
-    return counts
+def _scan_kernel(n, p0, pa, l0, la, phase):
+    return numeric_periodic_green(
+        pc(f"{p0!r} + {pa!r}*cos(3*t + {phase!r})"),
+        pc(f"{l0!r} + {la!r}*sin(3*t)"), OMEGA, n=n)
 
 
 _hundredths = lambda lo, hi: st.integers(lo, hi).map(lambda i: i / 100)
@@ -181,8 +173,8 @@ _hundredths = lambda lo, hi: st.integers(lo, hi).map(lambda i: i / 100)
 @given(n=st.sampled_from([8, 50, 200]), p0=_hundredths(-100, 200),
        pa=_hundredths(0, 50), l0=_hundredths(-100, 400),
        la=_hundredths(0, 100), phase=_hundredths(0, 628))
-# grid argmaxes on the grid edge, so that two or four windows of a
-# surface are scanned (test_scan_examples_reach_the_periodic_images)
+# grid argmaxes on the grid edge, so that scan windows wrap around the
+# period (test_edge_seeded_scans_reach_the_dense_oracle)
 @example(n=8, p0=0.0, pa=0.0, l0=-0.5, la=0.0, phase=0.0)
 @example(n=50, p0=0.0, pa=0.0, l0=-0.5, la=0.0, phase=0.0)
 @example(n=200, p0=0.05, pa=0.0, l0=-0.5, la=0.0, phase=0.0)
@@ -191,11 +183,9 @@ def test_batched_scan_matches_window_by_window_oracle(n, p0, pa, l0, la,
                                                       phase):
     """Random numeric kernels: the lockstep scan of every window returns
     the bits of (g_min, g_max, gt_max) that scanning one window at a time
-    returns, periodic images on the grid edge included."""
-    p = pc(f"{p0!r} + {pa!r}*cos(3*t + {phase!r})")
-    l = pc(f"{l0!r} + {la!r}*sin(3*t)")
+    returns, windows that wrap around the period included."""
     try:
-        gf = numeric_periodic_green(p, l, OMEGA, n=n)
+        gf = _scan_kernel(n, p0, pa, l0, la, phase)
     except ResonanceError:
         assume(False)
     found = np.array([gf.g_min, gf.g_max, gf.gt_max])
@@ -203,37 +193,39 @@ def test_batched_scan_matches_window_by_window_oracle(n, p0, pa, l0, la,
     assert found.tobytes() == oracle.tobytes()
 
 
-def test_scan_examples_reach_the_periodic_images():
-    """The explicit examples of the oracle test above seed windows on the
-    grid edge, so their comparison covers the periodic images."""
-    for n, p, l, counts in ((8, "0", "-0.5", [4, 2, 4]),
-                            (50, "0", "-0.5", [4, 2, 1]),
-                            (200, "0.05", "-0.5", [1, 2, 4]),
-                            (200, "0.3 + 0.2*cos(3*t)", "2", [1, 1, 4])):
-        gf = numeric_periodic_green(pc(p), pc(l), OMEGA, n=n)
-        assert _grid_argmax_images(gf) == counts
+@pytest.mark.parametrize("n, p0, pa, l0, la, phase", [
+    (8, 0.0, 0.0, -0.5, 0.0, 0.0), (50, 0.0, 0.0, -0.5, 0.0, 0.0),
+    (200, 0.05, 0.0, -0.5, 0.0, 0.0), (200, 0.3, 0.2, 2.0, 0.0, 0.0)])
+def test_edge_seeded_scans_reach_the_dense_oracle(n, p0, pa, l0, la, phase):
+    """The explicit examples of the oracle test above, whose grid argmaxes
+    lie on the grid edge: the scan's windows wrap around the period and
+    reach the dense two-branch scan's extremes, whatever their sign."""
+    gf = _scan_kernel(n, p0, pa, l0, la, phase)
+    g_min, g_max, gt_max = _dense_extremes(gf)
+    assert gf.g_min <= g_min + 1e-13 * abs(g_min)
+    assert gf.g_max >= g_max - 1e-13 * abs(g_max)
+    assert gf.gt_max >= gt_max * (1.0 - 1e-13)
 
 
-def test_window_abscissae_match_linspace():
-    """The scan's window abscissae are np.linspace's, bit for bit, at every
-    width the scan uses on grids of 8, 50 and 200 cells: random centres,
-    and the centres 0, width/2, omega - width/2 and omega, whose windows
-    are clipped at 0 or at omega."""
-    rng = np.random.default_rng(23)
-    for omega in (2.0 * math.pi / 3.0, 0.05, 3.0, *rng.uniform(0.01, 50.0, 5)):
-        for n in (8, 50, 200):
-            width = omega / n
-            for _ in range(_SCAN_LEVELS):
-                centres = np.concatenate((
-                    [0.0, 0.5 * width, omega - 0.5 * width, omega],
-                    rng.uniform(0.0, omega, 60)))
-                ref = np.linspace(np.maximum(0.0, centres - width),
-                                  np.minimum(omega, centres + width),
-                                  _SCAN_POINTS, axis=-1)
-                found = _window_abscissae(centres, width, omega)
-                assert found.shape == ref.shape
-                assert found.tobytes() == ref.tobytes()
-                width /= 8.0
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(omega=st.floats(0.01, 50.0), n=st.sampled_from([1, 8, 50, 200]),
+       level=st.integers(0, _SCAN_LEVELS - 1),
+       fractions=st.lists(st.floats(0.0, 1.0), max_size=8))
+def test_window_abscissae_wrap_around_the_period(omega, n, level, fractions):
+    """Every window's _SCAN_POINTS abscissae lie in [0, omega], its middle
+    one is its centre and neighbours lie width/8 apart, both modulo omega,
+    for the centres 0, omega/2, omega and random ones, at every width the
+    scan uses."""
+    width = omega / n / 8.0 ** level
+    centres = np.array([0.0, 0.5 * omega, omega]
+                       + [f * omega for f in fractions])
+    x = _window_abscissae(centres, width, omega)
+    assert x.shape == (len(centres), _SCAN_POINTS)
+    assert np.all((x >= 0.0) & (x <= omega))
+    off_period = lambda d: np.abs(d - omega * np.round(d / omega))
+    assert np.all(off_period(x[:, _SCAN_POINTS // 2] - centres) == 0.0)
+    steps = np.diff(x, axis=1) - width / 8.0
+    assert np.all(off_period(steps) <= 8.0 * np.finfo(float).eps * omega)
 
 
 def _count_grid_evaluations(monkeypatch, every=None):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import OMEGA, make_example, pc
 from periorbit import (Certificate, ProblemSpec, certify, find_periodic,
                        parse_problem_text, theorem_for)
-from periorbit import cli
+from periorbit import cli, hypotheses
 from periorbit.greens import closed_form_constant
 from periorbit.hypotheses import (
     HypothesisConstants,
@@ -293,9 +293,10 @@ def test_find_R_not_found_when_gradient_dominates(k41):
     assert rs.evaluations >= 40
 
 
-def test_find_R_respects_cap(k41):
+def test_find_R_respects_cap(k41, monkeypatch):
+    monkeypatch.setattr(hypotheses, "R_SEARCH_CAP", 100.0)
     k = dataclasses.replace(k41, delta=2.0)
-    rs = find_R(k, "T3.1", 0.01, cap=100.0)
+    rs = find_R(k, "T3.1", 0.01)
     assert rs.found is False
     assert rs.evaluations <= 20
 
@@ -334,7 +335,6 @@ def test_evaluate_case_names_the_failing_link(monkeypatch):
     no_radius = _evaluate_case(_synthetic(b_max=1e20), "T3.1", True)
     # find_R always searches above 2 r_lo, so only a witness put at the
     # floor reaches the last check
-    import periorbit.hypotheses as hypotheses
     monkeypatch.setattr(hypotheses, "find_R", lambda k, case, r_lo: RSearch(
         r_lo, True, True, r_lo, 1))
     at_floor = _evaluate_case(_synthetic(), "T3.1", True)
@@ -348,6 +348,25 @@ def test_evaluate_case_names_the_failing_link(monkeypatch):
     assert no_radius.checks["H1"].ok and no_radius.checks["H2"].ok
     assert no_radius.r_witness.found is False
     assert at_floor.checks["H1"].ok and at_floor.checks["H2"].ok
+
+
+@pytest.mark.parametrize("rho1", ["1e-17", "2e-16"])
+def test_tiny_rho1_certifies_and_checks(rho1, tmp_path, monkeypatch, capsys):
+    """alpha = 1/(1 + rho1) rounds to 1.0 below rho1 of about 1.1e-16; the
+    small-radius floor then takes its limit exponent +inf instead of
+    dividing by 1 - alpha."""
+    text = ("omega = 2*pi/3\np = 0\nq = 1/40\nb = -1 + cos(3*t)\nc = 1\n"
+            f"e = 10\nrho1 = {rho1}\nrho2 = 1\n")
+    cert = certify(parse_problem_text(text).spec)
+    assert cert.theorem == "T3.2"
+    path = tmp_path / "tiny.problem"
+    path.write_text(text)
+    monkeypatch.setenv("PERIORBIT_OUT", str(tmp_path))
+    code = cli.main(["check", str(path)])
+    out = capsys.readouterr().out
+    assert code in (0, 1)
+    assert out.splitlines()[-1].startswith(
+        "verdict: TRUE" if code == 0 else "verdict: FALSE")
 
 
 def test_small_radius_floor_monotone_in_forcing(k41):

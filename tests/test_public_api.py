@@ -112,3 +112,52 @@ def test_blas_products_only_at_the_known_sites():
             assert site in BLAS_SITES, (path.name, scope, line)
             seen.add(site)
     assert seen == BLAS_SITES
+
+
+# module-level imports that their module never reads, and why each stays
+UNREAD_IMPORTS = {
+    ("cli", "closed_form_constant"):
+        "bench/spans.py rebinds it on cli to time kernel builds",
+    ("cli", "numeric_periodic_green"):
+        "bench/spans.py rebinds it on cli to time kernel builds",
+    ("hypotheses", "closed_form_constant"):
+        "bench/spans.py rebinds it on hypotheses to time kernel builds",
+    ("hypotheses", "numeric_periodic_green"):
+        "bench/spans.py rebinds it on hypotheses to time kernel builds",
+}
+
+
+def _unread_imports(tree):
+    """(name, line) of every name a module imports at module level and
+    never reads; a name listed in the module's __all__ counts as read."""
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)):
+            read |= set(ast.literal_eval(node.value))
+    return sorted((name, line) for name, line in imported.items()
+                  if name not in read)
+
+
+def test_module_level_imports_are_read():
+    """A census of the imports in src/: every name a module imports at
+    module level is read in it, or exported through periorbit's __all__,
+    or listed with its reason in UNREAD_IMPORTS, and each listed one is
+    still imported and unread."""
+    seen = set()
+    for path in sorted((ROOT / "src" / "periorbit").glob("*.py")):
+        for name, line in _unread_imports(ast.parse(path.read_text())):
+            site = (path.stem, name)
+            assert site in UNREAD_IMPORTS, (path.name, name, line)
+            seen.add(site)
+    assert seen == set(UNREAD_IMPORTS)
