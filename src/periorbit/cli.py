@@ -235,19 +235,20 @@ def _cmd_greens(args) -> int:
     problem = _resolve(args.file)
     out = _out_dir(args)
     spec = problem.spec
-    gf = kernel_for(spec.p, spec.l, spec.omega, n=args.n)
+    gf = kernel_for(spec.p, spec.l, spec.omega)
+    t, G, Gt = gf.table(args.n)
     lines = [f"# instance = {problem.name}",
              f"# sha256 = {problem.sha256}",
              f"# source = {gf.source}",
-             f"# n = {gf.n}"]
+             f"# n = {args.n}"]
     for key, val in gf.constants().items():
         lines.append(f"# {key} = {val if isinstance(val, (bool, str)) else _g(val)}")
     blocks = ["\n".join(lines) + "\nt,s,G,Gt\n"]
     # one %-format per row, whose "%.17g" is _g's format; the s column
     # reuses the t strings, formatted once
-    ts = [_g(v) for v in gf.t.tolist()]
-    g_rows, g_conv = _kernel_cells(gf.G)
-    gt_rows, gt_conv = _kernel_cells(gf.Gt)
+    ts = [_g(v) for v in t.tolist()]
+    g_rows, g_conv = _kernel_cells(G)
+    gt_rows, gt_conv = _kernel_cells(Gt)
     row = f",%s,{g_conv},{gt_conv}\n"
     cells = [""] * (3 * len(ts))
     cells[0::3] = ts
@@ -262,7 +263,7 @@ def _cmd_greens(args) -> int:
     for key, val in shown.items():
         sys.stdout.write(
             f"{key} = {val if isinstance(val, (bool, str)) else _g(val)}\n")
-    sys.stdout.write(f"rows = {(gf.n + 1) ** 2}\n")
+    sys.stdout.write(f"rows = {(args.n + 1) ** 2}\n")
     return 0
 
 

@@ -35,23 +35,24 @@ O(n) time and memory instead of an (n+1)^2 kernel matrix.
 Constants attached to a kernel: the extreme values g_max and g_min, the
 largest slope gt_max = max |dG/dt| (diagonal counted one-sided on both
 branches), the cone floor ratio sigma = g_min/(g_max + gt_max), and the
-slope-to-value bound delta = gt_max/g_min.  Every kernel value, on the
-grid or anywhere else, is built from the rank-2 factors; a numeric
-kernel's factors evaluate the dense Phi once a call, on both abscissa
-arrays together.  The closed form's g_max, g_min and gt_max are a few
-float operations: on each branch the cosine's argument runs exactly over
-[-xi omega/2, xi omega/2], inside (-pi/2, pi/2).  They need no grid, and
-its kernel grid is evaluated only when read, as the greens command reads
-it.  A numeric kernel's are estimates: each is the best value a refining
-scan finds, seeded at the grid cell where its surface is extreme (the
-grid's argmin and argmax of G, and the argmax of |dG/dt| with both
-one-sided slopes on the diagonal); they are not outward-rounded
-enclosures.  G and dG/dt are omega-periodic in t and in s, so a scan
-window that crosses an edge of the square wraps around to the opposite
-one.  The scan refines its three windows, one a surface, in lockstep:
-each level hands every window's abscissae to the grid's own evaluator,
-_evaluate, in one call, so each window finds the values it would find
-scanned alone, bit for bit.
+slope-to-value bound delta = gt_max/g_min.  A GreensFunction holds these
+and the rank-2 factors, and no grid: every kernel value, tabulated by
+GreensFunction.table for the greens command or anywhere else, is built
+from the factors, and a numeric kernel's factors evaluate the dense Phi
+once a call, on both abscissa arrays together or on one that is both.
+The closed form's g_max, g_min and gt_max are a few float operations: on
+each branch the cosine's argument runs exactly over [-xi omega/2,
+xi omega/2], inside (-pi/2, pi/2).  A numeric kernel's are estimates,
+whatever table is asked of it later: each is the best value a refining
+scan finds, seeded at the cell of one fixed seed grid, _SEED_GRID cells
+a side, where its surface is extreme (the grid's argmin and argmax of G,
+and the argmax of |dG/dt| with both one-sided slopes on the diagonal);
+they are not outward-rounded enclosures.  G and dG/dt are omega-periodic
+in t and in s, so a scan window that crosses an edge of the square wraps
+around to the opposite one.  The scan refines its three windows, one a
+surface, in lockstep: each level hands every window's abscissae to the
+grid's own evaluator, _evaluate, in one call, so each window finds the
+values it would find scanned alone, bit for bit.
 _evaluate is the one place where factors become kernel values.
 
 The CHU criterion samples p, its exponential weights and l over one
@@ -70,7 +71,7 @@ from .ivp import (IntegrationBlowUp, coefficient_field, eigvals_2x2,
                   phi_slopes)
 from .quadrature import integrate_adaptive
 
-DEFAULT_GRID = 200
+_SEED_GRID = 200         # cells a side of a numeric kernel's seed grid
 _RESONANCE_TOL = 1e-8
 _MONODROMY_RTOL = 1e-12
 _MONODROMY_ATOL = 1e-14
@@ -84,52 +85,47 @@ class ResonanceError(RuntimeError):
     """The homogeneous problem is degenerate; no usable periodic kernel."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class GreensFunction:
-    """Kernel constants and factors; treat as immutable after construction.
+    """A kernel's constants and its rank-2 factors, and nothing of any grid.
 
-    G and Gt hold G(t_i, s_j) and dG/dt(t_i, s_j) on the (n+1)^2 grid t;
-    the diagonal carries the s <= t branch.  The first read of either
-    evaluates both from the factors in one call, and they are kept.  A
-    numeric kernel's build evaluates that grid anyway, for its positivity
-    test and scan seeds, and hands it over; a closed-form kernel evaluates
-    it only when read, as the greens command reads it, and certify never
-    does.  source is "closed-form" or "numeric".  _factors(t, s) returns
-    the rank-2 factors (U(t), U'(t), V_lower(s), V_upper(s)), each of
-    shape (len, 2), with G = U.V_branch and dG/dt = U'.V_branch on each
-    branch.
+    source is "closed-form" or "numeric".  _factors(t, s) returns the
+    rank-2 factors (U(t), U'(t), V_lower(s), V_upper(s)), each of shape
+    (len, 2), with G = U.V_branch and dG/dt = U'.V_branch on each branch;
+    t and s may be the same array.  table(n) tabulates the kernel on a grid
+    of n cells a side, on demand; the constants do not depend on it.
     """
 
     omega: float
-    n: int
-    t: np.ndarray
     g_max: float
     g_min: float
     gt_max: float
-    sigma: float
-    delta: float
     positive: bool
     source: str
     _factors: object = field(repr=False)
-    _grid: tuple | None = field(default=None, repr=False)
 
     @property
-    def G(self) -> np.ndarray:
-        return self._kernel_grid()[0]
+    def sigma(self) -> float:
+        return self.g_min / (self.g_max + self.gt_max)
 
     @property
-    def Gt(self) -> np.ndarray:
-        return self._kernel_grid()[1]
+    def delta(self) -> float:
+        return self.gt_max / self.g_min
 
-    def _kernel_grid(self):
-        if self._grid is None:
-            self._grid = _evaluate(self._factors, self.t, self.t)
-        return self._grid
+    def table(self, n: int):
+        """(t, G, Gt) on the grid t of n + 1 points from 0 to omega: G and
+        Gt hold G(t_i, t_j) and dG/dt(t_i, t_j), the diagonal on the s <= t
+        branch.  The greens command writes it."""
+        t = np.linspace(0.0, self.omega, n + 1)
+        return (t, *_evaluate(self._factors, t, t))
 
     def kernel(self, t, s):
         """(G, Gt) on the outer product of abscissa arrays, each value on
         the branch its t and s select, the diagonal on the lower one.  No
-        caller in the package: the tests read kernel values through it."""
+        caller in the package: the tests read kernel values through it.
+        The greens command calls table instead, since the benchmark's
+        tracer replaces this method with a wrapper of an older
+        signature."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         s = np.atleast_1d(np.asarray(s, dtype=float))
         return _evaluate(self._factors, t, s)
@@ -172,11 +168,13 @@ class GreensFunction:
 def _evaluate(factors, t, s):
     """(G, dG/dt) from the rank-2 factors on the outer product of t and s
     over their last axis, each value on the branch its t and s select, the
-    diagonal on the lower one.  t and s are 1-D, for the grid and
+    diagonal on the lower one.  t and s are 1-D, for a grid and
     GreensFunction.kernel, or share leading axes, one index a scan window:
     one factors call serves them all, and the stacked products evaluate
-    each window as a 1-D call would, bit for bit."""
-    U, dU, V_lo, V_up = factors(t.ravel(), s.ravel())
+    each window as a 1-D call would, bit for bit.  When s is t the factors
+    get one array for both, and evaluate it once."""
+    flat = t.ravel()
+    U, dU, V_lo, V_up = factors(flat, flat if s is t else s.ravel())
     U, dU = (f.reshape(t.shape + (2,)) for f in (U, dU))
     V_lo, V_up = (f.reshape(s.shape + (2,)).swapaxes(-1, -2)
                   for f in (V_lo, V_up))
@@ -245,32 +243,11 @@ def _scanned_extremes(factors, tgrid, G, Gt):
     return (-best[0].item(), *best[1:].tolist())
 
 
-def _assemble(omega, n, factors, source, extremes=None) -> GreensFunction:
-    """The kernel from its factors.  A closed-form kernel passes its
-    extremes and is positive where it is built; a numeric one evaluates
-    the grid here, for its positivity test and the scan's seeds, and
-    hands it to the GreensFunction."""
-    tgrid = np.linspace(0.0, omega, n + 1)
-    grid, positive = None, True
-    if extremes is None:
-        grid = _evaluate(factors, tgrid, tgrid)
-        extremes = _scanned_extremes(factors, tgrid, *grid)
-        positive = bool(grid[0].min() > 0.0 and extremes[0] > 0.0)
-    g_min, g_max, gt_max = extremes
-    sigma = g_min / (g_max + gt_max)
-    delta = gt_max / g_min
-    return GreensFunction(omega=omega, n=n, t=tgrid, g_max=g_max,
-                          g_min=g_min, gt_max=gt_max, sigma=sigma,
-                          delta=delta, positive=positive, source=source,
-                          _factors=factors, _grid=grid)
-
-
 # ---------------------------------------------------------------------------
 # closed form
 
 
-def closed_form_constant(xi: float, omega: float, n: int = DEFAULT_GRID
-                         ) -> GreensFunction:
+def closed_form_constant(xi: float, omega: float) -> GreensFunction:
     """Kernel for p = 0, l = xi^2 from the two-branch cosine formula, built
     where it is positive: 0 < xi < pi/omega, else ValueError."""
     if not (omega > 0.0 and 0.0 < xi < math.pi / omega):
@@ -293,8 +270,10 @@ def closed_form_constant(xi: float, omega: float, n: int = DEFAULT_GRID
     # [-xi omega/2, xi omega/2], inside (-pi/2, pi/2): G = cos(u)/den
     # ranges over [cos(xi omega/2)/den, 1/den], and |dG/dt| =
     # |sin(u)|/(2 sin(xi omega/2)) peaks at 1/2
-    return _assemble(omega, n, factors, "closed-form",
-                     extremes=(math.cos(half_angle) / den, 1.0 / den, 0.5))
+    return GreensFunction(omega=omega, g_max=1.0 / den,
+                          g_min=math.cos(half_angle) / den, gt_max=0.5,
+                          positive=True, source="closed-form",
+                          _factors=factors)
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +298,7 @@ def _periodic_resolvent(m0, m1, m2, m3) -> np.ndarray:
 
 
 def numeric_periodic_green(p: PeriodicCoeff, l: PeriodicCoeff,
-                           omega: float, n: int = DEFAULT_GRID
-                           ) -> GreensFunction:
+                           omega: float) -> GreensFunction:
     """Kernel for general continuous periodic p, l via the monodromy matrix.
 
     Raises ResonanceError when the monodromy matrix M has an eigenvalue
@@ -328,7 +306,9 @@ def numeric_periodic_green(p: PeriodicCoeff, l: PeriodicCoeff,
     of -1 (the antiperiodic boundary case), read off the eigenvalues of
     M - I and M + I formed from M's entries, and when the integration of
     Phi fails (as for p or l near the float range).  B = (I - M)^-1 is
-    formed by Cramer's rule on det(M - I).
+    formed by Cramer's rule on det(M - I).  The constants are scanned from
+    a seed grid of _SEED_GRID cells a side, which is not kept; the kernel
+    is positive when G is on that grid and the scanned g_min is.
     """
     # looked up at call time, where bench/spans.py rebinds it
     from .ivp import solve_ivp_dp
@@ -347,10 +327,11 @@ def numeric_periodic_green(p: PeriodicCoeff, l: PeriodicCoeff,
     B_up = B_low - np.eye(2)
 
     def factors(tarr, sarr):
-        # one dense evaluation for both arrays; it is elementwise, so each
-        # point gets the bits it would get alone
-        P = res.dense(np.concatenate((tarr, sarr))).reshape(-1, 2, 2)
-        Pt, Ps = P[:len(tarr)], P[len(tarr):]
+        # one dense evaluation for both arrays, or for one that is both; it
+        # is elementwise, so each point gets the bits it would get alone
+        both = tarr if sarr is tarr else np.concatenate((tarr, sarr))
+        P = res.dense(both).reshape(-1, 2, 2)
+        Pt, Ps = P[:len(tarr)], P[-len(sarr):]
         # second column of Ps^-1: ( -b, a ) / det.  For a large p,
         # det Phi(s) = exp(-int_0^s p) can cancel to 0, and for a growing
         # Phi its products can overflow; the values then come out inf or
@@ -362,11 +343,17 @@ def numeric_periodic_green(p: PeriodicCoeff, l: PeriodicCoeff,
             col[:, 1] = Ps[:, 0, 0] / det
             return Pt[:, 0, :], Pt[:, 1, :], col @ B_low.T, col @ B_up.T
 
-    return _assemble(omega, n, factors, "numeric")
+    tgrid = np.linspace(0.0, omega, _SEED_GRID + 1)
+    G, Gt = _evaluate(factors, tgrid, tgrid)
+    g_min, g_max, gt_max = _scanned_extremes(factors, tgrid, G, Gt)
+    return GreensFunction(omega=omega, g_max=g_max, g_min=g_min,
+                          gt_max=gt_max,
+                          positive=bool(G.min() > 0.0 and g_min > 0.0),
+                          source="numeric", _factors=factors)
 
 
-def kernel_for(p: PeriodicCoeff, l: PeriodicCoeff, omega: float,
-               n: int = DEFAULT_GRID) -> GreensFunction:
+def kernel_for(p: PeriodicCoeff, l: PeriodicCoeff, omega: float
+               ) -> GreensFunction:
     """The kernel of u'' + p u' + l u: the closed form when the trees of p
     and l are the constants 0 and xi^2 with xi < pi/omega, where it is
     positive, and the numeric construction otherwise, for any p or l in t
@@ -377,8 +364,8 @@ def kernel_for(p: PeriodicCoeff, l: PeriodicCoeff, omega: float,
     if p.constant == 0.0 and l_const is not None and l_const > 0.0:
         xi = math.sqrt(l_const)
         if xi < math.pi / omega:
-            return closed_form_constant(xi, omega, n=n)
-    return numeric_periodic_green(p, l, omega, n=n)
+            return closed_form_constant(xi, omega)
+    return numeric_periodic_green(p, l, omega)
 
 
 # ---------------------------------------------------------------------------

@@ -68,8 +68,9 @@ class ProblemSpec:
     l: PeriodicCoeff = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (self.rho1 > 0.0 and self.rho2 > 0.0):
-            raise ValidationError("rho1 and rho2 must be positive")
+        for name in ("rho1", "rho2"):
+            if not getattr(self, name) > 0.0:
+                raise ValidationError(f"{name} must be positive", name)
         if not (self.omega > 0.0):
             raise ValidationError("omega must be positive")
         for name in ("p", "q", "b", "c", "e"):

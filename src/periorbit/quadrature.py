@@ -39,22 +39,18 @@ def _panel(f, a: float, b: float) -> float:
     return half * float(np.dot(w, np.asarray(f(mid + half * x), dtype=float)))
 
 
-def integrate_adaptive(f, a: float, b: float, tol: float | None = None
-                       ) -> float:
-    """Integrate callable f over [a, b] to absolute accuracy tol.
-
-    f must accept a numpy array of abscissae and return values elementwise.
-    When tol is omitted a budget of _DEFAULT_REL * (b - a) * max|f| is used,
-    with max|f| estimated from a 33-point probe.
+def integrate_adaptive(f, a: float, b: float) -> float:
+    """Integrate callable f over [a, b] to an absolute budget of
+    _DEFAULT_REL * (b - a) * max|f|, with max|f| estimated from a 33-point
+    probe.  f must accept a numpy array of abscissae and return values
+    elementwise.
     """
     if b < a:
         raise ValueError("integration bounds must satisfy a <= b")
     if a == b:
         return 0.0
-    if tol is None:
-        probe = np.asarray(f(np.linspace(a, b, 33)), dtype=float)
-        scale = float(np.max(np.abs(probe)))
-        tol = _DEFAULT_REL * (b - a) * (scale + 1e-300)
+    probe = np.asarray(f(np.linspace(a, b, 33)), dtype=float)
+    tol = _DEFAULT_REL * (b - a) * (float(np.max(np.abs(probe))) + 1e-300)
     total = 0.0
     # stack entries: (left, right, whole-panel estimate, depth)
     stack = [(a, b, _panel(f, a, b), 0)]

@@ -30,8 +30,9 @@ def branch_kernel(gf, t, s, branch):
     return U @ V.T, dU @ V.T
 
 
-def solve_linear(gf, h, return_derivative: bool = False):
-    """Periodic response u(t_i) = int_0^omega G(t_i, s) h(s) ds.
+def solve_linear(gf, t, h, return_derivative: bool = False):
+    """Periodic response u(t_i) = int_0^omega G(t_i, s) h(s) ds on the grid
+    t, from 0 to omega.
 
     Every grid cell carries a 10-point Gauss rule, so no cell straddles
     the diagonal; node placement depends only on the grid, making the
@@ -41,32 +42,33 @@ def solve_linear(gf, h, return_derivative: bool = False):
     sums its trapezoid cells.
     """
     x10, w10 = _gauss_nodes(10)
-    half = 0.5 * np.diff(gf.t)[:, None]
-    nodes = 0.5 * (gf.t[:-1] + gf.t[1:])[:, None] + half * x10
+    half = 0.5 * np.diff(t)[:, None]
+    nodes = 0.5 * (t[:-1] + t[1:])[:, None] + half * x10
     hv = np.asarray(h(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    U, dU, V_lo, V_up = gf._factors(gf.t, nodes.ravel())
+    U, dU, V_lo, V_up = gf._factors(t, nodes.ravel())
     wf = (half * w10 * hv).reshape(-1, 1)
     shape = nodes.shape + (2,)
     lower = (V_lo * wf).reshape(shape).sum(axis=1)
     upper = (V_up * wf).reshape(shape).sum(axis=1)
-    acc = np.zeros((len(gf.t), 2))
+    acc = np.zeros((len(t), 2))
     np.cumsum(lower, axis=0, out=acc[1:])
     acc[:-1] += np.cumsum(upper[::-1], axis=0)[::-1]
     u, up = (U * acc).sum(axis=1), (dU * acc).sum(axis=1)
     return (u, up) if return_derivative else u
 
 
-def homogeneous_residual(gf, p, l) -> float:
-    """Max |G_tt + p G_t + l G| over grid rows at least two cells off the
+def homogeneous_residual(table, p, l) -> float:
+    """Max |G_tt + p G_t + l G| over the rows of a kernel table (t, G, Gt),
+    as GreensFunction.table returns it, at least two cells off the
     diagonal, with G_tt and G_t from central differences down the columns.
     p and l are the kernel's coefficients: numbers, or functions of an
     array of times."""
-    dt = gf.t[1] - gf.t[0]
-    G = gf.G
-    pv, lv = (np.broadcast_to(k(gf.t) if callable(k) else k, gf.t.shape)
+    t, G, _ = table
+    dt = t[1] - t[0]
+    pv, lv = (np.broadcast_to(k(t) if callable(k) else k, t.shape)
               for k in (p, l))
     worst = 0.0
-    nn = gf.n
+    nn = len(t) - 1
     for i in range(1, nn):
         js = np.nonzero(np.abs(np.arange(nn + 1) - i) >= 2)[0]
         if len(js) == 0:
@@ -78,19 +80,20 @@ def homogeneous_residual(gf, p, l) -> float:
     return worst
 
 
-def periodicity_mismatch(gf) -> float:
-    """Max of |G(0,s) - G(omega,s)| and |Gt(0,s) - Gt(omega,s)| over interior
-    s.  The corner columns s = 0 and s = omega are excluded: there the two
-    rows sit on opposite sides of the diagonal jump of Gt."""
-    sel = slice(1, gf.n)
-    dG = np.abs(gf.G[0, sel] - gf.G[-1, sel])
-    dGt = np.abs(gf.Gt[0, sel] - gf.Gt[-1, sel])
+def periodicity_mismatch(table) -> float:
+    """Max of |G(0,s) - G(omega,s)| and |Gt(0,s) - Gt(omega,s)| over the
+    interior s of a kernel table (t, G, Gt).  The corner columns s = 0 and
+    s = omega are excluded: there the two rows sit on opposite sides of the
+    diagonal jump of Gt."""
+    _, G, Gt = table
+    dG = np.abs(G[0, 1:-1] - G[-1, 1:-1])
+    dGt = np.abs(Gt[0, 1:-1] - Gt[-1, 1:-1])
     return float(max(dG.max(), dGt.max()))
 
 
 def diagonal_jump_error(gf, s_values) -> np.ndarray:
     """|(dG/dt(s+,s) - dG/dt(s-,s)) - 1| with one-sided second-order finite
-    differences of G itself, independent of the stored Gt grid."""
+    differences of G itself, independent of any tabulated Gt."""
     h = _JUMP_STEP * gf.omega
     s_values = np.asarray(s_values, dtype=float)
     out = np.empty(len(s_values))
@@ -108,8 +111,8 @@ def diagonal_jump_error(gf, s_values) -> np.ndarray:
 
 def scanned_extremes(factors, tgrid, G, Gt):
     """(g_min, g_max, gt_max) of a numeric kernel scanned one window at a
-    time, each seeded at a surface's grid argmax and refined level by
-    level on its own (_scan_max)."""
+    time, each seeded at a surface's argmax on the table (tgrid, G, Gt)
+    and refined level by level on its own (_scan_max)."""
     omega, step = tgrid[-1], tgrid[1] - tgrid[0]
     tau = tgrid[:, None] - tgrid[None, :]
     found = []

@@ -174,6 +174,22 @@ def test_check_c_negative_in_a_narrow_well_exit_2(tmp_path, capsys):
                    f"period (min -7.94284e-07 at t = 3.14236)\n")
 
 
+@pytest.mark.parametrize("key, value, line", [("rho1", "0", 7),
+                                             ("rho2", "-2", 8)])
+def test_exponent_not_positive_names_its_line_exit_2(tmp_path, capsys, key,
+                                                     value, line):
+    """A non-positive exponent is reported against its own key's line, as
+    every other validation error is."""
+    text = ("omega = 1\np = 0\nq = 1\nb = 0\nc = 1\ne = 1\nrho1 = 1\n"
+            "rho2 = 1\n").replace(f"{key} = 1", f"{key} = {value}")
+    bad = tmp_path / "exponent.problem"
+    bad.write_text(text)
+    code = cli.main(["check", str(bad)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: line {line}: {key} must be positive\n")
+
+
 # each value is out of the float range or evaluates to inf or nan on the
 # period grid; (key, value, line of the key in the text below)
 _NON_FINITE = [("c", "exp(1000)", 5), ("q", "1e400", 3), ("q", "10^400", 3),
@@ -623,6 +639,40 @@ def test_greens_and_check_choose_the_same_kernel(tmp_path, capsys):
     assert "source = numeric" in capsys.readouterr().out
     cli.main(["check", str(f)])
     assert "kernel: numeric" in capsys.readouterr().out
+
+
+# numeric kernels: one whose slope maximum lies next to a far corner, and
+# one under strong damping (p = 15, l = 2.5), whose constants a coarse
+# grid's seeds move in the third digit
+NUMERIC_TEXTS = {
+    "corner": "omega = 2*pi/3\np = 0.0747 + 0.0301*cos(3*t)\n"
+              "q = 0.0206 + 0.0074*sin(3*t)\nb = 1.1008 + 0.0312*cos(3*t)\n"
+              "c = 0.9419*exp(0.7052*sin(3*t))\ne = 11.1053 + 1.1937*cos(3*t)\n"
+              "rho1 = 1.6484\nrho2 = 1.6484\n",
+    "damped": "omega = 2*pi/3\np = 15\nq = 1\nb = 1\nc = 1\ne = 1\n"
+              "rho1 = 1.5\nrho2 = 1\n",
+}
+
+
+@pytest.mark.parametrize("n", [1, 7, 200, 333])
+@pytest.mark.parametrize("name", sorted(NUMERIC_TEXTS))
+def test_greens_prints_the_constants_check_uses(tmp_path, capsys, name, n):
+    """greens --n sets only the table: a numeric kernel's constants come
+    from its fixed seed grid, so greens prints those of check's
+    certificate kernel at every n."""
+    f = tmp_path / f"{name}.problem"
+    f.write_text(NUMERIC_TEXTS[name])
+    cli.main(["check", str(f), "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert cli.main(["greens", str(f), "--n", str(n)]) == 0
+    shown = dict(line.split(" = ")
+                 for line in capsys.readouterr().out.splitlines())
+    assert shown["source"] == "numeric"
+    constants = doc["computed"]["constants"]
+    for key in ("g_max", "g_min", "gt_max", "sigma", "delta"):
+        assert float(shown[key]) == constants[key], key
+    assert shown["positive"] == str(doc["positive"]) == "True"
+    assert shown["rows"] == str((n + 1) ** 2)
 
 
 def test_cone_ratios_of_a_non_positive_kernel_print_na(tmp_path, capsys):

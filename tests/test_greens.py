@@ -1,5 +1,6 @@
 """Periodic kernel construction: closed form, numeric, constants, criteria."""
 
+import dataclasses
 import math
 import time
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import OMEGA, pc
+from conftest import OMEGA, make_constant_spec, pc
 from kernel_oracles import (
     branch_kernel,
     chu_two_periods,
@@ -21,6 +22,8 @@ from kernel_oracles import (
 )
 from periorbit import certify, cli, greens, ivp, parse_problem_text
 from periorbit.ivp import eigvals_2x2
+from periorbit.solver import apply_T
+from periorbit.transform import SampledPath, to_y_equation
 from periorbit.greens import (
     _SCAN_LEVELS,
     _SCAN_POINTS,
@@ -37,6 +40,7 @@ from periorbit.greens import (
 from shooting_oracles import callable_field
 
 XI = 0.25  # sqrt(l) for the worked instance: l = (1/40)/alpha = 1/16
+GRID = np.linspace(0.0, OMEGA, 201)  # solve_linear's cells
 
 # exact radical values for xi = 1/4, omega = 2*pi/3 (half angle pi/12):
 #   max G = 2 / sin(pi/12) = 4 / sqrt(2 - sqrt(3))
@@ -91,7 +95,8 @@ def test_slope_maximum_near_the_far_corner():
     corner (0, 0) while the true maximum lies just inside the opposite
     corner, near t = s = 0.9975 omega; a dense 2001^2 scan of both
     branches reaches 0.5735820554911553.  The kernel is periodic in t and
-    in s, so the refinement must look there too, at every grid size."""
+    in s, so the refinement must look there too, seeded on any grid: the
+    build's seed grid of 200 cells and tables of 190 and 210 alike."""
     spec = parse_problem_text(
         "omega = 2*pi/3\n"
         "p = 0.0747 + 0.0301*cos(3*t)\n"
@@ -101,9 +106,10 @@ def test_slope_maximum_near_the_far_corner():
         "e = 11.1053 + 1.1937*cos(3*t)\n"
         "rho1 = 1.6484\n"
         "rho2 = 1.6484\n").spec
-    gt = {n: kernel_for(spec.p, spec.l, spec.omega, n=n).gt_max
+    gf = kernel_for(spec.p, spec.l, spec.omega)
+    gt = {n: greens._scanned_extremes(gf._factors, *gf.table(n))[2]
           for n in (190, 200, 210)}
-    assert gt[200] >= 0.57358205
+    assert gf.gt_max == gt[200] >= 0.57358205
     assert max(gt.values()) - min(gt.values()) <= 1e-8 * gt[200]
 
 
@@ -160,10 +166,10 @@ def test_numeric_constants_against_dense_oracle():
     assert gf.gt_max >= gt_max * (1.0 - 1e-13)
 
 
-def _scan_kernel(n, p0, pa, l0, la, phase):
+def _scan_kernel(p0, pa, l0, la, phase):
     return numeric_periodic_green(
         pc(f"{p0!r} + {pa!r}*cos(3*t + {phase!r})"),
-        pc(f"{l0!r} + {la!r}*sin(3*t)"), OMEGA, n=n)
+        pc(f"{l0!r} + {la!r}*sin(3*t)"), OMEGA)
 
 
 _hundredths = lambda lo, hi: st.integers(lo, hi).map(lambda i: i / 100)
@@ -181,30 +187,38 @@ _hundredths = lambda lo, hi: st.integers(lo, hi).map(lambda i: i / 100)
 @example(n=200, p0=0.3, pa=0.2, l0=2.0, la=0.0, phase=0.0)
 def test_batched_scan_matches_window_by_window_oracle(n, p0, pa, l0, la,
                                                       phase):
-    """Random numeric kernels: the lockstep scan of every window returns
-    the bits of (g_min, g_max, gt_max) that scanning one window at a time
-    returns, windows that wrap around the period included."""
+    """Random numeric kernels, seeded on tables of n cells: the lockstep
+    scan of every window returns the bits of (g_min, g_max, gt_max) that
+    scanning one window at a time returns, windows that wrap around the
+    period included.  The build's constants are the scan seeded on its
+    fixed grid of 200 cells."""
     try:
-        gf = _scan_kernel(n, p0, pa, l0, la, phase)
+        gf = _scan_kernel(p0, pa, l0, la, phase)
     except ResonanceError:
         assume(False)
-    found = np.array([gf.g_min, gf.g_max, gf.gt_max])
-    oracle = np.array(scanned_extremes(gf._factors, gf.t, gf.G, gf.Gt))
+    table = gf.table(n)
+    found = np.array(greens._scanned_extremes(gf._factors, *table))
+    oracle = np.array(scanned_extremes(gf._factors, *table))
     assert found.tobytes() == oracle.tobytes()
+    built = np.array([gf.g_min, gf.g_max, gf.gt_max])
+    seeded = greens._scanned_extremes(gf._factors, *gf.table(200))
+    assert built.tobytes() == np.array(seeded).tobytes()
 
 
 @pytest.mark.parametrize("n, p0, pa, l0, la, phase", [
     (8, 0.0, 0.0, -0.5, 0.0, 0.0), (50, 0.0, 0.0, -0.5, 0.0, 0.0),
     (200, 0.05, 0.0, -0.5, 0.0, 0.0), (200, 0.3, 0.2, 2.0, 0.0, 0.0)])
 def test_edge_seeded_scans_reach_the_dense_oracle(n, p0, pa, l0, la, phase):
-    """The explicit examples of the oracle test above, whose grid argmaxes
-    lie on the grid edge: the scan's windows wrap around the period and
-    reach the dense two-branch scan's extremes, whatever their sign."""
-    gf = _scan_kernel(n, p0, pa, l0, la, phase)
+    """The explicit examples of the oracle test above, whose argmaxes on
+    tables of n cells lie on the table's edge: the scan's windows, seeded
+    there, wrap around the period and reach the dense two-branch scan's
+    extremes, whatever their sign."""
+    gf = _scan_kernel(p0, pa, l0, la, phase)
+    found = greens._scanned_extremes(gf._factors, *gf.table(n))
     g_min, g_max, gt_max = _dense_extremes(gf)
-    assert gf.g_min <= g_min + 1e-13 * abs(g_min)
-    assert gf.g_max >= g_max - 1e-13 * abs(g_max)
-    assert gf.gt_max >= gt_max * (1.0 - 1e-13)
+    assert found[0] <= g_min + 1e-13 * abs(g_min)
+    assert found[1] >= g_max - 1e-13 * abs(g_max)
+    assert found[2] >= gt_max * (1.0 - 1e-13)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -228,20 +242,16 @@ def test_window_abscissae_wrap_around_the_period(omega, n, level, fractions):
     assert np.all(off_period(steps) <= 8.0 * np.finfo(float).eps * omega)
 
 
-def _count_grid_evaluations(monkeypatch, every=None):
-    """Record the (G, Gt) pair of every grid call of greens._evaluate, one
-    on 1-D abscissae; append every call's pair, the scan's stacked windows
-    included, to the list every if one is given."""
+def _count_grid_evaluations(monkeypatch):
+    """Record the t of every grid call of greens._evaluate, one on 1-D
+    abscissae: the seed grid of a numeric build, and each table."""
     calls = []
     evaluate = greens._evaluate
 
     def counted(factors, t, s):
-        pair = evaluate(factors, t, s)
         if t.ndim == 1:
-            calls.append(pair)
-        if every is not None:
-            every.append(pair)
-        return pair
+            calls.append(t)
+        return evaluate(factors, t, s)
 
     monkeypatch.setattr(greens, "_evaluate", counted)
     return calls
@@ -256,53 +266,43 @@ def test_certify_builds_no_closed_form_kernel_grid(monkeypatch, spec41):
 
 def test_greens_command_evaluates_the_grid_once(monkeypatch, tmp_path,
                                                 capsys):
+    """The greens command evaluates its table once, on n + 1 points a side;
+    a numeric kernel's build evaluates its seed grid of 201 before it."""
     monkeypatch.setenv("PERIORBIT_OUT", str(tmp_path))
     calls = _count_grid_evaluations(monkeypatch)
-    built = []
-    kernel = cli.kernel_for
-
-    def recorded(*args, **kwargs):
-        built.append(kernel(*args, **kwargs))
-        return built[-1]
-
-    monkeypatch.setattr(cli, "kernel_for", recorded)
-    assert cli.main(["greens", "example41"]) == 0
-    assert "rows = 40401" in capsys.readouterr().out
-    assert len(calls) == 1 and len(built) == 1
-    assert built[0].G is calls[0][0] and built[0].Gt is calls[0][1]
+    varying = tmp_path / "varying.problem"
+    varying.write_text(f"omega = 2*pi/3\np = {P_VARYING}\nq = 1/40\nb = 1\n"
+                       "c = 1\ne = 1\nrho1 = 1.5\nrho2 = 1.3\n")
+    for name, seed in (("example41", []), (str(varying), [201])):
+        del calls[:]
+        assert cli.main(["greens", name, "--n", "7"]) == 0
+        assert "rows = 64" in capsys.readouterr().out
+        assert [len(t) for t in calls] == seed + [8]
 
 
 def test_numeric_factors_evaluate_phi_once_a_call(monkeypatch):
-    """A numeric kernel's build evaluates its grid once, for the positivity
-    test and the scan seeds, and hands it over; each scan level makes one
-    more evaluator call, and every factors call, the grid's and each scan
-    level's, makes one dense evaluation of Phi."""
-    every = []
-    grid_calls = _count_grid_evaluations(monkeypatch, every)
-    factor_sizes, dense_sizes = [], []
+    """Every factors call of a numeric kernel makes one dense evaluation
+    of Phi, on both abscissa arrays together, or on one array alone when
+    it is both, as the seed grid, a table and apply_T's samples are."""
+    dense_sizes = []
     dense = ivp.DenseSolution.__call__
-    assemble = greens._assemble
 
     def counted_dense(self, t):
         dense_sizes.append(len(t))
         return dense(self, t)
 
-    def counted_assemble(omega, n, factors, source, extremes=None):
-        def counted_factors(t, s):
-            factor_sizes.append(len(t) + len(s))
-            return factors(t, s)
-        return assemble(omega, n, counted_factors, source, extremes)
-
     monkeypatch.setattr(ivp.DenseSolution, "__call__", counted_dense)
-    monkeypatch.setattr(greens, "_assemble", counted_assemble)
-    gf = numeric_periodic_green(pc(P_VARYING), pc(L_VARYING), OMEGA, n=60)
-    assert len(factor_sizes) == len(every) == 1 + _SCAN_LEVELS
-    # reading the grid evaluates nothing more
-    assert gf.G is grid_calls[0][0] and gf.Gt is grid_calls[0][1]
-    assert len(grid_calls) == 1
+    gf = numeric_periodic_green(pc(P_VARYING), pc(L_VARYING), OMEGA)
+    # the seed grid, then each scan level's three windows of t and of s
+    windows = 2 * len(greens._SURFACES) * _SCAN_POINTS
+    assert dense_sizes == [201] + [windows] * _SCAN_LEVELS
+    del dense_sizes[:]
+    gf.table(7)
     gf.kernel(np.linspace(0.0, OMEGA, 7), np.linspace(0.0, OMEGA, 5))
-    assert len(factor_sizes) == 2 + _SCAN_LEVELS
-    assert dense_sizes == factor_sizes
+    t = np.linspace(0.0, OMEGA, 2049)
+    path = SampledPath(t=t, x=4.0 + np.sin(3.0 * t), v=3.0 * np.cos(3.0 * t))
+    apply_T(gf, to_y_equation(make_constant_spec()), path)
+    assert dense_sizes == [8, 12, 2049]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -313,7 +313,7 @@ def test_closed_form_constants_match_dense_cosine_scan(omega, half):
     where the closed form stops."""
     xi = 2.0 * half / omega
     assume(xi < math.pi / omega)
-    gf = closed_form_constant(xi, omega, n=8)
+    gf = closed_form_constant(xi, omega)
     den = 2.0 * xi * math.sin(half)
     tau = np.linspace(0.0, omega, 1_000_001)
     args = np.concatenate([xi * (tau - 0.5 * omega),
@@ -335,13 +335,14 @@ def test_kernel_positive_on_dense_grid(gf_closed):
 
 def test_numeric_matches_closed_form(gf_closed):
     start = time.perf_counter()
-    num = numeric_periodic_green(pc("0"), pc(repr(XI * XI)), OMEGA, n=100)
-    ref = closed_form_constant(XI, OMEGA, n=100)
-    gap_G = float(np.max(np.abs(num.G - ref.G)))
-    gap_Gt = float(np.max(np.abs(num.Gt - ref.Gt)))
+    num = numeric_periodic_green(pc("0"), pc(repr(XI * XI)), OMEGA)
+    _, G, Gt = num.table(100)
+    _, G_ref, Gt_ref = closed_form_constant(XI, OMEGA).table(100)
+    gap_G = float(np.max(np.abs(G - G_ref)))
+    gap_Gt = float(np.max(np.abs(Gt - Gt_ref)))
     elapsed = time.perf_counter() - start
     assert num.source == "numeric"
-    assert num.G.shape == (101, 101)
+    assert G.shape == (101, 101)
     assert gap_G <= 1e-6
     assert gap_Gt <= 1e-6
     assert elapsed < 5.0
@@ -354,10 +355,11 @@ def test_numeric_matches_closed_form(gf_closed):
 @pytest.mark.parametrize("which", ["closed", "numeric"])
 def test_defining_properties(which, gf_closed, gf_numeric):
     gf = gf_closed if which == "closed" else gf_numeric
+    table = gf.table(200)
     # second-order ODE satisfied away from the diagonal
-    assert homogeneous_residual(gf, 0.0, XI * XI) <= 1e-4
+    assert homogeneous_residual(table, 0.0, XI * XI) <= 1e-4
     # rows at t = 0 and t = omega agree for interior source points
-    assert periodicity_mismatch(gf) <= 1e-6
+    assert periodicity_mismatch(table) <= 1e-6
     # unit jump of dG/dt across the diagonal at 50 spread-out source points
     rng = np.random.default_rng(20240817)
     s_vals = rng.uniform(0.05 * OMEGA, 0.95 * OMEGA, size=50)
@@ -421,15 +423,16 @@ def test_factors_reproduce_both_branches(gf_closed, gf_numeric, gf_varying,
 
 def test_solve_linear_constant_forcing(gf_closed):
     """For constant l the periodic response to h = 1 is exactly 1/l."""
-    u = solve_linear(gf_closed, lambda s: np.ones_like(s))
+    u = solve_linear(gf_closed, GRID, lambda s: np.ones_like(s))
     assert np.max(np.abs(u - 16.0)) < 1e-9
 
 
 def test_solve_linear_superposition(gf_closed):
     h1 = lambda s: np.exp(np.sin(3.0 * s))
     h2 = lambda s: 1.0 + 0.5 * np.cos(3.0 * s)
-    combo = solve_linear(gf_closed, lambda s: 2.0 * h1(s) - 3.0 * h2(s))
-    parts = 2.0 * solve_linear(gf_closed, h1) - 3.0 * solve_linear(gf_closed, h2)
+    combo = solve_linear(gf_closed, GRID, lambda s: 2.0 * h1(s) - 3.0 * h2(s))
+    parts = (2.0 * solve_linear(gf_closed, GRID, h1)
+             - 3.0 * solve_linear(gf_closed, GRID, h2))
     scale = float(np.max(np.abs(parts))) + 1.0
     assert np.max(np.abs(combo - parts)) <= 1e-12 * scale
 
@@ -441,9 +444,9 @@ def gf_varying():
 
 def test_varying_coefficients_properties(gf_varying):
     assert gf_varying.source == "numeric"
-    assert homogeneous_residual(gf_varying, pc(P_VARYING),
-                                pc(L_VARYING)) <= 1e-4
-    assert periodicity_mismatch(gf_varying) <= 1e-6
+    table = gf_varying.table(200)
+    assert homogeneous_residual(table, pc(P_VARYING), pc(L_VARYING)) <= 1e-4
+    assert periodicity_mismatch(table) <= 1e-6
     rng = np.random.default_rng(7)
     s_vals = rng.uniform(0.05 * OMEGA, 0.95 * OMEGA, size=20)
     assert float(np.max(diagonal_jump_error(gf_varying, s_vals))) <= 1e-4
@@ -455,7 +458,7 @@ def test_solve_linear_cross_checked_against_ivp(gf_varying):
     from periorbit.ivp import solve_ivp_dp
 
     h = lambda s: 1.0 + 0.3 * np.sin(3.0 * s) + 0.1 * np.cos(6.0 * s)
-    u, up = solve_linear(gf_varying, h, return_derivative=True)
+    u, up = solve_linear(gf_varying, GRID, h, return_derivative=True)
     p, l = pc(P_VARYING), pc(L_VARYING)
 
     def f(t, y):
@@ -467,7 +470,7 @@ def test_solve_linear_cross_checked_against_ivp(gf_varying):
 
     res = solve_ivp_dp(callable_field(f), 0.0, [u[0], up[0]], OMEGA,
                        rtol=1e-12, atol=1e-14, dense=True)
-    vals = res.dense(gf_varying.t)
+    vals = res.dense(GRID)
     scale = float(np.max(np.abs(u))) + 1.0
     assert np.max(np.abs(vals[:, 0] - u)) <= 1e-6 * scale
     assert np.max(np.abs(vals[:, 1] - up)) <= 1e-6 * scale
@@ -505,10 +508,9 @@ def test_resonance_edges(turns, match):
             if resonant:
                 with pytest.raises(ResonanceError, match=match):
                     numeric_periodic_green(pc("0"), pc(repr(xi * xi)),
-                                           OMEGA, n=8)
+                                           OMEGA)
             else:
-                numeric_periodic_green(pc("0"), pc(repr(xi * xi)), OMEGA,
-                                       n=8)
+                numeric_periodic_green(pc("0"), pc(repr(xi * xi)), OMEGA)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -610,6 +612,17 @@ def test_constants_dict_keys(gf_closed):
     assert set(d) == {"g_max", "g_min", "gt_max", "sigma", "delta", "positive", "source"}
 
 
+def test_kernel_record_holds_constants_and_factors(gf_closed, gf_varying):
+    """A kernel keeps no grid: its fields are its constants and factors,
+    and they do not change once built."""
+    names = [f.name for f in dataclasses.fields(greens.GreensFunction)]
+    assert names == ["omega", "g_max", "g_min", "gt_max", "positive",
+                     "source", "_factors"]
+    for gf in (gf_closed, gf_varying):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gf.g_min = 0.0
+
+
 # ---------------------------------------------------------------------------
 # positivity criteria
 
@@ -653,7 +666,7 @@ def test_chu_rejects_a_negative_kernel():
     omega = 3.0
     p = pc("1.268 + 0.031*cos(2*pi*t/3)", omega)
     l = pc("-0.420 + 0.293*sin(2*pi*t/3)", omega)
-    gf = numeric_periodic_green(p, l, omega, n=120)
+    gf = numeric_periodic_green(p, l, omega)
     assert gf.g_min == pytest.approx(-1.10, abs=5e-3)
     assert gf.g_max < 0.0
     v = check_chu(p, l)

@@ -518,6 +518,10 @@ def test_problem_spec_validation():
     with pytest.raises(ValidationError):
         ProblemSpec(p=pc("0"), q=pc("1/40"), b=pc("1"), c=pc("1"),
                     e=pc("1"), rho1=-1.0, rho2=1.3, omega=OMEGA)
+    with pytest.raises(ValidationError, match="rho2 must be positive") as exc:
+        ProblemSpec(p=pc("0"), q=pc("1/40"), b=pc("1"), c=pc("1"),
+                    e=pc("1"), rho1=1.5, rho2=-2.0, omega=OMEGA)
+    assert exc.value.key == "rho2"
     with pytest.raises(ValidationError):
         ProblemSpec(p=pc("0"), q=pc("1/40"), b=pc("1"), c=pc("1"),
                     e=pc("1"), rho1=1.5, rho2=0.0, omega=OMEGA)

@@ -653,7 +653,7 @@ def _kernel_fields(monkeypatch, p, l, omega):
         return solve_ivp_dp(field, *args, **kwargs)
 
     monkeypatch.setattr(ivp, "solve_ivp_dp", spy)
-    numeric_periodic_green(p, l, omega, n=8)
+    numeric_periodic_green(p, l, omega)
     (call,) = calls
     return call
 
@@ -853,7 +853,7 @@ def test_generated_loops_call_no_min_or_max(monkeypatch):
     for p, l in ((spec.p, spec.l), (spec.p, pc("2 + cos(3*t)")),
                  (_numeric_kernel_spec().p, pc("0"))):
         try:
-            numeric_periodic_green(p, l, spec.omega, n=8)
+            numeric_periodic_green(p, l, spec.omega)
         except ResonanceError:
             assert l.constant == 0.0
     shapes = {key[:4] for key in sources}

@@ -261,15 +261,14 @@ def test_apply_T_gradient_term_against_kernel_solve():
     the constant instance alpha = 1/2: the load is 2 c + 2 e y^(1/2)
     + (1/2) y'^2 / y with c = 1, e = 3 and b = 0."""
     spec = make_constant_spec()
-    n = 512
-    gf = closed_form_constant(math.sqrt(2.0), OMEGA, n=n)
-    t = gf.t
+    gf = closed_form_constant(math.sqrt(2.0), OMEGA)
+    t = np.linspace(0.0, OMEGA, 513)
     y = SampledPath(t=t, x=4.0 + np.sin(3.0 * t), v=3.0 * np.cos(3.0 * t))
     Ty = apply_T(gf, to_y_equation(spec), y)
     load = lambda s: (2.0 + 6.0 * np.sqrt(4.0 + np.sin(3.0 * s))
                       + 0.5 * (3.0 * np.cos(3.0 * s)) ** 2
                       / (4.0 + np.sin(3.0 * s)))
-    u, up = solve_linear(gf, load, return_derivative=True)
+    u, up = solve_linear(gf, t, load, return_derivative=True)
     scale = float(np.max(np.abs(u))) + 1.0
     assert np.max(np.abs(Ty.x - u)) <= 1e-5 * scale
     assert np.max(np.abs(Ty.v - up)) <= 1e-5 * scale

@@ -23,18 +23,19 @@ BUNDLED = ["example41", "example42", "example43"]
 # the per-cell writers
 
 
-def _per_cell_greens_csv(problem, gf) -> str:
+def _per_cell_greens_csv(problem, gf, n) -> str:
+    t, G, Gt = gf.table(n)
     lines = [f"# instance = {problem.name}",
              f"# sha256 = {problem.sha256}",
              f"# source = {gf.source}",
-             f"# n = {gf.n}"]
+             f"# n = {n}"]
     for key, val in gf.constants().items():
         lines.append(f"# {key} = {val if isinstance(val, (bool, str)) else _g(val)}")
     header = "\n".join(lines) + "\nt,s,G,Gt\n"
     rows = []
-    for i, ti in enumerate(gf.t):
-        for j, sj in enumerate(gf.t):
-            rows.append(f"{_g(ti)},{_g(sj)},{_g(gf.G[i, j])},{_g(gf.Gt[i, j])}")
+    for i, ti in enumerate(t):
+        for j, sj in enumerate(t):
+            rows.append(f"{_g(ti)},{_g(sj)},{_g(G[i, j])},{_g(Gt[i, j])}")
     return header + "\n".join(rows) + "\n"
 
 
@@ -120,9 +121,9 @@ def test_greens_csv_matches_per_cell_writer(tmp_path, capsys, name, n):
     capsys.readouterr()
     problem = cli._resolve(name)
     spec = problem.spec
-    gf = kernel_for(spec.p, spec.l, spec.omega, n=n)
+    gf = kernel_for(spec.p, spec.l, spec.omega)
     written = (tmp_path / f"{problem.name}.greens.csv").read_bytes()
-    assert written == _per_cell_greens_csv(problem, gf).encode()
+    assert written == _per_cell_greens_csv(problem, gf, n).encode()
 
 
 def test_greens_kernels_take_each_format_path():
@@ -130,9 +131,9 @@ def test_greens_kernels_take_each_format_path():
     distinct value and its Gt does not, so the case [example41-7] above
     writes one column of each kind."""
     spec = cli._resolve("example41").spec
-    gf = kernel_for(spec.p, spec.l, spec.omega, n=7)
-    assert cli._kernel_cells(gf.G)[1] == "%s"
-    assert cli._kernel_cells(gf.Gt)[1] == "%.17g"
+    _, G, Gt = kernel_for(spec.p, spec.l, spec.omega).table(7)
+    assert cli._kernel_cells(G)[1] == "%s"
+    assert cli._kernel_cells(Gt)[1] == "%.17g"
 
 
 @pytest.mark.parametrize("name", BUNDLED)
