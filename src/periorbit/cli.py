@@ -13,8 +13,8 @@ diagnostics to stderr.  Sidecar files (JSON / CSV / SVG) are written to
 
 Exit codes: 0 success / verdict true; 1 a well-posed run answered
 negatively (verdict false, resonance, no convergence, guard violation);
-2 usage (an unusable output directory included), parse, or validation
-errors.
+2 usage (an unusable output directory or sidecar file included), parse,
+or validation errors.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable
 from importlib import resources
 
 import numpy as np
@@ -114,9 +115,14 @@ def _out_dir(args) -> str:
     return out
 
 
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+def _write(path: str, text: str | Iterable[str]) -> None:
+    """Write text, one str or an iterable of str chunks written in order,
+    to path; a path that cannot be written exits 2."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines((text,) if isinstance(text, str) else text)
+    except OSError as err:
+        raise _CliError(f"{path}: cannot write ({err.strerror})", 2) from err
 
 
 def _finite_json(obj):
@@ -213,22 +219,57 @@ def _cmd_check(args) -> int:
 # greens
 
 
-def _kernel_cells(values: np.ndarray) -> tuple[list, str]:
-    """The rows of a kernel matrix as cells of the greens CSV, and the
-    %-conversion that writes a cell.  A closed-form kernel depends on t - s
-    only, so its values repeat: where at most half of the bit patterns are
-    distinct, each distinct one is formatted once and a cell is its string,
-    written by %s.  Otherwise a cell is its float, written by %.17g.
-    Keying on the bits keeps -0.0 apart from 0.0."""
+def _kernel_cells(values: np.ndarray, sep: str) -> list | None:
+    """The rows of a kernel matrix as cells of the greens CSV, each its
+    %.17g string with sep attached, or None where more than half of the
+    bit patterns are distinct.  A closed-form kernel depends on t - s
+    only, so its values repeat and each distinct one is formatted once.
+    Keying on the bits keeps -0.0 apart from 0.0.  The sort alone returns
+    None for a numeric kernel, whose values seldom repeat: np.unique's
+    inverse would cost an argsort more."""
     bits = np.ascontiguousarray(values).view(np.int64)
     ordered = np.sort(bits, axis=None)
     new = ordered[1:] != ordered[:-1]
     if 2 * (1 + np.count_nonzero(new)) > bits.size:
-        return values.tolist(), "%.17g"
+        return None
     uniq = np.concatenate((ordered[:1], ordered[1:][new]))
-    text = "%.17g\n" * uniq.size % tuple(uniq.view(np.float64).tolist())
-    strings = np.array(text.split("\n")[:-1], dtype=object)
-    return strings[np.searchsorted(uniq, bits)].tolist(), "%s"
+    floats = uniq.view(np.float64).tolist()
+    strings = np.array([_g(v) + sep for v in floats], dtype=object)
+    return strings[np.searchsorted(uniq, bits)].tolist()
+
+
+def _greens_csv(problem: LoadedProblem, gf, t, G, Gt):
+    """The greens CSV of the table (t, G, Gt) in chunks: its header, then
+    one block of len(t) lines per grid point t, so the whole file is never
+    one string."""
+    lines = [f"# instance = {problem.name}",
+             f"# sha256 = {problem.sha256}",
+             f"# source = {gf.source}",
+             f"# n = {len(t) - 1}"]
+    for key, val in gf.constants().items():
+        lines.append(f"# {key} = {val if isinstance(val, (bool, str)) else _g(val)}")
+    yield "\n".join(lines) + "\nt,s,G,Gt\n"
+    ts = [_g(v) for v in t.tolist()]
+    g_cells, gt_cells = _kernel_cells(G, ","), _kernel_cells(Gt, "\n")
+    if g_cells is not None and gt_cells is not None:
+        # four strings a line: "t,", "s,", "G," and "Gt\n"
+        cells = [""] * (4 * len(ts))
+        cells[1::4] = [s + "," for s in ts]
+        for ti, g_row, gt_row in zip(ts, g_cells, gt_cells):
+            cells[0::4] = [ti + ","] * len(ts)
+            cells[2::4], cells[3::4] = g_row, gt_row
+            yield "".join(cells)
+        return
+    # one %-format a block, whose "%.17g" is _g's format, formatting the
+    # floats of a column that does not repeat straight into the row
+    row = (",%s," + ("%.17g," if g_cells is None else "%s")
+           + ("%.17g\n" if gt_cells is None else "%s"))
+    cells = [""] * (3 * len(ts))
+    cells[0::3] = ts
+    for i, ti in enumerate(ts):
+        cells[1::3] = G[i].tolist() if g_cells is None else g_cells[i]
+        cells[2::3] = Gt[i].tolist() if gt_cells is None else gt_cells[i]
+        yield (ti + row) * len(ts) % tuple(cells)
 
 
 def _cmd_greens(args) -> int:
@@ -236,27 +277,8 @@ def _cmd_greens(args) -> int:
     out = _out_dir(args)
     spec = problem.spec
     gf = kernel_for(spec.p, spec.l, spec.omega)
-    t, G, Gt = gf.table(args.n)
-    lines = [f"# instance = {problem.name}",
-             f"# sha256 = {problem.sha256}",
-             f"# source = {gf.source}",
-             f"# n = {args.n}"]
-    for key, val in gf.constants().items():
-        lines.append(f"# {key} = {val if isinstance(val, (bool, str)) else _g(val)}")
-    blocks = ["\n".join(lines) + "\nt,s,G,Gt\n"]
-    # one %-format per row, whose "%.17g" is _g's format; the s column
-    # reuses the t strings, formatted once
-    ts = [_g(v) for v in t.tolist()]
-    g_rows, g_conv = _kernel_cells(G)
-    gt_rows, gt_conv = _kernel_cells(Gt)
-    row = f",%s,{g_conv},{gt_conv}\n"
-    cells = [""] * (3 * len(ts))
-    cells[0::3] = ts
-    for ti, g_row, gt_row in zip(ts, g_rows, gt_rows):
-        cells[1::3], cells[2::3] = g_row, gt_row
-        blocks.append((ti + row) * len(ts) % tuple(cells))
-    csv_text = "".join(blocks)
-    _write(os.path.join(out, f"{problem.name}.greens.csv"), csv_text)
+    _write(os.path.join(out, f"{problem.name}.greens.csv"),
+           _greens_csv(problem, gf, *gf.table(args.n)))
     shown = gf.constants()
     shown["sigma"], shown["delta"] = _cone_ratios(gf.sigma, gf.delta,
                                                   gf.positive)

@@ -932,6 +932,26 @@ def test_out_naming_a_file_is_usage_error(tmp_path, capsys, monkeypatch,
     assert target.read_text() == ""
 
 
+@pytest.mark.parametrize("argv, sidecar", [
+    (["check", "example41"], "example41.certificate.json"),
+    (["greens", "example41", "--n", "7"], "example41.greens.csv"),
+    (["solve", "example41", "--svg"], "example41.phase.svg"),
+    (["reproduce", "4.1"], "reproduce.json")],
+    ids=["check", "greens", "solve", "reproduce"])
+def test_unwritable_sidecar_is_usage_error(tmp_path, capsys, argv, sidecar):
+    """A sidecar path that cannot be written, here a directory, exits 2
+    with one error line naming the path, not a traceback."""
+    target = tmp_path / sidecar
+    target.mkdir()
+    code = cli.main([*argv, "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {target}: cannot write (")
+    assert err.endswith(")\n") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert target.is_dir()
+
+
 def test_reproduce_rejects_unknown_id():
     with pytest.raises(SystemExit) as exc:
         cli.main(["reproduce", "9.9"])

@@ -5,6 +5,7 @@ replaced, which are kept here as oracles."""
 import argparse
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from periorbit import cli, svgfig
 from periorbit.greens import kernel_for
+from periorbit.problemfile import parse_problem_text
 from test_cli import ABOVE_HALF_PERIOD
 
 _g = cli._g
@@ -110,12 +112,36 @@ def _per_point_render_panel(panel, width, height, y_off):
 # byte identity on the bundled instances
 
 
-@pytest.mark.parametrize("n", [1, 7, 200, 333])
-@pytest.mark.parametrize("name", BUNDLED + ["numeric"])
+# a numeric kernel under strong negative damping, whose table holds nan
+# cells and whose constants are not finite
+NEGATIVE_P = """\
+omega = 2*pi/3
+p = -50
+q = 1
+b = 1
+c = 1
+e = 1
+rho1 = 3/2
+rho2 = 1
+"""
+NUMERIC_TEXTS = {"numeric": ABOVE_HALF_PERIOD, "negative_p": NEGATIVE_P}
+
+
+def _greens_target(tmp_path, name) -> str:
+    """The greens argument for name: a bundled instance, or the path of
+    a file holding one of NUMERIC_TEXTS."""
+    if name not in NUMERIC_TEXTS:
+        return name
+    path = tmp_path / f"{name}.problem"
+    path.write_text(NUMERIC_TEXTS[name])
+    return str(path)
+
+
+@pytest.mark.parametrize("name, n", [
+    *((name, n) for name in BUNDLED + ["numeric"] for n in [1, 7, 200, 333]),
+    ("negative_p", 20)])
 def test_greens_csv_matches_per_cell_writer(tmp_path, capsys, name, n):
-    if name == "numeric":
-        name = str(tmp_path / "numeric.problem")
-        (tmp_path / "numeric.problem").write_text(ABOVE_HALF_PERIOD)
+    name = _greens_target(tmp_path, name)
     assert cli.main(["greens", name, "--n", str(n), "--out",
                      str(tmp_path)]) == 0
     capsys.readouterr()
@@ -127,13 +153,44 @@ def test_greens_csv_matches_per_cell_writer(tmp_path, capsys, name, n):
 
 
 def test_greens_kernels_take_each_format_path():
-    """At n = 7, example41's G repeats enough to be formatted once per
-    distinct value and its Gt does not, so the case [example41-7] above
-    writes one column of each kind."""
+    """At the default n both of example41's columns repeat, so the case
+    [example41-200] above joins formatted cells; at n = 7 its G repeats
+    and its Gt does not, so [example41-7] writes one column of each kind;
+    a numeric kernel's columns do not repeat past n = 1, so
+    [numeric-7/200/333] and [negative_p-20] format every float."""
     spec = cli._resolve("example41").spec
-    _, G, Gt = kernel_for(spec.p, spec.l, spec.omega).table(7)
-    assert cli._kernel_cells(G)[1] == "%s"
-    assert cli._kernel_cells(Gt)[1] == "%.17g"
+    gf = kernel_for(spec.p, spec.l, spec.omega)
+    _, G, Gt = gf.table(200)
+    assert cli._kernel_cells(G, ",") is not None
+    assert cli._kernel_cells(Gt, "\n") is not None
+    _, G, Gt = gf.table(7)
+    assert cli._kernel_cells(G, ",") is not None
+    assert cli._kernel_cells(Gt, "\n") is None
+    for name, n in [("numeric", 7), ("numeric", 200), ("numeric", 333),
+                    ("negative_p", 20)]:
+        spec = parse_problem_text(NUMERIC_TEXTS[name]).spec
+        _, G, Gt = kernel_for(spec.p, spec.l, spec.omega).table(n)
+        assert cli._kernel_cells(G, ",") is None
+        assert cli._kernel_cells(Gt, "\n") is None
+
+
+@pytest.mark.parametrize("name", ["example41", "numeric"])
+def test_greens_memory_stays_below_its_csv(tmp_path, capsys, name):
+    """greens at the default n writes its CSV one t-block at a time: the
+    traced peak of the whole command stays below the size of the file,
+    which a writer that builds the file as one string exceeds."""
+    name = _greens_target(tmp_path, name)
+    argv = ["greens", name, "--out", str(tmp_path)]
+    assert cli.main(argv) == 0  # compiles and caches what later runs reuse
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    written = (tmp_path / f"{cli._resolve(name).name}.greens.csv").stat()
+    assert peak < written.st_size
 
 
 @pytest.mark.parametrize("name", BUNDLED)
@@ -214,13 +271,18 @@ def test_array_pixels_equal_per_point_pixels(values, p0, span):
 # kernel cells: each distinct bit pattern formatted once
 
 
-def _assert_cells_match_per_cell(values: np.ndarray) -> str:
-    """The cells of values, each written by its %-conversion, are the
-    per-cell strings; returns the conversion."""
-    rows, conv = cli._kernel_cells(values)
-    assert [[conv % c for c in row] for row in rows] == \
-        [[_g(v) for v in row] for row in values.tolist()]
-    return conv
+def _assert_cells_match_per_cell(values: np.ndarray) -> bool:
+    """The cells of values, where they repeat, are the per-cell strings
+    with the separator attached; returns whether they repeat."""
+    repeats = set()
+    for sep in (",", "\n"):
+        cells = cli._kernel_cells(values, sep)
+        repeats.add(cells is not None)
+        if cells is not None:
+            assert cells == [[_g(v) + sep for v in row]
+                             for row in values.tolist()]
+    (repeat,) = repeats
+    return repeat
 
 
 _any_float = st.floats(allow_nan=True, allow_infinity=True,
@@ -236,17 +298,18 @@ def test_repeating_kernel_cells_match_per_cell_writer(pool, data):
                                min_size=shape[0] * shape[1],
                                max_size=shape[0] * shape[1]))
     values = np.array(picks).reshape(shape)
-    assert _assert_cells_match_per_cell(values) == "%s"
+    assert _assert_cells_match_per_cell(values)
 
 
 @given(st.integers(1, 9), st.integers(1, 9), st.data())
 def test_distinct_kernel_cells_match_per_cell_writer(rows, cols, data):
-    """No two cells share a bit pattern: every cell keeps its float."""
+    """No two cells share a bit pattern: no cells are returned, and the
+    writer formats every float."""
     picks = data.draw(st.lists(_any_float, min_size=rows * cols,
                                max_size=rows * cols,
                                unique_by=lambda x: struct.pack("<d", x)))
     values = np.array(picks).reshape(rows, cols)
-    assert _assert_cells_match_per_cell(values) == "%.17g"
+    assert not _assert_cells_match_per_cell(values)
 
 
 def test_kernel_cells_keep_signed_zeros_and_special_values():
@@ -255,7 +318,6 @@ def test_kernel_cells_keep_signed_zeros_and_special_values():
     edges = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
              -5e-324, 2.2250738585072009e-308, 1.5]
     values = np.array(edges * 4 + [-0.0, 0.0]).reshape(6, 7)
-    assert _assert_cells_match_per_cell(values) == "%s"
-    assert _assert_cells_match_per_cell(values[:, ::-1]) == "%s"
-    assert _assert_cells_match_per_cell(np.array(edges).reshape(2, 5)) \
-        == "%.17g"
+    assert _assert_cells_match_per_cell(values)
+    assert _assert_cells_match_per_cell(values[:, ::-1])
+    assert not _assert_cells_match_per_cell(np.array(edges).reshape(2, 5))
