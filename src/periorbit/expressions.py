@@ -798,8 +798,6 @@ class PeriodicCoeff:
         return Extrema(v_min, v_max, t_min, t_max)
 
     def integrate(self, t0: float, t1: float) -> float:
-        if t1 < t0:
-            raise ValueError("integration bounds must satisfy t0 <= t1")
         # a sum past the float range raises QuadratureError, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             return integrate_adaptive(lambda s: self(s), t0, t1)

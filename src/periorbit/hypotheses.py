@@ -161,17 +161,16 @@ class HypothesisConstants:
 def constants_from(spec: ProblemSpec, gf: GreensFunction,
                    gt_max_override: float | None = None,
                    label: str = "computed") -> HypothesisConstants:
-    gt_max = gf.gt_max if gt_max_override is None else gt_max_override
-    sigma = gf.g_min / (gf.g_max + gt_max)
-    delta = gt_max / gf.g_min
+    if gt_max_override is not None:
+        gf = replace(gf, gt_max=gt_max_override)
     bx = spec.b.extrema()
     cx = spec.c.extrema()
     ex = spec.e.extrema()
     return HypothesisConstants(
         label=label, alpha=spec.alpha, omega=spec.omega,
         rho1=spec.rho1, rho2=spec.rho2,
-        g_max=gf.g_max, g_min=gf.g_min, gt_max=gt_max,
-        sigma=sigma, delta=delta,
+        g_max=gf.g_max, g_min=gf.g_min, gt_max=gf.gt_max,
+        sigma=gf.sigma, delta=gf.delta,
         b_min=bx.min_value, b_max=bx.max_value,
         c_min=cx.min_value, c_max=cx.max_value,
         e_min=ex.min_value, e_max=ex.max_value,

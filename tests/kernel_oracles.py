@@ -16,7 +16,7 @@ import numpy as np
 
 from periorbit.greens import (_SCAN_LEVELS, _SCAN_POINTS, _SURFACES,
                              CriterionVerdict, _evaluate)
-from periorbit.quadrature import _gauss_nodes, cumulative_integral
+from periorbit.quadrature import cumulative_integral
 
 _JUMP_STEP = 1e-4        # diagonal_jump_error's difference step, in omega units
 
@@ -41,7 +41,7 @@ def solve_linear(gf, t, h, return_derivative: bool = False):
     factors as a prefix and a suffix sum, as GreensFunction._integrate
     sums its trapezoid cells.
     """
-    x10, w10 = _gauss_nodes(10)
+    x10, w10 = np.polynomial.legendre.leggauss(10)
     half = 0.5 * np.diff(t)[:, None]
     nodes = 0.5 * (t[:-1] + t[1:])[:, None] + half * x10
     hv = np.asarray(h(nodes.ravel()), dtype=float).reshape(nodes.shape)

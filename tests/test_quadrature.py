@@ -1,4 +1,5 @@
-"""Adaptive and fixed Gauss quadrature, cumulative integrals, golden-section."""
+"""Adaptive and fixed Gauss quadrature, cumulative integrals, golden-section,
+and the adaptive routine's bits against its depth-capped predecessor."""
 
 import math
 import warnings
@@ -8,6 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_example
+from periorbit import expressions, greens, quadrature
+from periorbit.greens import check_A2
 from periorbit.quadrature import (
     QuadratureError,
     cumulative_integral,
@@ -57,15 +61,25 @@ def test_adaptive_zero_span_and_reversed():
         integrate_adaptive(np.sin, 1.0, 0.0)
 
 
-def test_adaptive_raises_when_budget_unreachable():
-    """An integrable singularity keeps the per-panel error above its share of
-    the budget at every depth, so the routine reports failure rather than
-    returning a silently wrong value."""
+def test_adaptive_raises_when_budget_unreachable(monkeypatch):
+    """An integrable singularity keeps the panels next to it above their
+    share of the budget at every width (err ~ sqrt(width), share ~ tol *
+    width), so the routine spends its _MAX_PANELS halvings and reports
+    failure rather than returning a silently wrong value: one first panel
+    and two a halving, however narrow the panels get."""
     cut = 1.0 / ((1.0 + math.sqrt(5.0)) / 2.0)  # irrational interior point
-    with pytest.raises(QuadratureError, match="no convergence"):
-        # err(singular panel) ~ sqrt(width) while its budget share is
-        # tol * width, so no budget can ever be met near the cut
+    panels = 0
+    panel = quadrature._panel
+
+    def counted(f, a, b):
+        nonlocal panels
+        panels += 1
+        return panel(f, a, b)
+
+    monkeypatch.setattr(quadrature, "_panel", counted)
+    with pytest.raises(QuadratureError, match=r"no convergence on \["):
         integrate_adaptive(lambda t: 1.0 / np.sqrt(np.abs(t - cut)), 0.0, 1.0)
+    assert panels <= 2 * quadrature._MAX_PANELS + 1
 
 
 @settings(max_examples=140, deadline=None, derandomize=True)
@@ -89,6 +103,100 @@ def test_adaptive_additivity(a0, b0, k, lo, width, frac):
     parts = integrate_adaptive(f, lo, mid) + integrate_adaptive(f, mid, hi)
     scale = float(np.max(np.abs(f(np.linspace(lo, hi, 257))))) + 1.0
     assert abs(whole - parts) <= 1e-10 * width * scale
+
+
+# ---------------------------------------------------------------------------
+# bit identity with the depth-capped routine
+
+_REF_X, _REF_W = np.polynomial.legendre.leggauss(12)
+
+
+def _reference_panel(f, a, b):
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    vals = np.asarray(f(mid + half * _REF_X), dtype=float)
+    return half * float(np.dot(_REF_W, vals))
+
+
+def depth_capped_integrate(f, a, b):
+    """integrate_adaptive as it stood with three stopping rules: the same
+    per-panel budget and panel order, a cap of 48 halvings on each panel's
+    depth, and acceptance of any panel narrower than 1e-15 * (b - a).  Every
+    integral that converges must keep these bits under the panel budget."""
+    if b < a:
+        raise ValueError("integration bounds must satisfy a <= b")
+    if a == b:
+        return 0.0
+    probe = np.asarray(f(np.linspace(a, b, 33)), dtype=float)
+    tol = 1e-12 * (b - a) * (float(np.max(np.abs(probe))) + 1e-300)
+    total = 0.0
+    stack = [(a, b, _reference_panel(f, a, b), 0)]
+    while stack:
+        lo, hi, whole, depth = stack.pop()
+        mid = 0.5 * (lo + hi)
+        left = _reference_panel(f, lo, mid)
+        right = _reference_panel(f, mid, hi)
+        if not math.isfinite(left + right):
+            raise QuadratureError(f"integral on [{lo}, {hi}] is not finite")
+        err = abs(left + right - whole)
+        if err <= tol * (hi - lo) / (b - a) or (hi - lo) <= 1e-15 * (b - a):
+            total += left + right
+        elif depth >= 48:
+            raise QuadratureError(f"no convergence on [{lo}, {hi}]")
+        else:
+            stack.append((lo, mid, left, depth + 1))
+            stack.append((mid, hi, right, depth + 1))
+    return total
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    omega=st.floats(0.05, 10.0),
+    shift=st.floats(-5.0, 5.0),
+    c0=st.floats(-3.0, 3.0),
+    modes=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+                   min_size=1, max_size=5),
+    exponentiate=st.booleans(),
+    cut=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+)
+def test_adaptive_matches_depth_capped_reference_bit_for_bit(
+        omega, shift, c0, modes, exponentiate, cut):
+    """A smooth omega-periodic integrand, a trigonometric polynomial or the
+    exponential of half of one, over a full period and over a sub-interval
+    of one: the same bits as the depth-capped reference."""
+
+    def f(t):
+        u = 2.0 * math.pi / omega * np.asarray(t, dtype=float)
+        s = c0 + sum(a * np.cos((j + 1) * u) + b * np.sin((j + 1) * u)
+                     for j, (a, b) in enumerate(modes))
+        return np.exp(0.5 * s) if exponentiate else s
+
+    lo, hi = (shift + omega * x for x in sorted(cut))
+    for a, b in ((shift, shift + omega), (lo, hi)):
+        got = integrate_adaptive(f, a, b)
+        assert got.hex() == depth_capped_integrate(f, a, b).hex()
+
+
+def test_example_means_match_depth_capped_reference_bit_for_bit(monkeypatch):
+    """Every mean(), mean_positive_part() and A2 log-mean of example41-43
+    goes through integrate_adaptive, and each keeps the reference's bits."""
+    seen = []
+
+    def compared(f, a, b):
+        got = integrate_adaptive(f, a, b)
+        assert got.hex() == depth_capped_integrate(f, a, b).hex()
+        seen.append(got)
+        return got
+
+    monkeypatch.setattr(expressions, "integrate_adaptive", compared)
+    monkeypatch.setattr(greens, "integrate_adaptive", compared)
+    for rho2 in (1.3, 2.0, 1.5):
+        spec = make_example(rho2)
+        for coeff in (spec.p, spec.q, spec.b, spec.c, spec.e, spec.l):
+            coeff.mean()
+            coeff.mean_positive_part()
+        assert check_A2(spec.p, spec.l).applicable
+    assert len(seen) >= 30
 
 
 def test_cumulative_integral_matches_antiderivative():
