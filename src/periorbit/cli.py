@@ -219,19 +219,15 @@ def _cmd_check(args) -> int:
 # greens
 
 
-def _kernel_cells(values: np.ndarray, sep: str) -> list | None:
-    """The rows of a kernel matrix as cells of the greens CSV, each its
-    %.17g string with sep attached, or None where more than half of the
-    bit patterns are distinct.  A closed-form kernel depends on t - s
-    only, so its values repeat and each distinct one is formatted once.
-    Keying on the bits keeps -0.0 apart from 0.0.  The sort alone returns
-    None for a numeric kernel, whose values seldom repeat: np.unique's
-    inverse would cost an argsort more."""
+def _kernel_cells(values: np.ndarray, sep: str) -> list:
+    """The rows of a closed-form kernel matrix as cells of the greens CSV,
+    each its %.17g string with sep attached.  A closed-form kernel depends
+    on t - s only, so its values repeat and each distinct one is formatted
+    once.  Keying on the bits keeps -0.0 apart from 0.0.  A sort and a
+    searchsorted: np.unique's inverse costs more memory."""
     bits = np.ascontiguousarray(values).view(np.int64)
     ordered = np.sort(bits, axis=None)
     new = ordered[1:] != ordered[:-1]
-    if 2 * (1 + np.count_nonzero(new)) > bits.size:
-        return None
     uniq = np.concatenate((ordered[:1], ordered[1:][new]))
     floats = uniq.view(np.float64).tolist()
     strings = np.array([_g(v) + sep for v in floats], dtype=object)
@@ -241,7 +237,9 @@ def _kernel_cells(values: np.ndarray, sep: str) -> list | None:
 def _greens_csv(problem: LoadedProblem, gf, t, G, Gt):
     """The greens CSV of the table (t, G, Gt) in chunks: its header, then
     one block of len(t) lines per grid point t, so the whole file is never
-    one string."""
+    one string.  A closed-form table joins its kernel's distinct cells,
+    formatted once each; a numeric one, whose values seldom repeat,
+    formats every float into a %-template, whose "%.17g" is _g's format."""
     lines = [f"# instance = {problem.name}",
              f"# sha256 = {problem.sha256}",
              f"# source = {gf.source}",
@@ -250,26 +248,21 @@ def _greens_csv(problem: LoadedProblem, gf, t, G, Gt):
         lines.append(f"# {key} = {val if isinstance(val, (bool, str)) else _g(val)}")
     yield "\n".join(lines) + "\nt,s,G,Gt\n"
     ts = [_g(v) for v in t.tolist()]
-    g_cells, gt_cells = _kernel_cells(G, ","), _kernel_cells(Gt, "\n")
-    if g_cells is not None and gt_cells is not None:
+    if gf.source == "closed-form":
         # four strings a line: "t,", "s,", "G," and "Gt\n"
         cells = [""] * (4 * len(ts))
         cells[1::4] = [s + "," for s in ts]
-        for ti, g_row, gt_row in zip(ts, g_cells, gt_cells):
+        for ti, g_row, gt_row in zip(ts, _kernel_cells(G, ","),
+                                     _kernel_cells(Gt, "\n")):
             cells[0::4] = [ti + ","] * len(ts)
             cells[2::4], cells[3::4] = g_row, gt_row
             yield "".join(cells)
         return
-    # one %-format a block, whose "%.17g" is _g's format, formatting the
-    # floats of a column that does not repeat straight into the row
-    row = (",%s," + ("%.17g," if g_cells is None else "%s")
-           + ("%.17g\n" if gt_cells is None else "%s"))
     cells = [""] * (3 * len(ts))
     cells[0::3] = ts
     for i, ti in enumerate(ts):
-        cells[1::3] = G[i].tolist() if g_cells is None else g_cells[i]
-        cells[2::3] = Gt[i].tolist() if gt_cells is None else gt_cells[i]
-        yield (ti + row) * len(ts) % tuple(cells)
+        cells[1::3], cells[2::3] = G[i].tolist(), Gt[i].tolist()
+        yield (ti + ",%s,%.17g,%.17g\n") * len(ts) % tuple(cells)
 
 
 def _cmd_greens(args) -> int:

@@ -50,9 +50,10 @@ and the argmax of |dG/dt| with both one-sided slopes on the diagonal);
 they are not outward-rounded enclosures.  G and dG/dt are omega-periodic
 in t and in s, so a scan window that crosses an edge of the square wraps
 around to the opposite one.  The scan refines its three windows, one a
-surface, in lockstep: each level hands every window's abscissae to the
-grid's own evaluator, _evaluate, in one call, so each window finds the
-values it would find scanned alone, bit for bit.
+surface, in lockstep: each level evaluates all windows' abscissae, every
+t against every s, in one call of the grid's own evaluator, _evaluate, and
+reads each window off a diagonal block of that grid, so each window finds
+the values it would find scanned alone, bit for bit.
 _evaluate is the one place where factors become kernel values.
 
 The CHU criterion samples p, its exponential weights and l over one
@@ -166,24 +167,17 @@ class GreensFunction:
 
 
 def _evaluate(factors, t, s):
-    """(G, dG/dt) from the rank-2 factors on the outer product of t and s
-    over their last axis, each value on the branch its t and s select, the
-    diagonal on the lower one.  t and s are 1-D, for a grid and
-    GreensFunction.kernel, or share leading axes, one index a scan window:
-    one factors call serves them all, and the stacked products evaluate
-    each window as a 1-D call would, bit for bit.  When s is t the factors
-    get one array for both, and evaluate it once."""
-    flat = t.ravel()
-    U, dU, V_lo, V_up = factors(flat, flat if s is t else s.ravel())
-    U, dU = (f.reshape(t.shape + (2,)) for f in (U, dU))
-    V_lo, V_up = (f.reshape(s.shape + (2,)).swapaxes(-1, -2)
-                  for f in (V_lo, V_up))
-    lower = t[..., :, None] >= s[..., None, :]
+    """(G, dG/dt) from the rank-2 factors on the outer product of the 1-D
+    abscissa arrays t and s, each value on the branch its t and s select,
+    the diagonal on the lower one.  When s is t the factors get one array
+    for both, and evaluate it once."""
+    U, dU, V_lo, V_up = factors(t, s)
+    lower = t[:, None] >= s[None, :]
     # factors that are not finite (see the numeric factors) give inf or
     # nan values, which fail the positivity test, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        return (np.where(lower, U @ V_lo, U @ V_up),
-                np.where(lower, dU @ V_lo, dU @ V_up))
+        return (np.where(lower, U @ V_lo.T, U @ V_up.T),
+                np.where(lower, dU @ V_lo.T, dU @ V_up.T))
 
 
 def _slope(tau, G, Gt):
@@ -211,9 +205,10 @@ def _scanned_extremes(factors, tgrid, G, Gt):
     surface's grid argmax: estimates, not enclosures.  The three windows
     are refined in lockstep.  Each level scans a _SCAN_POINTS^2 window of
     half-width `width` around every centre, wrapped around the period,
-    then recentres each on its argmax at 1/8 the width.  A level's windows
-    go through the grid's evaluator in one stacked call, so each window
-    finds what it would find scanned alone.
+    then recentres each on its argmax at 1/8 the width.  A level evaluates
+    its windows' abscissae, all t against all s, as one grid, and reads
+    window w off its diagonal block (w, w): each value is a product of
+    two 2-vectors, so each window finds what it would find scanned alone.
     """
     omega, n, width = tgrid[-1], len(tgrid) - 1, tgrid[1] - tgrid[0]
     # _slope on the grid: the grid increases strictly, so tau = 0 exactly
@@ -227,10 +222,12 @@ def _scanned_extremes(factors, tgrid, G, Gt):
                             G.shape)
     tc, sc = tgrid[i], tgrid[j]
     windows = np.arange(len(_SURFACES))
+    blocks = (len(windows), _SCAN_POINTS) * 2
     best = np.full(len(_SURFACES), -np.inf)
     for _ in range(_SCAN_LEVELS):
         ts, ss = (_window_abscissae(c, width, omega) for c in (tc, sc))
-        g, gt = _evaluate(factors, ts, ss)
+        g, gt = (x.reshape(blocks)[windows, :, windows]
+                 for x in _evaluate(factors, ts.ravel(), ss.ravel()))
         lag = ts[:, :, None] - ss[:, None, :]
         flat = np.stack([surface(*args).ravel() for surface, *args
                          in zip(_SURFACES, lag, g, gt)])

@@ -17,7 +17,17 @@ import numpy as np
 # relative accuracy driven well below the 1e-10*(b-a)*max|f| contract
 _DEFAULT_REL = 1e-12
 _MAX_PANELS = 10_000     # panel halvings before integrate_adaptive gives up
-_X, _W = np.polynomial.legendre.leggauss(12)   # a panel's nodes and weights
+# a panel's nodes _X and weights _W: the 12-point Gauss-Legendre rule, the
+# bits of numpy.polynomial.legendre.leggauss(12), which is exactly symmetric
+# about 0, written as its six positive nodes and their weights
+_HALF_X = np.array([float.fromhex(h) for h in (
+    "0x1.007a5f8f630e4p-3", "0x1.78a8d20a8b19dp-2", "0x1.2cb4f05c077f9p-1",
+    "0x1.8a30aeed88f36p-1", "0x1.cee874ffb88b3p-1", "0x1.f68f1d8e42e81p-1")])
+_HALF_W = np.array([float.fromhex(h) for h in (
+    "0x1.fe40ce6d4f022p-3", "0x1.de3155c256aaep-3", "0x1.a0163e6b1ab6bp-3",
+    "0x1.47d7258f22d96p-3", "0x1.b60602bce61afp-4", "0x1.8275d9dea6d53p-5")])
+_X = np.concatenate((-_HALF_X[::-1], _HALF_X))
+_W = np.concatenate((_HALF_W[::-1], _HALF_W))
 _GOLDEN_MAXITER = 200
 
 

@@ -43,9 +43,6 @@ def _nice_step(span: float) -> float:
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    if not (hi > lo):
-        pad = 1.0 if lo == 0.0 else abs(lo) * 0.1
-        lo, hi = lo - pad, hi + pad
     step = _nice_step(hi - lo)
     first = math.ceil(lo / step) * step
     out = []

@@ -13,7 +13,8 @@ import pytest
 
 import periorbit
 from periorbit import cli, load_problem, parse_expression
-from periorbit.expressions import MAX_TREE_DEPTH, tree_depth
+from periorbit.expressions import (MAX_TREE_DEPTH, EvalDomainError,
+                                   tree_depth)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -188,6 +189,31 @@ def test_exponent_not_positive_names_its_line_exit_2(tmp_path, capsys, key,
     assert code == 2
     assert capsys.readouterr().err == (
         f"error: {bad}: line {line}: {key} must be positive\n")
+
+
+def test_unfinished_scalar_names_its_line_and_column_exit_2(tmp_path,
+                                                            capsys):
+    """A scalar key whose value does not parse is reported against its
+    line, with the parser's message and column."""
+    bad = tmp_path / "scalar.problem"
+    bad.write_text("omega = 1\np = 0\nq = 1\nb = 0\nc = 1\ne = 1\n"
+                   "rho1 = 3/\nrho2 = 1\n")
+    assert cli.main(["check", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: line 7: rho1: unexpected end of input (column 3)\n")
+
+
+def test_domain_error_reaching_main_exit_2(monkeypatch, capsys):
+    """An EvalDomainError that no command turns into an error of its own
+    reaches main, which writes it as one line and exits 2."""
+    def failing(spec, a1=None):
+        raise EvalDomainError("zero base raised to power -1.5")
+
+    monkeypatch.setattr(cli, "certify", failing)
+    assert cli.main(["check", "example41"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "domain error: zero base raised to power -1.5\n"
 
 
 # each value is out of the float range or evaluates to inf or nan on the

@@ -243,13 +243,13 @@ def test_window_abscissae_wrap_around_the_period(omega, n, level, fractions):
 
 
 def _count_grid_evaluations(monkeypatch):
-    """Record the t of every grid call of greens._evaluate, one on 1-D
-    abscissae: the seed grid of a numeric build, and each table."""
+    """Record the t of every grid call of greens._evaluate, one whose s is
+    its t: the seed grid of a numeric build, and each table."""
     calls = []
     evaluate = greens._evaluate
 
     def counted(factors, t, s):
-        if t.ndim == 1:
+        if s is t:
             calls.append(t)
         return evaluate(factors, t, s)
 

@@ -508,6 +508,14 @@ def test_certify_with_holding_factorisation():
     assert c.positive is True
 
 
+def test_problem_spec_rejects_a_period_that_is_not_positive():
+    with pytest.raises(ValidationError) as exc:
+        ProblemSpec(p=pc("0"), q=pc("1/40"), b=pc("1"), c=pc("1"),
+                    e=pc("1"), rho1=1.5, rho2=1.3, omega=-1.0)
+    assert str(exc.value) == "omega must be positive"
+    assert exc.value.key is None
+
+
 def test_problem_spec_validation():
     with pytest.raises(ValidationError, match="c must be positive"):
         ProblemSpec(p=pc("0"), q=pc("1/40"), b=pc("1"), c=pc("cos(3*t)"),

@@ -2,7 +2,11 @@
 and the adaptive routine's bits against its depth-capped predecessor."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,6 +201,40 @@ def test_example_means_match_depth_capped_reference_bit_for_bit(monkeypatch):
             coeff.mean_positive_part()
         assert check_A2(spec.p, spec.l).applicable
     assert len(seen) >= 30
+
+
+# ---------------------------------------------------------------------------
+# the Gauss rule's literals
+
+
+def test_gauss_rule_is_leggauss_within_an_ulp():
+    x, w = np.polynomial.legendre.leggauss(12)
+    assert np.all(np.abs(quadrature._X - x) <= np.spacing(np.abs(x)))
+    assert np.all(np.abs(quadrature._W - w) <= np.spacing(w))
+
+
+def test_gauss_rule_is_exact_on_powers_to_degree_23():
+    """A 12-point Gauss rule integrates x^k over [-1, 1] exactly for
+    k <= 23, up to rounding, and misses x^24 by far more than rounding."""
+    for k in range(24):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        got = float(np.dot(quadrature._W, quadrature._X ** k))
+        assert abs(got - exact) <= 1e-15
+    miss = float(np.dot(quadrature._W, quadrature._X ** 24)) - 2.0 / 25
+    assert abs(miss) > 1e-9
+
+
+def test_import_leaves_numpy_polynomial_unloaded():
+    """The rule is written out, so importing the package does not import
+    numpy.polynomial, whose leggauss calls LAPACK."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1]
+                                          / "src"))
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, periorbit; "
+         "print('numpy.polynomial' in sys.modules)"],
+        env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
 
 
 def test_cumulative_integral_matches_antiderivative():

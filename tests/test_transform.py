@@ -143,6 +143,17 @@ def test_residual_selector_and_size_validation():
         residual(spec, short, ORIGINAL)
 
 
+def test_residual_rejects_a_path_that_is_not_positive():
+    """The singular terms x^-rho need x > 0 at every interior sample."""
+    spec = make_constant_spec()
+    t = np.linspace(0.0, OMEGA, 5)
+    x = np.array([1.0, 2.0, -0.5, 2.0, 1.0])
+    path = SampledPath(t=t, x=x, v=np.zeros(5))
+    for which in (ORIGINAL, TRANSFORMED):
+        with pytest.raises(PositivityError, match="positive trajectories"):
+            residual(spec, path, which)
+
+
 def test_sampled_path_validation():
     with pytest.raises(ValueError):
         SampledPath(t=np.array([0.0, 1.0, 1.5]), x=np.ones(3), v=np.zeros(3))

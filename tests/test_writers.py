@@ -152,26 +152,44 @@ def test_greens_csv_matches_per_cell_writer(tmp_path, capsys, name, n):
     assert written == _per_cell_greens_csv(problem, gf, n).encode()
 
 
-def test_greens_kernels_take_each_format_path():
-    """At the default n both of example41's columns repeat, so the case
-    [example41-200] above joins formatted cells; at n = 7 its G repeats
-    and its Gt does not, so [example41-7] writes one column of each kind;
-    a numeric kernel's columns do not repeat past n = 1, so
-    [numeric-7/200/333] and [negative_p-20] format every float."""
-    spec = cli._resolve("example41").spec
-    gf = kernel_for(spec.p, spec.l, spec.omega)
-    _, G, Gt = gf.table(200)
-    assert cli._kernel_cells(G, ",") is not None
-    assert cli._kernel_cells(Gt, "\n") is not None
-    _, G, Gt = gf.table(7)
-    assert cli._kernel_cells(G, ",") is not None
-    assert cli._kernel_cells(Gt, "\n") is None
-    for name, n in [("numeric", 7), ("numeric", 200), ("numeric", 333),
-                    ("negative_p", 20)]:
-        spec = parse_problem_text(NUMERIC_TEXTS[name]).spec
-        _, G, Gt = kernel_for(spec.p, spec.l, spec.omega).table(n)
-        assert cli._kernel_cells(G, ",") is None
-        assert cli._kernel_cells(Gt, "\n") is None
+def _repeats(values: np.ndarray) -> bool:
+    """Whether at most half of the cells of values hold distinct bits."""
+    distinct = np.unique(np.ascontiguousarray(values).view(np.int64))
+    return 2 * distinct.size <= values.size
+
+
+def test_greens_kernels_take_each_format_path(monkeypatch):
+    """The kernel's source picks the block writer.  example41's closed-form
+    tables join cells formatted once a distinct value: at the default n,
+    [example41-200] above, both columns repeat, and at n = 7 its G repeats
+    and its Gt does not.  A numeric kernel's columns do not repeat past
+    n = 1, and [numeric-7/200/333] and [negative_p-20] format every
+    float."""
+    joined = []
+    kernel_cells = cli._kernel_cells
+
+    def counted(values, sep):
+        joined.append(sep)
+        return kernel_cells(values, sep)
+
+    monkeypatch.setattr(cli, "_kernel_cells", counted)
+    for name, n, repeats in [
+            ("example41", 200, (True, True)), ("example41", 7, (True, False)),
+            ("numeric", 7, (False, False)), ("numeric", 200, (False, False)),
+            ("numeric", 333, (False, False)),
+            ("negative_p", 20, (False, False))]:
+        problem = (cli._resolve(name) if name in BUNDLED
+                   else parse_problem_text(NUMERIC_TEXTS[name]))
+        spec = problem.spec
+        gf = kernel_for(spec.p, spec.l, spec.omega)
+        t, G, Gt = gf.table(n)
+        assert (_repeats(G), _repeats(Gt)) == repeats
+        del joined[:]
+        for _ in cli._greens_csv(problem, gf, t, G, Gt):
+            pass
+        closed = gf.source == "closed-form"
+        assert closed == (name == "example41")
+        assert joined == ([",", "\n"] if closed else [])
 
 
 @pytest.mark.parametrize("name", ["example41", "numeric"])
@@ -272,17 +290,12 @@ def test_array_pixels_equal_per_point_pixels(values, p0, span):
 
 
 def _assert_cells_match_per_cell(values: np.ndarray) -> bool:
-    """The cells of values, where they repeat, are the per-cell strings
-    with the separator attached; returns whether they repeat."""
-    repeats = set()
+    """The cells of values are the per-cell strings with the separator
+    attached; returns whether the values repeat."""
     for sep in (",", "\n"):
-        cells = cli._kernel_cells(values, sep)
-        repeats.add(cells is not None)
-        if cells is not None:
-            assert cells == [[_g(v) + sep for v in row]
-                             for row in values.tolist()]
-    (repeat,) = repeats
-    return repeat
+        assert cli._kernel_cells(values, sep) == [
+            [_g(v) + sep for v in row] for row in values.tolist()]
+    return _repeats(values)
 
 
 _any_float = st.floats(allow_nan=True, allow_infinity=True,
@@ -303,8 +316,8 @@ def test_repeating_kernel_cells_match_per_cell_writer(pool, data):
 
 @given(st.integers(1, 9), st.integers(1, 9), st.data())
 def test_distinct_kernel_cells_match_per_cell_writer(rows, cols, data):
-    """No two cells share a bit pattern: no cells are returned, and the
-    writer formats every float."""
+    """No two cells share a bit pattern: each is formatted once all the
+    same."""
     picks = data.draw(st.lists(_any_float, min_size=rows * cols,
                                max_size=rows * cols,
                                unique_by=lambda x: struct.pack("<d", x)))
