@@ -418,10 +418,11 @@ def _reproduce_one(key: str, args, report: list) -> dict:
         line(f"operator fixed-point relative error {_g(fp)} (bound 0.001)")
         cone = cone_check(orbit.y_path, co.constants.sigma,
                           co.constants.delta)
+        in_window = wc.lower <= cone.norm <= co.r_witness.R
+        checks["cone"] = cone.in_cone and in_window
         line(f"cone membership {cone.in_cone}  norm {_g(cone.norm)}  "
              f"r window [{_g(wc.lower)}, {_g(co.r_witness.R)}]  "
-             f"norm within window "
-             f"{wc.lower <= cone.norm <= co.r_witness.R}")
+             f"norm within window {in_window}")
 
     ok = all(checks.values())
     line("PASS" if ok else

@@ -1,14 +1,14 @@
 """Expression trees for periodic coefficient functions.
 
 Supported node kinds: real constants, the time variable t, negation, sums,
-products, powers with rational exponents, sine, cosine and the exponential.
-The text grammar accepts infix + - * / ^, the functions sin/cos/exp, the
-variable t, the constant pi and numeric literals.  Division lowers to a
-power with exponent -1 and subtraction to an added negation, so the node
-set above is closed under parsing and differentiation.
+products, powers with rational exponents, and a Call of sin, cos or exp,
+the functions _FUNCTIONS names.  The text grammar accepts infix + - * / ^,
+those functions, the variable t, the constant pi and numeric literals.
+Division lowers to a power with exponent -1 and subtraction to an added
+negation, so the node set above is closed under parsing and differentiation.
 
-Parsing folds every constant part to one Const (sin, cos and exp through
-math), so a parsed tree free of t is a single Const and
+Parsing folds every constant part to one Const (a call through its float
+function), so a parsed tree free of t is a single Const and
 PeriodicCoeff.constant reads constancy off the tree.  A constant power out
 of its domain, such as (-2)^(1/2) or 1/0, is a ParseError at its ^ or /.
 
@@ -20,9 +20,11 @@ the integer/fractional distinction drives the domain rule for powers
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import re
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -106,18 +108,21 @@ class Pow(Expr):
 
 
 @dataclass(frozen=True)
-class Sin(Expr):
+class Call(Expr):
+    """The function _FUNCTIONS[name] applied to arg."""
+    name: str
     arg: Expr
 
 
-@dataclass(frozen=True)
-class Cos(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True)
-class Exp(Expr):
-    arg: Expr
+# The functions a coefficient may call, each on a float (the parser folds a
+# constant call with it), elementwise on an array, and its derivative rule:
+# f'(arg) as a tree, for the node e = Call(f, arg).
+_Function = collections.namedtuple("_Function", "scalar array derivative")
+_FUNCTIONS = {
+    "sin": _Function(math.sin, np.sin, lambda e: Call("cos", e.arg)),
+    "cos": _Function(math.cos, np.cos, lambda e: _neg(Call("sin", e.arg))),
+    "exp": _Function(math.exp, np.exp, lambda e: e),
+}
 
 
 # folding constructors; they keep derivative trees small without doing any
@@ -224,25 +229,26 @@ def _exact_power(x: Fraction, n: int) -> Const:
 # ---------------------------------------------------------------------------
 # evaluation
 #
-# Each tree is compiled into the code of a Python function whose body is
-# the tree as one fully parenthesised expression.  It performs the same
+# Each tree is compiled into the code of a Python function whose body is the
+# tree as one fully parenthesised expression.  It performs the same
 # operations in the same order as a recursive walk, so its values are
-# bit-identical to one, and it frees each intermediate array as soon as it
-# is consumed.  The code names its functions (_sin, _cos, _exp and the
-# rational powers) and every constant (_k0, _k1, ...) as globals, so its
-# source depends only on the tree's shape: one code object serves every
-# tree of that shape, from a bounded cache keyed by the source, and each
-# tree binds it twice with its own constants, to math.sin/cos/exp for
-# floats and to the numpy ufuncs for arrays.  A subtree nested deeper than
-# _MAX_NESTING is first assigned to a local: Python's parser accepts at
-# most 200 nested parentheses.  So is a subtree that the tree reaches along
-# more than one path (a derivative reuses the factors of a product), at the
-# point where the walk first evaluates it; later references read the local,
-# where the walk would compute the same value again.  The source then grows
-# with the distinct nodes, not with the paths.
+# bit-identical to one, and it frees each intermediate array as soon as it is
+# consumed.  A finite constant is written into the source as its repr, which
+# reads back as the same float; an infinite or NaN one, which has no literal,
+# as the name _inf or _nan, negated when its sign bit is set (the NaNs that
+# parsing and folding make carry the default payload).  So each tree has a
+# source of its own, compiled once into a bounded cache keyed by it: parsing
+# a text again compiles nothing.  Each tree binds its code to the fixed names
+# of _SCALAR_NAMES for floats and of _ARRAY_NAMES for arrays.  A subtree
+# nested deeper than _MAX_NESTING is first assigned to a local: Python's
+# parser accepts at most 200 nested parentheses.  So is a subtree that the
+# tree reaches along more than one path (a derivative reuses the factors of a
+# product), at the point where the walk first evaluates it; later references
+# read the local, where the walk would compute the same value again.  The
+# source then grows with the distinct nodes, not with the paths.
 
 _MAX_NESTING = 100
-_CODE_CACHE = 512  # code objects kept, one per tree shape
+_CODE_CACHE = 512  # code objects kept, one per distinct source
 
 
 def evaluate(expr: Expr, t):
@@ -259,19 +265,15 @@ def compiled(expr: Expr, array: bool = False):
     """The function t -> value of expr, built on first use and cached on
     the tree's root node: for a float t, or (array=True) elementwise for a
     numpy array t, where a subtree free of t still yields a scalar.  Both
-    bind the same code, that of the tree's shape, kept on the root as
-    _code with the tree's constants."""
+    bind the same code, kept on the root as _code, to the fixed names of
+    _SCALAR_NAMES or _ARRAY_NAMES."""
     slot = "_array_fn" if array else "_scalar_fn"
     fn = getattr(expr, slot, None)
     if fn is None:
         if getattr(expr, "_code", None) is None:
             object.__setattr__(expr, "_code", _compile(expr))
-        code, constants = expr._code
-        names = {**(_ARRAY_NAMES if array else _SCALAR_NAMES), **constants}
-        exec(code, names)
-        # taken out of its own globals, so that no reference cycle keeps a
-        # dead function alive until the next full collection
-        fn = names.pop("_f")
+        fn = types.FunctionType(expr._code,
+                                _ARRAY_NAMES if array else _SCALAR_NAMES)
         object.__setattr__(expr, slot, fn)
     return fn
 
@@ -295,17 +297,16 @@ def _rational_powers(test):
     return {"_fpow": fractional, "_npow": negative}
 
 
-_SCALAR_NAMES = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp,
-                 **_rational_powers(bool)}
-_ARRAY_NAMES = {"_sin": np.sin, "_cos": np.cos, "_exp": np.exp,
-                **_rational_powers(np.any)}
-_UFUNC = {Sin: "_sin", Cos: "_cos", Exp: "_exp"}
+_NON_FINITE = {"_inf": math.inf, "_nan": math.nan}
+_SCALAR_NAMES = {**{f"_{name}": f.scalar for name, f in _FUNCTIONS.items()},
+                 **_rational_powers(bool), **_NON_FINITE}
+_ARRAY_NAMES = {**{f"_{name}": f.array for name, f in _FUNCTIONS.items()},
+                **_rational_powers(np.any), **_NON_FINITE}
 
 
-def _compile(expr: Expr):
-    """The code object that defines _f(t), shared by every tree of expr's
-    shape, and the constants it reads by name."""
-    constants: dict[str, float] = {}
+def _compile(expr: Expr) -> types.CodeType:
+    """The code of the function t -> value of expr, from the cache when a
+    tree with the same source compiled it before."""
     spills: list[str] = []
     shared = _shared_nodes(expr)
     spilled: dict[int, str] = {}
@@ -322,9 +323,11 @@ def _compile(expr: Expr):
         if kind is TimeVar:
             return "t", 0
         if kind is Const:
-            name = f"_k{len(constants)}"
-            constants[name] = e.value
-            return name, 0
+            if math.isfinite(e.value):
+                return f"({e.value!r})", 1
+            # no literal: the name _inf or _nan, with the value's sign bit
+            sign = "-" if math.copysign(1.0, e.value) < 0.0 else ""
+            return f"({sign}_{abs(e.value)!r})", 1
         if id(e) in spilled:
             return spilled[id(e)], 0
         if kind in (Add, Mul):
@@ -349,8 +352,8 @@ def _compile(expr: Expr):
             a, depth = emit(e.arg)
             if kind is Neg:
                 code = f"(-{a})"
-            elif kind in _UFUNC:
-                code = f"{_UFUNC[kind]}({a})"
+            elif kind is Call:
+                code = f"_{e.name}({a})"
             else:
                 raise TypeError(f"unknown node {e!r}")
         if id(e) in shared:
@@ -361,13 +364,15 @@ def _compile(expr: Expr):
         return spill(code), 0
 
     body, _ = emit(expr)
-    source = "def _f(t):\n" + "".join(spills) + f"    return {body}\n"
-    return _shape_code(source), constants
+    return _source_code("def _f(t):\n" + "".join(spills)
+                        + f"    return {body}\n")
 
 
 @functools.lru_cache(maxsize=_CODE_CACHE)
-def _shape_code(source: str):
-    return compile(source, "<periorbit expression>", "exec")
+def _source_code(source: str) -> types.CodeType:
+    """The code of the function _f that source defines."""
+    module = compile(source, "<periorbit expression>", "exec")
+    return next(c for c in module.co_consts if isinstance(c, types.CodeType))
 
 
 def _shared_nodes(expr: Expr) -> set[int]:
@@ -388,7 +393,7 @@ def _shared_nodes(expr: Expr) -> set[int]:
 
 def _children(e: Expr) -> tuple:
     kind = type(e)
-    if kind in (Neg, Sin, Cos, Exp):
+    if kind in (Neg, Call):
         return (e.arg,)
     if kind in (Add, Mul):
         return (e.left, e.right)
@@ -438,12 +443,8 @@ def derivative(e: Expr) -> Expr:
         q = e.exponent
         return _mul(_mul(Const(float(q)), _pow(e.base, q - 1)),
                     derivative(e.base))
-    if kind is Sin:
-        return _mul(Cos(e.arg), derivative(e.arg))
-    if kind is Cos:
-        return _mul(_neg(Sin(e.arg)), derivative(e.arg))
-    if kind is Exp:
-        return _mul(e, derivative(e.arg))
+    if kind is Call:
+        return _mul(_FUNCTIONS[e.name].derivative(e), derivative(e.arg))
     raise TypeError(f"unknown node {e!r}")
 
 
@@ -454,9 +455,6 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^()]))")
-
-_FUNCTIONS = {"sin": (Sin, math.sin), "cos": (Cos, math.cos),
-              "exp": (Exp, math.exp)}
 
 # Parentheses, function calls and exponents may nest this deep; the parser
 # recurses a few frames per level and stops well inside Python's limit.
@@ -602,11 +600,10 @@ class _Parser:
                 self.expect_op("(")
                 arg = self.nest(tok, self.expression)
                 self.expect_op(")")
-                kind, fn = _FUNCTIONS[tok.text]
                 if type(arg) is not Const:
-                    return kind(arg)
+                    return Call(tok.text, arg)
                 try:
-                    return Const(fn(arg.value))
+                    return Const(_FUNCTIONS[tok.text].scalar(arg.value))
                 except OverflowError:  # exp past the float range
                     return Const(math.inf)
                 except ValueError:  # sin or cos of +-inf, nan as in numpy

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, sidecar files, exit codes, determinism."""
 
+import dataclasses
 import json
 import math
 import os
@@ -870,6 +871,7 @@ def test_reproduce_single_instance(tmp_path, capsys):
     doc = json.loads((tmp_path / "reproduce.json").read_text())
     assert doc["4.3"]["pass"] is True
     assert doc["4.3"]["theorem"] == "T3.3-II"
+    assert doc["4.3"]["checks"]["cone"] is True
     assert set(doc) == {"4.3"}
 
 
@@ -927,6 +929,27 @@ def test_reproduce_reports_a_failed_orbit(tmp_path, capsys, monkeypatch):
     assert doc["4.1"]["checks"]["orbit"] is False
     assert "orbit" not in doc["4.1"]
     assert doc["4.2"]["pass"] is True and "orbit" in doc["4.2"]
+
+
+def test_reproduce_fails_an_orbit_outside_the_cone(tmp_path, capsys,
+                                                   monkeypatch):
+    """The cone line is a check: an orbit outside the cone fails reproduce
+    as FAIL (cone) with exit 1, and reproduce.json records it."""
+    real = cli.cone_check
+
+    def outside(y, sigma, delta):
+        return dataclasses.replace(real(y, sigma, delta), in_cone=False)
+
+    monkeypatch.setattr(cli, "cone_check", outside)
+    code = cli.main(["reproduce", "4.2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert any(ln.startswith("[4.2] cone membership False") for ln in lines)
+    assert "[4.2] FAIL (cone)" in lines
+    assert lines[-1] == "FAILURES PRESENT"
+    doc = json.loads((tmp_path / "reproduce.json").read_text())
+    assert doc["4.2"]["checks"]["cone"] is False
+    assert doc["4.2"]["pass"] is False
 
 
 @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])

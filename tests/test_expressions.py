@@ -23,18 +23,16 @@ from conftest import OMEGA, pc
 from periorbit import PeriodicCoeff, expressions, parse_expression
 from periorbit.expressions import (
     Add,
+    Call,
     Const,
-    Cos,
     MAX_TREE_DEPTH,
     EvalDomainError,
-    Exp,
     ExpressionError,
     Mul,
     Neg,
     ParseError,
     PeriodicityError,
     Pow,
-    Sin,
     TimeVar,
     compiled,
     derivative,
@@ -183,6 +181,38 @@ def test_domain_error_negative_power_of_zero():
 # ---------------------------------------------------------------------------
 # compiled evaluation against a tree walk
 
+# each function a coefficient may call, on a float and on an array
+_REFERENCE = {"sin": (math.sin, np.sin), "cos": (math.cos, np.cos),
+              "exp": (math.exp, np.exp)}
+
+
+def _sin(arg):
+    return Call("sin", arg)
+
+
+def _cos(arg):
+    return Call("cos", arg)
+
+
+def _exp(arg):
+    return Call("exp", arg)
+
+
+def test_one_table_names_each_function_and_its_rules():
+    """The table gives sin, cos and exp, each with its float function, its
+    array function and its derivative rule; it fills both bindings."""
+    table = expressions._FUNCTIONS
+    assert {name: (f.scalar, f.array) for name, f in table.items()} == \
+        _REFERENCE
+    u = Add(Mul(Const(3.0), TimeVar()), Const(0.5))
+    assert table["sin"].derivative(_sin(u)) == _cos(u)
+    assert table["cos"].derivative(_cos(u)) == Neg(_sin(u))
+    node = _exp(u)
+    assert table["exp"].derivative(node) is node
+    for name, (scalar, array) in _REFERENCE.items():
+        assert expressions._SCALAR_NAMES[f"_{name}"] is scalar
+        assert expressions._ARRAY_NAMES[f"_{name}"] is array
+
 
 def _ev(e, t, vec):
     """Recursive tree-walk evaluation, the reference for compiled code."""
@@ -211,15 +241,10 @@ def _ev(e, t, vec):
             if bad:
                 raise EvalDomainError(f"zero base raised to power {q}")
         return base ** float(q)
-    if kind is Sin:
+    if kind is Call:
+        scalar, array = _REFERENCE[e.name]
         v = _ev(e.arg, t, vec)
-        return np.sin(v) if vec else math.sin(v)
-    if kind is Cos:
-        v = _ev(e.arg, t, vec)
-        return np.cos(v) if vec else math.cos(v)
-    if kind is Exp:
-        v = _ev(e.arg, t, vec)
-        return np.exp(v) if vec else math.exp(v)
+        return array(v) if vec else scalar(v)
     raise TypeError(f"unknown node {e!r}")
 
 
@@ -249,10 +274,16 @@ _leaves = st.one_of(
     st.builds(Const, st.sampled_from(
         [0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf, math.nan])))
 _exponents = st.builds(Fraction, st.integers(-3, 4), st.integers(1, 3))
+
+
+def _calls(sub):
+    """A call of each function on sub, one strategy per function."""
+    return [st.builds(Call, st.just(name), sub) for name in _REFERENCE]
+
+
 _trees = st.recursive(_leaves, lambda sub: st.one_of(
     st.builds(Neg, sub), st.builds(Add, sub, sub), st.builds(Mul, sub, sub),
-    st.builds(Pow, sub, _exponents), st.builds(Sin, sub),
-    st.builds(Cos, sub), st.builds(Exp, sub)), max_leaves=12)
+    st.builds(Pow, sub, _exponents), *_calls(sub)), max_leaves=12)
 _POINTS = (-2.0, -0.5, -0.0, 0.0, 0.3, 1.7, 40.0)
 
 
@@ -276,10 +307,9 @@ def test_compiled_function_is_built_once():
     assert compiled(e) is not compiled(e, array=True)
 
 
-def test_scalar_and_array_builds_compile_the_source_once(monkeypatch):
-    """The scalar and the array function bind one code object, so a tree
-    used both ways is compiled once; its constants are bound with it."""
-    expressions._shape_code.cache_clear()
+def _spy_compiles(monkeypatch) -> list:
+    """The sources compiled for coefficients from now on, in order."""
+    expressions._source_code.cache_clear()
     sources = []
     real_compile = builtins.compile
 
@@ -289,84 +319,18 @@ def test_scalar_and_array_builds_compile_the_source_once(monkeypatch):
         return real_compile(source, filename, *args, **kwargs)
 
     monkeypatch.setattr(builtins, "compile", spy)
-    e = Add(Mul(Const(math.inf), Cos(TimeVar())), Const(2.0))
+    return sources
+
+
+def test_scalar_and_array_builds_compile_the_source_once(monkeypatch):
+    """The scalar and the array function bind one code object, so a tree
+    used both ways is compiled once, its infinite constant included."""
+    sources = _spy_compiles(monkeypatch)
+    e = Add(Mul(Const(math.inf), _cos(TimeVar())), Const(2.0))
     assert evaluate(e, 0.0) == math.inf
     assert list(evaluate(e, np.array([0.0, math.pi]))) == [math.inf,
                                                            -math.inf]
     assert len(sources) == 1
-
-
-def _literal_compile(expr):
-    """The code of expr as it was emitted with its finite constants written
-    as literals, and the non-finite constants it names: the oracle that
-    naming every constant must reproduce bit for bit."""
-    constants = {}
-    spills = []
-    shared = expressions._shared_nodes(expr)
-    spilled = {}
-
-    def spill(code, at=None):
-        name = f"v{len(spills)}"
-        spills.insert(len(spills) if at is None else at,
-                      f"    {name} = {code}\n")
-        return name
-
-    def emit(e):
-        kind = type(e)
-        if kind is TimeVar:
-            return "t", 0
-        if kind is Const:
-            if math.isfinite(e.value):
-                return f"({e.value!r})", 1
-            name = f"_k{len(constants)}"
-            constants[name] = e.value
-            return name, 0
-        if id(e) in spilled:
-            return spilled[id(e)], 0
-        if kind in (Add, Mul):
-            a, da = emit(e.left)
-            mark = len(spills)
-            b, db = emit(e.right)
-            if len(spills) > mark and da > 0:
-                a, da = spill(a, at=mark), 0
-            code = f"({a} {'+' if kind is Add else '*'} {b})"
-            depth = max(da, db)
-        elif kind is Pow:
-            a, depth = emit(e.base)
-            q = e.exponent
-            if q.denominator != 1:
-                code = f"_fpow({a}, {float(q)!r}, {str(q)!r})"
-            elif q < 0:
-                code = f"_npow({a}, {float(q)!r}, {str(q)!r})"
-            else:
-                code = f"({a} ** {float(q)!r})"
-        else:
-            a, depth = emit(e.arg)
-            code = f"(-{a})" if kind is Neg else \
-                f"{expressions._UFUNC[kind]}({a})"
-        if id(e) in shared:
-            spilled[id(e)] = spill(code)
-            return spilled[id(e)], 0
-        if depth + 1 < expressions._MAX_NESTING:
-            return code, depth + 1
-        return spill(code), 0
-
-    body, _ = emit(expr)
-    source = "def _f(t):\n" + "".join(spills) + f"    return {body}\n"
-    return compile(source, "<literal oracle>", "exec"), constants
-
-
-def _literal_evaluate(expr, t):
-    """evaluate(expr, t) through the literal-constant oracle's code."""
-    code, constants = _literal_compile(expr)
-    array = isinstance(t, np.ndarray)
-    names = {**(expressions._ARRAY_NAMES if array
-                else expressions._SCALAR_NAMES), **constants}
-    exec(code, names)
-    result = names["_f"](t)
-    if array and np.ndim(result) == 0:
-        return np.full(t.shape, float(result))
-    return result
 
 
 _EDGE_CONSTANTS = [-0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf,
@@ -376,20 +340,21 @@ _edge_trees = st.recursive(
     lambda sub: st.one_of(
         st.builds(Neg, sub), st.builds(Add, sub, sub),
         st.builds(Mul, sub, sub), st.builds(Pow, sub, _exponents),
-        st.builds(Sin, sub), st.builds(Cos, sub), st.builds(Exp, sub)),
+        *_calls(sub)),
     max_leaves=12)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(e=_edge_trees)
 def test_named_constants_match_literal_constants_bit_for_bit(e):
-    """Every constant read by name gives the values, or the error, of the
-    same constant written as a literal, on scalar and array inputs: among
-    them -0.0, the smallest subnormal, 1e308 and the infinities, alone and
-    inside shared subtrees.  NaNs are compared as one NaN (_one_nan): the
-    sign of a product of two NaNs follows CPython's specialisation of the
-    code object, which all trees of a shape now share, not the constants."""
-    mine, oracle = _one_nan(evaluate), _one_nan(_literal_evaluate)
+    """Every constant, a finite one written as a literal and an infinite or
+    NaN one read by the fixed name _inf or _nan, gives the values, or the
+    error, of the tree walk on scalar and array inputs: among them -0.0,
+    the smallest subnormal, 1e308 and the infinities, alone and inside
+    shared subtrees.  NaNs are compared as one NaN (_one_nan): the sign of
+    a product of two NaNs follows CPython's specialisation of the code
+    object, not the constants."""
+    mine, oracle = _one_nan(evaluate), _one_nan(_walk_evaluate)
     for tree in (e, *_shared_uses(e, Const(-0.0))):
         for t in _POINTS:
             assert _outcome(mine, tree, t) == _outcome(oracle, tree, t)
@@ -401,43 +366,67 @@ def _shaped(k0, k1, k2, k3):
     """One tree shape, over a power, a product, a shared subtree and every
     function, with the constants k0..k3."""
     inner = Add(Mul(Const(k1), TimeVar()), Const(k2))
-    return derivative(Mul(Add(Const(k0), Cos(inner)),
-                          Exp(Mul(Const(k3), Sin(Pow(Add(Const(2.0), inner),
-                                                     Fraction(1, 2)))))))
+    root = Pow(Add(Const(2.0), inner), Fraction(1, 2))
+    return derivative(Mul(Add(Const(k0), _cos(inner)),
+                          _exp(Mul(Const(k3), _sin(root)))))
 
 
-def test_trees_of_one_shape_share_one_code_object(monkeypatch):
-    """Trees that differ only in their constants compile one source, once,
-    into a bounded cache, and their functions share its code object, each
-    reading its own constants: the values match the literal-constant
-    oracle bit for bit."""
-    expressions._shape_code.cache_clear()
-    sources = []
-    real_compile = builtins.compile
-
-    def spy(source, filename, *args, **kwargs):
-        if filename == "<periorbit expression>":
-            sources.append(source)
-        return real_compile(source, filename, *args, **kwargs)
-
-    monkeypatch.setattr(builtins, "compile", spy)
-    trees = [_shaped(*ks) for ks in ((1.5, 3.0, 0.25, -0.5),
-                                     (-0.0, 5e-324, 1e308, 2.0),
-                                     (math.inf, -1.0, -0.0, -math.inf))]
-    functions = [compiled(e, array=array) for e in trees
+def test_parsing_a_text_again_compiles_nothing(monkeypatch):
+    """The code is cached by its source, in a bounded cache: a text parsed
+    again, a new tree, binds the code its first parse compiled."""
+    sources = _spy_compiles(monkeypatch)
+    text = "(0.0432 + 0.0321*cos(3*t))*exp(sin(3*t))^(1/2)"
+    first, again = parse_expression(text), parse_expression(text)
+    assert first is not again
+    functions = [compiled(e, array=array) for e in (first, again)
                  for array in (False, True)]
     assert len(sources) == 1
     assert len({fn.__code__ for fn in functions}) == 1
-    assert len({id(e._code[0]) for e in trees}) == 1
+    assert evaluate(again, 0.3) == evaluate(first, 0.3)
+    assert expressions._source_code.cache_info().maxsize == \
+        expressions._CODE_CACHE
+
+
+def test_trees_differing_in_a_constant_compile_separate_code(monkeypatch):
+    """Trees of one shape whose constants differ, finite or not, each
+    compile a source of their own, with their constants in it, and each
+    gives the tree walk's values bit for bit."""
+    sources = _spy_compiles(monkeypatch)
+    trees = [_shaped(*ks) for ks in ((1.5, 3.0, 0.25, -0.5),
+                                     (-0.0, 5e-324, 1e308, 2.0),
+                                     (math.inf, -1.0, -0.0, -math.inf))]
+    codes = {compiled(e).__code__ for e in trees}
+    assert len(sources) == 3 and len(codes) == 3
+    assert all(compiled(e, array=True).__code__ is compiled(e).__code__
+               for e in trees)
+    assert "(1.5)" in sources[0] and "(5e-324)" in sources[1]
+    assert "_inf" in sources[2] and "_k" not in "".join(sources)
     for e in trees:
         for t in (0.0, 0.3, -1.7):
-            assert _outcome(evaluate, e, t) == \
-                _outcome(_literal_evaluate, e, t)
+            assert _outcome(evaluate, e, t) == _outcome(_walk_evaluate, e, t)
         ts = np.array([0.0, 0.3, -1.7])
-        assert _outcome(evaluate, e, ts) == _outcome(_literal_evaluate, e, ts)
-    # the cache of code objects is bounded
-    assert expressions._shape_code.cache_info().maxsize == \
-        expressions._CODE_CACHE
+        assert _outcome(evaluate, e, ts) == _outcome(_walk_evaluate, e, ts)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan,
+                                   -math.nan], ids=["inf", "-inf", "nan",
+                                                    "-nan"])
+def test_non_finite_constants_evaluate_in_both_bindings(value):
+    """An infinite or NaN constant, which has no literal, evaluates in the
+    scalar and the array binding, sign bit included: alone, inside a
+    tree, and in a subtree the tree reaches along two paths."""
+
+    def bits(v):
+        return np.asarray(v, dtype=float).tobytes()
+
+    alone = Const(value)
+    assert bits(evaluate(alone, 0.3)) == bits(value)
+    assert bits(evaluate(alone, np.array([0.3, 1.0]))) == bits([value] * 2)
+    shared = Add(Const(value), Mul(Const(0.5), TimeVar()))
+    for tree in (Mul(shared, _cos(shared)), derivative(Mul(shared, shared))):
+        for t in (0.3, np.array([0.3, -1.0])):
+            assert _outcome(_one_nan(evaluate), tree, t) == \
+                _outcome(_one_nan(_walk_evaluate), tree, t)
 
 
 def test_evaluated_expression_still_pickles():
@@ -463,7 +452,7 @@ def test_deep_trees_compile():
 
     chain = TimeVar()
     for k in range(300):
-        node = (Neg, Sin, Cos, Exp)[k % 4](chain) if k % 5 else \
+        node = (Neg, _sin, _cos, _exp)[k % 4](chain) if k % 5 else \
             Pow(Add(Const(1.5), chain), Fraction(1, 2))
         chain = Mul(Const(0.5), node) if k % 3 else Add(node, TimeVar())
     late = Add(Pow(TimeVar(), Fraction(-1)), Mul(chain, Pow(TimeVar(), Fraction(1, 3))))
@@ -480,8 +469,8 @@ def _shared_uses(e, f):
     """Trees that reach e along several paths, first on the left of f, on
     its right, or under a unary node, and a derivative's own sharing."""
     return (derivative(e), derivative(Mul(e, Mul(f, e))),
-            Mul(Add(e, f), Sin(e)), Add(f, Mul(e, Neg(e))),
-            Add(Exp(f), Pow(Add(e, Mul(f, e)), Fraction(1, 2))))
+            Mul(Add(e, f), _sin(e)), Add(f, Mul(e, Neg(e))),
+            Add(_exp(f), Pow(Add(e, Mul(f, e)), Fraction(1, 2))))
 
 
 def _one_nan(fn):
@@ -525,7 +514,7 @@ def test_derivative_source_grows_linearly_in_factors(monkeypatch):
         return compile(source, *args)
 
     monkeypatch.setattr(expressions, "compile", spy, raising=False)
-    expressions._shape_code.cache_clear()
+    expressions._source_code.cache_clear()
     lengths = {}
     for k in (50, 200):
         d = derivative(parse_expression("*".join(["(1+cos(3*t)/9)"] * k)))
@@ -1152,7 +1141,7 @@ def _has_exp(e) -> bool:
     stack = [e]
     while stack:
         node = stack.pop()
-        if type(node) is Exp:
+        if type(node) is Call and node.name == "exp":
             return True
         stack += expressions._children(node)
     return False
