@@ -50,10 +50,9 @@ and the argmax of |dG/dt| with both one-sided slopes on the diagonal);
 they are not outward-rounded enclosures.  G and dG/dt are omega-periodic
 in t and in s, so a scan window that crosses an edge of the square wraps
 around to the opposite one.  The scan refines its three windows, one a
-surface, in lockstep: each level evaluates all windows' abscissae, every
-t against every s, in one call of the grid's own evaluator, _evaluate, and
-reads each window off a diagonal block of that grid, so each window finds
-the values it would find scanned alone, bit for bit.
+surface, in lockstep, each read off a diagonal block of one grid: every
+value is u0 v0 + u1 v1 taken elementwise, so each window gets the bits it
+gets scanned alone.
 _evaluate is the one place where factors become kernel values.
 
 The CHU criterion samples p, its exponential weights and l over one
@@ -148,7 +147,8 @@ class GreensFunction:
         acc = np.zeros((len(t), 2))
         np.cumsum(lower, axis=0, out=acc[1:])
         acc[:-1] += np.cumsum(upper[::-1], axis=0)[::-1]
-        return np.einsum("ij,ij->i", U, acc), np.einsum("ij,ij->i", dU, acc)
+        return (U[:, 0] * acc[:, 0] + U[:, 1] * acc[:, 1],
+                dU[:, 0] * acc[:, 0] + dU[:, 1] * acc[:, 1])
 
     def constants(self) -> dict:
         return {
@@ -170,14 +170,21 @@ def _evaluate(factors, t, s):
     """(G, dG/dt) from the rank-2 factors on the outer product of the 1-D
     abscissa arrays t and s, each value on the branch its t and s select,
     the diagonal on the lower one.  When s is t the factors get one array
-    for both, and evaluate it once."""
+    for both, and evaluate it once.  Each value is u0 v0 + u1 v1, taken
+    elementwise in that order, so no BLAS kernel reaches its bits."""
     U, dU, V_lo, V_up = factors(t, s)
     lower = t[:, None] >= s[None, :]
+    v0, v1 = (np.where(lower, V_lo[:, k], V_up[:, k]) for k in (0, 1))
     # factors that are not finite (see the numeric factors) give inf or
     # nan values, which fail the positivity test, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        return (np.where(lower, U @ V_lo.T, U @ V_up.T),
-                np.where(lower, dU @ V_lo.T, dU @ V_up.T))
+        G = U[:, :1] * v0
+        G += U[:, 1:] * v1
+        # dG/dt in place of v0 and v1: two grid-sized arrays fewer
+        v0 *= dU[:, :1]
+        v1 *= dU[:, 1:]
+        v0 += v1
+    return G, v0
 
 
 def _slope(tau, G, Gt):
@@ -320,8 +327,7 @@ def numeric_periodic_green(p: PeriodicCoeff, l: PeriodicCoeff,
     except IntegrationBlowUp as err:
         raise ResonanceError(
             f"the fundamental-matrix integration failed: {err}") from err
-    B_low = _periodic_resolvent(*res.y.tolist())
-    B_up = B_low - np.eye(2)
+    B = _periodic_resolvent(*res.y.tolist())
 
     def factors(tarr, sarr):
         # one dense evaluation for both arrays, or for one that is both; it
@@ -338,7 +344,9 @@ def numeric_periodic_green(p: PeriodicCoeff, l: PeriodicCoeff,
             det = Ps[:, 0, 0] * Ps[:, 1, 1] - Ps[:, 0, 1] * Ps[:, 1, 0]
             col[:, 0] = -Ps[:, 0, 1] / det
             col[:, 1] = Ps[:, 0, 0] / det
-            return Pt[:, 0, :], Pt[:, 1, :], col @ B_low.T, col @ B_up.T
+            # V = B col, and B - I on the upper branch gives V - col
+            V = col[:, :1] * B[:, 0] + col[:, 1:] * B[:, 1]
+            return Pt[:, 0, :], Pt[:, 1, :], V, V - col
 
     tgrid = np.linspace(0.0, omega, _SEED_GRID + 1)
     G, Gt = _evaluate(factors, tgrid, tgrid)

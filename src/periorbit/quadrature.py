@@ -40,7 +40,7 @@ def _panel(f, a: float, b: float) -> float:
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     vals = np.asarray(f(mid + half * _X), dtype=float)
-    return half * float(np.dot(_W, vals))
+    return half * float(np.sum(_W * vals))
 
 
 def integrate_adaptive(f, a: float, b: float) -> float:
@@ -92,7 +92,7 @@ def cumulative_integral(f, grid: np.ndarray) -> np.ndarray:
     halves = 0.5 * (grid[1:] - grid[:-1])
     pts = mids[:, None] + halves[:, None] * _X[None, :]
     vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
-    pieces = halves * (vals @ _W)
+    pieces = halves * np.sum(vals * _W, axis=1)
     out = np.empty(grid.shape, dtype=float)
     out[0] = 0.0
     np.cumsum(pieces, out=out[1:])

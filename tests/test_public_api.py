@@ -53,65 +53,47 @@ def test_readme_library_use_runs_verbatim(monkeypatch, capsys):
     assert abs(float(lines[1].split()[0]) - 399.93) < 0.5
 
 
-def test_src_needs_no_numpy_linalg():
-    """The package takes its 2x2 eigenvalues and inverses from matrix
-    entries: no source file names numpy.linalg or imports linalg."""
+# numpy's BLAS products: the bits of a value taken through one follow the
+# host's BLAS kernel
+BLAS_PRODUCTS = {"dot", "matmul", "einsum", "inner", "vdot", "tensordot"}
+
+
+def _uses(banned):
+    """(file, line) of every @ or @= in src/ when "@" is in `banned`, and
+    of every attribute or import there that names one of `banned`."""
     sources = sorted((ROOT / "src" / "periorbit").glob("*.py"))
     assert len(sources) > 5
+    found = []
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Attribute):
-                assert node.attr != "linalg", (path.name, node.lineno)
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""] + [a.name for a in node.names]
-                assert not any("linalg" in n for n in names), path.name
-            elif isinstance(node, ast.Import):
-                assert not any("linalg" in a.name for a in node.names), \
-                    path.name
-
-
-# where a BLAS product may enter a value: module and enclosing function
-BLAS_SITES = {
-    ("greens", "_evaluate"),
-    ("greens", "numeric_periodic_green.factors"),
-    ("greens", "GreensFunction._integrate"),
-    ("quadrature", "_panel"),
-    ("quadrature", "cumulative_integral"),
-}
-
-
-def _blas_products(tree):
-    """(enclosing qualified name, line) of every @, np.dot, np.matmul and
-    np.einsum in a module's tree."""
-    found = []
-
-    def visit(node, scope):
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            scope = f"{scope}.{node.name}" if scope else node.name
-        if ((isinstance(node, (ast.BinOp, ast.AugAssign))
-             and isinstance(node.op, ast.MatMult))
-                or (isinstance(node, ast.Attribute)
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id == "np"
-                    and node.attr in ("dot", "matmul", "einsum"))):
-            found.append((scope, node.lineno))
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    visit(tree, "")
+            if isinstance(node, (ast.BinOp, ast.AugAssign)):
+                hit = "@" in banned and isinstance(node.op, ast.MatMult)
+            elif isinstance(node, ast.Attribute):
+                hit = node.attr in banned
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""]
+                names += [a.name for a in node.names]
+                hit = bool(banned.intersection(
+                    part for name in names for part in name.split(".")))
+            else:
+                hit = False
+            if hit:
+                found.append((path.name, node.lineno))
     return found
 
 
+def test_src_needs_no_numpy_linalg():
+    """The package takes its 2x2 eigenvalues and inverses from matrix
+    entries: no source file names numpy.linalg or imports linalg."""
+    assert _uses({"linalg"}) == []
+
+
 def test_blas_products_only_at_the_known_sites():
-    """A census of the matrix products in src/: each lies in one of the
-    functions that BLAS_SITES names, and each of those still holds one."""
-    seen = set()
-    for path in sorted((ROOT / "src" / "periorbit").glob("*.py")):
-        for scope, line in _blas_products(ast.parse(path.read_text())):
-            site = (path.stem, scope)
-            assert site in BLAS_SITES, (path.name, scope, line)
-            seen.add(site)
-    assert seen == BLAS_SITES
+    """No known site is left: no value in src/ passes through a BLAS
+    product.  No source file holds an @ or @=, or names or imports dot,
+    matmul, einsum, inner, vdot or tensordot; the package writes its
+    products elementwise."""
+    assert _uses(BLAS_PRODUCTS | {"@"}) == []
 
 
 # module-level imports that their module never reads, and why each stays

@@ -122,7 +122,7 @@ def _reference_panel(f, a, b):
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     vals = np.asarray(f(mid + half * _REF_X), dtype=float)
-    return half * float(np.dot(_REF_W, vals))
+    return half * float(np.sum(_REF_W * vals))
 
 
 def depth_capped_integrate(f, a, b):

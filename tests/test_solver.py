@@ -28,6 +28,7 @@ from periorbit.solver import (
     STOP_CAP,
     STOP_FLOOR,
     STOP_LINE_SEARCH,
+    STOP_SHOT,
     STOP_SINGULAR,
     STOP_STAGNANT,
     _Flow,
@@ -524,6 +525,50 @@ def test_stagnation_stops_every_start(monkeypatch, spec41):
         find_periodic(spec41, tol=1e-8)
     assert exc.value.stops == (STOP_STAGNANT,) * len(_START_FACTORS)
     assert exc.value.newton_steps == 2 * len(_START_FACTORS)
+
+
+def test_end_point_not_finite_stops_every_start(monkeypatch, spec41):
+    """A shot that integrates but ends on a value that is not finite is a
+    failed shot: each start stops on its first one, before any step."""
+    import periorbit.solver as solver
+
+    integrate_dp = solver.solve_ivp_dp
+
+    def not_finite(*args, **kwargs):
+        res = integrate_dp(*args, **kwargs)
+        res.y[0] = math.nan
+        return res
+
+    monkeypatch.setattr(solver, "solve_ivp_dp", not_finite)
+    with pytest.raises(NoConvergenceError) as exc:
+        find_periodic(spec41, tol=1e-8)
+    assert exc.value.stops == (STOP_SHOT,) * len(_START_FACTORS)
+    assert exc.value.shots == len(_START_FACTORS)
+    assert exc.value.newton_steps == 0
+
+
+def test_failed_jacobian_reshot_stops_every_start(monkeypatch, spec41):
+    """The full step's defect grows, the backtracked plain candidate's
+    shrinks, so the step is taken without a Jacobian; the next step's
+    Jacobian shot at that point fails, and each start stops after one
+    step."""
+    import periorbit.solver as solver
+
+    M, plain = [2.0, 0.0, 0.0, 2.0], set()
+
+    def shot(flow, x, v, jacobian=False, dense=False):
+        if not jacobian:
+            plain.add((x, v))
+            return 0.5, 0.0, None, None
+        if dense:
+            return 2.0, 0.0, M, None
+        return None if (x, v) in plain else (1.0, 0.0, M, None)
+
+    monkeypatch.setattr(solver, "_return_map", shot)
+    with pytest.raises(NoConvergenceError) as exc:
+        find_periodic(spec41, tol=1e-8)
+    assert exc.value.stops == (STOP_SHOT,) * len(_START_FACTORS)
+    assert exc.value.newton_steps == len(_START_FACTORS)
 
 
 @pytest.mark.parametrize("M", [

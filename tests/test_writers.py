@@ -161,10 +161,9 @@ def _repeats(values: np.ndarray) -> bool:
 def test_greens_kernels_take_each_format_path(monkeypatch):
     """The kernel's source picks the block writer.  example41's closed-form
     tables join cells formatted once a distinct value: at the default n,
-    [example41-200] above, both columns repeat, and at n = 7 its G repeats
-    and its Gt does not.  A numeric kernel's columns do not repeat past
-    n = 1, and [numeric-7/200/333] and [negative_p-20] format every
-    float."""
+    [example41-200] above, and at n = 7 both columns repeat.  A numeric
+    kernel's columns do not repeat past n = 1, and [numeric-7/200/333] and
+    [negative_p-20] format every float."""
     joined = []
     kernel_cells = cli._kernel_cells
 
@@ -174,7 +173,7 @@ def test_greens_kernels_take_each_format_path(monkeypatch):
 
     monkeypatch.setattr(cli, "_kernel_cells", counted)
     for name, n, repeats in [
-            ("example41", 200, (True, True)), ("example41", 7, (True, False)),
+            ("example41", 200, (True, True)), ("example41", 7, (True, True)),
             ("numeric", 7, (False, False)), ("numeric", 200, (False, False)),
             ("numeric", 333, (False, False)),
             ("negative_p", 20, (False, False))]:
