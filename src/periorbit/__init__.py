@@ -12,8 +12,7 @@ numerically by Newton shooting on the return map.
 from .expressions import PeriodicCoeff, parse_expression
 from .hypotheses import Certificate, ProblemSpec, certify, theorem_for
 from .problemfile import ProblemFileError, load_problem, parse_problem_text
-from .solver import (NoConvergenceError, Orbit, SingularityError, State,
-                     find_periodic)
+from .solver import NoConvergenceError, Orbit, State, find_periodic
 
 __version__ = "0.1.0"
 
@@ -25,5 +24,4 @@ __all__ = [
     "PeriodicCoeff", "parse_expression",
     "certify", "Certificate", "theorem_for",
     "find_periodic", "Orbit", "State", "NoConvergenceError",
-    "SingularityError",
 ]

@@ -39,8 +39,8 @@ from .hypotheses import Certificate, ProblemSpec, ValidationError, certify
 from .ivp import IntegrationBlowUp
 from .problemfile import LoadedProblem, ProblemFileError, load_problem, \
     parse_problem_text
-from .solver import (NoConvergenceError, Orbit, SingularityError, State,
-                     apply_T, cone_check, find_periodic)
+from .solver import (NoConvergenceError, Orbit, State, apply_T, cone_check,
+                     find_periodic)
 from .svgfig import phase_svg, timeseries_svg
 from .transform import to_y_equation
 
@@ -321,7 +321,7 @@ def _cmd_solve(args) -> int:
     except NoConvergenceError as err:
         sys.stderr.write(f"no convergence: {err}\n")
         return 1
-    except (SingularityError, IntegrationBlowUp) as err:
+    except IntegrationBlowUp as err:
         sys.stderr.write(f"singularity: {err}\n")
         return 1
     stem = problem.name
@@ -398,7 +398,7 @@ def _reproduce_one(key: str, args, report: list) -> dict:
     orbit = None
     try:
         orbit = _solve_problem(problem, args)
-    except (NoConvergenceError, SingularityError, IntegrationBlowUp) as err:
+    except (NoConvergenceError, IntegrationBlowUp) as err:
         checks["orbit"] = False
         line(f"orbit: FAILED ({err})")
     if orbit is not None:

@@ -35,24 +35,25 @@ O(n) time and memory instead of an (n+1)^2 kernel matrix.
 Constants attached to a kernel: the extreme values g_max and g_min, the
 largest slope gt_max = max |dG/dt| (diagonal counted one-sided on both
 branches), the cone floor ratio sigma = g_min/(g_max + gt_max), and the
-slope-to-value bound delta = gt_max/g_min.  A GreensFunction holds these
-and the rank-2 factors, and no grid: every kernel value, tabulated by
+slope-to-value bound delta = gt_max/g_min; the kernel is positive
+exactly when g_min > 0.  A GreensFunction holds these and the rank-2
+factors, and no grid: every kernel value, tabulated by
 GreensFunction.table for the greens command or anywhere else, is built
 from the factors, and a numeric kernel's factors evaluate the dense Phi
 once a call, on both abscissa arrays together or on one that is both.
 The closed form's g_max, g_min and gt_max are a few float operations: on
 each branch the cosine's argument runs exactly over [-xi omega/2,
 xi omega/2], inside (-pi/2, pi/2).  A numeric kernel's are estimates,
-whatever table is asked of it later: each is the best value a refining
-scan finds, seeded at the cell of one fixed seed grid, _SEED_GRID cells
-a side, where its surface is extreme (the grid's argmin and argmax of G,
-and the argmax of |dG/dt| with both one-sided slopes on the diagonal);
-they are not outward-rounded enclosures.  G and dG/dt are omega-periodic
-in t and in s, so a scan window that crosses an edge of the square wraps
-around to the opposite one.  The scan refines its three windows, one a
-surface, in lockstep, each read off a diagonal block of one grid: every
-value is u0 v0 + u1 v1 taken elementwise, so each window gets the bits it
-gets scanned alone.
+whatever table is asked of it later: each is the best of one fixed seed
+grid's extreme, _SEED_GRID cells a side, and what a refining scan finds
+around its cell (the grid's argmin and argmax of G, and the argmax of
+|dG/dt| with both one-sided slopes on the diagonal), so NaN if the grid
+holds NaN; they are not outward-rounded enclosures.  G and dG/dt are
+omega-periodic in t and in s, so a scan window that crosses an edge of
+the square wraps around to the opposite one.  The scan refines its three
+windows, one a surface, in lockstep, each read off a diagonal block of
+one grid: every value is u0 v0 + u1 v1 taken elementwise, so each window
+gets the bits it gets scanned alone.
 _evaluate is the one place where factors become kernel values.
 
 The CHU criterion samples p, its exponential weights and l over one
@@ -89,20 +90,24 @@ class ResonanceError(RuntimeError):
 class GreensFunction:
     """A kernel's constants and its rank-2 factors, and nothing of any grid.
 
-    source is "closed-form" or "numeric".  _factors(t, s) returns the
-    rank-2 factors (U(t), U'(t), V_lower(s), V_upper(s)), each of shape
-    (len, 2), with G = U.V_branch and dG/dt = U'.V_branch on each branch;
-    t and s may be the same array.  table(n) tabulates the kernel on a grid
-    of n cells a side, on demand; the constants do not depend on it.
+    source is "closed-form" or "numeric", and positive is g_min > 0, false
+    for a NaN g_min.  _factors(t, s) returns the rank-2 factors (U(t),
+    U'(t), V_lower(s), V_upper(s)), each of shape (len, 2), with G =
+    U.V_branch and dG/dt = U'.V_branch on each branch; t and s may be the
+    same array.  table(n) tabulates the kernel on a grid of n cells a
+    side, on demand; the constants do not depend on it.
     """
 
     omega: float
     g_max: float
     g_min: float
     gt_max: float
-    positive: bool
     source: str
     _factors: object = field(repr=False)
+
+    @property
+    def positive(self) -> bool:
+        return self.g_min > 0.0
 
     @property
     def sigma(self) -> float:
@@ -208,14 +213,15 @@ def _window_abscissae(centres, width, omega):
 
 
 def _scanned_extremes(factors, tgrid, G, Gt):
-    """(g_min, g_max, gt_max) of a numeric kernel, each scanned from its
-    surface's grid argmax: estimates, not enclosures.  The three windows
-    are refined in lockstep.  Each level scans a _SCAN_POINTS^2 window of
-    half-width `width` around every centre, wrapped around the period,
-    then recentres each on its argmax at 1/8 the width.  A level evaluates
-    its windows' abscissae, all t against all s, as one grid, and reads
-    window w off its diagonal block (w, w): each value is a product of
-    two 2-vectors, so each window finds what it would find scanned alone.
+    """(g_min, g_max, gt_max) of a numeric kernel, each the better of its
+    surface's grid maximum and a scan from there (NaN if the former is):
+    estimates, not enclosures.  The windows are refined in lockstep: each
+    level scans a _SCAN_POINTS^2 window of half-width `width` around
+    every centre, wrapped around the period, then recentres each on its
+    argmax at 1/8 the width.  A level evaluates its windows' abscissae,
+    all t against all s, as one grid, and reads window w off its diagonal
+    block (w, w): each value is a product of two 2-vectors, so each
+    window finds what it would find scanned alone.
     """
     omega, n, width = tgrid[-1], len(tgrid) - 1, tgrid[1] - tgrid[0]
     # _slope on the grid: the grid increases strictly, so tau = 0 exactly
@@ -230,7 +236,7 @@ def _scanned_extremes(factors, tgrid, G, Gt):
     tc, sc = tgrid[i], tgrid[j]
     windows = np.arange(len(_SURFACES))
     blocks = (len(windows), _SCAN_POINTS) * 2
-    best = np.full(len(_SURFACES), -np.inf)
+    best = np.array([-G.min(), G.max(), slope.max()])
     for _ in range(_SCAN_LEVELS):
         ts, ss = (_window_abscissae(c, width, omega) for c in (tc, sc))
         g, gt = (x.reshape(blocks)[windows, :, windows]
@@ -276,8 +282,7 @@ def closed_form_constant(xi: float, omega: float) -> GreensFunction:
     # |sin(u)|/(2 sin(xi omega/2)) peaks at 1/2
     return GreensFunction(omega=omega, g_max=1.0 / den,
                           g_min=math.cos(half_angle) / den, gt_max=0.5,
-                          positive=True, source="closed-form",
-                          _factors=factors)
+                          source="closed-form", _factors=factors)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +316,8 @@ def numeric_periodic_green(p: PeriodicCoeff, l: PeriodicCoeff,
     M - I and M + I formed from M's entries, and when the integration of
     Phi fails (as for p or l near the float range).  B = (I - M)^-1 is
     formed by Cramer's rule on det(M - I).  The constants are scanned from
-    a seed grid of _SEED_GRID cells a side, which is not kept; the kernel
-    is positive when G is on that grid and the scanned g_min is.
+    a seed grid of _SEED_GRID cells a side, which is not kept, and are no
+    worse than its own extremes (NaN where it holds NaN).
     """
     # looked up at call time, where bench/spans.py rebinds it
     from .ivp import solve_ivp_dp
@@ -352,9 +357,7 @@ def numeric_periodic_green(p: PeriodicCoeff, l: PeriodicCoeff,
     G, Gt = _evaluate(factors, tgrid, tgrid)
     g_min, g_max, gt_max = _scanned_extremes(factors, tgrid, G, Gt)
     return GreensFunction(omega=omega, g_max=g_max, g_min=g_min,
-                          gt_max=gt_max,
-                          positive=bool(G.min() > 0.0 and g_min > 0.0),
-                          source="numeric", _factors=factors)
+                          gt_max=gt_max, source="numeric", _factors=factors)
 
 
 def kernel_for(p: PeriodicCoeff, l: PeriodicCoeff, omega: float

@@ -57,10 +57,6 @@ STOP_STAGNANT = "stagnation"
 STOP_CAP = "Newton cap"
 
 
-class SingularityError(RuntimeError):
-    pass
-
-
 class NoConvergenceError(RuntimeError):
     """Every start failed; carries the smallest return-map defect reached,
     the work spent (shots integrated and Newton steps taken, summed over
@@ -347,10 +343,6 @@ def find_periodic(spec: ProblemSpec, guess: State | None = None,
         newton_steps += steps
         stops.append(stop)
 
-    if all(stop == STOP_FLOOR for stop in stops):
-        raise SingularityError(
-            f"every starting point {starts} lies at or below the "
-            f"positivity floor {flow.eps_min:.6g}")
     reasons = "; ".join(f"{x0:.6g}: {stop}"
                         for x0, stop in zip(starts, stops))
     raise NoConvergenceError(

@@ -3,9 +3,11 @@ benchmark's generated texts produce, for a byte-identity check in one test.
 
     python3 tests/golden.py
 
-rewrites tests/golden.json.  The digests are computed in a subprocess
-with numpy's SIMD targets above its baseline switched off, since the last
-bits of np.exp, np.sin and np.cos follow them, and OpenBLAS on one thread.
+prints the keys whose digest moved against the committed file, and how
+many, then rewrites tests/golden.json.  The digests are computed in a
+subprocess with numpy's SIMD targets above its baseline switched off,
+since the last bits of np.exp, np.sin and np.cos follow them, and
+OpenBLAS on one thread.
 No BLAS product enters a value, so the digests do not depend on which
 kernel OpenBLAS picks.  tests/test_golden.py runs the same subprocess
 under two OpenBLAS kernels, and compares the two runs with each other and
@@ -134,6 +136,13 @@ def _environment() -> dict:
     return {"numpy": numpy.__version__, "libc": list(platform.libc_ver())}
 
 
+def moved(want: dict, got: dict) -> list:
+    """The keys, sorted, whose digest differs between two digest maps, or
+    that only one of them holds."""
+    return sorted(k for k in want.keys() | got.keys()
+                  if want.get(k) != got.get(k))
+
+
 def skip_reason(stored: dict) -> str | None:
     """Why the stored digests cannot be checked here, or None."""
     for key, value in _environment().items():
@@ -166,6 +175,12 @@ def generate(coretype: str | None = None) -> dict:
 
 if __name__ == "__main__":
     doc = generate()
+    committed = (json.loads(GOLDEN.read_text(encoding="utf-8"))["digests"]
+                 if GOLDEN.exists() else {})
+    changed = moved(committed, doc["digests"])
+    for key in changed:
+        print(f"moved: {key}")
+    print(f"{len(changed)} of {len(doc['digests'])} digests moved")
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
                       encoding="utf-8")
     print(f"wrote {len(doc['digests'])} digests to {GOLDEN}")

@@ -7,7 +7,8 @@ the diagonal), applies it as an integral operator with a Gauss rule on
 every grid cell (solve_linear; the package's operator takes samples and
 the trapezoid rule), evaluates one branch's formula wherever t and s lie,
 or scans its extremes one window at a time, each window wrapped around
-the period, as the batched scan of periorbit.greens must.
+the period, as the batched scan of periorbit.greens must.  table_extremes
+reads a kernel's extremes off one of its tables.
 chu_two_periods evaluates the CHU criterion as it was first written, with
 its window integrals sampled over two periods.
 """
@@ -111,8 +112,9 @@ def diagonal_jump_error(gf, s_values) -> np.ndarray:
 
 def scanned_extremes(factors, tgrid, G, Gt):
     """(g_min, g_max, gt_max) of a numeric kernel scanned one window at a
-    time, each seeded at a surface's argmax on the table (tgrid, G, Gt)
-    and refined level by level on its own (_scan_max)."""
+    time, each seeded at a surface's argmax on the table (tgrid, G, Gt),
+    its value there included, and refined level by level on its own
+    (_scan_max)."""
     omega, step = tgrid[-1], tgrid[1] - tgrid[0]
     tau = tgrid[:, None] - tgrid[None, :]
     found = []
@@ -120,19 +122,19 @@ def scanned_extremes(factors, tgrid, G, Gt):
         vals = surface(tau, G, Gt)
         i, j = np.unravel_index(np.argmax(vals), vals.shape)
         found.append(_scan_max(factors, surface, omega, tgrid[i], tgrid[j],
-                               step))
+                               step, float(vals[i, j])))
     return -found[0], found[1], found[2]
 
 
-def _scan_max(factors, surface, omega, tc, sc, width):
-    """Largest value of the surface near (tc, sc).
+def _scan_max(factors, surface, omega, tc, sc, width, best):
+    """Largest value of the surface near (tc, sc), and best if none is
+    larger (NaN stays NaN).
 
     Each level scans a _SCAN_POINTS^2 window of half-width `width`, its
     abscissae a step of width/8 apart and wrapped into [0, omega], then
     recentres on its argmax at 1/8 the width.
     """
     offsets = np.arange(-(_SCAN_POINTS // 2), _SCAN_POINTS // 2 + 1.0)
-    best = -np.inf
     for _ in range(_SCAN_LEVELS):
         ts = (tc + offsets * (width / 8.0)) % omega
         ss = (sc + offsets * (width / 8.0)) % omega
@@ -142,6 +144,16 @@ def _scan_max(factors, surface, omega, tc, sc, width):
         tc, sc = ts[i], ss[j]
         width /= 8.0
     return best
+
+
+def table_extremes(gf, n):
+    """(min G, max G, max |dG/dt|) over gf.table(n), the diagonal's slope
+    the larger of its two one-sided ones."""
+    _, G, Gt = gf.table(n)
+    diag = np.diagonal(Gt)
+    slope = np.abs(Gt)
+    np.fill_diagonal(slope, np.maximum(np.abs(diag), np.abs(diag - 1.0)))
+    return float(G.min()), float(G.max()), float(slope.max())
 
 
 def chu_two_periods(p, l) -> CriterionVerdict:

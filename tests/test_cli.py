@@ -16,6 +16,7 @@ import periorbit
 from periorbit import cli, load_problem, parse_expression
 from periorbit.expressions import (MAX_TREE_DEPTH, EvalDomainError,
                                    tree_depth)
+from periorbit.ivp import IntegrationBlowUp
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -850,7 +851,23 @@ def test_solve_subfloor_guess_exit_1(capsys):
     code = cli.main(["solve", "example41", "--x0", "1e-9"])
     err = capsys.readouterr().err
     assert code == 1
-    assert "singularity" in err
+    assert err.startswith("no convergence:")
+    assert "start below the guard floor" in err
+
+
+def test_solve_guard_violation_exit_1(capsys, monkeypatch):
+    """A shot past the positivity guard that reaches solve itself, and not
+    the search's own stops, is reported as a singularity, exit 1."""
+    def failing(problem, args):
+        raise IntegrationBlowUp("initial state violates the guard", 0.0,
+                                (0.0, 0.0))
+
+    monkeypatch.setattr(cli, "_solve_problem", failing)
+    code = cli.main(["solve", "example41"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == ("singularity: initial state violates the "
+                            "guard\n")
 
 
 def test_solve_respects_tol_flag(tmp_path, capsys):

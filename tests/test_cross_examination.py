@@ -16,7 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kernel_oracles import table_extremes
 from periorbit import certify, find_periodic, parse_problem_text
+from periorbit.greens import _SEED_GRID, kernel_for
 from periorbit.solver import apply_T, cone_check
 from periorbit.transform import to_y_equation
 
@@ -44,6 +46,20 @@ def test_the_family_covers_every_case_and_both_kernel_sources(workloads):
     assert {(it.case, it.kernel) for it in items} == {
         (case, kernel) for case in workloads.CASES
         for kernel in ("closed-form", "numeric")}
+
+
+def test_family_kernel_constants_hold_their_seed_table(workloads):
+    """The 8 numeric kernels of seed 41: each constant is at least as
+    extreme as the seed table it is scanned from."""
+    numeric = [it for it in _items(workloads, 41) if it.kernel == "numeric"]
+    assert len(numeric) == 8
+    for inst in numeric:
+        spec = parse_problem_text(inst.text).spec
+        gf = kernel_for(spec.p, spec.l, spec.omega)
+        assert gf.source == "numeric", inst.text
+        g_min, g_max, gt_max = table_extremes(gf, _SEED_GRID)
+        assert gf.g_min <= g_min and gf.g_max >= g_max, inst.text
+        assert gf.gt_max >= gt_max, inst.text
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -18,18 +18,13 @@ def fresh():
     return golden.generate()["digests"]
 
 
-def _moved(want, got):
-    return sorted(k for k in want.keys() | got.keys()
-                  if want.get(k) != got.get(k))
-
-
 def test_digests_agree_across_blas_kernels(fresh):
     """Prescott, OpenBLAS's SSE3 kernel, runs on any x86-64 CPU; no BLAS
     product enters a value, so it gives every digest the same bits."""
     if platform.machine().lower() not in ("x86_64", "amd64"):
         pytest.skip(f"OpenBLAS's Prescott kernel is x86-64 only, this host "
                     f"is {platform.machine()}")
-    moved = _moved(fresh, golden.generate("Prescott")["digests"])
+    moved = golden.moved(fresh, golden.generate("Prescott")["digests"])
     assert not moved, f"{len(moved)} of {len(fresh)} digests moved: {moved}"
 
 
@@ -39,5 +34,5 @@ def test_outputs_match_the_golden_digests(fresh):
     if reason is not None:
         pytest.skip(reason)
     want = stored["digests"]
-    moved = _moved(want, fresh)
+    moved = golden.moved(want, fresh)
     assert not moved, f"{len(moved)} of {len(want)} digests moved: {moved}"

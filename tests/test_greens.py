@@ -19,6 +19,7 @@ from kernel_oracles import (
     periodicity_mismatch,
     scanned_extremes,
     solve_linear,
+    table_extremes,
 )
 from periorbit import certify, cli, greens, ivp, parse_problem_text
 from periorbit.ivp import eigvals_2x2
@@ -592,6 +593,46 @@ def test_strong_damping_is_not_positive_and_warns_nothing(damping, tmp_path,
     assert "verdict: FALSE  (kernel not positive)" in capsys.readouterr().out
 
 
+def _damped_kernel(damping):
+    """The numeric kernel of the strong-damping text above, and the text."""
+    text = (f"omega = 2*pi/3\np = {damping}\nq = 1\nb = 1\nc = 1\ne = 1\n"
+            "rho1 = 1.5\nrho2 = 1\n")
+    spec = parse_problem_text(text).spec
+    gf = kernel_for(spec.p, spec.l, spec.omega)
+    assert gf.source == "numeric"
+    return gf, text
+
+
+def test_constants_are_no_worse_than_their_seed_table():
+    """At p = 10 the scan from the seed table's steepest cell ended 3.9e-8
+    relative below that cell's slope; each constant now starts from its
+    seed table's extreme."""
+    gf, _ = _damped_kernel(10)
+    g_min, g_max, gt_max = table_extremes(gf, greens._SEED_GRID)
+    assert gf.g_min <= g_min and gf.g_max >= g_max
+    assert gf.gt_max >= gt_max
+
+
+@pytest.mark.parametrize("damping", [-20, -50])
+def test_seed_table_with_nan_gives_nan_constants(damping, tmp_path,
+                                                 monkeypatch, capsys):
+    """A strong negative damping leaves NaN cells in the seed table: all
+    three constants are NaN, not a scan's partial answer (p = -50 once
+    gave g_min = inf and g_max = -inf), the kernel is not positive, and
+    check says so and exits 1."""
+    gf, text = _damped_kernel(damping)
+    assert np.isnan(gf.table(greens._SEED_GRID)[1]).any()
+    assert all(math.isnan(x) for x in (gf.g_min, gf.g_max, gf.gt_max))
+    assert gf.positive is False
+    path = tmp_path / "damped.problem"
+    path.write_text(text)
+    monkeypatch.setenv("PERIORBIT_OUT", str(tmp_path))
+    assert cli.main(["check", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "g_max = nan  g_min = nan" in out
+    assert "verdict: FALSE  (kernel not positive)" in out
+
+
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         closed_form_constant(-1.0, OMEGA)
@@ -618,8 +659,8 @@ def test_kernel_record_holds_constants_and_factors(gf_closed, gf_varying):
     """A kernel keeps no grid: its fields are its constants and factors,
     and they do not change once built."""
     names = [f.name for f in dataclasses.fields(greens.GreensFunction)]
-    assert names == ["omega", "g_max", "g_min", "gt_max", "positive",
-                     "source", "_factors"]
+    assert names == ["omega", "g_max", "g_min", "gt_max", "source",
+                     "_factors"]
     for gf in (gf_closed, gf_varying):
         with pytest.raises(dataclasses.FrozenInstanceError):
             gf.g_min = 0.0

@@ -18,7 +18,6 @@ PUBLIC = {
     "PeriodicCoeff", "parse_expression",
     "certify", "Certificate", "theorem_for",
     "find_periodic", "Orbit", "State", "NoConvergenceError",
-    "SingularityError",
 }
 
 

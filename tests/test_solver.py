@@ -14,7 +14,6 @@ from kernel_oracles import branch_kernel, solve_linear
 from periorbit import (
     NoConvergenceError,
     ProblemSpec,
-    SingularityError,
     State,
     find_periodic,
     parse_problem_text,
@@ -422,8 +421,14 @@ def test_zero_b_takes_no_power_near_the_floor():
 
 
 def test_find_periodic_rejects_subfloor_starts(spec41):
-    with pytest.raises(SingularityError, match="positivity floor"):
+    """Every start below the guard floor: nothing is shot, and the search
+    fails as any other, with NoConvergenceError and every stop the floor."""
+    with pytest.raises(NoConvergenceError, match=STOP_FLOOR) as exc:
         find_periodic(spec41, guess=State(t=0.0, x=1e-9, v=0.0))
+    err = exc.value
+    assert err.stops == (STOP_FLOOR,) * len(_START_FACTORS)
+    assert (err.shots, err.newton_steps) == (0, 0)
+    assert err.best_residual == math.inf
 
 
 def test_find_periodic_reports_no_convergence(monkeypatch):
@@ -450,8 +455,7 @@ def test_find_periodic_reports_no_convergence(monkeypatch):
 
 def test_no_convergence_names_a_subfloor_start(monkeypatch):
     """A start below the guard floor is reported as such among the
-    others; only when every start is below it does the search raise
-    SingularityError."""
+    others, as when every start is below it."""
     spec = _no_orbit_spec()
     floor = guard_floor(spec)
     # factor 0.5 puts the second start below the floor, the others above

@@ -284,6 +284,18 @@ def test_array_pixels_equal_per_point_pixels(values, p0, span):
                 == _old_Y(a, lo, hi, p0, p1).hex())
 
 
+@pytest.mark.parametrize("span, step", [
+    (5.0, 1.0), (10.0, 2.0), (25.0, 5.0), (40.0, 10.0), (0.4, 0.1)])
+def test_tick_steps_take_each_nice_value(span, step):
+    """A fifth of the span rounds to 1, 2, 5 or 10 times its power of ten,
+    and the ticks ascend that step apart inside [0, span]."""
+    assert svgfig._nice_step(span) == pytest.approx(step, rel=1e-15)
+    ticks = svgfig._ticks(0.0, span)
+    assert ticks[0] == 0.0 and 0.0 <= ticks[-1] <= span
+    assert np.diff(ticks) == pytest.approx(step, rel=1e-12)
+    assert len(ticks) == round(span / step) + 1
+
+
 # ---------------------------------------------------------------------------
 # kernel cells: each distinct bit pattern formatted once
 
