@@ -36,7 +36,6 @@ from .expressions import EvalDomainError
 from .greens import (ResonanceError, closed_form_constant, kernel_for,
                      numeric_periodic_green)
 from .hypotheses import Certificate, ProblemSpec, ValidationError, certify
-from .ivp import IntegrationBlowUp
 from .problemfile import LoadedProblem, ProblemFileError, load_problem, \
     parse_problem_text
 from .solver import (NoConvergenceError, Orbit, State, apply_T, cone_check,
@@ -321,9 +320,6 @@ def _cmd_solve(args) -> int:
     except NoConvergenceError as err:
         sys.stderr.write(f"no convergence: {err}\n")
         return 1
-    except IntegrationBlowUp as err:
-        sys.stderr.write(f"singularity: {err}\n")
-        return 1
     stem = problem.name
     _write(os.path.join(out, f"{stem}.orbit.csv"), _orbit_csv(problem, orbit))
     if args.svg:
@@ -398,7 +394,7 @@ def _reproduce_one(key: str, args, report: list) -> dict:
     orbit = None
     try:
         orbit = _solve_problem(problem, args)
-    except (NoConvergenceError, IntegrationBlowUp) as err:
+    except NoConvergenceError as err:
         checks["orbit"] = False
         line(f"orbit: FAILED ({err})")
     if orbit is not None:

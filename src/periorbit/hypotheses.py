@@ -31,7 +31,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
-from .expressions import EvalDomainError, PeriodicCoeff
+from .expressions import EvalDomainError, PeriodicCoeff, derivative
 # closed_form_constant and numeric_periodic_green are not called here;
 # bench/spans.py rebinds them under these names
 from .greens import (CriterionVerdict, GreensFunction, ResonanceError,
@@ -112,6 +112,34 @@ class ProblemSpec:
         for key, what, value in checks:
             with keyed(key, what):
                 value()
+
+    def sign_obstruction(self) -> tuple[float, float] | None:
+        """(max(q - p'), min b) when they prove that the equation has no
+        positive periodic solution, else None; to call after
+        check_ranges, whose mean of q and extrema of b it reads.
+
+        A positive omega-periodic x integrates over one period to
+        int H(t, x(t)) dt = 0 with H = (q - p') x - b x^-rho1 - c x^-rho2
+        - e, since x'' integrates to 0 and p x' to -p' x (the necessity
+        half of Lazer and Solimini, 1987).  With max(q - p') <= 0 and
+        min b >= 0, H < 0 everywhere, as c > 0 and e > 0: no such x.
+        p' has zero mean, so max(q - p') >= mean q, and q - p' is built
+        only when mean q <= 0 and min b >= 0.  A q - p' that is not
+        finite leaves the test undecided, so None.  The max is the same
+        extrema() estimate that gates c > 0 and e > 0: exact for constant
+        q and p, a refined sample between grid points otherwise."""
+        if self.q.mean() > 0.0:
+            return None
+        b_min = self.b.extrema().min_value
+        if b_min < 0.0:
+            return None
+        try:
+            q_minus_dp = self.q._derived(
+                self.q.expr + (-derivative(self.p.expr)))
+            top = q_minus_dp.extrema().max_value
+        except EvalDomainError:
+            return None
+        return (top, b_min) if top <= 0.0 else None
 
 
 @contextmanager

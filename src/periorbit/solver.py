@@ -16,7 +16,9 @@ the orbit's path and M.  A step after a backtracked one costs one
 Jacobian shot plus the plain shots of its line search, which backtracks by
 safeguarded quadratic interpolation on |F|^2.  The converged trajectory is
 packaged together with its Floquet multipliers (the eigenvalues of M) and
-positivity, periodicity and plug-in residual diagnostics.
+positivity, periodicity and plug-in residual diagnostics.  A problem that
+ProblemSpec.sign_obstruction proves to have no positive periodic orbit
+(max(q - p') <= 0 <= min b) is refused before the first shot.
 
 The cone-operator route is kept independent: apply_T evaluates the kernel
 integral operator whose fixed points are the periodic solutions of the
@@ -49,6 +51,7 @@ _MAX_STAGNANT = 5
 _SHRINK_MIN, _SHRINK_MAX = 0.1, 0.5
 
 # why a start stopped, as NoConvergenceError.stops lists them
+STOP_ABSENT = "proved absent: max(q - p') <= 0 <= min b"
 STOP_FLOOR = "start below the guard floor"
 STOP_SHOT = "failed shot"
 STOP_SINGULAR = "singular Jacobian"
@@ -58,9 +61,11 @@ STOP_CAP = "Newton cap"
 
 
 class NoConvergenceError(RuntimeError):
-    """Every start failed; carries the smallest return-map defect reached,
-    the work spent (shots integrated and Newton steps taken, summed over
-    all starts) and, in stops, why each start stopped, in start order."""
+    """Every start failed, or the sign test proved that every start must;
+    carries the smallest return-map defect reached (inf where none was
+    shot), the work spent (shots integrated and Newton steps taken, summed
+    over all starts) and, in stops, why each start stopped, in start
+    order."""
 
     def __init__(self, message: str, best_residual: float, shots: int = 0,
                  newton_steps: int = 0, stops: tuple = ()):
@@ -314,7 +319,11 @@ def find_periodic(spec: ProblemSpec, guess: State | None = None,
     packaged from it without shooting again.  tol must be a finite
     positive number, and a guess finite; spec.check_ranges() then runs
     before any shot, so a coefficient value or mean past the float range
-    raises ValidationError keyed to its coefficient.
+    raises ValidationError keyed to its coefficient.  Next the sign test
+    runs: where spec.sign_obstruction() proves that no positive periodic
+    orbit exists, NoConvergenceError is raised at once, naming max(q - p')
+    and min b, with no shot, no Newton step, best_residual inf and one
+    STOP_ABSENT per start.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, not {tol!r}")
@@ -322,34 +331,42 @@ def find_periodic(spec: ProblemSpec, guess: State | None = None,
                                   and math.isfinite(guess.v)):
         raise ValueError(f"guess must be finite, not {guess!r}")
     spec.check_ranges()
-    flow = _Flow(spec)
     if guess is None:
-        guess = State(t=0.0, x=flow.scale, v=0.0)
+        guess = State(t=0.0, x=_amplitude_scale(spec), v=0.0)
     starts = [guess.x * f for f in _START_FACTORS]
     best = math.inf
-    newton_steps = 0
+    newton_steps = shots = 0
     stops = []
 
-    for factor, x0 in zip(_START_FACTORS, starts):
-        if not (x0 > flow.eps_min):
-            stops.append(STOP_FLOOR)
-            continue
-        x, v, fn, steps, reached, stop, carried = _newton(flow, x0, guess.v,
-                                                          tol)
-        if stop is None:
-            return _package(spec, flow, x, v, fn, steps, factor, tol,
-                            carried)
-        best = min(best, reached)
-        newton_steps += steps
-        stops.append(stop)
+    absent = spec.sign_obstruction()
+    if absent is not None:
+        stops = [STOP_ABSENT] * len(starts)
+        found = (f"no positive periodic orbit exists: max(q - p') = "
+                 f"{absent[0]:.6g} <= 0 and min b = {absent[1]:.6g} >= 0, "
+                 f"so no start of {starts} was tried")
+    else:
+        flow = _Flow(spec)
+        for factor, x0 in zip(_START_FACTORS, starts):
+            if not (x0 > flow.eps_min):
+                stops.append(STOP_FLOOR)
+                continue
+            x, v, fn, steps, reached, stop, carried = _newton(
+                flow, x0, guess.v, tol)
+            if stop is None:
+                return _package(spec, flow, x, v, fn, steps, factor, tol,
+                                carried)
+            best = min(best, reached)
+            newton_steps += steps
+            stops.append(stop)
+        shots = flow.shots
+        found = f"no periodic orbit found after trying starts {starts}"
 
     reasons = "; ".join(f"{x0:.6g}: {stop}"
                         for x0, stop in zip(starts, stops))
     raise NoConvergenceError(
-        f"no periodic orbit found after trying starts {starts} (best "
-        f"residual {best:.3e}, tol {tol:.3e}; {flow.shots} shots, "
+        f"{found} (best residual {best:.3e}, tol {tol:.3e}; {shots} shots, "
         f"{newton_steps} Newton steps; stops: {reasons})",
-        best, flow.shots, newton_steps, tuple(stops))
+        best, shots, newton_steps, tuple(stops))
 
 
 def _package(spec: ProblemSpec, flow: _Flow, x: float, v: float, fn: float,

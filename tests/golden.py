@@ -20,7 +20,10 @@ Digested, each under its own key:
   - greens --n 7 on two numeric-kernel texts;
   - at seeds 41 and 42, every family-solve and solve-failure text of
     bench/workloads.py: Certificate.to_dict(), and Orbit.summary() with
-    the bits of both sampled paths, or the NoConvergenceError's fields.
+    the bits of both sampled paths, or the NoConvergenceError's fields;
+  - the NoConvergenceError's fields of a text without orbit that the sign
+    test does not catch, so that Newton's failure path is digested: the
+    solve-failure texts stop before their first shot.
 """
 
 from __future__ import annotations
@@ -54,6 +57,11 @@ _NUMERIC_TEXTS = {
                       "b = 1 + 2*cos(3*t)\nc = exp(2*sin(3*t))\n"
                       "e = 10 + cos(3*t)\nrho1 = 3/2\nrho2 = 13/10\n",
 }
+
+# x'' = x + 1/x + 1 with its 1/x split as -0.5/x + 1.5/x: no orbit, and
+# min b < 0, so find_periodic runs Newton from every start
+_NEWTON_FAILURE_TEXT = ("omega = 0.3\np = 0\nq = -1\nb = -0.5\nc = 1.5\n"
+                        "e = 1\nrho1 = 1\nrho2 = 1\n")
 
 
 def _sha(data) -> str:
@@ -97,6 +105,11 @@ def _cli_digests(out: dict, workdir: Path) -> None:
             out[f"cli/{label}/{file.name}"] = _sha(file.read_bytes())
 
 
+def _error_sha(err) -> str:
+    return _json_sha([str(err), err.best_residual, err.shots,
+                      err.newton_steps, list(err.stops)])
+
+
 def _solve_digests(out: dict) -> None:
     import periorbit
     import workloads
@@ -112,14 +125,17 @@ def _solve_digests(out: dict) -> None:
                 try:
                     orbit = periorbit.find_periodic(problem.spec, tol=1e-8)
                 except periorbit.NoConvergenceError as err:
-                    out[f"{key}/error"] = _json_sha(
-                        [str(err), err.best_residual, err.shots,
-                         err.newton_steps, list(err.stops)])
+                    out[f"{key}/error"] = _error_sha(err)
                     continue
                 out[f"{key}/summary"] = _json_sha(orbit.summary())
                 out[f"{key}/paths"] = _sha(b"".join(
                     a.tobytes() for path in (orbit.path, orbit.y_path)
                     for a in (path.t, path.x, path.v)))
+    spec = periorbit.parse_problem_text(_NEWTON_FAILURE_TEXT).spec
+    try:
+        periorbit.find_periodic(spec, tol=1e-8)
+    except periorbit.NoConvergenceError as err:
+        out["newton-failure/error"] = _error_sha(err)
 
 
 def digests() -> dict:

@@ -16,7 +16,6 @@ import periorbit
 from periorbit import cli, load_problem, parse_expression
 from periorbit.expressions import (MAX_TREE_DEPTH, EvalDomainError,
                                    tree_depth)
-from periorbit.ivp import IntegrationBlowUp
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -855,19 +854,20 @@ def test_solve_subfloor_guess_exit_1(capsys):
     assert "start below the guard floor" in err
 
 
-def test_solve_guard_violation_exit_1(capsys, monkeypatch):
-    """A shot past the positivity guard that reaches solve itself, and not
-    the search's own stops, is reported as a singularity, exit 1."""
-    def failing(problem, args):
-        raise IntegrationBlowUp("initial state violates the guard", 0.0,
-                                (0.0, 0.0))
-
-    monkeypatch.setattr(cli, "_solve_problem", failing)
-    code = cli.main(["solve", "example41"])
+def test_solve_proved_absent_exit_1(tmp_path, capsys):
+    """q = -1 and b = 0 leave max(q - p') <= 0 <= min b: solve names the
+    obstruction, exits 1 and writes nothing."""
+    f = tmp_path / "nonpos.problem"
+    f.write_text(NON_POSITIVE)
+    out = tmp_path / "out"
+    code = cli.main(["--out", str(out), "solve", str(f), "--svg"])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
-    assert captured.err == ("singularity: initial state violates the "
-                            "guard\n")
+    assert captured.err.startswith("no convergence: no positive periodic "
+                                   "orbit exists: max(q - p') = -1 <= 0 "
+                                   "and min b = 0 >= 0")
+    assert "0 shots, 0 Newton steps" in captured.err
+    assert list(out.iterdir()) == []
 
 
 def test_solve_respects_tol_flag(tmp_path, capsys):

@@ -18,12 +18,14 @@ from periorbit import (
     find_periodic,
     parse_problem_text,
 )
+from periorbit.expressions import EvalDomainError
 from periorbit.greens import closed_form_constant, numeric_periodic_green
 from periorbit.ivp import IntegrationBlowUp, eigvals_2x2
 from periorbit.solver import (
     _MAX_NEWTON,
     _SHOOT_RTOL,
     _START_FACTORS,
+    STOP_ABSENT,
     STOP_CAP,
     STOP_FLOOR,
     STOP_LINE_SEARCH,
@@ -60,12 +62,19 @@ def spec_numeric_p():
     return parse_problem_text(NUMERIC_P_TEXT).spec
 
 
-def _no_orbit_spec(om=0.3):
+def _no_orbit_spec(om=0.3, b="0", c="1"):
     """x'' = x + 1/x + 1 has no periodic solution: v strictly increases by
-    at least 3 omega per period."""
-    return ProblemSpec(p=pc("0", om), q=pc("-1", om), b=pc("0", om),
-                       c=pc("1", om), e=pc("1", om),
+    at least 3 omega per period.  Written with b = 0, the sign test
+    (max(q - p') <= 0 <= min b) proves it before any shot."""
+    return ProblemSpec(p=pc("0", om), q=pc("-1", om), b=pc(b, om),
+                       c=pc(c, om), e=pc("1", om),
                        rho1=1.0, rho2=1.0, omega=om)
+
+
+def _newton_no_orbit_spec(om=0.3):
+    """The same equation with its 1/x split as -0.5/x + 1.5/x: min b < 0,
+    so the sign test passes it by and the Newton search runs and fails."""
+    return _no_orbit_spec(om, b="-0.5", c="1.5")
 
 
 def _counting_shots(monkeypatch):
@@ -438,7 +447,7 @@ def test_find_periodic_reports_no_convergence(monkeypatch):
     om = 0.3
     integrations = _counting_shots(monkeypatch)
     with pytest.raises(NoConvergenceError) as exc:
-        find_periodic(_no_orbit_spec(om), tol=1e-8)
+        find_periodic(_newton_no_orbit_spec(om), tol=1e-8)
     err = exc.value
     assert err.best_residual >= 3.0 * om - 1e-9
     assert err.shots == len(integrations) > 0
@@ -456,7 +465,7 @@ def test_find_periodic_reports_no_convergence(monkeypatch):
 def test_no_convergence_names_a_subfloor_start(monkeypatch):
     """A start below the guard floor is reported as such among the
     others, as when every start is below it."""
-    spec = _no_orbit_spec()
+    spec = _newton_no_orbit_spec()
     floor = guard_floor(spec)
     # factor 0.5 puts the second start below the floor, the others above
     with pytest.raises(NoConvergenceError) as exc:
@@ -480,8 +489,74 @@ def test_shot_budget(monkeypatch, spec41, spec42, spec43):
         assert len(integrations) == 2
     integrations.clear()
     with pytest.raises(NoConvergenceError):
-        find_periodic(_no_orbit_spec(), tol=1e-8)
+        find_periodic(_newton_no_orbit_spec(), tol=1e-8)
     assert len(integrations) <= 1000
+
+
+@pytest.mark.parametrize("guess", [None, State(0.0, 1e-9, 0.0),
+                                   State(0.0, 5.0, 2.0)],
+                         ids=["default", "subfloor", "far"])
+def test_sign_test_stops_before_any_shot(monkeypatch, guess):
+    """max(q - p') = -1 <= 0 <= min b = 0 proves that no orbit exists:
+    whatever the guess, the search raises at once, one stop per start,
+    without integrating anything."""
+    integrations = _counting_shots(monkeypatch)
+    with pytest.raises(NoConvergenceError) as exc:
+        find_periodic(_no_orbit_spec(), guess=guess, tol=1e-8)
+    err = exc.value
+    assert integrations == []
+    assert (err.shots, err.newton_steps) == (0, 0)
+    assert err.best_residual == math.inf
+    assert err.stops == (STOP_ABSENT,) * len(_START_FACTORS)
+    assert "max(q - p') = -1 <= 0 and min b = 0 >= 0" in str(err)
+    assert "0 shots, 0 Newton steps" in str(err)
+
+
+def test_sign_test_reads_a_varying_damping(monkeypatch):
+    """p = 0.2 sin(3t) with q = -1: q - p' = -1 - 0.6 cos(3t) peaks at
+    -0.4, so the test fires on the varying coefficient as well."""
+    spec = ProblemSpec(p=pc("0.2*sin(3*t)"), q=pc("-1"), b=pc("1/2"),
+                       c=pc("1"), e=pc("2 + cos(3*t)"), rho1=1.5,
+                       rho2=1.0, omega=OMEGA)
+    integrations = _counting_shots(monkeypatch)
+    with pytest.raises(NoConvergenceError) as exc:
+        find_periodic(spec, tol=1e-8)
+    assert integrations == []
+    assert exc.value.stops == (STOP_ABSENT,) * len(_START_FACTORS)
+    top, b_min = spec.sign_obstruction()
+    assert top == pytest.approx(-0.4, abs=1e-9)
+    assert b_min == 0.5
+
+
+def test_sign_test_passes_a_positive_peak_by(monkeypatch):
+    """mean q = -1 <= 0 and b = 0, but p = 0.1 sin(20 pi t/3) on omega =
+    0.3 gives q - p' a peak of 2 pi/3 - 1 > 0: no proof, so Newton runs."""
+    om = 0.3
+    spec = ProblemSpec(p=pc("0.1*sin(20*pi*t/3)", om), q=pc("-1", om),
+                       b=pc("0", om), c=pc("1", om), e=pc("1", om),
+                       rho1=1.0, rho2=1.0, omega=om)
+    assert spec.sign_obstruction() is None
+    integrations = _counting_shots(monkeypatch)
+    with pytest.raises(NoConvergenceError) as exc:
+        find_periodic(spec, tol=1e-8)
+    assert exc.value.shots == len(integrations) > 0
+    assert STOP_ABSENT not in exc.value.stops
+
+
+def test_sign_test_skips_a_damping_slope_past_the_float_range():
+    """p = exp(709 cos(3t)) is finite, its slope is not: q - p' cannot be
+    sampled, so the test does not fire, and the search runs as before
+    instead of raising a new error."""
+    spec = ProblemSpec(p=pc("exp(709*cos(3*t))"), q=pc("-1"), b=pc("0"),
+                       c=pc("1"), e=pc("1"), rho1=1.0, rho2=1.0,
+                       omega=OMEGA)
+    with pytest.raises(EvalDomainError):
+        spec.p.derivative()
+    spec.check_ranges()
+    assert spec.sign_obstruction() is None
+    with pytest.raises(NoConvergenceError) as exc:
+        find_periodic(spec, tol=1e-8)
+    assert STOP_ABSENT not in exc.value.stops
 
 
 def _stops(spec):
@@ -602,6 +677,42 @@ def test_package_reshoots_a_point_that_needs_no_step(spec41, orbit41):
     for name in ("multipliers", "periodicity_residual", "ode_residual",
                  "ode_residual_y", "det_M_minus_I"):
         assert getattr(orbit, name) == getattr(orbit41, name)
+
+
+def test_package_reshot_repeats_the_converged_shot(monkeypatch, spec41,
+                                                   orbit41):
+    """Packaging re-shoots a point whose shot converged, with Phi and dense
+    output added; neither enters the step control or the guard, so the
+    re-shot takes that shot's steps and cannot fail where it did not.
+    Likewise a plain shot and its Phi-carrying dense repeat from a start
+    whose stages the guard vetoes."""
+    import periorbit.solver as solver
+
+    shots = []
+    integrate_dp = solver.solve_ivp_dp
+
+    def recorded(*args, **kwargs):
+        res = integrate_dp(*args, **kwargs)
+        shots.append(res)
+        return res
+
+    monkeypatch.setattr(solver, "solve_ivp_dp", recorded)
+    counts = lambda r: (r.t, r.nsteps, r.nfev, r.rejected,
+                        r.guard_rejections)
+    orbit = find_periodic(spec41, guess=State(0.0, orbit41.initial.x,
+                                              orbit41.initial.v))
+    assert orbit.newton_steps == 0
+    converged, reshot = shots
+    assert converged.dense is None and reshot.dense is not None
+    assert counts(reshot) == counts(converged)
+    assert reshot.y.tolist() == converged.y.tolist()
+
+    flow = _Flow(_newton_no_orbit_spec())
+    plain = flow.shoot(1e-4, -1.0)
+    repeat = flow.shoot(1e-4, -1.0, dense=True, jacobian=True)
+    assert plain.guard_rejections > 0
+    assert counts(repeat) == counts(plain)
+    assert repeat.y[:2].tolist() == plain.y.tolist()
 
 
 def _residual_y_oracle(spec, path):
