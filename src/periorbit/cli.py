@@ -12,9 +12,9 @@ diagnostics to stderr.  Sidecar files (JSON / CSV / SVG) are written to
 --out, the PERIORBIT_OUT environment variable, or the current directory.
 
 Exit codes: 0 success / verdict true; 1 a well-posed run answered
-negatively (verdict false, resonance, no convergence, guard violation);
-2 usage (an unusable output directory or sidecar file included), parse,
-or validation errors.
+negatively (verdict false, resonance, no convergence, orbit proved
+absent); 2 usage (an unusable output directory or sidecar file
+included), parse, or validation errors.
 """
 
 from __future__ import annotations
@@ -192,8 +192,13 @@ def _certificate_report(problem: LoadedProblem, cert: Certificate) -> str:
             lines.append("  R witness: none found below cap")
         if ev.reason:
             lines.append(f"  reason: {ev.reason}")
-    lines.append(f"verdict: {'TRUE' if cert.verdict else 'FALSE'}"
-                 + (f"  ({cert.reason})" if cert.reason else ""))
+    if cert.absent is not None:
+        lines.append(f"verdict: ABSENT (max(q - p') = "
+                     f"{_g(cert.absent['max_q_minus_dp'])} <= 0 and "
+                     f"min b = {_g(cert.absent['min_b'])} >= 0)")
+    else:
+        lines.append(f"verdict: {'TRUE' if cert.verdict else 'FALSE'}"
+                     + (f"  ({cert.reason})" if cert.reason else ""))
     return "\n".join(lines) + "\n"
 
 

@@ -423,6 +423,7 @@ class Certificate:
     reported: CertEvaluation | None
     verdict: bool
     reason: str = ""
+    absent: dict | None = None  # the test that proved no orbit exists
     greens: GreensFunction | None = field(default=None, repr=False,
                                           compare=False)
 
@@ -485,13 +486,28 @@ def certify(spec: ProblemSpec, a1: PeriodicCoeff | None = None
 
     spec.check_ranges(a1) runs first: a coefficient value or mean past the
     float range, a1's included, raises ValidationError keyed to its
-    coefficient.  A kernel with no usable periodic form (resonance, or a
-    fundamental-matrix integration that fails) gives the NONE certificate.
+    coefficient.  Next, before any kernel is built, the sign test runs:
+    where spec.sign_obstruction() proves that no positive periodic orbit
+    exists, the certificate keeps the case label, holds no kernel,
+    criterion or evaluation, and its absent field names the test and its
+    margins (absent is None on every other certificate).  A kernel with no
+    usable periodic form (resonance, or a fundamental-matrix integration
+    that fails) gives the NONE certificate.
     """
     spec.check_ranges(a1)
     l = spec.l
     case = theorem_for(spec.rho1, spec.rho2,
                        spec.b.extrema().min_value + spec.c.extrema().min_value)
+    obstruction = spec.sign_obstruction()
+    if obstruction is not None:
+        top, b_min = obstruction
+        return Certificate(
+            theorem=case, alpha=spec.alpha, positivity_source=None,
+            positivity_checks=[], positive=False, computed=None,
+            reported=None, verdict=False,
+            reason=(f"proved absent: max(q - p') = {top:.6g} <= 0 and "
+                    f"min b = {b_min:.6g} >= 0"),
+            absent={"test": "sign", "max_q_minus_dp": top, "min_b": b_min})
 
     try:
         gf = kernel_for(spec.p, l, spec.omega)

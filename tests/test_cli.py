@@ -76,7 +76,8 @@ rho1 = 3/2
 rho2 = 3/2
 """
 
-# q = -1 makes the kernel negative everywhere (the solve-failure family)
+# q = -1 makes the kernel negative everywhere (the solve-failure family);
+# with b = 0 the sign test proves that no positive orbit exists
 NON_POSITIVE = """\
 omega = 0.05
 p = 0
@@ -87,6 +88,10 @@ e = 3
 rho1 = 3/2
 rho2 = 1
 """
+
+# the same kernel with min b < 0, which the sign test passes by, so check
+# builds the kernel and evaluates the constants
+NON_POSITIVE_KERNEL = NON_POSITIVE.replace("b = 0", "b = -1/2")
 
 
 @pytest.fixture(autouse=True)
@@ -706,7 +711,7 @@ def test_cone_ratios_of_a_non_positive_kernel_print_na(tmp_path, capsys):
     """sigma and delta mean nothing for a kernel that is not positive: the
     text outputs say n/a, the JSON and CSV keep the numbers."""
     f = tmp_path / "nonpos.problem"
-    f.write_text(NON_POSITIVE)
+    f.write_text(NON_POSITIVE_KERNEL)
     assert cli.main(["check", str(f)]) == 1
     report = capsys.readouterr().out
     assert "positive: no" in report
@@ -721,6 +726,29 @@ def test_cone_ratios_of_a_non_positive_kernel_print_na(tmp_path, capsys):
     header = (tmp_path / "nonpos.greens.csv").read_text().split("t,s,G,Gt")[0]
     assert "n/a" not in header
     assert "# sigma = 1.06" in header
+
+
+def test_check_proved_absent_exit_1(tmp_path, capsys):
+    """q = -1 and b = 0 leave max(q - p') <= 0 <= min b: check reports
+    ABSENT with the margins, builds no kernel and exits 1; the JSON on
+    stdout and the sidecar carry the same absent record."""
+    f = tmp_path / "nonpos.problem"
+    f.write_text(NON_POSITIVE)
+    assert cli.main(["check", str(f)]) == 1
+    report = capsys.readouterr().out
+    assert report.endswith("theorem: T3.1\nverdict: ABSENT (max(q - p') = -1 "
+                           "<= 0 and min b = 0 >= 0)\n")
+    assert "kernel:" not in report and "[computed]" not in report
+    assert cli.main(["check", str(f), "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    sidecar = json.loads((tmp_path / "nonpos.certificate.json").read_text())
+    assert doc == sidecar
+    assert doc["absent"] == {"test": "sign", "max_q_minus_dp": -1.0,
+                             "min_b": 0.0}
+    assert doc["verdict"] is False and doc["theorem"] == "T3.1"
+    assert doc["computed"] is None and doc["positivity_checks"] == []
+    assert doc["reason"] == ("proved absent: max(q - p') = -1 <= 0 and "
+                             "min b = 0 >= 0")
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])

@@ -8,11 +8,13 @@ mapped to y = x^(1/alpha) is that fixed point.  The texts are the benchmark's
 family-solve texts of seeds 41-50, 200 over all four theorem cases and both
 kernel sources, drawn by its own generator.
 
-The sign test that stops find_periodic before its first shot
-(ProblemSpec.sign_obstruction) is cross-examined against the Newton
-search it replaces: on random texts where it fires, Newton converges from
-none of the five starts; it fires on every solve-failure text of the
-benchmark and on no family-solve or bundled text.
+The sign test that stops find_periodic and certify before their first
+shot and kernel (ProblemSpec.sign_obstruction) is cross-examined against
+the paths it replaces: on random texts where it fires, Newton converges
+from none of the five starts, certify reports the text absent, and the
+kernel path certify skips certifies none of them, so no text is both
+proved absent and certified.  It fires on every solve-failure text of
+the benchmark and on no family-solve or bundled text.
 """
 
 import importlib
@@ -26,7 +28,8 @@ import pytest
 
 from kernel_oracles import table_extremes
 from periorbit import certify, find_periodic, parse_problem_text
-from periorbit.greens import _SEED_GRID, kernel_for
+from periorbit.greens import _SEED_GRID, ResonanceError, kernel_for
+from periorbit.hypotheses import _evaluate_case, constants_from
 from periorbit.solver import (_START_FACTORS, _amplitude_scale, _Flow,
                               _newton, apply_T, cone_check)
 from periorbit.transform import to_y_equation
@@ -80,7 +83,7 @@ def test_certified_family_orbits_are_fixed_points_in_the_cone(workloads,
     for inst in _items(workloads, seed):
         problem = parse_problem_text(inst.text)
         cert = certify(problem.spec, a1=problem.a1)
-        assert cert.verdict, inst.text
+        assert cert.verdict and cert.absent is None, inst.text
         ev = cert.computed
         orbit = find_periodic(problem.spec, tol=workloads.FamilySolve.TOL)
         y = orbit.y_path
@@ -147,6 +150,34 @@ def test_newton_converges_nowhere_the_sign_test_fires(seed):
             assert stop is not None, (text, factor)
 
 
+def _kernel_path_verdict(spec, case: str) -> bool:
+    """The verdict certify reached on a text before the sign test stopped
+    it: the kernel, the computed constant set and the case's checks."""
+    try:
+        gf = kernel_for(spec.p, spec.l, spec.omega)
+    except ResonanceError:
+        return False
+    return _evaluate_case(constants_from(spec, gf), case, gf.positive).verdict
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_certify_proves_absent_what_the_kernel_path_leaves_uncertified(
+        seed):
+    """On the 50 texts of the Newton test: certify names the sign test
+    and its margins and gives verdict False, and the kernel path it skips
+    gives verdict False too, so the early stop drops no TRUE verdict."""
+    rng = random.Random(seed)
+    for _ in range(10):
+        text = _absent_text(rng)
+        spec = parse_problem_text(text).spec
+        cert = certify(spec)
+        top, b_min = spec.sign_obstruction()
+        assert cert.absent == {"test": "sign", "max_q_minus_dp": top,
+                               "min_b": b_min}, text
+        assert not cert.verdict and cert.greens is None, text
+        assert not _kernel_path_verdict(spec, cert.theorem), text
+
+
 def test_sign_test_fires_on_every_solve_failure_text(workloads):
     for seed in SEEDS:
         for inst in workloads.SolveFailure(seed, workdir=None,
@@ -162,3 +193,14 @@ def test_sign_test_fires_on_no_family_or_bundled_text(workloads):
     assert len(texts) == 203
     for text in texts:
         assert _obstruction(text) is None, text
+
+
+def test_bundled_certificates_are_not_absent():
+    """example41-43 are certified, so certify proves none of them absent;
+    the family-solve texts are checked in the fixed-point test."""
+    for stem in ("example41", "example42", "example43"):
+        text = (ROOT / "src" / "periorbit" / "problems"
+                / f"{stem}.problem").read_text(encoding="utf-8")
+        problem = parse_problem_text(text)
+        cert = certify(problem.spec, a1=problem.a1)
+        assert cert.verdict and cert.absent is None, stem

@@ -471,6 +471,33 @@ def test_certify_nonpositive_kernel():
     assert "kernel not positive" in c.reason
 
 
+@pytest.mark.parametrize("rho2,case", [(1.3, "T3.1"), (1.5, "T3.3-I"),
+                                       (2.0, "T3.2")])
+def test_certify_proves_absence_before_the_kernel(monkeypatch, rho2, case):
+    """max(q - p') = -1 + 3/10 < 0 and min b = 0: certify keeps the case
+    label, names the test and its margins in absent, and builds no
+    kernel, runs no criterion and evaluates no constant set."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran past the sign test")
+
+    for name in ("kernel_for", "check_A2", "check_chu", "_evaluate_case"):
+        monkeypatch.setattr(hypotheses, name, unreachable)
+    spec = ProblemSpec(p=pc("1/10*sin(3*t)"), q=pc("-1"), b=pc("0"),
+                       c=pc("1"), e=pc("1"), rho1=1.5, rho2=rho2,
+                       omega=OMEGA)
+    c = certify(spec)
+    top = c.absent["max_q_minus_dp"]
+    assert c.absent == {"test": "sign", "max_q_minus_dp": top, "min_b": 0.0}
+    assert top == pytest.approx(-0.7, abs=1e-12)
+    assert c.theorem == case and c.alpha == spec.alpha
+    assert c.verdict is False and c.positive is False
+    assert c.greens is None and c.positivity_source is None
+    assert c.positivity_checks == []
+    assert c.computed is None and c.reported is None
+    assert c.reason == ("proved absent: max(q - p') = -0.7 <= 0 and "
+                        "min b = 0 >= 0")
+
+
 def test_certify_numeric_path_uses_chu():
     spec = ProblemSpec(p=pc("0"), q=pc("(1/40)*(1+(1/10)*cos(3*t))"),
                        b=pc("1+2*cos(3*t)"), c=pc("exp(2*sin(3*t))"),
@@ -594,7 +621,8 @@ def test_certificate_to_dict_serializes(cert41):
     d = cert41.to_dict()
     assert set(d) == {"theorem", "alpha", "positivity_source",
                       "positivity_checks", "positive", "computed", "reported",
-                      "verdict", "reason"}
+                      "verdict", "reason", "absent"}
+    assert d["absent"] is None
     text = json.dumps(d, default=float, sort_keys=True)
     assert "T3.1" in text
     assert d["computed"]["checks"]["H1"]["ok"] is True
@@ -657,6 +685,7 @@ def _ref_certificate(c):
         "reported": _ref_evaluation(c.reported),
         "verdict": c.verdict,
         "reason": c.reason,
+        "absent": c.absent,
     }
 
 
@@ -675,8 +704,8 @@ a1 = 1+1/10*sin(3*t)
 
 def _wire_texts(monkeypatch):
     """example41-43, the family-solve texts of one benchmark seed (numeric
-    and closed-form kernels), a text with a1, a resonant text and one whose
-    kernel is not positive."""
+    and closed-form kernels), a text with a1, a resonant text, one whose
+    kernel is not positive and one the sign test proves to have no orbit."""
     root = Path(__file__).resolve().parents[1]
     monkeypatch.syspath_prepend(str(root / "bench"))
     import workloads
@@ -689,18 +718,23 @@ def _wire_texts(monkeypatch):
         texts.append(A1_HOLDS.replace(
             "q = (2/5)*(1+1/10*sin(3*t)+3/10*cos(3*t))", f"q = {q}").replace(
             "p = 2+1/10*sin(3*t)", "p = 0"))
+    texts.append(A1_HOLDS.replace(
+        "q = (2/5)*(1+1/10*sin(3*t)+3/10*cos(3*t))", "q = -1"))
     return texts
 
 
 def test_certificate_wire_format_matches_reference(monkeypatch):
     sources = set()
+    absent = []
     for text in _wire_texts(monkeypatch):
         problem = parse_problem_text(text)
         cert = certify(problem.spec, a1=problem.a1)
         sources.add(cert.positivity_source)
+        absent.append(cert.absent is not None)
         assert cli._json_text(cert.to_dict()) == \
             cli._json_text(_ref_certificate(cert))
     assert {"closed-form", "A1", "CHU", None} <= sources
+    assert absent.count(True) == 1 and absent[-1]
 
 
 def test_wire_format_is_plain_json(orbit41):
